@@ -13,6 +13,7 @@ which the simulation asks for them.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping
@@ -114,7 +115,17 @@ class LinkSample:
 
 _BAND_CODE = {Band.LOW_ALTITUDE: 1, Band.HIGH_ALTITUDE: 2, Band.ROTATION: 3}
 _DIR_CODE = {Direction.UL: 1, Direction.DL: 2}
-_KEY_MASK = (1 << 128) - 1
+_WORD_MASK = (1 << 64) - 1
+
+# One generator serves every keyed draw. Philox is counter-based, so a draw is
+# a pure function of (key, counter): setting the whole bit-generator state
+# before each draw (key, counter and an empty buffer, exactly what a fresh
+# Philox(key=..., counter=...) holds) gives the fresh generator's bits without
+# building one per draw. The lock keeps set-then-draw atomic across threads.
+_PHILOX = np.random.Philox()
+_GENERATOR = np.random.Generator(_PHILOX)
+_KEYED_LOCK = threading.Lock()
+_EMPTY_BUFFER = (0, 0, 0, 0)
 
 
 def _float_bits(t: float) -> int:
@@ -122,16 +133,26 @@ def _float_bits(t: float) -> int:
 
 
 def _keyed_generator(seed: int, c0: int, c1: int, c2: int = 0) -> np.random.Generator:
-    # the counter must be an explicit uint64 array: a plain int list with a
-    # value >= 2**63 would be coerced through float64 and lose low bits
-    counter = np.array([c0, c1, c2, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=seed & _KEY_MASK, counter=counter)
-    return np.random.Generator(bitgen)
+    # the 128-bit key is two uint64 words, low word first; counters are
+    # Python ints, which the state setter converts to uint64 exactly
+    _PHILOX.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": (c0, c1, c2, 0),
+            "key": (seed & _WORD_MASK, (seed >> 64) & _WORD_MASK),
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _GENERATOR
 
 
 def keyed_normal(seed: int, code: int, t: float) -> float:
     """Standard-normal draw fully determined by (seed, code, t)."""
-    return float(_keyed_generator(seed, _float_bits(t), code).standard_normal())
+    with _KEYED_LOCK:
+        return float(_keyed_generator(seed, _float_bits(t), code).standard_normal())
 
 
 def keyed_uniform(seed: int, c0: int, c1: int, c2: int = 0) -> float:
@@ -140,7 +161,8 @@ def keyed_uniform(seed: int, c0: int, c1: int, c2: int = 0) -> float:
     The high counter bit is set so these draws never share a counter block
     with keyed_normal ones.
     """
-    return float(_keyed_generator(seed, c0, c1, c2 | (1 << 63)).random())
+    with _KEYED_LOCK:
+        return float(_keyed_generator(seed, c0, c1, c2 | (1 << 63)).random())
 
 
 @dataclass(frozen=True)
@@ -171,7 +193,10 @@ class LinkModel:
             raise ValueError("one_way_fraction must be in (0, 1]")
 
     def mean(self) -> "LinkModel":
-        """Variance-free copy used for reproducible predictions."""
+        """Variance-free copy used for reproducible predictions; a link that
+        is already variance-free is its own copy."""
+        if self.variance_scale == 0:
+            return self
         return replace(self, variance_scale=0.0)
 
     def params_for(self, band: Band) -> LinkBandParams:

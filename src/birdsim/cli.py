@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .channel import Band, LinkBandParams, default_link_params
 from .engine import (
@@ -37,6 +36,7 @@ from .scenario import (
     SchemaError,
     Waypoint,
     load_scenario,
+    read_yaml,
 )
 
 log = logging.getLogger("birdsim.cli")
@@ -79,10 +79,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"sweep spec file not found: {p}")
-    try:
-        doc = yaml.safe_load(p.read_text())
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{p}: not parseable: {exc}") from None
+    doc = read_yaml(p)
     if not isinstance(doc, dict):
         raise SchemaError(f"{p}: expected a mapping at top level")
     unknown = set(doc) - {"parameter", "values", "replicates", "base_seed"}

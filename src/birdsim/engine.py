@@ -211,6 +211,8 @@ class _Sim:
             if value is not None:
                 timeline.moments = record_moment(timeline.moments, which, value)
         self.protocol = ProtocolState(scenario.t_int, timeline)
+        # policy predictions use the variance-free link; built once per run
+        self.mean_link = self.link.mean()
         battery = scenario.nodes[0].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
         self.heap: list[tuple[float, int, Event]] = []
@@ -221,7 +223,10 @@ class _Sim:
         self.live_by_key: dict[tuple[int, int, str], _Instance] = {}
         self.samples: list[SampleLog] = []
         self.cancelled = 0
-        self.served: set[str] = set()
+        # (scenario index, task) by issue time; tasks before the cursor have
+        # been handed to the protocol
+        self.by_issue = sorted(enumerate(scenario.tasks), key=lambda p: p[1].issue_time)
+        self.next_due = 0
         self.prog_index = {pid: i for i, pid in enumerate(scenario.programs)}
         self.task_outcomes: dict[str, TaskOutcome] = {}
         self.prog_outcomes: dict[tuple[str, str], ProgramOutcome] = {}
@@ -326,14 +331,17 @@ class _Sim:
     def _on_tick(self, event: Event) -> None:
         t, tick = event.t, event.tick
         state = flight_state_at(self.sc, t)
-        due = [
-            task
-            for task in self.sc.tasks
-            if task.issue_time <= t and task.task_id not in self.served
-        ]
-        self.served.update(task.task_id for task in due)
+        start = self.next_due
+        while (
+            self.next_due < len(self.by_issue)
+            and self.by_issue[self.next_due][1].issue_time <= t
+        ):
+            self.next_due += 1
+        # tasks due in the same tick are served in scenario order
+        due = [task for _, task in sorted(self.by_issue[start:self.next_due])]
         outcome = self.protocol.on_tick(
-            t, due, self.sc.tables, self.sc.nodes, self.sc.programs, self.link, state
+            t, due, self.sc.tables, self.sc.nodes, self.sc.programs, self.mean_link,
+            state,
         )
         for task_id in outcome.served_tasks:
             self.task_outcomes[task_id].first_served_at = t

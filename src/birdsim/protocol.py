@@ -84,10 +84,12 @@ class TickOutcome:
     served_tasks: list[str]  # task ids first picked up this tick
 
 
-@dataclass
+@dataclass(frozen=True)
 class _WorkItem:
-    task_id: str
+    """Waiting tasks for one program; a retry excludes the failed server."""
+
     program_id: str
+    waiters: tuple[str, ...]
     excluded_server: int | None = None
 
 
@@ -109,7 +111,6 @@ class ProtocolState:
         self._program_retries: list[_WorkItem] = []
         self._tasks: dict[str, Task] = {}
         self._remaining: dict[str, set[str]] = {}
-        self.task_started: dict[str, float] = {}
         self.completed_tasks: dict[str, float] = {}
         self.completed_programs: set[str] = set()
         self.results: list[UpdateResponse] = []
@@ -159,35 +160,36 @@ class ProtocolState:
         for task in due_tasks:
             self._tasks[task.task_id] = task
             self._remaining.setdefault(task.task_id, set(task.required_programs))
-            self.task_started.setdefault(task.task_id, t_i)
             served_tasks.append(task.task_id)
             work.extend(self._match_whole_task(task, tables, platform, unserved))
 
         # Tasks sharing a program this tick share one dispatch: outstanding
         # entries are keyed (tick, server, program), so duplicates must merge.
-        merged: dict[str, _WorkItem] = {}
+        # Waiters keep their order; the first excluded server seen wins.
+        excluded: dict[str, int | None] = {}
         waiters: dict[str, list[str]] = {}
         for item in work:
-            if item.program_id not in merged:
-                merged[item.program_id] = item
-                waiters[item.program_id] = [item.task_id]
+            if item.program_id not in waiters:
+                waiters[item.program_id] = list(item.waiters)
+                excluded[item.program_id] = item.excluded_server
             else:
-                waiters[item.program_id].append(item.task_id)
-                if merged[item.program_id].excluded_server is None:
-                    merged[item.program_id].excluded_server = item.excluded_server
+                waiters[item.program_id].extend(item.waiters)
+                if excluded[item.program_id] is None:
+                    excluded[item.program_id] = item.excluded_server
 
         dispatches: list[Dispatch] = []
-        for program_id, item in merged.items():
+        for program_id, excluded_server in excluded.items():
             found = candidates_for(program_id, tables, platform)
-            if item.excluded_server is not None:
+            if excluded_server is not None:
                 # exclusion lasts exactly one re-match, and never starves the
                 # program: a sole capable server is retried even if it failed
-                reduced = [c for c in found if c.server_id != item.excluded_server]
+                reduced = [c for c in found if c.server_id != excluded_server]
                 found = reduced or found
             if not found:
-                for task_id in waiters[program_id]:
-                    unserved.append((task_id, program_id))
-                    self._program_retries.append(_WorkItem(task_id, program_id))
+                unserved.extend((tid, program_id) for tid in waiters[program_id])
+                self._program_retries.append(
+                    _WorkItem(program_id, tuple(waiters[program_id]))
+                )
                 self.unserved_events += 1
                 continue
             consumer = self._tasks[waiters[program_id][0]].consumer
@@ -252,7 +254,7 @@ class ProtocolState:
             self.unserved_events += 1
             return []
         return [
-            _WorkItem(task.task_id, program_id)
+            _WorkItem(program_id, (task.task_id,))
             for program_id in task.required_programs
             if program_id in self._remaining.get(task.task_id, set())
         ]
@@ -303,10 +305,10 @@ class ProtocolState:
             dispatch = self.outstanding.pop(key)
             self.timeouts += 1
             timed_out.append(dispatch)
-            for task_id in dispatch.waiters:
-                self._program_retries.append(
-                    _WorkItem(task_id, dispatch.program.program_id, dispatch.server_id)
-                )
+            program_id = dispatch.program.program_id
+            self._program_retries.append(
+                _WorkItem(program_id, dispatch.waiters, dispatch.server_id)
+            )
         return timed_out
 
     def flush_outstanding(self, t: float) -> list[Dispatch]:

@@ -52,6 +52,20 @@ class InvariantViolation(ScenarioError):
     """Well-formed document whose values break a domain rule."""
 
 
+# libyaml builds the same documents as the pure-Python parser, several times
+# faster; PyYAML without it falls back to the pure-Python one.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def read_yaml(path: Path) -> Any:
+    """Parse one YAML (or JSON) file; SchemaError names the path when the
+    text does not parse."""
+    try:
+        return yaml.load(path.read_text(), Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"{path}: not parseable: {exc}") from None
+
+
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
@@ -536,10 +550,7 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         path = Path(source)
         if not path.exists():
             raise SchemaError(f"scenario file not found: {path}")
-        try:
-            doc = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"{path}: not parseable: {exc}") from None
+        doc = read_yaml(path)
     doc = _as_map(doc, "scenario")
     _reject_unknown(doc, _TOP_KEYS, "scenario")
 

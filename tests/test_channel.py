@@ -4,8 +4,12 @@ The measured defaults asserted here are frozen literals; they are the
 model's ground truth and must never drift.
 """
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from birdsim import (
     Band,
@@ -155,6 +159,41 @@ def test_keyed_draw_helpers_are_pure_functions():
     assert keyed_uniform(9, 3, 5, 7) == keyed_uniform(9, 3, 5, 7)
     assert keyed_uniform(9, 3, 5, 7) != keyed_uniform(9, 3, 5, 8)
     assert 0.0 <= keyed_uniform(9, 3, 5, 7) < 1.0
+
+
+def _fresh_generator(seed, c0, c1, c2):
+    """Reference: a new Philox and Generator per draw, keyed as documented."""
+    counter = np.array([c0, c1, c2, 0], dtype=np.uint64)
+    return np.random.Generator(
+        np.random.Philox(key=seed & ((1 << 128) - 1), counter=counter)
+    )
+
+
+WORDS = st.integers(min_value=0, max_value=2**64 - 1)
+NORMAL_CALLS = st.tuples(
+    st.just("normal"), st.integers(min_value=0, max_value=2**128), WORDS,
+    st.floats(allow_nan=False),
+)
+UNIFORM_CALLS = st.tuples(
+    st.just("uniform"), st.integers(min_value=0, max_value=2**128), WORDS, WORDS,
+    st.one_of(WORDS, st.just(1 << 63)),
+)
+
+
+@given(st.lists(st.one_of(NORMAL_CALLS, UNIFORM_CALLS), min_size=1, max_size=12))
+def test_keyed_draws_equal_a_fresh_generator_per_draw(calls):
+    """The reused generator gives a fresh Philox's bits for any seed, any
+    counter words, and any interleaving of normal and uniform draws."""
+    for kind, seed, *words in calls:
+        if kind == "normal":
+            code, t = words
+            t_bits = struct.unpack("<Q", struct.pack("<d", t))[0]
+            expected = _fresh_generator(seed, t_bits, code, 0).standard_normal()
+            assert keyed_normal(seed, code, t) == expected
+        else:
+            c0, c1, c2 = words
+            expected = _fresh_generator(seed, c0, c1, c2 | (1 << 63)).random()
+            assert keyed_uniform(seed, c0, c1, c2) == expected
 
 
 def test_mean_link_predictions_match_mean(noisy_link):

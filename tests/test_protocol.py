@@ -243,6 +243,33 @@ def test_timeout_excludes_the_failed_server_once(ground_state, mean_link):
     assert third.dispatches[0].server_id == 1
 
 
+def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state,
+                                                                 mean_link):
+    nodes = default_profiles()
+    for server in (1, 2, 3):
+        nodes[server] = NodeProfile(node_id=server, kind=NodeKind.ECS,
+                                    compute_capacity=100.0)
+    tables = tuple(ProgramTableEntry(server, "a") for server in (1, 2, 3))
+    ps = make_state()
+
+    def tick(t, *task_ids):
+        return ps.on_tick(t, [task(tid) for tid in task_ids], tables, nodes,
+                          PROGRAMS, mean_link, ground_state).dispatches
+
+    assert [d.server_id for d in tick(0.0, "t1")] == [1]
+    ps.on_timeout(0, 2.0)
+    assert [(d.server_id, d.waiters) for d in tick(2.0, "t2")] == [(2, ("t1", "t2"))]
+    assert [d.server_id for d in tick(4.0, "t3")] == [1]
+    # two timed-out dispatches of one program: (t1, t2) failed on 2, then
+    # (t3,) failed on 1; the older retry's exclusion is the one that holds
+    ps.on_timeout(1, 6.0)
+    ps.on_timeout(2, 6.0)
+    merged = tick(6.0, "t4")
+    assert [(d.server_id, d.waiters) for d in merged] == [
+        (1, ("t1", "t2", "t3", "t4"))
+    ]
+
+
 def test_sole_capable_server_is_retried_after_its_own_timeout(nodes, mean_link,
                                                               ground_state):
     tables = (ProgramTableEntry(1, "a"),)

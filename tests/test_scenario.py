@@ -4,6 +4,7 @@ import copy
 import json
 
 import pytest
+import yaml
 
 from birdsim import (
     Band,
@@ -14,6 +15,8 @@ from birdsim import (
     SchemaError,
     load_scenario,
 )
+from birdsim import scenario as scenario_module
+from birdsim.cli import load_sweep_spec
 
 
 def minimal_doc():
@@ -83,11 +86,56 @@ def test_missing_file_names_the_path(tmp_path):
     assert str(missing) in str(err.value)
 
 
-def test_unparseable_yaml_is_a_schema_error(tmp_path):
+def test_unparseable_yaml_is_a_schema_error(monkeypatch, tmp_path):
+    """Under the default loader and the pure-Python one, the error names the
+    file, for scenarios and sweep specs alike."""
     path = tmp_path / "broken.yaml"
     path.write_text("name: [unclosed\n")
-    with pytest.raises(SchemaError):
-        load_scenario(path)
+    for loader in (scenario_module.YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(scenario_module, "YAML_LOADER", loader)
+        for load in (load_scenario, load_sweep_spec):
+            with pytest.raises(SchemaError, match="not parseable") as err:
+                load(path)
+            assert str(path) in str(err.value)
+
+
+ANCHORED_YAML = """
+name: anchored
+duration_s: 100.0
+nodes:
+  - {node_id: 0, kind: uav5gp, compute_capacity: 25.0, mobile: true}
+  - &server {node_id: 1, kind: ecs, compute_capacity: 100.0, location: [58.9, 0.0, 0.0]}
+  - {<<: *server, node_id: 2, kind: gcs}
+programs:
+  - &detect
+    program_id: p
+    task_kind: object_detection
+    compute_cost: 40.0
+    input_payload_bits: 1000000.0
+    output_payload_bits: 100000.0
+  - {<<: *detect, program_id: q, compute_cost: 80.0}
+tables:
+  - {server_id: 1, program_id: p}
+  - {server_id: 2, program_id: q}
+tasks:
+  - {task_id: t1, required_programs: &both [p, q], issue_time_s: 5.0, consumer: 1}
+  - {task_id: t2, required_programs: *both, issue_time_s: 9.0, consumer: 2}
+"""
+
+
+def test_both_yaml_loaders_give_equal_scenarios(monkeypatch, tmp_path, scenario_path):
+    """The default loader (libyaml's when PyYAML has it) and the pure-Python
+    one build equal scenarios, anchors, aliases and merge keys included."""
+    if yaml.__with_libyaml__:
+        assert scenario_module.YAML_LOADER is yaml.CSafeLoader
+    anchored = tmp_path / "anchored.yaml"
+    anchored.write_text(ANCHORED_YAML)
+    default = [load_scenario(scenario_path), load_scenario(anchored)]
+    monkeypatch.setattr(scenario_module, "YAML_LOADER", yaml.SafeLoader)
+    assert [load_scenario(scenario_path), load_scenario(anchored)] == default
+    assert default[1].nodes[2].compute_capacity == 100.0
+    assert default[1].programs["q"].input_payload == 1000000.0
+    assert default[1].tasks[1].required_programs == ("p", "q")
 
 
 def test_empty_task_list_is_valid():
