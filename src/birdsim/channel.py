@@ -202,10 +202,6 @@ class LinkModel:
     def params_for(self, band: Band) -> LinkBandParams:
         return self.bands[band]
 
-    def mean_throughput(self, band: Band, direction: Direction) -> float:
-        p = self.bands[band]
-        return p.dl_mean if direction is Direction.DL else p.ul_mean
-
     def sample_throughput(
         self, t: float, altitude: float, rotating: bool, direction: Direction
     ) -> LinkSample:

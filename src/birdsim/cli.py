@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Band, LinkBandParams, default_link_params
+from .channel import Band, LinkBandParams, LinkModel, default_link_params
 from .engine import (
     RunAborted,
     RunResult,
+    _cell,
     metrics_to_csv,
     run,
     samples_to_csv,
@@ -181,14 +182,6 @@ SWEEP_AGGREGATE_COLUMNS = [
 ]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _std(values: list[float]) -> float:
     # Shifted-data form: translation leaves the spread unchanged but makes
     # identical replicates yield exactly 0 instead of a rounding artifact
@@ -276,12 +269,11 @@ def feasibility_report(
     bands: dict[Band, LinkBandParams] | None = None,
 ) -> str:
     """One-line sustainability verdict for a stream bitrate in one regime."""
-    params = (bands or default_link_params())[band]
-    headroom = params.ul_mean - bitrate
-    sustainable = headroom > 0
+    link = LinkModel(bands=bands or default_link_params())
+    sustainable, headroom = link.sustainable_uplink(bitrate, band)
     return (
         f"band={band.value} bitrate_mbps={bitrate:.2f} "
-        f"ul_mean_mbps={params.ul_mean:.2f} "
+        f"ul_mean_mbps={link.params_for(band).ul_mean:.2f} "
         f"sustainable={'yes' if sustainable else 'no'} "
         f"headroom_mbps={headroom:.2f}"
     )

@@ -38,15 +38,15 @@ from .model import (
     Origin,
     record_moment,
 )
+from .pipeline import LatencyBreakdown, hop_direction, stage_time
+from .protocol import Dispatch, ProtocolState
+from .scenario import Scenario, Waypoint
+
+log = logging.getLogger("birdsim.engine")
 
 # Result kinds that count as "the agency can now see the scene": sensing
 # streams, not planning outputs.
 _MONITORING_KINDS = (OBJECT_DETECTION, VR_STITCHING)
-from .pipeline import LatencyBreakdown, hop_direction, stage_time
-from .protocol import Dispatch, ProtocolState, UpdateResponse
-from .scenario import Scenario, Waypoint
-
-log = logging.getLogger("birdsim.engine")
 
 
 class RunAborted(RuntimeError):
@@ -222,7 +222,6 @@ class _Sim:
         self.instances: dict[int, _Instance] = {}
         self.live_by_key: dict[tuple[int, int, str], _Instance] = {}
         self.samples: list[SampleLog] = []
-        self.cancelled = 0
         # (scenario index, task) by issue time; tasks before the cursor have
         # been handed to the protocol
         self.by_issue = sorted(enumerate(scenario.tasks), key=lambda p: p[1].issue_time)
@@ -250,13 +249,12 @@ class _Sim:
         heapq.heappush(self.heap, (t, self.seq, event))
         self.seq += 1
 
-    def _push_staged(self, t: float, kind: EventKind, **fields) -> bool:
-        # Work that would land beyond the run window is cancelled and counted.
+    def _push_staged(self, t: float, kind: EventKind, inst: _Instance, **fields) -> None:
+        # Work that would land beyond the run window is cancelled.
         if t > self.end:
-            self.cancelled += 1
-            return False
-        self._push(t, kind, **fields)
-        return True
+            inst.cancelled = True
+            return
+        self._push(t, kind, inst_id=inst.inst_id, **fields)
 
     def _schedule_initial(self) -> None:
         for task in self.sc.tasks:
@@ -283,6 +281,15 @@ class _Sim:
     # -------------------------------------------------------------- main loop
 
     def run(self) -> RunResult:
+        handlers = {
+            EventKind.TICK: self._on_tick,
+            EventKind.TRANSFER_COMPLETE: self._on_transfer_complete,
+            EventKind.COMPUTE_COMPLETE: self._on_compute_complete,
+            EventKind.TIMEOUT: self._on_timeout,
+            EventKind.TASK_ISSUED: self._on_task_issued,
+            EventKind.FLIGHT_WAYPOINT: self._on_flight_waypoint,
+            EventKind.TRUCK_ARRIVAL: self._on_truck_arrival,
+        }
         try:
             self._schedule_initial()
             while self.heap:
@@ -290,7 +297,7 @@ class _Sim:
                 if t < self.last_t:
                     raise RuntimeError("event executed out of causal order")
                 self.last_t = t
-                self._dispatch(event)
+                handlers[event.kind](event)
             self._flush()
         except RunAborted:
             raise
@@ -302,29 +309,21 @@ class _Sim:
             raise RunAborted(f"{type(exc).__name__}: {exc}", list(self.trace)) from exc
         return RunResult(metrics=self._metrics(), trace=self.trace)
 
-    def _dispatch(self, event: Event) -> None:
-        if event.kind is EventKind.TICK:
-            self._on_tick(event)
-        elif event.kind is EventKind.TRANSFER_COMPLETE:
-            self._on_transfer_complete(event)
-        elif event.kind is EventKind.COMPUTE_COMPLETE:
-            self._on_compute_complete(event)
-        elif event.kind is EventKind.TIMEOUT:
-            self._on_timeout(event)
-        elif event.kind is EventKind.TASK_ISSUED:
-            self._emit(event.t, event.seq, event.kind.value, [("task", event.task_id)])
-        elif event.kind is EventKind.FLIGHT_WAYPOINT:
-            wp = event.waypoint
-            assert wp is not None
-            self._emit(
-                event.t, event.seq, event.kind.value,
-                [("altitude", repr(wp.altitude)), ("rotating", str(int(wp.rotating)))],
-            )
-        elif event.kind is EventKind.TRUCK_ARRIVAL:
-            tl = self.protocol.timeline
-            tl.moments = record_moment(tl.moments, "physical_awareness", event.t)
-            self._emit(event.t, event.seq, event.kind.value,
-                       [("moment", "physical_awareness")])
+    def _on_task_issued(self, event: Event) -> None:
+        self._emit(event.t, event.seq, "TaskIssued", [("task", event.task_id)])
+
+    def _on_flight_waypoint(self, event: Event) -> None:
+        wp = event.waypoint
+        assert wp is not None
+        self._emit(
+            event.t, event.seq, "FlightWaypoint",
+            [("altitude", repr(wp.altitude)), ("rotating", str(int(wp.rotating)))],
+        )
+
+    def _on_truck_arrival(self, event: Event) -> None:
+        tl = self.protocol.timeline
+        tl.moments = record_moment(tl.moments, "physical_awareness", event.t)
+        self._emit(event.t, event.seq, "TruckArrival", [("moment", "physical_awareness")])
 
     # ------------------------------------------------------------------ ticks
 
@@ -343,8 +342,8 @@ class _Sim:
             t, due, self.sc.tables, self.sc.nodes, self.sc.programs, self.mean_link,
             state,
         )
-        for task_id in outcome.served_tasks:
-            self.task_outcomes[task_id].first_served_at = t
+        for task in due:
+            self.task_outcomes[task.task_id].first_served_at = t
         wire_issued = False
         for dispatch in outcome.dispatches:
             for waiter in dispatch.waiters:
@@ -386,11 +385,11 @@ class _Sim:
             t, event.seq, "Tick",
             [
                 ("tick", str(tick)),
-                ("due", ",".join(outcome.served_tasks)),
+                ("due", ",".join(task.task_id for task in due)),
                 ("entries", entries),
                 ("locals", locals_),
                 ("unserved", ";".join(f"{a}:{b}" for a, b in outcome.unserved)),
-                ("msgs", str(len(outcome.requests))),
+                ("msgs", str(outcome.messages)),
             ],
         )
 
@@ -421,7 +420,7 @@ class _Sim:
             inst.t_dec = stage_time(dispatch.program.decode_cost, platform)
             inst.t_proc = stage_time(dispatch.program.compute_cost, platform)
             delay = inst.t_enc + inst.t_dec + inst.t_proc
-        self._push_staged(t + delay, EventKind.COMPUTE_COMPLETE, inst_id=inst.inst_id)
+        self._push_staged(t + delay, EventKind.COMPUTE_COMPLETE, inst)
 
     def _stage_wire(self, dispatch: Dispatch, t: float, state: FlightState) -> None:
         platform = self.sc.nodes[self.link.attachment]
@@ -434,10 +433,7 @@ class _Sim:
             dispatch.server_id,
         )
         inst.t_comm += leg
-        self._push_staged(
-            t_start + leg, EventKind.TRANSFER_COMPLETE, inst_id=inst.inst_id,
-            leg="input",
-        )
+        self._push_staged(t_start + leg, EventKind.TRANSFER_COMPLETE, inst, leg="input")
 
     def _new_instance(self, dispatch: Dispatch) -> _Instance:
         inst = _Instance(inst_id=len(self.instances), dispatch=dispatch)
@@ -456,9 +452,7 @@ class _Sim:
             inst.t_dec = stage_time(dispatch.program.decode_cost, server)
             inst.t_proc = stage_time(dispatch.program.compute_cost, server)
             self._push_staged(
-                event.t + inst.t_dec + inst.t_proc,
-                EventKind.COMPUTE_COMPLETE,
-                inst_id=inst.inst_id,
+                event.t + inst.t_dec + inst.t_proc, EventKind.COMPUTE_COMPLETE, inst
             )
             self._emit(
                 event.t, event.seq, "TransferComplete",
@@ -485,10 +479,7 @@ class _Sim:
                 event.t, dispatch.program.output_payload, executor, dispatch.consumer
             )
             inst.t_comm += leg
-            self._push_staged(
-                event.t + leg, EventKind.TRANSFER_COMPLETE, inst_id=inst.inst_id,
-                leg="output",
-            )
+            self._push_staged(event.t + leg, EventKind.TRANSFER_COMPLETE, inst, leg="output")
             self._emit(event.t, event.seq, "ComputeComplete", fields)
             return
         # result is consumed where it was computed: delivery happens now
@@ -503,16 +494,7 @@ class _Sim:
         if dispatch.local:
             completed = self.protocol.note_local_result(dispatch, t)
         else:
-            server = self.sc.nodes[dispatch.server_id]
-            response = UpdateResponse(
-                tick_index=dispatch.tick_index,
-                server_id=dispatch.server_id,
-                program_id=dispatch.program.program_id,
-                result_payload=dispatch.program.output_payload,
-                server_location=server.location if server.mobile else None,
-                completed_at=t,
-            )
-            _, completed = self.protocol.on_response(response)
+            completed = self.protocol.on_response(dispatch.key, t)
             self.live_by_key.pop(dispatch.key, None)
             fields.append(("resolved", _fmt_key(dispatch.key)))
         fields.append(("delivered", str(dispatch.consumer)))
@@ -543,7 +525,6 @@ class _Sim:
             inst = self.live_by_key.pop(dispatch.key, None)
             if inst is not None:
                 inst.cancelled = True
-                self.cancelled += 1
         self._emit(
             event.t, event.seq, "Timeout",
             [
@@ -563,7 +544,6 @@ class _Sim:
             inst = self.live_by_key.pop(dispatch.key, None)
             if inst is not None:
                 inst.cancelled = True
-                self.cancelled += 1
         self.protocol.try_advance(t)
         timeline = self.protocol.timeline
         timeline.moments = record_moment(timeline.moments, "termination", t)
@@ -571,11 +551,14 @@ class _Sim:
             t, self.seq, "Flush",
             [
                 ("flushed", ";".join(_fmt_key(d.key) for d in flushed)),
-                ("cancelled", str(self.cancelled)),
+                ("cancelled", str(self._cancelled())),
             ],
         )
 
     # ---------------------------------------------------------------- metrics
+
+    def _cancelled(self) -> int:
+        return sum(1 for inst in self.instances.values() if inst.cancelled)
 
     def _metrics(self) -> MetricsRecord:
         p = self.protocol
@@ -585,7 +568,7 @@ class _Sim:
             "responses": p.responses_received,
             "timeouts": p.timeouts,
             "unserved_events": p.unserved_events,
-            "cancelled": self.cancelled,
+            "cancelled": self._cancelled(),
         }
         return MetricsRecord(
             scenario_name=self.sc.name,

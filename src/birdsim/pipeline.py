@@ -99,30 +99,17 @@ def _node(nodes: Mapping[int, NodeProfile], node_id: int) -> NodeProfile:
         raise UnknownNode(node_id) from None
 
 
-def e2e_latency(
+def comm_time(
     program: ProgramSpec,
     placement: PipelinePlacement,
-    nodes: Mapping[int, NodeProfile],
     link: LinkModel,
     state: FlightState,
-) -> LatencyBreakdown:
-    """Predict the four-stage latency of one program execution.
+) -> float:
+    """Seconds on the wireless legs of one execution.
 
-    Local placements cost only processing. Otherwise encode is charged to the
-    source, decode and processing to the executor, and each hop whose
-    endpoints differ is charged one sampled transfer; a leg from a node to
-    itself moves nothing and costs nothing.
+    Each hop whose endpoints differ is charged one sampled transfer; a leg
+    from a node to itself moves nothing and costs nothing.
     """
-    executor = _node(nodes, placement.executor)
-    if placement.local:
-        return LatencyBreakdown(
-            t_enc=0.0,
-            t_comm=0.0,
-            t_dec=0.0,
-            t_proc=stage_time(program.compute_cost, executor),
-        )
-    source = _node(nodes, placement.source)
-    _node(nodes, placement.consumer)
     t_comm = 0.0
     if placement.executor != placement.source:
         t_comm += link.transfer_time(
@@ -140,6 +127,33 @@ def e2e_latency(
             state.rotating,
             hop_direction(placement.executor, placement.consumer, link.attachment),
         )
+    return t_comm
+
+
+def e2e_latency(
+    program: ProgramSpec,
+    placement: PipelinePlacement,
+    nodes: Mapping[int, NodeProfile],
+    link: LinkModel,
+    state: FlightState,
+) -> LatencyBreakdown:
+    """Predict the four-stage latency of one program execution.
+
+    Local placements cost only processing. Otherwise encode is charged to the
+    source, decode and processing to the executor, and the wireless legs as
+    comm_time charges them.
+    """
+    executor = _node(nodes, placement.executor)
+    if placement.local:
+        return LatencyBreakdown(
+            t_enc=0.0,
+            t_comm=0.0,
+            t_dec=0.0,
+            t_proc=stage_time(program.compute_cost, executor),
+        )
+    source = _node(nodes, placement.source)
+    _node(nodes, placement.consumer)
+    t_comm = comm_time(program, placement, link, state)
     return LatencyBreakdown(
         t_enc=stage_time(program.encode_cost, source),
         t_comm=t_comm,

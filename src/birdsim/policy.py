@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .channel import FlightState, LinkModel
-from .model import NodeKind, NodeProfile, ProgramSpec, Task
-from .pipeline import LatencyBreakdown, PipelinePlacement, e2e_latency
+from .model import NodeProfile, ProgramSpec, Task
+from .pipeline import LatencyBreakdown, PipelinePlacement, comm_time, e2e_latency, stage_time
 
 
 class NoCapableServer(LookupError):
@@ -100,16 +100,10 @@ def _predict(
         return e2e_latency(program, placement, nodes, mean_link, state)
     # No compute profile: the server's advertised figure stands in for its
     # decode+process share; encode and the communication legs are still
-    # modeled, using an infinitely fast placeholder so only they are charged.
-    stand_in = NodeProfile(
-        node_id=entry.server_id, kind=NodeKind.ECS, compute_capacity=float("inf")
-    )
-    legs = e2e_latency(
-        program, placement, {**nodes, entry.server_id: stand_in}, mean_link, state
-    )
+    # modeled.
     return LatencyBreakdown(
-        t_enc=legs.t_enc,
-        t_comm=legs.t_comm,
+        t_enc=stage_time(program.encode_cost, nodes[placement.source]),
+        t_comm=comm_time(program, placement, mean_link, state),
         t_dec=0.0,
         t_proc=entry.advertised_latency,
     )

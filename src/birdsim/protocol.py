@@ -1,8 +1,7 @@
 """Periodic update loop between the aerial platform and its servers.
 
 Every update interval the platform bundles the programs of due tasks into one
-request per chosen server, carrying its timeline position. Responses return
-results and server locations. The timeline position may only advance once the
+request per chosen server. The timeline position may only advance once the
 current interval's requests have all been answered or timed out; a timed-out
 program re-enters the next interval's matching with the failed server
 excluded once.
@@ -10,14 +9,13 @@ excluded once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .channel import FlightState, LinkModel
 from .model import MissionTimeline, NodeProfile, PhasePredicate, ProgramSpec, Task
 from .policy import (
     NoCapableServer,
-    OffloadDecision,
     ProgramTableEntry,
     candidates_for,
     match_programs,
@@ -31,31 +29,6 @@ class UnknownResponse(KeyError):
     """A response arrived for no outstanding entry: a harness bug."""
 
 
-@dataclass(frozen=True)
-class RequestItem:
-    program_id: str
-    server_id: int
-    input_payload: float  # bits
-
-
-@dataclass(frozen=True)
-class UpdateRequest:
-    tick_index: int
-    issued_at: float
-    t_pos: int
-    programs: tuple[RequestItem, ...]
-
-
-@dataclass(frozen=True)
-class UpdateResponse:
-    tick_index: int
-    server_id: int
-    program_id: str
-    result_payload: float  # bits
-    server_location: tuple[float, float, float] | None
-    completed_at: float
-
-
 @dataclass
 class Dispatch:
     """One program execution decided at a tick, wire or local."""
@@ -64,9 +37,7 @@ class Dispatch:
     program: ProgramSpec
     server_id: int
     consumer: int
-    decision: OffloadDecision
     waiters: tuple[str, ...]  # task ids credited when the result lands
-    issued_at: float
     local: bool
 
     @property
@@ -76,12 +47,9 @@ class Dispatch:
 
 @dataclass
 class TickOutcome:
-    tick_index: int
-    t: float
-    requests: list[UpdateRequest]
     dispatches: list[Dispatch]
     unserved: list[tuple[str, str]]  # (task_id, program_id) pairs deferred
-    served_tasks: list[str]  # task ids first picked up this tick
+    messages: int  # bundled requests: distinct wire servers this tick
 
 
 @dataclass(frozen=True)
@@ -96,16 +64,13 @@ class _WorkItem:
 class ProtocolState:
     """Mutable state of the update loop; driven by the engine's events."""
 
-    def __init__(self, t_int: float, timeline: MissionTimeline, epoch: float = 0.0):
+    def __init__(self, t_int: float, timeline: MissionTimeline):
         if not t_int > 0:
             raise ValueError("t_int must be positive")
         self.t_int = float(t_int)
-        self.epoch = float(epoch)
         self.timeline = timeline
         self.current_tick = -1
         self.outstanding: dict[EntryKey, Dispatch] = {}
-        self.server_locations: dict[int, tuple[float, float, float]] = {}
-        self.last_aware_at: float | None = None
         # bookkeeping for retries and task completion
         self._task_retries: list[str] = []
         self._program_retries: list[_WorkItem] = []
@@ -113,7 +78,6 @@ class ProtocolState:
         self._remaining: dict[str, set[str]] = {}
         self.completed_tasks: dict[str, float] = {}
         self.completed_programs: set[str] = set()
-        self.results: list[UpdateResponse] = []
         self.phase_log: list[tuple[float, int, int]] = []
         # conservation counters (entry granularity)
         self.requests_issued = 0
@@ -125,7 +89,7 @@ class ProtocolState:
     # ------------------------------------------------------------------ ticks
 
     def tick_time(self, tick_index: int) -> float:
-        return self.epoch + tick_index * self.t_int
+        return tick_index * self.t_int
 
     def on_tick(
         self,
@@ -137,8 +101,8 @@ class ProtocolState:
         link: LinkModel,
         state: FlightState,
     ) -> TickOutcome:
-        """Serve due and retried work; returns the bundled requests and every
-        dispatch (wire and local) decided this tick."""
+        """Serve due and retried work; returns every dispatch (wire and local)
+        decided this tick and the number of bundled requests."""
         tick = self.current_tick + 1
         expected = self.tick_time(tick)
         if t_i != expected:
@@ -147,7 +111,6 @@ class ProtocolState:
         platform = nodes[link.attachment]
 
         unserved: list[tuple[str, str]] = []
-        served_tasks: list[str] = []
         work: list[_WorkItem] = []
 
         # Timed-out programs first (they are older), then whole-task retries
@@ -160,7 +123,6 @@ class ProtocolState:
         for task in due_tasks:
             self._tasks[task.task_id] = task
             self._remaining.setdefault(task.task_id, set(task.required_programs))
-            served_tasks.append(task.task_id)
             work.extend(self._match_whole_task(task, tables, platform, unserved))
 
         # Tasks sharing a program this tick share one dispatch: outstanding
@@ -201,9 +163,7 @@ class ProtocolState:
                 program=programs[program_id],
                 server_id=decision.chosen_server,
                 consumer=consumer,
-                decision=decision,
                 waiters=tuple(waiters[program_id]),
-                issued_at=t_i,
                 local=decision.chosen_server == platform.node_id,
             )
             dispatches.append(dispatch)
@@ -211,32 +171,10 @@ class ProtocolState:
                 self.outstanding[dispatch.key] = dispatch
                 self.requests_issued += 1
 
-        # One bundled request per distinct target server, low index first.
-        by_server: dict[int, list[Dispatch]] = {}
-        for d in dispatches:
-            if not d.local:
-                by_server.setdefault(d.server_id, []).append(d)
-        requests = [
-            UpdateRequest(
-                tick_index=tick,
-                issued_at=t_i,
-                t_pos=self.timeline.t_pos,
-                programs=tuple(
-                    RequestItem(d.program.program_id, server_id, d.program.input_payload)
-                    for d in group
-                ),
-            )
-            for server_id, group in sorted(by_server.items())
-        ]
-        self.request_messages += len(requests)
-        return TickOutcome(
-            tick_index=tick,
-            t=t_i,
-            requests=requests,
-            dispatches=dispatches,
-            unserved=unserved,
-            served_tasks=served_tasks,
-        )
+        # One bundled request per distinct target server.
+        messages = len({d.server_id for d in dispatches if not d.local})
+        self.request_messages += messages
+        return TickOutcome(dispatches=dispatches, unserved=unserved, messages=messages)
 
     def _match_whole_task(
         self,
@@ -261,18 +199,14 @@ class ProtocolState:
 
     # -------------------------------------------------------------- responses
 
-    def on_response(self, resp: UpdateResponse) -> tuple[Dispatch, list[str]]:
-        """Resolve one outstanding entry; returns its dispatch and any tasks
+    def on_response(self, key: EntryKey, t: float) -> list[str]:
+        """Resolve one outstanding entry answered at t; returns the tasks
         completed by this result."""
-        key = (resp.tick_index, resp.server_id, resp.program_id)
         dispatch = self.outstanding.pop(key, None)
         if dispatch is None:
             raise UnknownResponse(key)
         self.responses_received += 1
-        if resp.server_location is not None:
-            self.server_locations[resp.server_id] = resp.server_location
-        self.results.append(resp)
-        return dispatch, self._mark_result(dispatch, resp.completed_at)
+        return self._mark_result(dispatch, t)
 
     def note_local_result(self, dispatch: Dispatch, t: float) -> list[str]:
         """Credit a locally executed program (no wire entry to resolve)."""
@@ -352,6 +286,4 @@ class ProtocolState:
             timeline.advance_to(old + 1)
             self.phase_log.append((t, old, timeline.t_pos))
             moved += 1
-        # the platform is now fully aware of the situation as of t
-        self.last_aware_at = t
         return moved

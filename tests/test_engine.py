@@ -3,6 +3,7 @@
 import re
 
 import pytest
+import yaml
 
 from birdsim import (
     Band,
@@ -132,6 +133,20 @@ def test_battery_truncates_the_mission():
     assert last.startswith("t=7.0 ")
     ticks = [line for line in result.trace if "kind=Tick" in line]
     assert len(ticks) == 4  # 0, 2, 4, 6 — tick 8 would outlive the battery
+
+
+def test_work_cut_by_the_horizon_is_cancelled_once(scenario_path):
+    # stream-vr's input lands at about 40.8 s and its compute stage would end
+    # past the 41 s horizon, so the instance is cancelled there; its wire
+    # entry is then flushed, and the instance must not be counted again
+    doc = yaml.safe_load(scenario_path.read_text())
+    doc["duration_s"] = 41.0
+    del doc["truck_arrival_s"]
+    doc["tasks"] = [t for t in doc["tasks"] if t["issue_time_s"] < 41.0]
+    doc["timeline"] = [{"phase_id": "transit"}]
+    result = run(load_scenario(doc))
+    assert result.trace[-1].endswith(" flushed=20:2:stitch cancelled=1")
+    assert result.metrics.counts["cancelled"] == 1
 
 
 # ----------------------------------------------------------------- execution

@@ -162,6 +162,15 @@ def test_advertised_latency_covers_profile_less_servers(nodes, mean_link,
     assert decision.chosen_server == 7
     assert decision.predicted.t_dec == 0.0
     assert decision.predicted.t_proc == 0.01
+    # encode and the wireless legs are charged as for a profiled server
+    for consumer in (0, 2):
+        stranger, known = (
+            select_server(program, [entry], nodes, mean_link, ground_state,
+                          consumer=consumer).predicted
+            for entry in (fast_stranger, slow_known)
+        )
+        assert stranger.t_enc == known.t_enc > 0
+        assert stranger.t_comm == known.t_comm > 0
 
 
 def test_decision_is_argmin_against_the_oracle(nodes, ground_state):

@@ -15,7 +15,6 @@ from birdsim import (
     ProtocolState,
     Task,
     UnknownResponse,
-    UpdateResponse,
     default_profiles,
 )
 
@@ -38,20 +37,12 @@ def make_timeline(predicate=None):
     ])
 
 
-def make_state(t_int=2.0, predicate=None, epoch=0.0):
-    return ProtocolState(t_int=t_int, timeline=make_timeline(predicate),
-                         epoch=epoch)
+def make_state(t_int=2.0, predicate=None):
+    return ProtocolState(t_int=t_int, timeline=make_timeline(predicate))
 
 
-def respond(ps, dispatch, t, location=(0.0, 0.0, 0.0)):
-    return ps.on_response(UpdateResponse(
-        tick_index=dispatch.tick_index,
-        server_id=dispatch.server_id,
-        program_id=dispatch.program.program_id,
-        result_payload=dispatch.program.output_payload,
-        server_location=location,
-        completed_at=t,
-    ))
+def respond(ps, dispatch, t):
+    return ps.on_response(dispatch.key, t)
 
 
 def task(task_id, programs=("a",), issue=0.0, consumer=0):
@@ -72,22 +63,14 @@ def test_ticks_must_land_on_the_interval_grid(nodes, mean_link, ground_state):
     ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
     with pytest.raises(ValueError):
         ps.on_tick(3.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
-    outcome = ps.on_tick(2.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
-    assert outcome.tick_index == 1
-
-
-def test_epoch_offsets_the_grid(nodes, mean_link, ground_state):
-    ps = make_state(t_int=2.0, epoch=5.0)
-    assert ps.tick_time(0) == 5.0
-    outcome = ps.on_tick(5.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
-    assert outcome.tick_index == 0
-    assert ps.tick_time(3) == 11.0
+    ps.on_tick(2.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    assert ps.current_tick == 1
 
 
 def test_empty_tick_issues_nothing(nodes, mean_link, ground_state):
     ps = make_state()
     outcome = ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
-    assert outcome.requests == []
+    assert outcome.messages == 0
     assert outcome.dispatches == []
     assert ps.requests_issued == 0
     assert ps.request_messages == 0
@@ -110,7 +93,7 @@ def test_local_execution_sends_no_wire_request(ground_state):
                          nodes, cheap, degraded, ground_state)
     assert len(outcome.dispatches) == 1
     assert outcome.dispatches[0].local
-    assert outcome.requests == []
+    assert outcome.messages == 0
     assert ps.requests_issued == 0
     assert ps.outstanding == {}
     done = ps.note_local_result(outcome.dispatches[0], 0.5)
@@ -124,11 +107,10 @@ def test_distinct_servers_get_one_bundled_request_each(nodes, mean_link,
     ps = make_state()
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes,
                          PROGRAMS, mean_link, ground_state)
-    assert len(outcome.dispatches) == 2
-    assert len(outcome.requests) == 2
-    # requests come out ordered by server id, one item apiece
-    assert [r.programs[0].server_id for r in outcome.requests] == [1, 2]
-    assert {r.programs[0].program_id for r in outcome.requests} == {"a", "b"}
+    assert [(d.server_id, d.program.program_id) for d in outcome.dispatches] == [
+        (1, "a"), (2, "b"),
+    ]
+    assert outcome.messages == 2
     assert ps.requests_issued == 2
     assert ps.request_messages == 2
 
@@ -140,24 +122,10 @@ def test_same_server_programs_share_one_request(nodes, mean_link, ground_state):
                          PROGRAMS, mean_link, ground_state)
     assert ps.requests_issued == 2
     assert ps.request_messages == 1
-    assert len(outcome.requests) == 1
-    assert len(outcome.requests[0].programs) == 2
-
-
-def test_requests_carry_the_current_timeline_position(nodes, mean_link,
-                                                      ground_state):
-    ps = make_state(predicate=PhasePredicate("elapsed", 0.0))
-    tables = (ProgramTableEntry(1, "a"),)
-    first = ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS, mean_link,
-                       ground_state)
-    assert first.requests[0].t_pos == 0
-    dispatch = first.dispatches[0]
-    respond(ps, dispatch, 0.4)
-    ps.try_advance(0.4)
-    assert ps.timeline.t_pos == 1
-    second = ps.on_tick(2.0, [task("t2")], tables, nodes, PROGRAMS, mean_link,
-                        ground_state)
-    assert second.requests[0].t_pos == 1
+    assert outcome.messages == 1
+    assert [(d.server_id, d.program.program_id) for d in outcome.dispatches] == [
+        (1, "a"), (1, "b"),
+    ]
 
 
 def test_shared_program_merges_into_one_dispatch(nodes, mean_link, ground_state):
@@ -169,7 +137,8 @@ def test_shared_program_merges_into_one_dispatch(nodes, mean_link, ground_state)
     dispatch = outcome.dispatches[0]
     assert dispatch.waiters == ("t1", "t2")
     assert ps.requests_issued == 1
-    _, done = respond(ps, dispatch, 0.7)
+    assert outcome.messages == 1
+    done = respond(ps, dispatch, 0.7)
     assert done == ["t1", "t2"]
     assert ps.completed_tasks == {"t1": 0.7, "t2": 0.7}
 
@@ -184,10 +153,9 @@ def test_response_resolves_the_outstanding_entry(nodes, mean_link, ground_state)
                          mean_link, ground_state)
     dispatch = outcome.dispatches[0]
     assert dispatch.key in ps.outstanding
-    _, done = respond(ps, dispatch, 0.9, location=(58.9, 0.0, 0.0))
+    done = respond(ps, dispatch, 0.9)
     assert done == ["t1"]
     assert ps.outstanding == {}
-    assert ps.server_locations[dispatch.server_id] == (58.9, 0.0, 0.0)
     assert ps.responses_received == 1
 
 
@@ -201,7 +169,7 @@ def test_duplicate_or_unknown_response_raises(nodes, mean_link, ground_state):
     with pytest.raises(UnknownResponse):
         respond(ps, dispatch, 1.0)
     with pytest.raises(UnknownResponse):
-        ps.on_response(UpdateResponse(0, 99, "a", 0.0, None, 1.0))
+        ps.on_response((0, 99, "a"), 1.0)
 
 
 def test_partial_results_do_not_complete_the_task(nodes, mean_link, ground_state):
@@ -210,10 +178,10 @@ def test_partial_results_do_not_complete_the_task(nodes, mean_link, ground_state
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes,
                          PROGRAMS, mean_link, ground_state)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
-    _, done = respond(ps, by_pid["a"], 0.5)
+    done = respond(ps, by_pid["a"], 0.5)
     assert done == []
     assert "t1" not in ps.completed_tasks
-    _, done = respond(ps, by_pid["b"], 0.8)
+    done = respond(ps, by_pid["b"], 0.8)
     assert done == ["t1"]
 
 
@@ -346,21 +314,21 @@ def test_outstanding_entries_gate_the_timeline(nodes, mean_link, ground_state):
                          mean_link, ground_state)
     assert ps.try_advance(0.1) == 0
     assert ps.timeline.t_pos == 0
-    assert ps.last_aware_at is None  # gated: not even awareness refreshes
+    assert ps.phase_log == []
     respond(ps, outcome.dispatches[0], 0.4)
     assert ps.try_advance(0.4) == 1
     assert ps.timeline.t_pos == 1
-    assert ps.last_aware_at == 0.4
     assert ps.phase_log == [(0.4, 0, 1)]
 
 
-def test_false_predicate_still_refreshes_awareness(nodes, mean_link,
-                                                   ground_state):
+def test_false_predicate_holds_the_ungated_timeline(nodes, mean_link,
+                                                    ground_state):
     ps = make_state(predicate=PhasePredicate("never"))
-    ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
-    assert ps.try_advance(0.0) == 0
+    for t in (0.0, 2.0, 4.0):
+        ps.on_tick(t, [], (), nodes, PROGRAMS, mean_link, ground_state)
+        assert ps.try_advance(t) == 0
     assert ps.timeline.t_pos == 0
-    assert ps.last_aware_at == 0.0
+    assert ps.phase_log == []
 
 
 def test_task_completion_predicate_advances_after_the_result(nodes, mean_link,
