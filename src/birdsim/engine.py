@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
+from urllib.parse import quote
 
 from .channel import (
     Band,
@@ -67,7 +68,7 @@ class EventKind(str, Enum):
     TRUCK_ARRIVAL = "TruckArrival"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     t: float
     seq: int
@@ -210,9 +211,11 @@ class _Sim:
         ):
             if value is not None:
                 timeline.moments = record_moment(timeline.moments, which, value)
-        self.protocol = ProtocolState(scenario.t_int, timeline)
-        # policy predictions use the variance-free link; built once per run
-        self.mean_link = self.link.mean()
+        # policy predictions use the variance-free link
+        self.protocol = ProtocolState(
+            scenario.t_int, timeline, scenario.tables, scenario.nodes,
+            scenario.programs, self.link.mean(),
+        )
         battery = scenario.nodes[0].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
         self.heap: list[tuple[float, int, Event]] = []
@@ -270,10 +273,10 @@ class _Sim:
     # ------------------------------------------------------------------ trace
 
     def _emit(self, t: float, seq: int, kind: str, fields: list[tuple[str, str]]) -> None:
-        parts = [f"t={t!r}", f"seq={seq}", f"kind={kind}",
-                 f"tpos={self.protocol.timeline.t_pos}"]
-        parts.extend(f"{name}={value}" for name, value in fields)
-        line = " ".join(parts)
+        line = " ".join([
+            f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.timeline.t_pos}",
+            *map("=".join, fields),
+        ])
         self.trace.append(line)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(line)
@@ -290,6 +293,7 @@ class _Sim:
             EventKind.FLIGHT_WAYPOINT: self._on_flight_waypoint,
             EventKind.TRUCK_ARRIVAL: self._on_truck_arrival,
         }
+        seq = self.seq  # of the event being handled, for the Abort record
         try:
             self._schedule_initial()
             while self.heap:
@@ -298,15 +302,17 @@ class _Sim:
                     raise RuntimeError("event executed out of causal order")
                 self.last_t = t
                 handlers[event.kind](event)
+            seq = self.seq
             self._flush()
         except RunAborted:
             raise
         except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
             self.trace.append(
-                f"t={self.last_t!r} seq={self.seq} kind=Abort "
-                f"error={type(exc).__name__}: {exc}"
+                f"t={self.last_t!r} seq={seq} kind=Abort "
+                f"tpos={self.protocol.timeline.t_pos} error={quote(error, safe='')}"
             )
-            raise RunAborted(f"{type(exc).__name__}: {exc}", list(self.trace)) from exc
+            raise RunAborted(error, list(self.trace)) from exc
         return RunResult(metrics=self._metrics(), trace=self.trace)
 
     def _on_task_issued(self, event: Event) -> None:
@@ -338,10 +344,7 @@ class _Sim:
             self.next_due += 1
         # tasks due in the same tick are served in scenario order
         due = [task for _, task in sorted(self.by_issue[start:self.next_due])]
-        outcome = self.protocol.on_tick(
-            t, due, self.sc.tables, self.sc.nodes, self.sc.programs, self.mean_link,
-            state,
-        )
+        outcome = self.protocol.on_tick(t, due, state)
         for task in due:
             self.task_outcomes[task.task_id].first_served_at = t
         wire_issued = False
@@ -354,15 +357,14 @@ class _Sim:
                 self._stage_local(dispatch, t)
                 continue
             wire_issued = True
-            lost = (
-                keyed_uniform(
-                    self.seed,
-                    dispatch.tick_index,
-                    dispatch.server_id,
-                    self.prog_index[dispatch.program.program_id],
-                )
-                < self.sc.loss.get(dispatch.server_id, 0.0)
-            )
+            # u is in [0, 1), so only a positive loss can lose a dispatch
+            loss = self.sc.loss.get(dispatch.server_id, 0.0)
+            lost = loss > 0.0 and keyed_uniform(
+                self.seed,
+                dispatch.tick_index,
+                dispatch.server_id,
+                self.prog_index[dispatch.program.program_id],
+            ) < loss
             if not lost:
                 self._stage_wire(dispatch, t, state)
         if wire_issued:
@@ -520,7 +522,7 @@ class _Sim:
         return fields
 
     def _on_timeout(self, event: Event) -> None:
-        timed_out = self.protocol.on_timeout(event.tick, event.t)
+        timed_out = self.protocol.on_timeout(event.tick)
         for dispatch in timed_out:
             inst = self.live_by_key.pop(dispatch.key, None)
             if inst is not None:
@@ -539,7 +541,7 @@ class _Sim:
 
     def _flush(self) -> None:
         t = self.end
-        flushed = self.protocol.flush_outstanding(t)
+        flushed = self.protocol.flush_outstanding()
         for dispatch in flushed:
             inst = self.live_by_key.pop(dispatch.key, None)
             if inst is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .channel import FlightState, LinkModel
+from .channel import Band, FlightState, LinkModel, OutOfMeasuredRange, band_for
 from .model import MissionTimeline, NodeProfile, PhasePredicate, ProgramSpec, Task
 from .policy import (
     NoCapableServer,
@@ -62,13 +62,32 @@ class _WorkItem:
 
 
 class ProtocolState:
-    """Mutable state of the update loop; driven by the engine's events."""
+    """Mutable state of the update loop; driven by the engine's events.
 
-    def __init__(self, t_int: float, timeline: MissionTimeline):
+    The server tables, fleet, programs and variance-free link are fixed for
+    the whole run.
+    """
+
+    def __init__(
+        self,
+        t_int: float,
+        timeline: MissionTimeline,
+        tables: Sequence[ProgramTableEntry],
+        nodes: Mapping[int, NodeProfile],
+        programs: Mapping[str, ProgramSpec],
+        link: LinkModel,
+    ):
         if not t_int > 0:
             raise ValueError("t_int must be positive")
         self.t_int = float(t_int)
         self.timeline = timeline
+        self.tables = tables
+        self.nodes = nodes
+        self.programs = programs
+        self.link = link
+        self.platform = nodes[link.attachment]
+        # chosen server per (program, excluded server, consumer, band)
+        self._choices: dict[tuple[str, int | None, int, Band | None], int] = {}
         self.current_tick = -1
         self.outstanding: dict[EntryKey, Dispatch] = {}
         # bookkeeping for retries and task completion
@@ -92,14 +111,7 @@ class ProtocolState:
         return tick_index * self.t_int
 
     def on_tick(
-        self,
-        t_i: float,
-        due_tasks: Sequence[Task],
-        tables: Sequence[ProgramTableEntry],
-        nodes: Mapping[int, NodeProfile],
-        programs: Mapping[str, ProgramSpec],
-        link: LinkModel,
-        state: FlightState,
+        self, t_i: float, due_tasks: Sequence[Task], state: FlightState
     ) -> TickOutcome:
         """Serve due and retried work; returns every dispatch (wire and local)
         decided this tick and the number of bundled requests."""
@@ -108,7 +120,6 @@ class ProtocolState:
         if t_i != expected:
             raise ValueError(f"tick at t={t_i}, expected t={expected}")
         self.current_tick = tick
-        platform = nodes[link.attachment]
 
         unserved: list[tuple[str, str]] = []
         work: list[_WorkItem] = []
@@ -119,11 +130,11 @@ class ProtocolState:
         work.extend(retries)
         task_retries, self._task_retries = self._task_retries, []
         for task_id in task_retries:
-            work.extend(self._match_whole_task(self._tasks[task_id], tables, platform, unserved))
+            work.extend(self._match_whole_task(self._tasks[task_id], unserved))
         for task in due_tasks:
             self._tasks[task.task_id] = task
             self._remaining.setdefault(task.task_id, set(task.required_programs))
-            work.extend(self._match_whole_task(task, tables, platform, unserved))
+            work.extend(self._match_whole_task(task, unserved))
 
         # Tasks sharing a program this tick share one dispatch: outstanding
         # entries are keyed (tick, server, program), so duplicates must merge.
@@ -139,32 +150,19 @@ class ProtocolState:
                 if excluded[item.program_id] is None:
                     excluded[item.program_id] = item.excluded_server
 
+        # Every program here passed the whole-task match (or was dispatched
+        # before, against the same tables), so it has a capable server.
         dispatches: list[Dispatch] = []
         for program_id, excluded_server in excluded.items():
-            found = candidates_for(program_id, tables, platform)
-            if excluded_server is not None:
-                # exclusion lasts exactly one re-match, and never starves the
-                # program: a sole capable server is retried even if it failed
-                reduced = [c for c in found if c.server_id != excluded_server]
-                found = reduced or found
-            if not found:
-                unserved.extend((tid, program_id) for tid in waiters[program_id])
-                self._program_retries.append(
-                    _WorkItem(program_id, tuple(waiters[program_id]))
-                )
-                self.unserved_events += 1
-                continue
             consumer = self._tasks[waiters[program_id][0]].consumer
-            decision = select_server(
-                programs[program_id], found, nodes, link, state, consumer=consumer
-            )
+            server = self._choose(program_id, excluded_server, consumer, state)
             dispatch = Dispatch(
                 tick_index=tick,
-                program=programs[program_id],
-                server_id=decision.chosen_server,
+                program=self.programs[program_id],
+                server_id=server,
                 consumer=consumer,
                 waiters=tuple(waiters[program_id]),
-                local=decision.chosen_server == platform.node_id,
+                local=server == self.platform.node_id,
             )
             dispatches.append(dispatch)
             if not dispatch.local:
@@ -176,16 +174,40 @@ class ProtocolState:
         self.request_messages += messages
         return TickOutcome(dispatches=dispatches, unserved=unserved, messages=messages)
 
+    def _choose(
+        self, program_id: str, excluded_server: int | None, consumer: int, state: FlightState
+    ) -> int:
+        """The argmin server for one dispatch, computed once per key: the
+        variance-free link reads the flight state only through its band, and
+        the candidates depend only on the program and the exclusion."""
+        try:
+            band = band_for(state.altitude, state.rotating)
+        except OutOfMeasuredRange:
+            # load_scenario rejects such flight plans; a hand-built one still
+            # raises inside select_server below wherever a link leg is priced
+            band = None
+        key = (program_id, excluded_server, consumer, band)
+        server = self._choices.get(key)
+        if server is None:
+            found = candidates_for(program_id, self.tables, self.platform)
+            if excluded_server is not None:
+                # exclusion lasts exactly one re-match, and never starves the
+                # program: a sole capable server is retried even if it failed
+                reduced = [c for c in found if c.server_id != excluded_server]
+                found = reduced or found
+            server = select_server(
+                self.programs[program_id], found, self.nodes, self.link, state,
+                consumer=consumer,
+            ).chosen_server
+            self._choices[key] = server
+        return server
+
     def _match_whole_task(
-        self,
-        task: Task,
-        tables: Sequence[ProgramTableEntry],
-        platform: NodeProfile,
-        unserved: list[tuple[str, str]],
+        self, task: Task, unserved: list[tuple[str, str]]
     ) -> list[_WorkItem]:
         # A task with any unservable program is deferred whole to next tick.
         try:
-            match_programs(task, tables, platform)
+            match_programs(task, self.tables, self.platform)
         except NoCapableServer as exc:
             unserved.append((task.task_id, exc.program_id))
             self._task_retries.append(task.task_id)
@@ -227,7 +249,7 @@ class ProtocolState:
 
     # --------------------------------------------------------------- timeouts
 
-    def on_timeout(self, tick_index: int, t: float) -> list[Dispatch]:
+    def on_timeout(self, tick_index: int) -> list[Dispatch]:
         """Expire every still-outstanding entry of the given tick.
 
         Their programs re-enter the next tick's matching with the failed
@@ -245,7 +267,7 @@ class ProtocolState:
             )
         return timed_out
 
-    def flush_outstanding(self, t: float) -> list[Dispatch]:
+    def flush_outstanding(self) -> list[Dispatch]:
         """End-of-run resolution: every open entry counts as a timeout so the
         request/response/timeout conservation holds on truncated runs."""
         flushed = list(self.outstanding.values())

@@ -1,6 +1,7 @@
 """Event-driven runs: determinism, flight geometry, horizons, failure paths."""
 
 import re
+from urllib.parse import unquote
 
 import pytest
 import yaml
@@ -9,6 +10,7 @@ from birdsim import (
     Band,
     FlightState,
     Incident,
+    LinkBandParams,
     LinkModel,
     NodeKind,
     NodeProfile,
@@ -21,13 +23,17 @@ from birdsim import (
     Task,
     Waypoint,
     band_for,
+    candidates_for,
     e2e_latency,
     flight_state_at,
     load_scenario,
     metrics_to_csv,
     run,
+    select_server,
     trace_to_text,
 )
+from birdsim import engine, protocol
+from birdsim.channel import keyed_uniform
 
 from conftest import make_flat_bands
 
@@ -244,8 +250,26 @@ def test_ordering_violations_abort_with_the_trace():
     with pytest.raises(RunAborted) as err:
         run(sc)
     assert "OrderingViolation" in str(err.value)
-    assert err.value.trace
-    assert "kind=Abort" in err.value.trace[-1]
+    trace = err.value.trace
+    assert trace
+    assert "kind=Abort" in trace[-1]
+    # every record, the Abort included, keeps the key=value grammar
+    records = []
+    for line in trace:
+        tokens = [token.split("=", 1) for token in line.split(" ")]
+        assert all(len(pair) == 2 for pair in tokens), line
+        assert [key for key, _ in tokens[:4]] == ["t", "seq", "kind", "tpos"], line
+        records.append(dict(tokens))
+    order = [(float(r["t"]), int(r["seq"])) for r in records]
+    assert order == sorted(set(order))
+    abort = records[-1]
+    assert unquote(abort["error"]) == str(err.value)
+    assert unquote(abort["error"]).startswith("OrderingViolation: ")
+    # the Abort takes the (t, seq) of the event that raised: the delivery
+    # that sets virtual_awareness in the same run without the incident
+    clean = run(make_scenario())
+    delivery = next(line for line in clean.trace if "moment=virtual_awareness" in line)
+    assert delivery.startswith(f"t={abort['t']} seq={abort['seq']} ")
 
 
 # -------------------------------------------------------------------- trace
@@ -264,3 +288,192 @@ def test_wire_runs_log_the_resolution_chain():
     assert "entries=0:1:p" in text
     assert "resolved=0:1:p" in text
     assert "delivered=1" in text
+
+
+def record_fields(line):
+    return dict(token.split("=", 1) for token in line.split(" "))
+
+
+def wire_servers(trace):
+    """Server of every wire entry opened, in trace order."""
+    return [
+        int(key.split(":")[1])
+        for line in trace if " kind=Tick " in line
+        for key in record_fields(line)["entries"].split(";") if key
+    ]
+
+
+# ------------------------------------------------------------ offload choice
+
+
+def regime_scenario():
+    """A mission whose offload choice for program p turns on every part of
+    the (program, exclusion, consumer, band) key.
+
+    Server 2 computes ten times faster than server 1, but a consumer other
+    than the executor is fed over the downlink, which is wide below 50 m and
+    narrow above it and while yawing. So for consumer 1, p goes to server 2
+    low and to server 1 high or yawing; consumer 2 always prefers server 2.
+    Server 2 drops every request, so each dispatch to it times out and is
+    retried without it. Program q runs on the platform. Ticks (every 20 s):
+    0-1 low, 2 yawing at 30 m, 3-5 high, 6-8 low.
+    """
+    bands = {
+        band: LinkBandParams(band=band, dl_mean=dl, ul_mean=10.0, rtt_mean=20.0)
+        for band, dl in ((Band.LOW_ALTITUDE, 1000.0), (Band.HIGH_ALTITUDE, 2.0),
+                         (Band.ROTATION, 2.0))
+    }
+    nodes = {
+        0: NodeProfile(0, NodeKind.UAV5GP, 25.0, mobile=True,
+                       cached_programs=frozenset({"q"}), battery_budget=1200.0),
+        1: NodeProfile(1, NodeKind.ECS, 40.0),
+        2: NodeProfile(2, NodeKind.GCS, 400.0),
+    }
+    programs = {
+        "p": ProgramSpec("p", "object_detection", compute_cost=40.0,
+                         input_payload=1e6, output_payload=1e7,
+                         encode_cost=2.0, decode_cost=2.0),
+        "q": ProgramSpec("q", "object_detection", compute_cost=5.0,
+                         input_payload=1e8, output_payload=1e5,
+                         encode_cost=2.0, decode_cost=2.0),
+    }
+    p_consumers = {0: 1, 2: 1, 3: 1, 4: 2, 6: 2, 8: 1}  # tick -> consumer
+    tasks = [Task(f"p{tick}", ("p",), Origin.COMMANDER_ORDER, 20.0 * tick,
+                  consumer=consumer) for tick, consumer in p_consumers.items()]
+    tasks.append(Task("q3", ("q",), Origin.COMMANDER_ORDER, 60.0, consumer=0))
+    return make_scenario(
+        duration=180.0,
+        t_int=20.0,
+        nodes=nodes,
+        programs=programs,
+        tables=(ProgramTableEntry(1, "p"), ProgramTableEntry(2, "p"),
+                ProgramTableEntry(1, "q")),
+        tasks=tuple(tasks),
+        bands=bands,
+        loss={2: 1.0},
+        flight_plan=(
+            Waypoint(0.0, 30.0),
+            Waypoint(35.0, 30.0, rotating=True),
+            Waypoint(45.0, 30.0),
+            Waypoint(55.0, 80.0),
+            Waypoint(110.0, 80.0),
+            Waypoint(115.0, 30.0),
+        ),
+    )
+
+
+def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
+    sc = regime_scenario()
+    decided = {}
+    on_tick = protocol.ProtocolState.on_tick
+
+    def recording(self, t, due, state):
+        outcome = on_tick(self, t, due, state)
+        decided[self.current_tick] = outcome.dispatches
+        return outcome
+
+    monkeypatch.setattr(protocol.ProtocolState, "on_tick", recording)
+    result = run(sc)
+    mean_link = LinkModel(bands=sc.bands, variance_scale=0.0)
+    excluded = {}  # program -> server whose entry timed out just before
+    choices = {}
+    for line in result.trace:
+        fields = record_fields(line)
+        if fields["kind"] == "Timeout":
+            excluded = {key.split(":")[2]: int(key.split(":")[1])
+                        for key in fields["timed_out"].split(";") if key}
+        if fields["kind"] != "Tick":
+            continue
+        tick, t = int(fields["tick"]), float(fields["t"])
+        dispatches = decided[tick]
+        assert fields["entries"] == ";".join(
+            f"{tick}:{d.server_id}:{d.program.program_id}"
+            for d in dispatches if not d.local)
+        assert fields["locals"] == ";".join(
+            f"{d.program.program_id}@{d.consumer}" for d in dispatches if d.local)
+        state = flight_state_at(sc, t)
+        band = band_for(state.altitude, state.rotating)
+        for d in dispatches:
+            pid = d.program.program_id
+            skip = excluded.get(pid)
+            found = candidates_for(pid, sc.tables, sc.nodes[0])
+            found = [c for c in found if c.server_id != skip] or found
+            fresh = select_server(sc.programs[pid], found, sc.nodes, mean_link,
+                                  state, consumer=d.consumer)
+            assert d.server_id == fresh.chosen_server, (t, pid, skip, d.consumer)
+            choices[(pid, skip, d.consumer, band)] = d.server_id
+        excluded = {}
+    # the mission makes each part of the key change the choice
+    low, high, rot = Band.LOW_ALTITUDE, Band.HIGH_ALTITUDE, Band.ROTATION
+    assert choices[("p", None, 1, low)] == 2
+    assert choices[("p", None, 1, high)] == 1
+    assert choices[("p", None, 1, rot)] == 1
+    assert choices[("p", None, 2, high)] == 2
+    assert choices[("p", 2, 2, low)] == 1
+    assert choices[("q", None, 0, high)] == 0
+
+
+def test_out_of_envelope_altitude_aborts_only_where_a_link_is_priced():
+    # load_scenario refuses such flight plans; a hand-built one aborts as
+    # soon as a wire dispatch is priced, and a local-only mission never is
+    too_high = (Waypoint(0.0, 150.0),)
+    with pytest.raises(RunAborted, match="OutOfMeasuredRange"):
+        run(make_scenario(flight_plan=too_high))
+    nodes = {
+        0: NodeProfile(0, NodeKind.UAV5GP, 25.0, mobile=True,
+                       cached_programs=frozenset({"p"}), battery_budget=1200.0),
+        1: NodeProfile(1, NodeKind.ECS, 100.0),
+    }
+    local = run(make_scenario(
+        flight_plan=too_high, nodes=nodes, tables=(),
+        tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0),)))
+    assert local.metrics.tasks_completed() == 1
+
+
+# ---------------------------------------------------------------------- loss
+
+
+def loss_run(monkeypatch, loss):
+    """Run a two-server mission; returns its trace and the server of every
+    loss draw made."""
+    drawn = []
+
+    def counting(seed, c0, c1, c2=0):
+        drawn.append(c1)
+        return keyed_uniform(seed, c0, c1, c2)
+
+    monkeypatch.setattr(engine, "keyed_uniform", counting)
+    nodes = {
+        0: NodeProfile(0, NodeKind.UAV5GP, 25.0, mobile=True,
+                       battery_budget=1200.0),
+        1: NodeProfile(1, NodeKind.ECS, 100.0),
+        2: NodeProfile(2, NodeKind.GCS, 400.0),
+    }
+    sc = make_scenario(
+        nodes=nodes,
+        programs={"p": DETECT, "r": ProgramSpec(
+            "r", "object_detection", compute_cost=40.0, input_payload=1e6,
+            output_payload=1e5, encode_cost=2.0, decode_cost=2.0)},
+        tables=(ProgramTableEntry(1, "p"), ProgramTableEntry(2, "r")),
+        tasks=tuple(Task(f"t{i}", ("p", "r"), Origin.COMMANDER_ORDER, 2.0 * i,
+                         consumer=1) for i in range(6)),
+        loss=loss,
+    )
+    return run(sc).trace, drawn
+
+
+def test_loss_draws_only_for_servers_that_can_lose(monkeypatch):
+    trace, drawn = loss_run(monkeypatch, {})
+    assert drawn == []
+    assert set(wire_servers(trace)) == {1, 2}
+    zero_trace, drawn = loss_run(monkeypatch, {2: 0.0})
+    assert drawn == []
+    assert zero_trace == trace
+    lossy_trace, drawn = loss_run(monkeypatch, {1: 0.5})
+    # one draw per wire dispatch to server 1, none for server 2
+    assert drawn == [s for s in wire_servers(lossy_trace) if s == 1]
+    assert any(record_fields(line)["count"] != "0"
+               for line in lossy_trace if " kind=Timeout " in line)
+    mixed_trace, drawn = loss_run(monkeypatch, {1: 0.5, 2: 0.0})
+    assert drawn == [s for s in wire_servers(mixed_trace) if s == 1]
+    assert mixed_trace == lossy_trace

@@ -37,8 +37,18 @@ def make_timeline(predicate=None):
     ])
 
 
-def make_state(t_int=2.0, predicate=None):
-    return ProtocolState(t_int=t_int, timeline=make_timeline(predicate))
+def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
+               t_int=2.0, predicate=None, timeline=None):
+    """Update-loop state over fixed tables, fleet (default: the default
+    profiles), programs and link (default: variance-free)."""
+    return ProtocolState(
+        t_int=t_int,
+        timeline=timeline or make_timeline(predicate),
+        tables=tables,
+        nodes=default_profiles() if nodes is None else nodes,
+        programs=programs,
+        link=link or LinkModel(noise_seed=0, variance_scale=0.0),
+    )
 
 
 def respond(ps, dispatch, t):
@@ -55,21 +65,21 @@ def task(task_id, programs=("a",), issue=0.0, consumer=0):
 
 def test_t_int_must_be_positive():
     with pytest.raises(ValueError):
-        ProtocolState(t_int=0.0, timeline=make_timeline())
+        make_state(t_int=0.0)
 
 
-def test_ticks_must_land_on_the_interval_grid(nodes, mean_link, ground_state):
+def test_ticks_must_land_on_the_interval_grid(ground_state):
     ps = make_state(t_int=2.0)
-    ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    ps.on_tick(0.0, [], ground_state)
     with pytest.raises(ValueError):
-        ps.on_tick(3.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
-    ps.on_tick(2.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+        ps.on_tick(3.0, [], ground_state)
+    ps.on_tick(2.0, [], ground_state)
     assert ps.current_tick == 1
 
 
-def test_empty_tick_issues_nothing(nodes, mean_link, ground_state):
+def test_empty_tick_issues_nothing(ground_state):
     ps = make_state()
-    outcome = ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    outcome = ps.on_tick(0.0, [], ground_state)
     assert outcome.messages == 0
     assert outcome.dispatches == []
     assert ps.requests_issued == 0
@@ -88,9 +98,8 @@ def test_local_execution_sends_no_wire_request(ground_state):
     degraded = LinkModel(bands=make_flat_bands(ul=1.0, dl=1.0, rtt=20.0),
                          noise_seed=0)
     cheap = {"a": make_program("a", compute=5.0, inp=1e7, out=1e6)}
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1")], (ProgramTableEntry(1, "a"),),
-                         nodes, cheap, degraded, ground_state)
+    ps = make_state((ProgramTableEntry(1, "a"),), nodes, cheap, degraded)
+    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     assert len(outcome.dispatches) == 1
     assert outcome.dispatches[0].local
     assert outcome.messages == 0
@@ -101,12 +110,9 @@ def test_local_execution_sends_no_wire_request(ground_state):
     assert ps.completed_tasks["t1"] == 0.5
 
 
-def test_distinct_servers_get_one_bundled_request_each(nodes, mean_link,
-                                                       ground_state):
-    tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b"))
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes,
-                         PROGRAMS, mean_link, ground_state)
+def test_distinct_servers_get_one_bundled_request_each(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     assert [(d.server_id, d.program.program_id) for d in outcome.dispatches] == [
         (1, "a"), (2, "b"),
     ]
@@ -115,11 +121,9 @@ def test_distinct_servers_get_one_bundled_request_each(nodes, mean_link,
     assert ps.request_messages == 2
 
 
-def test_same_server_programs_share_one_request(nodes, mean_link, ground_state):
-    tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b"))
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes,
-                         PROGRAMS, mean_link, ground_state)
+def test_same_server_programs_share_one_request(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b")))
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     assert ps.requests_issued == 2
     assert ps.request_messages == 1
     assert outcome.messages == 1
@@ -128,11 +132,9 @@ def test_same_server_programs_share_one_request(nodes, mean_link, ground_state):
     ]
 
 
-def test_shared_program_merges_into_one_dispatch(nodes, mean_link, ground_state):
-    tables = (ProgramTableEntry(1, "a"),)
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1"), task("t2")], tables, nodes,
-                         PROGRAMS, mean_link, ground_state)
+def test_shared_program_merges_into_one_dispatch(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    outcome = ps.on_tick(0.0, [task("t1"), task("t2")], ground_state)
     assert len(outcome.dispatches) == 1
     dispatch = outcome.dispatches[0]
     assert dispatch.waiters == ("t1", "t2")
@@ -146,11 +148,9 @@ def test_shared_program_merges_into_one_dispatch(nodes, mean_link, ground_state)
 # ----------------------------------------------------------------- responses
 
 
-def test_response_resolves_the_outstanding_entry(nodes, mean_link, ground_state):
-    tables = (ProgramTableEntry(1, "a"),)
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS,
-                         mean_link, ground_state)
+def test_response_resolves_the_outstanding_entry(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     dispatch = outcome.dispatches[0]
     assert dispatch.key in ps.outstanding
     done = respond(ps, dispatch, 0.9)
@@ -159,11 +159,9 @@ def test_response_resolves_the_outstanding_entry(nodes, mean_link, ground_state)
     assert ps.responses_received == 1
 
 
-def test_duplicate_or_unknown_response_raises(nodes, mean_link, ground_state):
-    tables = (ProgramTableEntry(1, "a"),)
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS,
-                         mean_link, ground_state)
+def test_duplicate_or_unknown_response_raises(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     dispatch = outcome.dispatches[0]
     respond(ps, dispatch, 0.9)
     with pytest.raises(UnknownResponse):
@@ -172,11 +170,9 @@ def test_duplicate_or_unknown_response_raises(nodes, mean_link, ground_state):
         ps.on_response((0, 99, "a"), 1.0)
 
 
-def test_partial_results_do_not_complete_the_task(nodes, mean_link, ground_state):
-    tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b"))
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes,
-                         PROGRAMS, mean_link, ground_state)
+def test_partial_results_do_not_complete_the_task(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     done = respond(ps, by_pid["a"], 0.5)
     assert done == []
@@ -188,114 +184,95 @@ def test_partial_results_do_not_complete_the_task(nodes, mean_link, ground_state
 # ------------------------------------------------------------------ timeouts
 
 
-def test_timeout_excludes_the_failed_server_once(ground_state, mean_link):
+def test_timeout_excludes_the_failed_server_once(ground_state):
     nodes = default_profiles()
     nodes[1] = NodeProfile(node_id=1, kind=NodeKind.ECS, compute_capacity=100.0)
     nodes[2] = NodeProfile(node_id=2, kind=NodeKind.GCS, compute_capacity=100.0)
-    tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a"))
-    ps = make_state()
-    first = ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS, mean_link,
-                       ground_state)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a")), nodes)
+    first = ps.on_tick(0.0, [task("t1")], ground_state)
     assert first.dispatches[0].server_id == 1  # identical servers: lower id
-    expired = ps.on_timeout(0, 2.0)
+    expired = ps.on_timeout(0)
     assert [d.server_id for d in expired] == [1]
     assert ps.timeouts == 1
-    second = ps.on_tick(2.0, [], tables, nodes, PROGRAMS, mean_link,
-                        ground_state)
+    second = ps.on_tick(2.0, [], ground_state)
     assert [d.server_id for d in second.dispatches] == [2]
     respond(ps, second.dispatches[0], 2.5)
     assert ps.completed_tasks["t1"] == 2.5
     # the exclusion lasted one re-match only
-    third = ps.on_tick(4.0, [task("t2")], tables, nodes, PROGRAMS, mean_link,
-                       ground_state)
+    third = ps.on_tick(4.0, [task("t2")], ground_state)
     assert third.dispatches[0].server_id == 1
 
 
-def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state,
-                                                                 mean_link):
+def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state):
     nodes = default_profiles()
     for server in (1, 2, 3):
         nodes[server] = NodeProfile(node_id=server, kind=NodeKind.ECS,
                                     compute_capacity=100.0)
     tables = tuple(ProgramTableEntry(server, "a") for server in (1, 2, 3))
-    ps = make_state()
+    ps = make_state(tables, nodes)
 
     def tick(t, *task_ids):
-        return ps.on_tick(t, [task(tid) for tid in task_ids], tables, nodes,
-                          PROGRAMS, mean_link, ground_state).dispatches
+        return ps.on_tick(t, [task(tid) for tid in task_ids], ground_state).dispatches
 
     assert [d.server_id for d in tick(0.0, "t1")] == [1]
-    ps.on_timeout(0, 2.0)
+    ps.on_timeout(0)
     assert [(d.server_id, d.waiters) for d in tick(2.0, "t2")] == [(2, ("t1", "t2"))]
     assert [d.server_id for d in tick(4.0, "t3")] == [1]
     # two timed-out dispatches of one program: (t1, t2) failed on 2, then
     # (t3,) failed on 1; the older retry's exclusion is the one that holds
-    ps.on_timeout(1, 6.0)
-    ps.on_timeout(2, 6.0)
+    ps.on_timeout(1)
+    ps.on_timeout(2)
     merged = tick(6.0, "t4")
     assert [(d.server_id, d.waiters) for d in merged] == [
         (1, ("t1", "t2", "t3", "t4"))
     ]
 
 
-def test_sole_capable_server_is_retried_after_its_own_timeout(nodes, mean_link,
-                                                              ground_state):
-    tables = (ProgramTableEntry(1, "a"),)
-    ps = make_state()
-    ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS, mean_link,
-               ground_state)
-    ps.on_timeout(0, 2.0)
-    retry = ps.on_tick(2.0, [], tables, nodes, PROGRAMS, mean_link,
-                       ground_state)
+def test_sole_capable_server_is_retried_after_its_own_timeout(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    ps.on_tick(0.0, [task("t1")], ground_state)
+    ps.on_timeout(0)
+    retry = ps.on_tick(2.0, [], ground_state)
     assert [d.server_id for d in retry.dispatches] == [1]
     assert retry.unserved == []
 
 
-def test_timeout_only_retries_the_unresolved_program(nodes, mean_link,
-                                                     ground_state):
-    tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b"))
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes,
-                         PROGRAMS, mean_link, ground_state)
+def test_timeout_only_retries_the_unresolved_program(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["b"], 0.5)
-    ps.on_timeout(0, 2.0)
-    retry = ps.on_tick(2.0, [], tables, nodes, PROGRAMS, mean_link,
-                       ground_state)
+    ps.on_timeout(0)
+    retry = ps.on_tick(2.0, [], ground_state)
     assert [d.program.program_id for d in retry.dispatches] == ["a"]
     respond(ps, retry.dispatches[0], 2.4)
     assert ps.completed_tasks["t1"] == 2.4
 
 
-def test_unservable_task_is_deferred_whole(nodes, mean_link, ground_state):
-    partial_tables = (ProgramTableEntry(1, "a"),)
-    full_tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b"))
-    ps = make_state()
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], partial_tables, nodes,
-                         PROGRAMS, mean_link, ground_state)
+def test_unservable_task_is_deferred_whole(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     assert outcome.dispatches == []
     assert outcome.unserved == [("t1", "b")]
     assert ps.unserved_events == 1
     assert ps.requests_issued == 0
-    # once the missing capability appears, the whole task is served
-    retry = ps.on_tick(2.0, [], full_tables, nodes, PROGRAMS, mean_link,
-                       ground_state)
-    assert sorted(d.program.program_id for d in retry.dispatches) == ["a", "b"]
+    # the next tick defers it whole again: its servable "a" is not sent alone
+    retry = ps.on_tick(2.0, [], ground_state)
+    assert retry.dispatches == []
+    assert retry.unserved == [("t1", "b")]
+    assert ps.unserved_events == 2
+    assert ps.requests_issued == 0
 
 
-def test_conservation_requests_equal_responses_plus_timeouts(nodes, mean_link,
-                                                             ground_state):
-    tables = (ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b"))
-    ps = make_state()
-    first = ps.on_tick(0.0, [task("t1", ("a", "b"))], tables, nodes, PROGRAMS,
-                       mean_link, ground_state)
+def test_conservation_requests_equal_responses_plus_timeouts(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
+    first = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     by_pid = {d.program.program_id: d for d in first.dispatches}
     respond(ps, by_pid["a"], 0.5)
-    ps.on_timeout(0, 2.0)  # expires "b"
-    second = ps.on_tick(2.0, [task("t2")], tables, nodes, PROGRAMS, mean_link,
-                        ground_state)
+    ps.on_timeout(0)  # expires "b"
+    second = ps.on_tick(2.0, [task("t2")], ground_state)
     assert len(second.dispatches) == 2  # retried "b" plus fresh "a"
-    flushed = ps.flush_outstanding(3.0)
+    flushed = ps.flush_outstanding()
     assert len(flushed) == 2
     assert ps.requests_issued == 4
     assert ps.responses_received == 1
@@ -307,11 +284,10 @@ def test_conservation_requests_equal_responses_plus_timeouts(nodes, mean_link,
 # --------------------------------------------------------------- advancement
 
 
-def test_outstanding_entries_gate_the_timeline(nodes, mean_link, ground_state):
-    ps = make_state(predicate=PhasePredicate("elapsed", 0.0))
-    tables = (ProgramTableEntry(1, "a"),)
-    outcome = ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS,
-                         mean_link, ground_state)
+def test_outstanding_entries_gate_the_timeline(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),),
+                    predicate=PhasePredicate("elapsed", 0.0))
+    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     assert ps.try_advance(0.1) == 0
     assert ps.timeline.t_pos == 0
     assert ps.phase_log == []
@@ -321,45 +297,42 @@ def test_outstanding_entries_gate_the_timeline(nodes, mean_link, ground_state):
     assert ps.phase_log == [(0.4, 0, 1)]
 
 
-def test_false_predicate_holds_the_ungated_timeline(nodes, mean_link,
-                                                    ground_state):
+def test_false_predicate_holds_the_ungated_timeline(ground_state):
     ps = make_state(predicate=PhasePredicate("never"))
     for t in (0.0, 2.0, 4.0):
-        ps.on_tick(t, [], (), nodes, PROGRAMS, mean_link, ground_state)
+        ps.on_tick(t, [], ground_state)
         assert ps.try_advance(t) == 0
     assert ps.timeline.t_pos == 0
     assert ps.phase_log == []
 
 
-def test_task_completion_predicate_advances_after_the_result(nodes, mean_link,
-                                                             ground_state):
-    ps = make_state(predicate=PhasePredicate("task_completed", "t1"))
-    tables = (ProgramTableEntry(1, "a"),)
-    outcome = ps.on_tick(0.0, [task("t1")], tables, nodes, PROGRAMS,
-                         mean_link, ground_state)
+def test_task_completion_predicate_advances_after_the_result(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),),
+                    predicate=PhasePredicate("task_completed", "t1"))
+    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     respond(ps, outcome.dispatches[0], 0.6)
     assert ps.try_advance(0.6) == 1
     assert ps.timeline.t_pos == 1
 
 
-def test_elapsed_predicate_waits_for_its_time(nodes, mean_link, ground_state):
+def test_elapsed_predicate_waits_for_its_time(ground_state):
     ps = make_state(predicate=PhasePredicate("elapsed", 4.0))
-    ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    ps.on_tick(0.0, [], ground_state)
     assert ps.try_advance(0.0) == 0
-    ps.on_tick(2.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    ps.on_tick(2.0, [], ground_state)
     assert ps.try_advance(2.0) == 0
-    ps.on_tick(4.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    ps.on_tick(4.0, [], ground_state)
     assert ps.try_advance(4.0) == 1
 
 
-def test_chained_ready_phases_advance_together(nodes, mean_link, ground_state):
+def test_chained_ready_phases_advance_together(ground_state):
     timeline = MissionTimeline([
         Phase("one", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("two", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("three"),
     ])
-    ps = ProtocolState(t_int=2.0, timeline=timeline)
-    ps.on_tick(0.0, [], (), nodes, PROGRAMS, mean_link, ground_state)
+    ps = make_state(timeline=timeline)
+    ps.on_tick(0.0, [], ground_state)
     assert ps.try_advance(1.0) == 2
     assert ps.timeline.t_pos == 2
     assert ps.phase_log == [(1.0, 0, 1), (1.0, 1, 2)]
