@@ -14,67 +14,38 @@ from .channel import (
     FlightState,
     LinkBandParams,
     LinkModel,
-    LinkSample,
     OutOfMeasuredRange,
-    band_for,
     default_link_params,
-    transfer_seconds,
 )
 from .engine import (
-    MetricsRecord,
-    ProgramOutcome,
     RunAborted,
-    RunResult,
-    TaskOutcome,
-    flight_state_at,
     metrics_to_csv,
     run,
     samples_to_csv,
-    summary_dict,
     summary_to_json,
     trace_to_text,
 )
 from .model import (
-    KNOWN_TASK_KINDS,
-    OBJECT_DETECTION,
-    PRE_ARRIVAL_BUDGET_S,
-    TRAJECTORY_OPTIMIZATION,
-    VR_STITCHING,
-    AlreadySet,
-    CriticalMoments,
-    MissionTimeline,
     NodeKind,
     NodeProfile,
-    OrderingViolation,
     Origin,
     Phase,
     PhasePredicate,
     ProgramSpec,
     Task,
     default_profiles,
-    record_moment,
-    validate_fleet,
-    validate_node,
 )
 from .pipeline import (
-    LatencyBreakdown,
     PipelinePlacement,
-    StreamClass,
     UnknownNode,
-    classify_stream_latency,
     e2e_latency,
-    hop_direction,
-    stage_time,
 )
 from .policy import (
     NoCapableServer,
-    OffloadDecision,
     ProgramTableEntry,
     candidates_for,
-    match_programs,
     select_server,
 )
-from .protocol import ProtocolState, UnknownResponse
 from .scenario import (
     DanglingReference,
     Incident,
@@ -89,70 +60,40 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlreadySet",
     "Band",
-    "CriticalMoments",
     "DanglingReference",
     "Direction",
     "FlightState",
     "Incident",
     "InvariantViolation",
-    "KNOWN_TASK_KINDS",
-    "LatencyBreakdown",
     "LinkBandParams",
     "LinkModel",
-    "LinkSample",
-    "MetricsRecord",
-    "MissionTimeline",
     "NoCapableServer",
     "NodeKind",
     "NodeProfile",
-    "OBJECT_DETECTION",
-    "OffloadDecision",
-    "OrderingViolation",
     "Origin",
     "OutOfMeasuredRange",
-    "PRE_ARRIVAL_BUDGET_S",
     "Phase",
     "PhasePredicate",
     "PipelinePlacement",
-    "ProgramOutcome",
     "ProgramSpec",
     "ProgramTableEntry",
-    "ProtocolState",
     "RunAborted",
-    "RunResult",
     "Scenario",
     "ScenarioError",
     "SchemaError",
-    "StreamClass",
-    "TRAJECTORY_OPTIMIZATION",
     "Task",
-    "TaskOutcome",
     "UnknownNode",
-    "UnknownResponse",
-    "VR_STITCHING",
     "Waypoint",
-    "band_for",
     "candidates_for",
-    "classify_stream_latency",
     "default_link_params",
     "default_profiles",
     "e2e_latency",
-    "flight_state_at",
-    "hop_direction",
     "load_scenario",
-    "match_programs",
     "metrics_to_csv",
-    "record_moment",
     "run",
     "samples_to_csv",
     "select_server",
-    "stage_time",
-    "summary_dict",
     "summary_to_json",
     "trace_to_text",
-    "transfer_seconds",
-    "validate_fleet",
-    "validate_node",
 ]

@@ -169,14 +169,12 @@ def keyed_uniform(seed: int, c0: int, c1: int, c2: int = 0) -> float:
 class LinkModel:
     """Sampling interface over the per-regime distributions.
 
-    attachment is the node id of the wireless platform the link serves.
     variance_scale scales every std; 0 collapses sampling to the means.
     one_way_fraction converts the measured RTT into a one-way delay.
     """
 
     bands: Mapping[Band, LinkBandParams] = field(default_factory=default_link_params)
     noise_seed: int = 0
-    attachment: int = 0
     floor_mbps: float = 1.0
     variance_scale: float = 1.0
     one_way_fraction: float = 0.5

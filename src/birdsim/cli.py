@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -93,7 +94,10 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     for i, v in enumerate(raw_values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{p}: values[{i}]: expected a number")
-        values.append(float(v))
+        v = float(v)
+        if not math.isfinite(v):
+            raise SchemaError(f"{p}: values[{i}]: must be finite, got {v}")
+        values.append(v)
     try:
         return SweepSpec(
             parameter=str(doc.get("parameter", "")),

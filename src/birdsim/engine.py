@@ -22,7 +22,6 @@ from urllib.parse import quote
 
 from .channel import (
     Band,
-    Direction,
     FlightState,
     LinkModel,
     LinkSample,
@@ -32,6 +31,7 @@ from .channel import (
 )
 from .model import (
     OBJECT_DETECTION,
+    PLATFORM,
     VR_STITCHING,
     CriticalMoments,
     MissionTimeline,
@@ -198,7 +198,6 @@ class _Sim:
         self.link = LinkModel(
             bands=scenario.bands,
             noise_seed=seed,
-            attachment=0,
             floor_mbps=scenario.floor_mbps,
             variance_scale=scenario.variance_scale,
             one_way_fraction=scenario.one_way_fraction,
@@ -216,7 +215,7 @@ class _Sim:
             scenario.t_int, timeline, scenario.tables, scenario.nodes,
             scenario.programs, self.link.mean(),
         )
-        battery = scenario.nodes[0].battery_budget
+        battery = scenario.nodes[PLATFORM].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
         self.heap: list[tuple[float, int, Event]] = []
         self.seq = 0
@@ -401,7 +400,7 @@ class _Sim:
         self, t: float, payload: float, sender: int, receiver: int
     ) -> float:
         state = flight_state_at(self.sc, t)
-        direction = hop_direction(sender, receiver, self.link.attachment)
+        direction = hop_direction(sender, receiver)
         sample = self.link.sample_throughput(
             t, state.altitude, state.rotating, direction
         )
@@ -411,9 +410,9 @@ class _Sim:
         return transfer_seconds(payload, sample)
 
     def _stage_local(self, dispatch: Dispatch, t: float) -> None:
-        platform = self.sc.nodes[self.link.attachment]
+        platform = self.sc.nodes[PLATFORM]
         inst = self._new_instance(dispatch)
-        if dispatch.consumer == self.link.attachment:
+        if dispatch.consumer == PLATFORM:
             inst.t_proc = stage_time(dispatch.program.compute_cost, platform)
             delay = inst.t_proc
         else:
@@ -425,14 +424,13 @@ class _Sim:
         self._push_staged(t + delay, EventKind.COMPUTE_COMPLETE, inst)
 
     def _stage_wire(self, dispatch: Dispatch, t: float, state: FlightState) -> None:
-        platform = self.sc.nodes[self.link.attachment]
+        platform = self.sc.nodes[PLATFORM]
         inst = self._new_instance(dispatch)
         self.live_by_key[dispatch.key] = inst
         inst.t_enc = stage_time(dispatch.program.encode_cost, platform)
         t_start = t + inst.t_enc
         leg = self._sample_leg(
-            t_start, dispatch.program.input_payload, self.link.attachment,
-            dispatch.server_id,
+            t_start, dispatch.program.input_payload, PLATFORM, dispatch.server_id
         )
         inst.t_comm += leg
         self._push_staged(t_start + leg, EventKind.TRANSFER_COMPLETE, inst, leg="input")
@@ -506,10 +504,8 @@ class _Sim:
             prog.breakdown = breakdown
             prog.delivered_at = t
             prog.status = "completed"
-            prog.server = dispatch.server_id
         for task_id in completed:
-            outcome = self.task_outcomes[task_id]
-            outcome.completed_at = self.protocol.completed_tasks[task_id]
+            self.task_outcomes[task_id].completed_at = t
         consumer_kind = self.sc.nodes[dispatch.consumer].kind
         timeline = self.protocol.timeline
         if (

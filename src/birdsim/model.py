@@ -22,11 +22,14 @@ class Origin(str, Enum):
     TIMELINE_IMPLIED = "timeline_implied"
 
 
-# Well-known task kinds; any other non-empty label is also accepted.
+# Task kinds the engine treats as sensing streams; any other non-empty label
+# is also accepted.
 OBJECT_DETECTION = "object_detection"
 VR_STITCHING = "vr_stitching"
-TRAJECTORY_OPTIMIZATION = "trajectory_optimization"
-KNOWN_TASK_KINDS = (OBJECT_DETECTION, VR_STITCHING, TRAJECTORY_OPTIMIZATION)
+
+# Node id of the one aerial platform: the source of every offloaded input and
+# the wireless end of every link leg.
+PLATFORM = 0
 
 # Rotary-wing endurance: commercial platforms must be back on the ground well
 # under 20 minutes, so no mission may plan past this battery ceiling.
@@ -43,7 +46,11 @@ class AlreadySet(Exception):
 
 @dataclass(frozen=True)
 class NodeProfile:
-    """One mission participant: the aerial platform or a server."""
+    """One mission participant: the aerial platform or a server.
+
+    location and mobile are carried and checked but not simulated: no link leg
+    or decision reads them.
+    """
 
     node_id: int
     kind: NodeKind
@@ -54,9 +61,7 @@ class NodeProfile:
     battery_budget: float | None = None  # flight seconds, aerial nodes only
 
 
-def validate_node(
-    profile: NodeProfile, battery_cap: float = PRE_ARRIVAL_BUDGET_S
-) -> str | None:
+def validate_node(profile: NodeProfile) -> str | None:
     """Check one profile's invariants; return the first violation or None.
 
     Fleet-level constraints (unique ids, exactly one aerial platform) live in
@@ -64,9 +69,9 @@ def validate_node(
     """
     if not isinstance(profile.node_id, int) or profile.node_id < 0:
         return "node_id must be a non-negative integer"
-    if profile.node_id == 0 and profile.kind is not NodeKind.UAV5GP:
+    if profile.node_id == PLATFORM and profile.kind is not NodeKind.UAV5GP:
         return "server index 0 is reserved for the aerial platform"
-    if profile.kind is NodeKind.UAV5GP and profile.node_id != 0:
+    if profile.kind is NodeKind.UAV5GP and profile.node_id != PLATFORM:
         return "the aerial platform must be server index 0"
     if not profile.compute_capacity > 0:
         return "compute_capacity must be positive"
@@ -77,7 +82,7 @@ def validate_node(
             return "the aerial platform needs a battery_budget"
         if not profile.battery_budget > 0:
             return "battery_budget must be positive"
-        if profile.battery_budget > battery_cap:
+        if profile.battery_budget > PRE_ARRIVAL_BUDGET_S:
             return "battery_budget exceeds pre-arrival budget"
     elif profile.battery_budget is not None:
         return "battery_budget applies only to the aerial platform"
@@ -95,7 +100,7 @@ def validate_fleet(nodes: dict[int, NodeProfile]) -> str | None:
         if issue is not None:
             return f"node {node_id}: {issue}"
     aerial = [n for n in nodes.values() if n.kind is NodeKind.UAV5GP]
-    if 0 not in nodes or len(aerial) != 1:
+    if PLATFORM not in nodes or len(aerial) != 1:
         return "exactly one node must be the aerial platform at index 0"
     return None
 
@@ -172,7 +177,7 @@ class Task:
     required_programs: tuple[str, ...]
     origin: Origin = Origin.COMMANDER_ORDER
     issue_time: float = 0.0
-    consumer: int = 0
+    consumer: int = PLATFORM
 
     def __post_init__(self) -> None:
         if not self.task_id:
@@ -211,7 +216,6 @@ class Phase:
     """One mission phase; completes_when=None means it never self-completes."""
 
     phase_id: str
-    implied_task_kinds: tuple[str, ...] = ()
     completes_when: PhasePredicate | None = None
 
 

@@ -10,11 +10,10 @@ everything but processing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping
 
 from .channel import Direction, FlightState, LinkModel
-from .model import NodeProfile, ProgramSpec
+from .model import PLATFORM, NodeProfile, ProgramSpec
 
 
 class UnknownNode(KeyError):
@@ -50,27 +49,6 @@ class LatencyBreakdown:
         object.__setattr__(self, "t_e2e", total)
 
 
-class StreamClass(str, Enum):
-    ULTRA_LOW = "ultra_low"  # interactive: under one second
-    LOW = "low"  # responsive: under five seconds
-    NOT_LOW = "not_low"
-
-
-ULTRA_LOW_BOUND_S = 1.0
-LOW_BOUND_S = 5.0
-
-
-def classify_stream_latency(t_e2e: float) -> StreamClass:
-    """Bucket an end-to-end latency; both bounds are strict."""
-    if t_e2e < 0:
-        raise ValueError("latency must be >= 0")
-    if t_e2e < ULTRA_LOW_BOUND_S:
-        return StreamClass.ULTRA_LOW
-    if t_e2e < LOW_BOUND_S:
-        return StreamClass.LOW
-    return StreamClass.NOT_LOW
-
-
 def stage_time(cost: float, node: NodeProfile) -> float:
     """Seconds node needs for cost work-units."""
     if cost < 0:
@@ -80,16 +58,16 @@ def stage_time(cost: float, node: NodeProfile) -> float:
     return cost / node.compute_capacity
 
 
-def hop_direction(sender: int, receiver: int, attachment: int) -> Direction:
+def hop_direction(sender: int, receiver: int) -> Direction:
     """Link direction for one hop.
 
-    Uplink iff the wireless platform is transmitting; everything else
+    Uplink iff the aerial platform is transmitting; everything else
     (platform receiving, or server-to-server backhaul) rides the downlink
     parameters.
     """
     if sender == receiver:
         raise ValueError("a hop needs distinct endpoints")
-    return Direction.UL if sender == attachment else Direction.DL
+    return Direction.UL if sender == PLATFORM else Direction.DL
 
 
 def _node(nodes: Mapping[int, NodeProfile], node_id: int) -> NodeProfile:
@@ -117,7 +95,7 @@ def comm_time(
             state.t,
             state.altitude,
             state.rotating,
-            hop_direction(placement.source, placement.executor, link.attachment),
+            hop_direction(placement.source, placement.executor),
         )
     if placement.consumer != placement.executor:
         t_comm += link.transfer_time(
@@ -125,7 +103,7 @@ def comm_time(
             state.t,
             state.altitude,
             state.rotating,
-            hop_direction(placement.executor, placement.consumer, link.attachment),
+            hop_direction(placement.executor, placement.consumer),
         )
     return t_comm
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .channel import FlightState, LinkModel
-from .model import NodeProfile, ProgramSpec, Task
+from .model import PLATFORM, NodeProfile, ProgramSpec, Task
 from .pipeline import LatencyBreakdown, PipelinePlacement, comm_time, e2e_latency, stage_time
 
 
@@ -42,7 +42,6 @@ class ProgramTableEntry:
 
 @dataclass(frozen=True)
 class OffloadDecision:
-    program_id: str
     chosen_server: int
     predicted: LatencyBreakdown
     candidates_considered: int
@@ -96,7 +95,7 @@ def _predict(
     consumer: int,
 ) -> LatencyBreakdown:
     placement = PipelinePlacement(
-        source=mean_link.attachment, executor=entry.server_id, consumer=consumer
+        source=PLATFORM, executor=entry.server_id, consumer=consumer
     )
     if entry.server_id in nodes:
         return e2e_latency(program, placement, nodes, mean_link, state)
@@ -117,7 +116,7 @@ def select_server(
     nodes: Mapping[int, NodeProfile],
     link: LinkModel,
     state: FlightState,
-    consumer: int = 0,
+    consumer: int = PLATFORM,
 ) -> OffloadDecision:
     """Exhaustive argmin over the candidates by predicted latency.
 
@@ -138,7 +137,6 @@ def select_server(
             best, best_entry, best_predicted = rank, entry, predicted
     assert best_entry is not None and best_predicted is not None
     return OffloadDecision(
-        program_id=program.program_id,
         chosen_server=best_entry.server_id,
         predicted=best_predicted,
         candidates_considered=len(usable),

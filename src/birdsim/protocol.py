@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .channel import Band, FlightState, LinkModel, OutOfMeasuredRange, band_for
-from .model import MissionTimeline, NodeProfile, PhasePredicate, ProgramSpec, Task
+from .model import PLATFORM, MissionTimeline, NodeProfile, PhasePredicate, ProgramSpec, Task
 from .policy import (
     NoCapableServer,
     ProgramTableEntry,
@@ -85,7 +85,7 @@ class ProtocolState:
         self.nodes = nodes
         self.programs = programs
         self.link = link
-        self.platform = nodes[link.attachment]
+        self.platform = nodes[PLATFORM]
         # chosen server per (program, excluded server, consumer, band)
         self._choices: dict[tuple[str, int | None, int, Band | None], int] = {}
         self.current_tick = -1
@@ -133,7 +133,7 @@ class ProtocolState:
             work.extend(self._match_whole_task(self._tasks[task_id], unserved))
         for task in due_tasks:
             self._tasks[task.task_id] = task
-            self._remaining.setdefault(task.task_id, set(task.required_programs))
+            self._remaining[task.task_id] = set(task.required_programs)
             work.extend(self._match_whole_task(task, unserved))
 
         # Tasks sharing a program this tick share one dispatch: outstanding
@@ -162,7 +162,7 @@ class ProtocolState:
                 server_id=server,
                 consumer=consumer,
                 waiters=tuple(waiters[program_id]),
-                local=server == self.platform.node_id,
+                local=server == PLATFORM,
             )
             dispatches.append(dispatch)
             if not dispatch.local:
@@ -216,7 +216,6 @@ class ProtocolState:
         return [
             _WorkItem(program_id, (task.task_id,))
             for program_id in task.required_programs
-            if program_id in self._remaining.get(task.task_id, set())
         ]
 
     # -------------------------------------------------------------- responses

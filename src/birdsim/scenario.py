@@ -9,6 +9,7 @@ the path of the offending field.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,7 @@ from .channel import (
     default_link_params,
 )
 from .model import (
+    PLATFORM,
     PRE_ARRIVAL_BUDGET_S,
     NodeKind,
     NodeProfile,
@@ -104,8 +106,6 @@ class Scenario:
     incident: Incident = Incident()
     truck_arrival: float | None = None
     loss: Mapping[int, float] = field(default_factory=dict)
-    site: Mapping[str, Any] = field(default_factory=dict)
-    description: str = ""
 
 
 # --------------------------------------------------------------- doc walking
@@ -143,6 +143,8 @@ def _num(doc: Mapping, key: str, path: str, *, default=None, required=False,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}.{key}: expected a number, got {_type_name(value)}")
     value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}.{key}: must be finite, got {value}")
     if positive and not value > 0:
         raise SchemaError(f"{path}.{key}: must be positive")
     if minimum is not None and value < minimum:
@@ -216,9 +218,10 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
         location = raw.get("location", [0.0, 0.0, 0.0])
         loc_list = _as_list(location, f"{path}.location")
         if len(loc_list) != 3 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in loc_list
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in loc_list
         ):
-            raise SchemaError(f"{path}.location: expected [x, y, z] numbers")
+            raise SchemaError(f"{path}.location: expected [x, y, z] finite numbers")
         cached = _as_list(raw.get("cached_programs", []), f"{path}.cached_programs")
         for j, pid in enumerate(cached):
             if not isinstance(pid, str):
@@ -292,7 +295,7 @@ def _parse_tables(
             raise DanglingReference(f"{path}.program_id: unknown program {program_id!r}")
         if server_id not in nodes:
             raise DanglingReference(f"{path}.server_id: unknown node {server_id}")
-        if server_id == 0:
+        if server_id == PLATFORM:
             raise InvariantViolation(
                 f"{path}.server_id: the platform's capabilities come from its "
                 "cached_programs, not a table entry"
@@ -337,6 +340,10 @@ def _parse_tasks(
                 raise DanglingReference(
                     f"{path}.required_programs[{j}]: unknown program {pid!r}"
                 )
+            if pid in required[:j]:
+                raise InvariantViolation(
+                    f"{path}.required_programs[{j}]: duplicate program {pid!r}"
+                )
         origin_raw = _str(raw, "origin", path, default=Origin.COMMANDER_ORDER.value)
         try:
             origin = Origin(origin_raw)
@@ -344,7 +351,7 @@ def _parse_tasks(
             raise SchemaError(
                 f"{path}.origin: expected one of {[o.value for o in Origin]}"
             ) from None
-        consumer = _int(raw, "consumer", path, default=0, minimum=0)
+        consumer = _int(raw, "consumer", path, default=PLATFORM, minimum=0)
         if consumer not in nodes:
             raise DanglingReference(f"{path}.consumer: unknown node {consumer}")
         tasks.append(
@@ -369,9 +376,9 @@ def _parse_predicate(raw: Any, path: str, programs, task_ids) -> PhasePredicate:
         raise SchemaError(f"{path}: expected exactly one predicate key")
     key, value = next(iter(raw.items()))
     if key == "elapsed_s":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}.elapsed_s: expected a number")
-        return PhasePredicate("elapsed", float(value))
+        return PhasePredicate("elapsed", _num(raw, key, path))
+    if key in ("program_result", "task_completed"):
+        value = _str(raw, key, path)
     if key == "program_result":
         if value not in programs:
             raise DanglingReference(f"{path}.program_result: unknown program {value!r}")
@@ -398,6 +405,7 @@ def _parse_timeline(doc: Mapping, programs, tasks) -> tuple[Phase, ...]:
         if phase_id in seen:
             raise InvariantViolation(f"{path}.phase_id: duplicate {phase_id!r}")
         seen.add(phase_id)
+        # accepted and checked, but no run reads them
         kinds = _as_list(raw.get("implied_task_kinds", []), f"{path}.implied_task_kinds")
         for j, kind in enumerate(kinds):
             if not isinstance(kind, str) or not kind:
@@ -409,13 +417,7 @@ def _parse_timeline(doc: Mapping, programs, tasks) -> tuple[Phase, ...]:
             predicate = _parse_predicate(
                 raw["completes_when"], f"{path}.completes_when", programs, task_ids
             )
-        phases.append(
-            Phase(
-                phase_id=phase_id,
-                implied_task_kinds=tuple(kinds),
-                completes_when=predicate,
-            )
-        )
+        phases.append(Phase(phase_id=phase_id, completes_when=predicate))
     if not phases:
         raise SchemaError("timeline: must be non-empty when present")
     return tuple(phases)
@@ -497,7 +499,7 @@ def _parse_loss(doc: Mapping, nodes: dict[int, NodeProfile]) -> dict[int, float]
             raise SchemaError(f"{path}: server keys must be integers")
         if key not in nodes:
             raise DanglingReference(f"{path}: unknown node {key}")
-        if key == 0:
+        if key == PLATFORM:
             raise InvariantViolation(f"{path}: local execution cannot be lossy")
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not 0 <= value <= 1:
@@ -571,7 +573,7 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
     loss = _parse_loss(doc, nodes)
     incident = _parse_incident(doc, duration)
 
-    battery = nodes[0].battery_budget
+    battery = nodes[PLATFORM].battery_budget
     if battery is not None and duration > battery:
         raise InvariantViolation(
             f"scenario.duration_s: {duration} exceeds the platform battery "
@@ -583,7 +585,9 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
             "scenario.truck_arrival_s: physical response cannot precede the report"
         )
 
-    site = _as_map(doc.get("site", {}), "site")
+    # accepted and checked, but no run reads them
+    _as_map(doc.get("site", {}), "site")
+    _str(doc, "description", "scenario")
 
     return Scenario(
         name=name,
@@ -603,6 +607,4 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         incident=incident,
         truck_arrival=truck,
         loss=loss,
-        site=dict(site),
-        description=_str(doc, "description", "scenario", default="") or "",
     )

@@ -18,11 +18,9 @@ from birdsim import (
     LinkBandParams,
     LinkModel,
     OutOfMeasuredRange,
-    band_for,
     default_link_params,
-    transfer_seconds,
 )
-from birdsim.channel import keyed_normal, keyed_uniform
+from birdsim.channel import band_for, keyed_normal, keyed_uniform, transfer_seconds
 
 # (dl_mean, ul_mean, rtt_mean) per regime — frozen measured values.
 EXPECTED_DEFAULTS = {

@@ -262,6 +262,57 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_a_program_listed_twice_exits_one(tmp_path, capsys):
+    doc = mini_doc()
+    doc["tasks"][0]["required_programs"] = ["p", "p"]
+    scenario = write_yaml(tmp_path / "twice.yaml", doc)
+    rc = main(["--scenario", scenario, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: tasks[0].required_programs[1]: duplicate"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def _set_update_interval(doc):
+    doc["update_interval_s"] = float("inf")
+
+
+def _set_compute_cost(doc):
+    doc["programs"][0]["compute_cost"] = float("nan")
+
+
+def _set_predicate(doc):
+    doc["timeline"] = [{"phase_id": "a", "completes_when": {"task_completed": []}},
+                       {"phase_id": "b"}]
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (_set_update_interval, "scenario.update_interval_s: must be finite"),
+    (_set_compute_cost, "programs[0].compute_cost: must be finite"),
+    (_set_predicate, "timeline[0].completes_when.task_completed: expected a string"),
+])
+def test_non_finite_or_mistyped_fields_exit_one(tmp_path, capsys, mutate, path):
+    doc = mini_doc()
+    mutate(doc)
+    scenario = write_yaml(tmp_path / "bad.yaml", doc)
+    assert main(["--scenario", scenario, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_sweep_value_exits_one(tmp_path, capsys, value):
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [1.0, value],
+    })
+    rc = main(["--scenario", scenario, "--sweep", spec, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "values[1]: must be finite" in err
+
+
 def test_aborting_run_exits_two(tmp_path, capsys):
     doc = mini_doc()
     # a monitoring result will land before this report time

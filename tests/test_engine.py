@@ -22,10 +22,8 @@ from birdsim import (
     Scenario,
     Task,
     Waypoint,
-    band_for,
     candidates_for,
     e2e_latency,
-    flight_state_at,
     load_scenario,
     metrics_to_csv,
     run,
@@ -33,7 +31,8 @@ from birdsim import (
     trace_to_text,
 )
 from birdsim import engine, protocol
-from birdsim.channel import keyed_uniform
+from birdsim.channel import band_for, keyed_uniform
+from birdsim.engine import flight_state_at
 
 from conftest import make_flat_bands
 

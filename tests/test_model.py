@@ -5,24 +5,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from birdsim import (
-    PRE_ARRIVAL_BUDGET_S,
-    AlreadySet,
-    CriticalMoments,
-    MissionTimeline,
     NodeKind,
     NodeProfile,
-    OrderingViolation,
     Origin,
     Phase,
     PhasePredicate,
     ProgramSpec,
     Task,
     default_profiles,
+)
+from birdsim.model import (
+    MOMENT_NAMES,
+    PRE_ARRIVAL_BUDGET_S,
+    AlreadySet,
+    CriticalMoments,
+    MissionTimeline,
+    OrderingViolation,
     record_moment,
     validate_fleet,
     validate_node,
 )
-from birdsim.model import MOMENT_NAMES
 
 
 # ------------------------------------------------------------------ profiles

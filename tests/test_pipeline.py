@@ -12,15 +12,11 @@ from birdsim import (
     NodeProfile,
     PipelinePlacement,
     ProgramSpec,
-    StreamClass,
     UnknownNode,
-    classify_stream_latency,
     default_profiles,
     e2e_latency,
-    hop_direction,
-    stage_time,
 )
-from birdsim.pipeline import LatencyBreakdown
+from birdsim.pipeline import LatencyBreakdown, hop_direction, stage_time
 
 from conftest import make_flat_bands
 
@@ -60,12 +56,12 @@ def test_stage_time_faster_on_the_ground_station(nodes):
 
 
 def test_hop_direction_rules():
-    assert hop_direction(0, 1, attachment=0) is Direction.UL
-    assert hop_direction(1, 0, attachment=0) is Direction.DL
+    assert hop_direction(0, 1) is Direction.UL
+    assert hop_direction(1, 0) is Direction.DL
     # server-to-server backhaul rides the downlink-rated path
-    assert hop_direction(1, 2, attachment=0) is Direction.DL
+    assert hop_direction(1, 2) is Direction.DL
     with pytest.raises(ValueError):
-        hop_direction(1, 1, attachment=0)
+        hop_direction(1, 1)
 
 
 # ------------------------------------------------------------------- corners
@@ -178,27 +174,3 @@ def test_ground_station_wins_under_heavy_compute(nodes, mean_link, ground_state)
     gcs = e2e_latency(program, PipelinePlacement(0, 2, 0),
                       nodes, mean_link, ground_state)
     assert gcs.t_e2e < local.t_e2e
-
-
-# -------------------------------------------------------------- stream class
-
-
-def test_stream_class_boundaries_are_strict():
-    assert classify_stream_latency(0.3) is StreamClass.ULTRA_LOW
-    assert classify_stream_latency(0.999) is StreamClass.ULTRA_LOW
-    assert classify_stream_latency(1.0) is StreamClass.LOW
-    assert classify_stream_latency(4.9) is StreamClass.LOW
-    assert classify_stream_latency(5.0) is StreamClass.NOT_LOW
-    with pytest.raises(ValueError):
-        classify_stream_latency(-0.1)
-
-
-def test_stream_class_thresholds_never_invert():
-    for t in np.linspace(0.0, 10.0, 101):
-        c = classify_stream_latency(float(t))
-        if c is StreamClass.ULTRA_LOW:
-            assert t < 1.0
-        elif c is StreamClass.LOW:
-            assert 1.0 <= t < 5.0
-        else:
-            assert t >= 5.0

@@ -17,9 +17,9 @@ from birdsim import (
     candidates_for,
     default_profiles,
     e2e_latency,
-    match_programs,
     select_server,
 )
+from birdsim.policy import match_programs
 
 from conftest import make_flat_bands
 

@@ -4,7 +4,6 @@ import pytest
 
 from birdsim import (
     LinkModel,
-    MissionTimeline,
     NodeKind,
     NodeProfile,
     Origin,
@@ -12,11 +11,11 @@ from birdsim import (
     PhasePredicate,
     ProgramSpec,
     ProgramTableEntry,
-    ProtocolState,
     Task,
-    UnknownResponse,
     default_profiles,
 )
+from birdsim.model import MissionTimeline
+from birdsim.protocol import ProtocolState, UnknownResponse
 
 from conftest import make_flat_bands
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 import yaml
@@ -59,8 +60,6 @@ def test_bundled_scenario_loads(scenario_path):
     assert len(scenario.tasks) == 4
     assert scenario.truck_arrival == 300.0
     assert scenario.incident.reported == 25.0
-    assert scenario.site["gnb_ground_distance_m"] == 58.9
-    assert scenario.site["gnb_height_m"] == 26.5
     assert scenario.loss == {1: 0.05}
 
 
@@ -171,6 +170,67 @@ def test_wrong_types_name_the_field():
         load_scenario(with_(lambda d: d.update(seed=-1)))
 
 
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(site=5), "site"),
+    (lambda d: d.update(description=3), "scenario.description"),
+    (lambda d: d.update(timeline=[{"phase_id": "a", "implied_task_kinds": [""]}]),
+     "timeline[0].implied_task_kinds[0]"),
+    (lambda d: d["nodes"][1].update(location=[1.0, 2.0]), "nodes[1].location"),
+    (lambda d: d["nodes"][1].update(location=[1.0, 2.0, float("nan")]),
+     "nodes[1].location"),
+])
+def test_unread_keys_are_still_checked(mutate, path):
+    """site, description, implied_task_kinds and a node's location are not
+    simulated, but a malformed value is still rejected by its field path."""
+    with pytest.raises(SchemaError, match=re.escape(path)):
+        load_scenario(with_(mutate))
+    doc = with_(lambda d: d.update(
+        site={"gnb_height_m": 26.5}, description="text",
+        timeline=[{"phase_id": "a", "implied_task_kinds": ["vr_stitching"]}],
+    ))
+    assert load_scenario(doc).phases == (Phase("a"),)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(update_interval_s=INF), "scenario.update_interval_s"),
+    (lambda d: d.update(duration_s=INF), "scenario.duration_s"),
+    (lambda d: d["programs"][0].update(compute_cost=NAN), "programs[0].compute_cost"),
+    (lambda d: d["programs"][0].update(encode_cost=NAN), "programs[0].encode_cost"),
+    (lambda d: d["programs"][0].update(decode_cost=-INF), "programs[0].decode_cost"),
+    (lambda d: d["programs"][0].update(input_payload_bits=NAN),
+     "programs[0].input_payload_bits"),
+    (lambda d: d["programs"][0].update(output_payload_bits=INF),
+     "programs[0].output_payload_bits"),
+    (lambda d: d["tasks"][0].update(issue_time_s=NAN), "tasks[0].issue_time_s"),
+    (lambda d: d.update(incident={"reported_s": NAN}), "incident.reported_s"),
+    (lambda d: d["nodes"][1].update(compute_capacity=INF), "nodes[1].compute_capacity"),
+    (lambda d: d.update(link={"bands": {"low": {"ul_std_mbps": NAN}}}),
+     "link.bands.low.ul_std_mbps"),
+    (lambda d: d.update(timeline=[{"phase_id": "a", "completes_when": {"elapsed_s": NAN}}]),
+     "timeline[0].completes_when.elapsed_s"),
+])
+def test_non_finite_numbers_are_rejected(mutate, path):
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: must be finite")):
+        load_scenario(with_(mutate))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("task_completed", []), ("task_completed", {}), ("task_completed", 5),
+    ("program_result", ["p"]), ("program_result", 1.0),
+])
+def test_predicate_targets_must_be_strings(key, value):
+    doc = with_(lambda d: d.update(timeline=[
+        {"phase_id": "a", "completes_when": {key: value}}, {"phase_id": "b"},
+    ]))
+    with pytest.raises(SchemaError, match=re.escape(
+        f"timeline[0].completes_when.{key}: expected a string"
+    )):
+        load_scenario(doc)
+
+
 def test_bad_identifier_is_rejected():
     with pytest.raises(SchemaError) as err:
         load_scenario(with_(lambda d: d["tasks"][0].update(task_id="no spaces")))
@@ -246,6 +306,13 @@ def test_duplicate_ids_are_rejected():
     doc = minimal_doc()
     doc["tasks"].append(copy.deepcopy(doc["tasks"][0]))
     with pytest.raises(InvariantViolation):
+        load_scenario(doc)
+
+
+def test_a_program_listed_twice_in_one_task_is_rejected():
+    doc = with_(lambda d: d["tasks"][0].update(required_programs=["p", "p"]))
+    with pytest.raises(InvariantViolation,
+                       match=re.escape("tasks[0].required_programs[1]: duplicate")):
         load_scenario(doc)
 
 
