@@ -37,6 +37,7 @@ from .scenario import (
     ScenarioError,
     SchemaError,
     Waypoint,
+    _float,
     load_scenario,
     read_yaml,
 )
@@ -94,7 +95,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     for i, v in enumerate(raw_values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{p}: values[{i}]: expected a number")
-        v = float(v)
+        v = _float(v)
         if not math.isfinite(v):
             raise SchemaError(f"{p}: values[{i}]: must be finite, got {v}")
         values.append(v)

@@ -1,7 +1,8 @@
 """Deterministic discrete-event kernel driving the update loop.
 
-Events are totally ordered by (time, insertion sequence); all randomness is
-keyed off the run seed, so a fixed (scenario, seed) pair replays to the byte.
+Events are totally ordered by (time, insertion sequence) and carry their
+handler; all randomness is keyed off the run seed, so a fixed (scenario, seed)
+pair replays to the byte.
 The engine stages each dispatched program through its pipeline legs, feeds
 responses and timeouts to the protocol state, tracks the critical moments,
 and emits a replay-complete line trace plus a metrics record.
@@ -16,8 +17,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator
+from typing import Any, Callable, Iterator
 from urllib.parse import quote
 
 from .channel import (
@@ -58,26 +58,8 @@ class RunAborted(RuntimeError):
         self.trace = trace
 
 
-class EventKind(str, Enum):
-    TICK = "Tick"
-    TRANSFER_COMPLETE = "TransferComplete"
-    COMPUTE_COMPLETE = "ComputeComplete"
-    TIMEOUT = "Timeout"
-    FLIGHT_WAYPOINT = "FlightWaypoint"
-    TASK_ISSUED = "TaskIssued"
-    TRUCK_ARRIVAL = "TruckArrival"
-
-
-@dataclass(slots=True)
-class Event:
-    t: float
-    seq: int
-    kind: EventKind
-    tick: int = -1
-    inst_id: int = -1
-    leg: str = ""
-    task_id: str = ""
-    waypoint: Waypoint | None = None
+# An event handler is called with the event's (t, seq) and its payload.
+_Handler = Callable[[float, int, Any], None]
 
 
 @dataclass
@@ -90,7 +72,6 @@ class _Instance:
     t_comm: float = 0.0
     t_dec: float = 0.0
     t_proc: float = 0.0
-    cancelled: bool = False
 
     def breakdown(self) -> LatencyBreakdown:
         return LatencyBreakdown(self.t_enc, self.t_comm, self.t_dec, self.t_proc)
@@ -217,12 +198,13 @@ class _Sim:
         )
         battery = scenario.nodes[PLATFORM].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
-        self.heap: list[tuple[float, int, Event]] = []
+        # (t, seq) is unique, so heap order never compares two handlers
+        self.heap: list[tuple[float, int, _Handler, Any]] = []
         self.seq = 0
         self.trace: list[str] = []
         self.last_t = 0.0
-        self.instances: dict[int, _Instance] = {}
-        self.live_by_key: dict[tuple[int, int, str], _Instance] = {}
+        self.staged = 0  # program executions staged, numbered from 0
+        self.delivered = 0
         self.samples: list[SampleLog] = []
         # (scenario index, task) by issue time; tasks before the cursor have
         # been handed to the protocol
@@ -246,28 +228,26 @@ class _Sim:
 
     # ------------------------------------------------------------- scheduling
 
-    def _push(self, t: float, kind: EventKind, **fields) -> None:
-        event = Event(t=t, seq=self.seq, kind=kind, **fields)
-        heapq.heappush(self.heap, (t, self.seq, event))
+    def _push(self, t: float, handler: _Handler, payload: Any = None) -> None:
+        heapq.heappush(self.heap, (t, self.seq, handler, payload))
         self.seq += 1
 
-    def _push_staged(self, t: float, kind: EventKind, inst: _Instance, **fields) -> None:
-        # Work that would land beyond the run window is cancelled.
-        if t > self.end:
-            inst.cancelled = True
-            return
-        self._push(t, kind, inst_id=inst.inst_id, **fields)
+    def _push_staged(self, t: float, handler: _Handler, inst: _Instance) -> None:
+        # Work that would land beyond the run window is never delivered: the
+        # flush counts it as cancelled.
+        if t <= self.end:
+            self._push(t, handler, inst)
 
     def _schedule_initial(self) -> None:
         for task in self.sc.tasks:
             if task.issue_time <= self.end:
-                self._push(task.issue_time, EventKind.TASK_ISSUED, task_id=task.task_id)
+                self._push(task.issue_time, self._on_task_issued, task.task_id)
         for wp in self.sc.flight_plan:
             if wp.t <= self.end:
-                self._push(wp.t, EventKind.FLIGHT_WAYPOINT, waypoint=wp)
+                self._push(wp.t, self._on_flight_waypoint, wp)
         if self.sc.truck_arrival is not None and self.sc.truck_arrival <= self.end:
-            self._push(self.sc.truck_arrival, EventKind.TRUCK_ARRIVAL)
-        self._push(0.0, EventKind.TICK, tick=0)
+            self._push(self.sc.truck_arrival, self._on_truck_arrival)
+        self._push(0.0, self._on_tick, 0)
 
     # ------------------------------------------------------------------ trace
 
@@ -283,24 +263,15 @@ class _Sim:
     # -------------------------------------------------------------- main loop
 
     def run(self) -> RunResult:
-        handlers = {
-            EventKind.TICK: self._on_tick,
-            EventKind.TRANSFER_COMPLETE: self._on_transfer_complete,
-            EventKind.COMPUTE_COMPLETE: self._on_compute_complete,
-            EventKind.TIMEOUT: self._on_timeout,
-            EventKind.TASK_ISSUED: self._on_task_issued,
-            EventKind.FLIGHT_WAYPOINT: self._on_flight_waypoint,
-            EventKind.TRUCK_ARRIVAL: self._on_truck_arrival,
-        }
         seq = self.seq  # of the event being handled, for the Abort record
         try:
             self._schedule_initial()
             while self.heap:
-                t, seq, event = heapq.heappop(self.heap)
+                t, seq, handler, payload = heapq.heappop(self.heap)
                 if t < self.last_t:
                     raise RuntimeError("event executed out of causal order")
                 self.last_t = t
-                handlers[event.kind](event)
+                handler(t, seq, payload)
             seq = self.seq
             self._flush()
         except RunAborted:
@@ -314,26 +285,23 @@ class _Sim:
             raise RunAborted(error, list(self.trace)) from exc
         return RunResult(metrics=self._metrics(), trace=self.trace)
 
-    def _on_task_issued(self, event: Event) -> None:
-        self._emit(event.t, event.seq, "TaskIssued", [("task", event.task_id)])
+    def _on_task_issued(self, t: float, seq: int, task_id: str) -> None:
+        self._emit(t, seq, "TaskIssued", [("task", task_id)])
 
-    def _on_flight_waypoint(self, event: Event) -> None:
-        wp = event.waypoint
-        assert wp is not None
+    def _on_flight_waypoint(self, t: float, seq: int, wp: Waypoint) -> None:
         self._emit(
-            event.t, event.seq, "FlightWaypoint",
+            t, seq, "FlightWaypoint",
             [("altitude", repr(wp.altitude)), ("rotating", str(int(wp.rotating)))],
         )
 
-    def _on_truck_arrival(self, event: Event) -> None:
+    def _on_truck_arrival(self, t: float, seq: int, _: None) -> None:
         tl = self.protocol.timeline
-        tl.moments = record_moment(tl.moments, "physical_awareness", event.t)
-        self._emit(event.t, event.seq, "TruckArrival", [("moment", "physical_awareness")])
+        tl.moments = record_moment(tl.moments, "physical_awareness", t)
+        self._emit(t, seq, "TruckArrival", [("moment", "physical_awareness")])
 
     # ------------------------------------------------------------------ ticks
 
-    def _on_tick(self, event: Event) -> None:
-        t, tick = event.t, event.tick
+    def _on_tick(self, t: float, seq: int, tick: int) -> None:
         state = flight_state_at(self.sc, t)
         start = self.next_due
         while (
@@ -369,10 +337,10 @@ class _Sim:
         if wire_issued:
             deadline = self.protocol.tick_time(tick + 1)
             if deadline <= self.end:
-                self._push(deadline, EventKind.TIMEOUT, tick=tick)
+                self._push(deadline, self._on_timeout, tick)
         next_t = self.protocol.tick_time(tick + 1)
         if next_t < self.end:
-            self._push(next_t, EventKind.TICK, tick=tick + 1)
+            self._push(next_t, self._on_tick, tick + 1)
         self.protocol.try_advance(t)
         entries = ";".join(
             _fmt_key(d.key) for d in outcome.dispatches if not d.local
@@ -383,7 +351,7 @@ class _Sim:
             if d.local
         )
         self._emit(
-            t, event.seq, "Tick",
+            t, seq, "Tick",
             [
                 ("tick", str(tick)),
                 ("due", ",".join(task.task_id for task in due)),
@@ -421,81 +389,85 @@ class _Sim:
             inst.t_dec = stage_time(dispatch.program.decode_cost, platform)
             inst.t_proc = stage_time(dispatch.program.compute_cost, platform)
             delay = inst.t_enc + inst.t_dec + inst.t_proc
-        self._push_staged(t + delay, EventKind.COMPUTE_COMPLETE, inst)
+        self._push_staged(t + delay, self._on_compute_complete, inst)
 
     def _stage_wire(self, dispatch: Dispatch, t: float, state: FlightState) -> None:
         platform = self.sc.nodes[PLATFORM]
         inst = self._new_instance(dispatch)
-        self.live_by_key[dispatch.key] = inst
         inst.t_enc = stage_time(dispatch.program.encode_cost, platform)
         t_start = t + inst.t_enc
         leg = self._sample_leg(
             t_start, dispatch.program.input_payload, PLATFORM, dispatch.server_id
         )
         inst.t_comm += leg
-        self._push_staged(t_start + leg, EventKind.TRANSFER_COMPLETE, inst, leg="input")
+        self._push_staged(t_start + leg, self._on_input_arrival, inst)
 
     def _new_instance(self, dispatch: Dispatch) -> _Instance:
-        inst = _Instance(inst_id=len(self.instances), dispatch=dispatch)
-        self.instances[inst.inst_id] = inst
+        inst = _Instance(inst_id=self.staged, dispatch=dispatch)
+        self.staged += 1
         return inst
 
     # --------------------------------------------------------------- handlers
 
-    def _on_transfer_complete(self, event: Event) -> None:
-        inst = self.instances[event.inst_id]
-        if inst.cancelled:
-            return
+    def _live(self, dispatch: Dispatch) -> bool:
+        # A wire execution counts only while its entry is outstanding: once the
+        # entry times out, its staged events are dropped. A local one always
+        # counts.
+        return dispatch.local or dispatch.key in self.protocol.outstanding
+
+    def _on_input_arrival(self, t: float, seq: int, inst: _Instance) -> None:
         dispatch = inst.dispatch
-        if event.leg == "input":
-            server = self.sc.nodes[dispatch.server_id]
-            inst.t_dec = stage_time(dispatch.program.decode_cost, server)
-            inst.t_proc = stage_time(dispatch.program.compute_cost, server)
-            self._push_staged(
-                event.t + inst.t_dec + inst.t_proc, EventKind.COMPUTE_COMPLETE, inst
-            )
-            self._emit(
-                event.t, event.seq, "TransferComplete",
-                [("inst", str(inst.inst_id)), ("leg", "input"),
-                 ("entry", _fmt_key(dispatch.key))],
-            )
+        if not self._live(dispatch):
+            return
+        server = self.sc.nodes[dispatch.server_id]
+        inst.t_dec = stage_time(dispatch.program.decode_cost, server)
+        inst.t_proc = stage_time(dispatch.program.compute_cost, server)
+        self._push_staged(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
+        self._emit(
+            t, seq, "TransferComplete",
+            [("inst", str(inst.inst_id)), ("leg", "input"),
+             ("entry", _fmt_key(dispatch.key))],
+        )
+
+    def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
+        dispatch = inst.dispatch
+        if not self._live(dispatch):
             return
         fields = [("inst", str(inst.inst_id)), ("leg", "output"),
                   ("entry", _fmt_key(dispatch.key))]
-        fields += self._deliver(inst, event.t)
-        self._emit(event.t, event.seq, "TransferComplete", fields)
-        self.protocol.try_advance(event.t)
+        fields += self._deliver(inst, t)
+        self._emit(t, seq, "TransferComplete", fields)
+        self.protocol.try_advance(t)
 
-    def _on_compute_complete(self, event: Event) -> None:
-        inst = self.instances[event.inst_id]
-        if inst.cancelled:
-            return
+    def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
         dispatch = inst.dispatch
+        if not self._live(dispatch):
+            return
         executor = dispatch.server_id
         fields = [("inst", str(inst.inst_id)), ("entry", _fmt_key(dispatch.key)),
                   ("local", str(int(dispatch.local)))]
         if dispatch.consumer != executor:
             leg = self._sample_leg(
-                event.t, dispatch.program.output_payload, executor, dispatch.consumer
+                t, dispatch.program.output_payload, executor, dispatch.consumer
             )
             inst.t_comm += leg
-            self._push_staged(event.t + leg, EventKind.TRANSFER_COMPLETE, inst, leg="output")
-            self._emit(event.t, event.seq, "ComputeComplete", fields)
+            self._push_staged(t + leg, self._on_output_arrival, inst)
+            self._emit(t, seq, "ComputeComplete", fields)
             return
         # result is consumed where it was computed: delivery happens now
-        fields += self._deliver(inst, event.t)
-        self._emit(event.t, event.seq, "ComputeComplete", fields)
-        self.protocol.try_advance(event.t)
+        fields += self._deliver(inst, t)
+        self._emit(t, seq, "ComputeComplete", fields)
+        self.protocol.try_advance(t)
 
     def _deliver(self, inst: _Instance, t: float) -> list[tuple[str, str]]:
         """Credit a finished execution; returns extra trace fields."""
         dispatch = inst.dispatch
+        self.delivered += 1
         fields: list[tuple[str, str]] = []
         if dispatch.local:
             completed = self.protocol.note_local_result(dispatch, t)
         else:
             completed = self.protocol.on_response(dispatch.key, t)
-            self.live_by_key.pop(dispatch.key, None)
             fields.append(("resolved", _fmt_key(dispatch.key)))
         fields.append(("delivered", str(dispatch.consumer)))
         breakdown = inst.breakdown()
@@ -517,31 +489,23 @@ class _Sim:
             fields.append(("moment", "virtual_awareness"))
         return fields
 
-    def _on_timeout(self, event: Event) -> None:
-        timed_out = self.protocol.on_timeout(event.tick)
-        for dispatch in timed_out:
-            inst = self.live_by_key.pop(dispatch.key, None)
-            if inst is not None:
-                inst.cancelled = True
+    def _on_timeout(self, t: float, seq: int, tick: int) -> None:
+        timed_out = self.protocol.on_timeout(tick)
         self._emit(
-            event.t, event.seq, "Timeout",
+            t, seq, "Timeout",
             [
-                ("tick", str(event.tick)),
+                ("tick", str(tick)),
                 ("timed_out", ";".join(_fmt_key(d.key) for d in timed_out)),
                 ("count", str(len(timed_out))),
             ],
         )
-        self.protocol.try_advance(event.t)
+        self.protocol.try_advance(t)
 
     # ------------------------------------------------------------------ flush
 
     def _flush(self) -> None:
         t = self.end
         flushed = self.protocol.flush_outstanding()
-        for dispatch in flushed:
-            inst = self.live_by_key.pop(dispatch.key, None)
-            if inst is not None:
-                inst.cancelled = True
         self.protocol.try_advance(t)
         timeline = self.protocol.timeline
         timeline.moments = record_moment(timeline.moments, "termination", t)
@@ -549,14 +513,11 @@ class _Sim:
             t, self.seq, "Flush",
             [
                 ("flushed", ";".join(_fmt_key(d.key) for d in flushed)),
-                ("cancelled", str(self._cancelled())),
+                ("cancelled", str(self.staged - self.delivered)),
             ],
         )
 
     # ---------------------------------------------------------------- metrics
-
-    def _cancelled(self) -> int:
-        return sum(1 for inst in self.instances.values() if inst.cancelled)
 
     def _metrics(self) -> MetricsRecord:
         p = self.protocol
@@ -566,7 +527,9 @@ class _Sim:
             "responses": p.responses_received,
             "timeouts": p.timeouts,
             "unserved_events": p.unserved_events,
-            "cancelled": self._cancelled(),
+            # a staged execution ends either delivered or cancelled (timed
+            # out, cut by the horizon or flushed), never both
+            "cancelled": self.staged - self.delivered,
         }
         return MetricsRecord(
             scenario_name=self.sc.name,

@@ -58,6 +58,7 @@ class _WorkItem:
 
     program_id: str
     waiters: tuple[str, ...]
+    consumer: int  # the first waiter's
     excluded_server: int | None = None
 
 
@@ -91,9 +92,10 @@ class ProtocolState:
         self.current_tick = -1
         self.outstanding: dict[EntryKey, Dispatch] = {}
         # bookkeeping for retries and task completion
-        self._task_retries: list[str] = []
         self._program_retries: list[_WorkItem] = []
-        self._tasks: dict[str, Task] = {}
+        # (task, program) of every due task with an unservable program: the
+        # tables are fixed, so such a task stays deferred for the whole run
+        self._unserved: list[tuple[str, str]] = []
         self._remaining: dict[str, set[str]] = {}
         self.completed_tasks: dict[str, float] = {}
         self.completed_programs: set[str] = set()
@@ -121,30 +123,24 @@ class ProtocolState:
             raise ValueError(f"tick at t={t_i}, expected t={expected}")
         self.current_tick = tick
 
-        unserved: list[tuple[str, str]] = []
-        work: list[_WorkItem] = []
-
-        # Timed-out programs first (they are older), then whole-task retries
-        # and freshly due tasks, each re-matched in full.
-        retries, self._program_retries = self._program_retries, []
-        work.extend(retries)
-        task_retries, self._task_retries = self._task_retries, []
-        for task_id in task_retries:
-            work.extend(self._match_whole_task(self._tasks[task_id], unserved))
+        # Timed-out programs first (they are older), then freshly due tasks.
+        work, self._program_retries = self._program_retries, []
         for task in due_tasks:
-            self._tasks[task.task_id] = task
             self._remaining[task.task_id] = set(task.required_programs)
-            work.extend(self._match_whole_task(task, unserved))
+            work.extend(self._match_whole_task(task))
+        self.unserved_events += len(self._unserved)
 
         # Tasks sharing a program this tick share one dispatch: outstanding
         # entries are keyed (tick, server, program), so duplicates must merge.
         # Waiters keep their order; the first excluded server seen wins.
         excluded: dict[str, int | None] = {}
         waiters: dict[str, list[str]] = {}
+        consumers: dict[str, int] = {}
         for item in work:
             if item.program_id not in waiters:
                 waiters[item.program_id] = list(item.waiters)
                 excluded[item.program_id] = item.excluded_server
+                consumers[item.program_id] = item.consumer
             else:
                 waiters[item.program_id].extend(item.waiters)
                 if excluded[item.program_id] is None:
@@ -154,7 +150,7 @@ class ProtocolState:
         # before, against the same tables), so it has a capable server.
         dispatches: list[Dispatch] = []
         for program_id, excluded_server in excluded.items():
-            consumer = self._tasks[waiters[program_id][0]].consumer
+            consumer = consumers[program_id]
             server = self._choose(program_id, excluded_server, consumer, state)
             dispatch = Dispatch(
                 tick_index=tick,
@@ -172,7 +168,9 @@ class ProtocolState:
         # One bundled request per distinct target server.
         messages = len({d.server_id for d in dispatches if not d.local})
         self.request_messages += messages
-        return TickOutcome(dispatches=dispatches, unserved=unserved, messages=messages)
+        return TickOutcome(
+            dispatches=dispatches, unserved=list(self._unserved), messages=messages
+        )
 
     def _choose(
         self, program_id: str, excluded_server: int | None, consumer: int, state: FlightState
@@ -202,19 +200,15 @@ class ProtocolState:
             self._choices[key] = server
         return server
 
-    def _match_whole_task(
-        self, task: Task, unserved: list[tuple[str, str]]
-    ) -> list[_WorkItem]:
-        # A task with any unservable program is deferred whole to next tick.
+    def _match_whole_task(self, task: Task) -> list[_WorkItem]:
+        # A task with any unservable program is deferred whole, on every tick.
         try:
             match_programs(task, self.tables, self.platform)
         except NoCapableServer as exc:
-            unserved.append((task.task_id, exc.program_id))
-            self._task_retries.append(task.task_id)
-            self.unserved_events += 1
+            self._unserved.append((task.task_id, exc.program_id))
             return []
         return [
-            _WorkItem(program_id, (task.task_id,))
+            _WorkItem(program_id, (task.task_id,), task.consumer)
             for program_id in task.required_programs
         ]
 
@@ -262,7 +256,7 @@ class ProtocolState:
             timed_out.append(dispatch)
             program_id = dispatch.program.program_id
             self._program_retries.append(
-                _WorkItem(program_id, dispatch.waiters, dispatch.server_id)
+                _WorkItem(program_id, dispatch.waiters, dispatch.consumer, dispatch.server_id)
             )
         return timed_out
 

@@ -127,6 +127,15 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
+def _float(value: int | float) -> float:
+    """value as a float; an int beyond float range becomes an infinity, which
+    the finiteness checks then reject by field path."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _reject_unknown(doc: Mapping, allowed: set[str], path: str) -> None:
     unknown = [k for k in doc if k not in allowed]
     if unknown:
@@ -142,7 +151,7 @@ def _num(doc: Mapping, key: str, path: str, *, default=None, required=False,
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}.{key}: expected a number, got {_type_name(value)}")
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         raise SchemaError(f"{path}.{key}: must be finite, got {value}")
     if positive and not value > 0:
@@ -218,7 +227,8 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
         location = raw.get("location", [0.0, 0.0, 0.0])
         loc_list = _as_list(location, f"{path}.location")
         if len(loc_list) != 3 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(_float(v))
             for v in loc_list
         ):
             raise SchemaError(f"{path}.location: expected [x, y, z] finite numbers")

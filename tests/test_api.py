@@ -1,6 +1,6 @@
 """The public API: the exported names are pinned and resolve, the README's
-Python examples run as written, and no source module imports a name it never
-uses."""
+Python examples run as written, and no module of the package, its tests or
+its benchmark imports a name it never uses."""
 
 import ast
 import contextlib
@@ -109,8 +109,15 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py")
-)
-def test_no_unused_imports(module):
-    assert _unused_imports(SOURCE / module) == []
+# __init__.py imports names only to re-export them
+CHECKED_MODULES = [
+    *(pytest.param(p, id=p.name)
+      for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"),
+    *(pytest.param(p, id=f"{folder}/{p.name}")
+      for folder in ("tests", "bench") for p in sorted((ROOT / folder).glob("*.py"))),
+]
+
+
+@pytest.mark.parametrize("path", CHECKED_MODULES)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

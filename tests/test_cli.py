@@ -300,7 +300,8 @@ def test_non_finite_or_mistyped_fields_exit_one(tmp_path, capsys, mutate, path):
     assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   pytest.param(10**400, id="int-beyond-float-range")])
 def test_non_finite_sweep_value_exits_one(tmp_path, capsys, value):
     scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
     spec = write_yaml(tmp_path / "sweep.yaml", {

@@ -9,7 +9,9 @@ digests cover paths the 4-task reference never reaches:
   for a program no server offers, so it is deferred on every tick;
 - mixed: many tasks with one or two programs and mixed consumers at 2.0 s,
   where merged dispatches carry several waiters, run with and without link
-  variance.
+  variance;
+- regime: the offload-choice mission of `test_engine`, whose chosen server
+  flips across the 50 m band split, while rotating, and between consumers.
 
 A digest changes only when the simulator's output changes, and such a
 change must be argued for on its own, never come in as a side effect.
@@ -30,6 +32,7 @@ from birdsim import (
 )
 
 from conftest import BUNDLED_SCENARIO
+from test_engine import regime_scenario
 
 PROGRAMS = ("detect", "stitch", "plan_route")
 
@@ -89,9 +92,10 @@ def mixed(variance_scale: float) -> dict:
 
 
 CASES = {
-    "retry_heavy": retry_heavy,
-    "mixed_var1": lambda: mixed(1.0),
-    "mixed_var0": lambda: mixed(0.0),
+    "retry_heavy": lambda: load_scenario(retry_heavy()),
+    "mixed_var1": lambda: load_scenario(mixed(1.0)),
+    "mixed_var0": lambda: load_scenario(mixed(0.0)),
+    "regime": regime_scenario,
 }
 
 # sha256 of trace.log, metrics.csv, samples.csv and summary.json
@@ -116,11 +120,18 @@ DIGESTS = {
         "af6e377394a29777aed67df8c4d7fb3d7149d4d7d650fb0e580eb85fb6c1107d",
         "8e1728d2ca7e086d87a5d1c8fae538c36c04f8648b7a096114a7c3c2c1c48e3f",
     ),
+    # fails if the memoized offload choice ignores the band or the consumer
+    "regime": (
+        "b0db69bf13b2087970e8d61efda99aa337467cf79cffe0e9774e82ebb90abdbe",
+        "f3fe55692c26bcf0cc50b9400c00b4701877fb003271efb8eca06341d6e7cb3f",
+        "03f75fe4f1b9d9e3edd34dd521ef367f1c9900b93c1940a1ec714998d5134675",
+        "2e39e15f602b6457570c55db0c0c570abd9dd4092e7fe23455cb89cf2e0947d9",
+    ),
 }
 
 
-def artifact_digests(doc: dict) -> tuple[str, ...]:
-    result = run(load_scenario(doc))
+def artifact_digests(scenario) -> tuple[str, ...]:
+    result = run(scenario)
     texts = (
         trace_to_text(result.trace),
         metrics_to_csv(result.metrics),

@@ -1,6 +1,7 @@
 """Event-driven runs: determinism, flight geometry, horizons, failure paths."""
 
 import re
+from dataclasses import replace
 from urllib.parse import unquote
 
 import pytest
@@ -8,7 +9,6 @@ import yaml
 
 from birdsim import (
     Band,
-    FlightState,
     Incident,
     LinkBandParams,
     LinkModel,
@@ -34,7 +34,7 @@ from birdsim import engine, protocol
 from birdsim.channel import band_for, keyed_uniform
 from birdsim.engine import flight_state_at
 
-from conftest import make_flat_bands
+from conftest import BUNDLED_SCENARIO, make_flat_bands
 
 DETECT = ProgramSpec("p", "object_detection", compute_cost=40.0,
                      input_payload=1e6, output_payload=1e5,
@@ -152,6 +152,41 @@ def test_work_cut_by_the_horizon_is_cancelled_once(scenario_path):
     result = run(load_scenario(doc))
     assert result.trace[-1].endswith(" flushed=20:2:stitch cancelled=1")
     assert result.metrics.counts["cancelled"] == 1
+
+
+def test_cancelled_counts_the_staged_executions_never_delivered():
+    """Without loss every wire entry and every local execution of a Tick is
+    staged, and each staged execution ends either delivered or cancelled."""
+    from test_digests import mixed, retry_heavy  # it imports this module
+
+    # (scenario, fraction of its duration a cut run keeps); retry_heavy's
+    # cut outlasts the incident report at 25 s and ends during a local
+    # execution, which is then cancelled without a timeout
+    builds = {
+        "reference": (lambda: yaml.safe_load(BUNDLED_SCENARIO.read_text()), 0.37),
+        "retry_heavy": (retry_heavy, 0.52),
+        "mixed": (lambda: mixed(1.0), 0.37),
+    }
+    cancelled_total = local_cut = 0
+    for name, (build, fraction) in builds.items():
+        doc = build()
+        doc["loss"] = {}
+        full = load_scenario(doc)
+        for cut in (1.0, fraction):
+            result = run(replace(full, duration=full.duration * cut))
+            records = [record_fields(line) for line in result.trace]
+            staged = sum(
+                len(r[field].split(";")) if r[field] else 0
+                for r in records if r["kind"] == "Tick"
+                for field in ("entries", "locals")
+            )
+            delivered = sum(1 for r in records if "delivered" in r)
+            cancelled = result.metrics.counts["cancelled"]
+            assert cancelled == staged - delivered, (name, cut)
+            assert records[-1]["cancelled"] == str(cancelled), (name, cut)
+            cancelled_total += cancelled
+            local_cut += cancelled - result.metrics.counts["timeouts"]
+    assert cancelled_total > 0 and local_cut > 0
 
 
 # ----------------------------------------------------------------- execution

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from birdsim import (
-    Band,
     Direction,
     FlightState,
     LinkModel,
@@ -13,7 +12,6 @@ from birdsim import (
     PipelinePlacement,
     ProgramSpec,
     UnknownNode,
-    default_profiles,
     e2e_latency,
 )
 from birdsim.pipeline import LatencyBreakdown, hop_direction, stage_time

@@ -178,6 +178,8 @@ def test_wrong_types_name_the_field():
     (lambda d: d["nodes"][1].update(location=[1.0, 2.0]), "nodes[1].location"),
     (lambda d: d["nodes"][1].update(location=[1.0, 2.0, float("nan")]),
      "nodes[1].location"),
+    pytest.param(lambda d: d["nodes"][1].update(location=[1.0, 2.0, 10**400]),
+                 "nodes[1].location", id="huge-int-nodes[1].location"),
 ])
 def test_unread_keys_are_still_checked(mutate, path):
     """site, description, implied_task_kinds and a node's location are not
@@ -192,6 +194,7 @@ def test_unread_keys_are_still_checked(mutate, path):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # an integer beyond float range
 
 
 @pytest.mark.parametrize("mutate, path", [
@@ -205,6 +208,10 @@ NAN, INF = float("nan"), float("inf")
     (lambda d: d["programs"][0].update(output_payload_bits=INF),
      "programs[0].output_payload_bits"),
     (lambda d: d["tasks"][0].update(issue_time_s=NAN), "tasks[0].issue_time_s"),
+    pytest.param(lambda d: d["tasks"][0].update(issue_time_s=HUGE),
+                 "tasks[0].issue_time_s", id="huge-int-tasks[0].issue_time_s"),
+    pytest.param(lambda d: d.update(duration_s=-HUGE),
+                 "scenario.duration_s", id="huge-negative-int-scenario.duration_s"),
     (lambda d: d.update(incident={"reported_s": NAN}), "incident.reported_s"),
     (lambda d: d["nodes"][1].update(compute_capacity=INF), "nodes[1].compute_capacity"),
     (lambda d: d.update(link={"bands": {"low": {"ul_std_mbps": NAN}}}),
