@@ -38,6 +38,7 @@ from .scenario import (
     SchemaError,
     Waypoint,
     _float,
+    _int,
     load_scenario,
     read_yaml,
 )
@@ -100,11 +101,16 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
             raise SchemaError(f"{p}: values[{i}]: must be finite, got {v}")
         values.append(v)
     try:
+        replicates = _int(doc, "replicates", "sweep", default=1, minimum=1)
+        base_seed = _int(doc, "base_seed", "sweep", default=0, minimum=0)
+    except SchemaError as exc:
+        raise SchemaError(f"{p}: {exc}") from None
+    try:
         return SweepSpec(
             parameter=str(doc.get("parameter", "")),
             values=tuple(values),
-            replicates=int(doc.get("replicates", 1)),
-            base_seed=int(doc.get("base_seed", 0)),
+            replicates=replicates,
+            base_seed=base_seed,
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{p}: {exc}") from None

@@ -16,7 +16,9 @@ import io
 import json
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Iterator
 from urllib.parse import quote
 
@@ -40,7 +42,7 @@ from .model import (
     record_moment,
 )
 from .pipeline import LatencyBreakdown, hop_direction, stage_time
-from .protocol import Dispatch, ProtocolState
+from .protocol import Dispatch, ProtocolState, _Chain
 from .scenario import Scenario, Waypoint
 
 log = logging.getLogger("birdsim.engine")
@@ -62,7 +64,7 @@ class RunAborted(RuntimeError):
 _Handler = Callable[[float, int, Any], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
     """One staged program execution (a dispatch in flight)."""
 
@@ -99,7 +101,7 @@ class TaskOutcome:
     programs: list[ProgramOutcome] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleLog:
     t: float
     band: Band
@@ -145,6 +147,9 @@ class RunResult:
     trace: list[str]
 
 
+_waypoint_t = attrgetter("t")
+
+
 def flight_state_at(scenario: Scenario, t: float) -> FlightState:
     """Flight condition at mission time t.
 
@@ -156,16 +161,17 @@ def flight_state_at(scenario: Scenario, t: float) -> FlightState:
     if t <= plan[0].t:
         wp = plan[0]
         return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
-    for a, b in zip(plan, plan[1:]):
-        if t < b.t:
-            frac = (t - a.t) / (b.t - a.t)
-            return FlightState(
-                t=t,
-                altitude=a.altitude + frac * (b.altitude - a.altitude),
-                rotating=a.rotating,
-            )
-    wp = plan[-1]
-    return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
+    i = bisect_right(plan, t, key=_waypoint_t)  # plan[i - 1].t <= t < plan[i].t
+    if i == len(plan):
+        wp = plan[-1]
+        return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
+    a, b = plan[i - 1], plan[i]
+    frac = (t - a.t) / (b.t - a.t)
+    return FlightState(
+        t=t,
+        altitude=a.altitude + frac * (b.altitude - a.altitude),
+        rotating=a.rotating,
+    )
 
 
 def _fmt_key(key: tuple[int, int, str]) -> str:
@@ -225,6 +231,9 @@ class _Sim:
                 outcome.programs.append(prog)
                 self.prog_outcomes[(task.task_id, pid)] = prog
             self.task_outcomes[task.task_id] = outcome
+        # (outcome, first tick, chain) of every waiter when it joins a chain;
+        # attempts and server are settled from these once, in _metrics
+        self.joined: list[tuple[ProgramOutcome, int, _Chain]] = []
 
     # ------------------------------------------------------------- scheduling
 
@@ -316,10 +325,11 @@ class _Sim:
             self.task_outcomes[task.task_id].first_served_at = t
         wire_issued = False
         for dispatch in outcome.dispatches:
-            for waiter in dispatch.waiters:
-                prog = self.prog_outcomes[(waiter, dispatch.program.program_id)]
-                prog.attempts += 1
-                prog.server = dispatch.server_id
+            # retried waiters are already on the chain: visit only new ones
+            program_id = dispatch.program.program_id
+            chain = dispatch.chain
+            for waiter in dispatch.waiters[dispatch.fresh:]:
+                self.joined.append((self.prog_outcomes[(waiter, program_id)], tick, chain))
             if dispatch.local:
                 self._stage_local(dispatch, t)
                 continue
@@ -520,6 +530,13 @@ class _Sim:
     # ---------------------------------------------------------------- metrics
 
     def _metrics(self) -> MetricsRecord:
+        # a chain dispatches its waiters on every tick from their first to
+        # its last (protocol module docstring); a hand-built task that lists
+        # a program twice joins its chain twice and counts twice
+        for prog, first_tick, chain in self.joined:
+            prog.attempts += chain.last_tick - first_tick + 1
+            prog.server = chain.server
+        self.joined.clear()
         p = self.protocol
         counts = {
             "requests": p.requests_issued,

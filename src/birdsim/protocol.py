@@ -5,11 +5,21 @@ request per chosen server. The timeline position may only advance once the
 current interval's requests have all been answered or timed out; a timed-out
 program re-enters the next interval's matching with the failed server
 excluded once.
+
+A timed-out dispatch is retried on the very next tick: the Timeout for tick k
+is pushed before Tick k+1 at the same time, so it always runs first. Each
+(task, program) therefore belongs to exactly one chain of dispatches on
+consecutive ticks, from its first dispatch until delivery or the end of the
+run, and every dispatch of a chain carries all of its waiters. Hence a
+waiter's attempts are the chain's last tick minus the waiter's first tick
+plus one, and its server is the server of the chain's last dispatch. A tick
+merges at most one retried item per program, ahead of the fresh waiters, so
+the waiters new to a chain are always a suffix of a dispatch's waiters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .channel import Band, FlightState, LinkModel, OutOfMeasuredRange, band_for
@@ -29,7 +39,16 @@ class UnknownResponse(KeyError):
     """A response arrived for no outstanding entry: a harness bug."""
 
 
-@dataclass
+@dataclass(slots=True)
+class _Chain:
+    """The dispatches of one waiter list on consecutive ticks (see the module
+    docstring); updated in place by every retry."""
+
+    last_tick: int
+    server: int
+
+
+@dataclass(slots=True)
 class Dispatch:
     """One program execution decided at a tick, wire or local."""
 
@@ -39,10 +58,12 @@ class Dispatch:
     consumer: int
     waiters: tuple[str, ...]  # task ids credited when the result lands
     local: bool
+    chain: _Chain
+    fresh: int  # waiters[fresh:] joined the chain at this dispatch
+    key: EntryKey = field(init=False)
 
-    @property
-    def key(self) -> EntryKey:
-        return (self.tick_index, self.server_id, self.program.program_id)
+    def __post_init__(self):
+        self.key = (self.tick_index, self.server_id, self.program.program_id)
 
 
 @dataclass
@@ -52,14 +73,16 @@ class TickOutcome:
     messages: int  # bundled requests: distinct wire servers this tick
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _WorkItem:
-    """Waiting tasks for one program; a retry excludes the failed server."""
+    """Waiting tasks for one program; a retry excludes the failed server and
+    carries its chain."""
 
     program_id: str
     waiters: tuple[str, ...]
     consumer: int  # the first waiter's
     excluded_server: int | None = None
+    chain: _Chain | None = None
 
 
 class ProtocolState:
@@ -132,33 +155,41 @@ class ProtocolState:
 
         # Tasks sharing a program this tick share one dispatch: outstanding
         # entries are keyed (tick, server, program), so duplicates must merge.
-        # Waiters keep their order; the first excluded server seen wins.
-        excluded: dict[str, int | None] = {}
-        waiters: dict[str, list[str]] = {}
-        consumers: dict[str, int] = {}
+        # Waiters keep their order. The first item of a program is its one
+        # retry, if it has one, and sets the exclusion, consumer and chain.
+        heads: dict[str, _WorkItem] = {}
+        more: dict[str, list[str]] = {}  # waiters of a program's later items
         for item in work:
-            if item.program_id not in waiters:
-                waiters[item.program_id] = list(item.waiters)
-                excluded[item.program_id] = item.excluded_server
-                consumers[item.program_id] = item.consumer
+            if item.program_id not in heads:
+                heads[item.program_id] = item
             else:
-                waiters[item.program_id].extend(item.waiters)
-                if excluded[item.program_id] is None:
-                    excluded[item.program_id] = item.excluded_server
+                more.setdefault(item.program_id, []).extend(item.waiters)
 
         # Every program here passed the whole-task match (or was dispatched
         # before, against the same tables), so it has a capable server.
         dispatches: list[Dispatch] = []
-        for program_id, excluded_server in excluded.items():
-            consumer = consumers[program_id]
-            server = self._choose(program_id, excluded_server, consumer, state)
+        for program_id, head in heads.items():
+            server = self._choose(program_id, head.excluded_server, head.consumer, state)
+            chain = head.chain
+            if chain is None:
+                chain = _Chain(tick, server)
+                fresh = 0
+            else:
+                chain.last_tick = tick
+                chain.server = server
+                fresh = len(head.waiters)
+            waiters = head.waiters
+            if program_id in more:
+                waiters += tuple(more[program_id])
             dispatch = Dispatch(
                 tick_index=tick,
                 program=self.programs[program_id],
                 server_id=server,
-                consumer=consumer,
-                waiters=tuple(waiters[program_id]),
+                consumer=head.consumer,
+                waiters=waiters,
                 local=server == PLATFORM,
+                chain=chain,
+                fresh=fresh,
             )
             dispatches.append(dispatch)
             if not dispatch.local:
@@ -254,10 +285,10 @@ class ProtocolState:
             dispatch = self.outstanding.pop(key)
             self.timeouts += 1
             timed_out.append(dispatch)
-            program_id = dispatch.program.program_id
-            self._program_retries.append(
-                _WorkItem(program_id, dispatch.waiters, dispatch.consumer, dispatch.server_id)
-            )
+            self._program_retries.append(_WorkItem(
+                dispatch.program.program_id, dispatch.waiters, dispatch.consumer,
+                dispatch.server_id, dispatch.chain,
+            ))
         return timed_out
 
     def flush_outstanding(self) -> list[Dispatch]:
@@ -289,7 +320,9 @@ class ProtocolState:
         Gated: nothing moves while the current tick still has outstanding
         entries. Returns the number of phases advanced (0 is normal).
         """
-        if any(key[0] == self.current_tick for key in self.outstanding):
+        if self.outstanding and any(
+            key[0] == self.current_tick for key in self.outstanding
+        ):
             return 0
         timeline = self.timeline
         moved = 0

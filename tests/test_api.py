@@ -1,6 +1,6 @@
 """The public API: the exported names are pinned and resolve, the README's
-Python examples run as written, and no module of the package, its tests or
-its benchmark imports a name it never uses."""
+Python examples run as written, and no module of the package, its tests,
+its benchmark or its tools imports a name it never uses."""
 
 import ast
 import contextlib
@@ -114,7 +114,8 @@ CHECKED_MODULES = [
     *(pytest.param(p, id=p.name)
       for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"),
     *(pytest.param(p, id=f"{folder}/{p.name}")
-      for folder in ("tests", "bench") for p in sorted((ROOT / folder).glob("*.py"))),
+      for folder in ("tests", "bench", "tools")
+      for p in sorted((ROOT / folder).glob("*.py"))),
 ]
 
 

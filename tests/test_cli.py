@@ -314,6 +314,26 @@ def test_non_finite_sweep_value_exits_one(tmp_path, capsys, value):
     assert "values[1]: must be finite" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("replicates", 2.5, "expected an integer, got float"),
+    ("replicates", True, "expected an integer, got bool"),
+    ("replicates", [1], "expected an integer, got list"),
+    ("base_seed", -0.5, "expected an integer, got float"),
+    ("base_seed", float("inf"), "expected an integer, got float"),
+], ids=["replicates-float", "replicates-bool", "replicates-list", "base_seed-float",
+        "base_seed-inf"])
+def test_sweep_spec_integer_fields_exit_one(tmp_path, capsys, key, value, message):
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [1.0], key: value,
+    })
+    rc = main(["--scenario", scenario, "--sweep", spec, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"sweep.{key}: {message}" in err
+
+
 def test_aborting_run_exits_two(tmp_path, capsys):
     doc = mini_doc()
     # a monitoring result will land before this report time

@@ -1,11 +1,17 @@
-"""Event-driven runs: determinism, flight geometry, horizons, failure paths."""
+"""Event-driven runs: determinism, flight geometry, horizons, failure paths,
+retry chains."""
 
+import importlib.util
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 from urllib.parse import unquote
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birdsim import (
     Band,
@@ -31,7 +37,7 @@ from birdsim import (
     trace_to_text,
 )
 from birdsim import engine, protocol
-from birdsim.channel import band_for, keyed_uniform
+from birdsim.channel import FlightState, band_for, keyed_uniform
 from birdsim.engine import flight_state_at
 
 from conftest import BUNDLED_SCENARIO, make_flat_bands
@@ -112,6 +118,47 @@ def test_rotation_is_a_step_function():
     assert not flight_state_at(sc, 25.0).rotating
     state = flight_state_at(sc, 15.0)
     assert band_for(state.altitude, state.rotating) is Band.ROTATION
+
+
+def linear_flight_state(plan, t):
+    """The segment found by a linear scan: the oracle for the bisection."""
+    if t <= plan[0].t:
+        wp = plan[0]
+        return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
+    for a, b in zip(plan, plan[1:]):
+        if t < b.t:
+            frac = (t - a.t) / (b.t - a.t)
+            return FlightState(
+                t=t,
+                altitude=a.altitude + frac * (b.altitude - a.altitude),
+                rotating=a.rotating,
+            )
+    wp = plan[-1]
+    return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
+
+
+def state_bits(state):
+    return (state.t.hex(), state.altitude.hex(), state.rotating)
+
+
+WAYPOINT_TIMES = st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8, unique=True)
+POSTURES = st.tuples(st.floats(0.0, 100.0), st.booleans())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_bisected_flight_state_equals_the_linear_scan(data):
+    times = sorted(data.draw(WAYPOINT_TIMES))
+    plan = tuple(Waypoint(t, *data.draw(POSTURES)) for t in times)
+    sc = make_scenario(flight_plan=plan)
+    between = [a + (b - a) * data.draw(st.floats(0.0, 1.0))
+               for a, b in zip(times, times[1:])]
+    queries = [times[0] - data.draw(st.floats(1e-6, 1e3)), *times, *between,
+               times[-1] + data.draw(st.floats(0.0, 1e3)),
+               *data.draw(st.lists(st.floats(-10.0, 1.1e4), max_size=5))]
+    for t in queries:
+        assert state_bits(flight_state_at(sc, t)) == state_bits(
+            linear_flight_state(plan, t)), t
 
 
 # ------------------------------------------------------------------ horizons
@@ -511,3 +558,115 @@ def test_loss_draws_only_for_servers_that_can_lose(monkeypatch):
     mixed_trace, drawn = loss_run(monkeypatch, {1: 0.5, 2: 0.0})
     assert drawn == [s for s in wire_servers(mixed_trace) if s == 1]
     assert mixed_trace == lossy_trace
+
+
+# ------------------------------------------------------- attempts and server
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def storm_scenario(seed, cut):
+    """The benchmark's `storm` workload, with its duration cut by `cut`."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    wl = workloads.build("storm", seed, ROOT)
+    sc = load_scenario(yaml.safe_load(wl.scenario_text))
+    return replace(sc, duration=sc.duration * cut)
+
+
+def fallback_scenario():
+    """Server 1 wins the argmin but drops every request; the platform caches
+    p, so each retry without server 1 runs locally. t2 falls due on the
+    tick of t1's retry and merges into it."""
+    nodes = {
+        0: NodeProfile(0, NodeKind.UAV5GP, 25.0, mobile=True,
+                       cached_programs=frozenset({"p"}), battery_budget=1200.0),
+        1: NodeProfile(1, NodeKind.ECS, 100.0, location=(58.9, 0.0, 0.0)),
+    }
+    return make_scenario(
+        nodes=nodes, loss={1: 1.0},
+        tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=1),
+               Task("t2", ("p",), Origin.COMMANDER_ORDER, 2.0, consumer=1)))
+
+
+def sole_server_scenario():
+    # every tick retries the backlog and merges the task just issued into it
+    return make_scenario(
+        duration=12.0, loss={1: 1.0},
+        tasks=tuple(Task(f"t{i}", ("p",), Origin.COMMANDER_ORDER, 2.0 * i,
+                         consumer=1) for i in range(4)))
+
+
+def run_with_waiter_oracle(monkeypatch, sc):
+    """Run sc while recomputing attempts and server the direct way: one
+    visit per waiter of every dispatch. Returns the result, the oracle's
+    (attempts, server) per (task, program) and every dispatch."""
+    expected = {}
+    dispatched = []
+    on_tick = protocol.ProtocolState.on_tick
+
+    def with_oracle(self, t, due, state):
+        retried = {}
+        for item in self._program_retries:
+            # the chain invariant: at most one retried item per program
+            assert item.program_id not in retried
+            retried[item.program_id] = item
+        outcome = on_tick(self, t, due, state)
+        for d in outcome.dispatches:
+            item = retried.pop(d.program.program_id, None)
+            if item is None:
+                assert d.fresh == 0
+            else:
+                # the retried waiters come first, on their own chain
+                assert d.fresh == len(item.waiters)
+                assert d.waiters[:d.fresh] == item.waiters
+                assert d.chain is item.chain
+            for waiter in d.waiters:
+                attempts, _ = expected.get((waiter, d.program.program_id), (0, None))
+                expected[(waiter, d.program.program_id)] = (attempts + 1, d.server_id)
+        assert not retried
+        dispatched.extend(outcome.dispatches)
+        return outcome
+
+    monkeypatch.setattr(protocol.ProtocolState, "on_tick", with_oracle)
+    result = run(sc)
+    return result, expected, dispatched
+
+
+def retry_heavy_scenario():
+    from test_digests import retry_heavy  # test_digests imports this module
+
+    return load_scenario(retry_heavy())
+
+
+ORACLE_CASES = {
+    "retry_heavy": retry_heavy_scenario,
+    "storm_cut": lambda: storm_scenario(1, 0.37),
+    "sole_server": sole_server_scenario,
+    "local_fallback": fallback_scenario,
+    "regime": regime_scenario,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_attempts_and_server_equal_a_visit_per_waiter(monkeypatch, case):
+    result, expected, _ = run_with_waiter_oracle(monkeypatch, ORACLE_CASES[case]())
+    got = {(p.task_id, p.program_id): (p.attempts, p.server)
+           for task in result.metrics.tasks for p in task.programs}
+    assert got == {key: expected.get(key, (0, None)) for key in got}
+    assert any(attempts > 1 for attempts, _ in got.values())
+
+
+def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
+    result, _, dispatched = run_with_waiter_oracle(monkeypatch, fallback_scenario())
+    first, retry = dispatched[:2]
+    assert (first.server_id, first.local, first.waiters) == (1, False, ("t1",))
+    assert (retry.server_id, retry.local, retry.waiters, retry.fresh) == (
+        0, True, ("t1", "t2"), 1)
+    assert retry.chain is first.chain
+    progs = [task.programs[0] for task in result.metrics.tasks]
+    assert [(p.attempts, p.server, p.status) for p in progs] == [
+        (2, 0, "completed"), (1, 0, "completed")]
