@@ -7,7 +7,8 @@ one that applies while the airframe is yawing regardless of altitude.
 
 Sampling is counter-based: every draw is a pure function of
 (seed, t, direction, band), so a run's samples do not depend on the order in
-which the simulation asks for them.
+which the simulation asks for them. Each sample carries the band it was drawn
+in.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ class FlightState:
 @dataclass(frozen=True)
 class LinkSample:
     t: float
+    band: Band
     direction: Direction
     throughput: float  # Mbps
     one_way_delay: float  # ms
@@ -116,6 +118,9 @@ class LinkSample:
 _BAND_CODE = {Band.LOW_ALTITUDE: 1, Band.HIGH_ALTITUDE: 2, Band.ROTATION: 3}
 _DIR_CODE = {Direction.UL: 1, Direction.DL: 2}
 _WORD_MASK = (1 << 64) - 1
+# A seed is the generator's 128-bit key, so seeds run over [0, 2**128): any
+# other integer would share its key with one of them.
+SEED_BOUND = 1 << 128
 
 # One generator serves every keyed draw. Philox is counter-based, so a draw is
 # a pure function of (key, counter): setting the whole bit-generator state
@@ -222,6 +227,7 @@ class LinkModel:
         throughput = max(self.floor_mbps, throughput)
         return LinkSample(
             t=t,
+            band=band,
             direction=direction,
             throughput=throughput,
             one_way_delay=p.rtt_mean * self.one_way_fraction,

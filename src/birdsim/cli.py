@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Band, LinkBandParams, LinkModel, default_link_params
+from .channel import SEED_BOUND, Band, LinkBandParams, LinkModel, default_link_params
 from .engine import (
     RunAborted,
     RunResult,
@@ -74,6 +74,8 @@ class SweepSpec:
             raise ValueError("replicates must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
+        if self.seed_for(self.replicates - 1) >= SEED_BOUND:
+            raise ValueError("base_seed + replicates - 1 must be < 2**128")
 
     def seed_for(self, replicate: int) -> int:
         return self.base_seed + replicate
@@ -304,6 +306,9 @@ def cmd_feasibility(spec_text: str, scenario_path: str | None = None) -> int:
     except ValueError:
         print(f"error: bitrate {parts[0]!r} is not a number", file=sys.stderr)
         return 1
+    if not math.isfinite(bitrate):
+        print(f"error: bitrate {parts[0]!r} is not finite", file=sys.stderr)
+        return 1
     if bitrate <= 0:
         print(f"error: bitrate must be > 0, got {bitrate}", file=sys.stderr)
         return 1
@@ -379,6 +384,9 @@ def _configure_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed < SEED_BOUND:
+        print(f"error: --seed must be in [0, 2**128), got {args.seed}", file=sys.stderr)
+        return 1
     try:
         if args.feasibility is not None:
             return cmd_feasibility(args.feasibility, args.scenario)

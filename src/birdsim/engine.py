@@ -3,9 +3,11 @@
 Events are totally ordered by (time, insertion sequence) and carry their
 handler; all randomness is keyed off the run seed, so a fixed (scenario, seed)
 pair replays to the byte.
-The engine stages each dispatched program through its pipeline legs, feeds
-responses and timeouts to the protocol state, tracks the critical moments,
-and emits a replay-complete line trace plus a metrics record.
+The engine stages each dispatched execution with the stage times that
+`pipeline` prices and the link legs it samples (each sample carries its
+band), feeds deliveries and timeouts to the protocol state, which owns the
+timeline position and task completion, records the critical moments, and
+emits a replay-complete line trace plus a metrics record.
 """
 
 from __future__ import annotations
@@ -22,26 +24,17 @@ from operator import attrgetter
 from typing import Any, Callable, Iterator
 from urllib.parse import quote
 
-from .channel import (
-    Band,
-    FlightState,
-    LinkModel,
-    LinkSample,
-    band_for,
-    keyed_uniform,
-    transfer_seconds,
-)
+from .channel import FlightState, LinkModel, LinkSample, keyed_uniform, transfer_seconds
 from .model import (
     OBJECT_DETECTION,
     PLATFORM,
     VR_STITCHING,
     CriticalMoments,
-    MissionTimeline,
     NodeKind,
     Origin,
     record_moment,
 )
-from .pipeline import LatencyBreakdown, hop_direction, stage_time
+from .pipeline import LatencyBreakdown, PipelinePlacement, hop_direction, stage_times
 from .protocol import Dispatch, ProtocolState, _Chain
 from .scenario import Scenario, Waypoint
 
@@ -66,14 +59,15 @@ _Handler = Callable[[float, int, Any], None]
 
 @dataclass(slots=True)
 class _Instance:
-    """One staged program execution (a dispatch in flight)."""
+    """One staged program execution (a dispatch in flight); its stage times
+    are priced when it is staged, and t_comm grows by each link leg."""
 
     inst_id: int
     dispatch: Dispatch
-    t_enc: float = 0.0
-    t_comm: float = 0.0
-    t_dec: float = 0.0
-    t_proc: float = 0.0
+    t_enc: float
+    t_comm: float
+    t_dec: float
+    t_proc: float
 
     def breakdown(self) -> LatencyBreakdown:
         return LatencyBreakdown(self.t_enc, self.t_comm, self.t_dec, self.t_proc)
@@ -101,13 +95,6 @@ class TaskOutcome:
     programs: list[ProgramOutcome] = field(default_factory=list)
 
 
-@dataclass(slots=True)
-class SampleLog:
-    t: float
-    band: Band
-    sample: LinkSample
-
-
 @dataclass
 class MetricsRecord:
     """Everything a run reports besides the event trace."""
@@ -119,7 +106,7 @@ class MetricsRecord:
     tasks: list[TaskOutcome]
     moments: CriticalMoments
     counts: dict[str, int]
-    samples: list[SampleLog]
+    samples: list[LinkSample]
     phase_log: list[tuple[float, int, int]]
     final_t_pos: int
 
@@ -189,17 +176,17 @@ class _Sim:
             variance_scale=scenario.variance_scale,
             one_way_fraction=scenario.one_way_fraction,
         )
-        timeline = MissionTimeline(phases=list(scenario.phases))
+        self.moments = CriticalMoments()
         for which, value in (
             ("start", scenario.incident.start),
             ("observed", scenario.incident.observed),
             ("reported", scenario.incident.reported),
         ):
             if value is not None:
-                timeline.moments = record_moment(timeline.moments, which, value)
+                self.moments = record_moment(self.moments, which, value)
         # policy predictions use the variance-free link
         self.protocol = ProtocolState(
-            scenario.t_int, timeline, scenario.tables, scenario.nodes,
+            scenario.t_int, scenario.phases, scenario.tables, scenario.nodes,
             scenario.programs, self.link.mean(),
         )
         battery = scenario.nodes[PLATFORM].battery_budget
@@ -211,7 +198,7 @@ class _Sim:
         self.last_t = 0.0
         self.staged = 0  # program executions staged, numbered from 0
         self.delivered = 0
-        self.samples: list[SampleLog] = []
+        self.samples: list[LinkSample] = []
         # (scenario index, task) by issue time; tasks before the cursor have
         # been handed to the protocol
         self.by_issue = sorted(enumerate(scenario.tasks), key=lambda p: p[1].issue_time)
@@ -262,7 +249,7 @@ class _Sim:
 
     def _emit(self, t: float, seq: int, kind: str, fields: list[tuple[str, str]]) -> None:
         line = " ".join([
-            f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.timeline.t_pos}",
+            f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.t_pos}",
             *map("=".join, fields),
         ])
         self.trace.append(line)
@@ -289,7 +276,7 @@ class _Sim:
             error = f"{type(exc).__name__}: {exc}"
             self.trace.append(
                 f"t={self.last_t!r} seq={seq} kind=Abort "
-                f"tpos={self.protocol.timeline.t_pos} error={quote(error, safe='')}"
+                f"tpos={self.protocol.t_pos} error={quote(error, safe='')}"
             )
             raise RunAborted(error, list(self.trace)) from exc
         return RunResult(metrics=self._metrics(), trace=self.trace)
@@ -304,8 +291,7 @@ class _Sim:
         )
 
     def _on_truck_arrival(self, t: float, seq: int, _: None) -> None:
-        tl = self.protocol.timeline
-        tl.moments = record_moment(tl.moments, "physical_awareness", t)
+        self.moments = record_moment(self.moments, "physical_awareness", t)
         self._emit(t, seq, "TruckArrival", [("moment", "physical_awareness")])
 
     # ------------------------------------------------------------------ ticks
@@ -330,20 +316,18 @@ class _Sim:
             chain = dispatch.chain
             for waiter in dispatch.waiters[dispatch.fresh:]:
                 self.joined.append((self.prog_outcomes[(waiter, program_id)], tick, chain))
-            if dispatch.local:
-                self._stage_local(dispatch, t)
-                continue
-            wire_issued = True
-            # u is in [0, 1), so only a positive loss can lose a dispatch
-            loss = self.sc.loss.get(dispatch.server_id, 0.0)
-            lost = loss > 0.0 and keyed_uniform(
-                self.seed,
-                dispatch.tick_index,
-                dispatch.server_id,
-                self.prog_index[dispatch.program.program_id],
-            ) < loss
-            if not lost:
-                self._stage_wire(dispatch, t, state)
+            if not dispatch.local:
+                wire_issued = True
+                # u is in [0, 1), so only a positive loss can lose a dispatch
+                loss = self.sc.loss.get(dispatch.server_id, 0.0)
+                if loss > 0.0 and keyed_uniform(
+                    self.seed,
+                    dispatch.tick_index,
+                    dispatch.server_id,
+                    self.prog_index[program_id],
+                ) < loss:
+                    continue  # never staged: its entry times out
+            self._stage(dispatch, t)
         if wire_issued:
             deadline = self.protocol.tick_time(tick + 1)
             if deadline <= self.end:
@@ -382,40 +366,26 @@ class _Sim:
         sample = self.link.sample_throughput(
             t, state.altitude, state.rotating, direction
         )
-        self.samples.append(
-            SampleLog(t=t, band=band_for(state.altitude, state.rotating), sample=sample)
-        )
+        self.samples.append(sample)
         return transfer_seconds(payload, sample)
 
-    def _stage_local(self, dispatch: Dispatch, t: float) -> None:
-        platform = self.sc.nodes[PLATFORM]
-        inst = self._new_instance(dispatch)
-        if dispatch.consumer == PLATFORM:
-            inst.t_proc = stage_time(dispatch.program.compute_cost, platform)
-            delay = inst.t_proc
-        else:
-            # local execution feeding a remote consumer still encodes/decodes
-            inst.t_enc = stage_time(dispatch.program.encode_cost, platform)
-            inst.t_dec = stage_time(dispatch.program.decode_cost, platform)
-            inst.t_proc = stage_time(dispatch.program.compute_cost, platform)
-            delay = inst.t_enc + inst.t_dec + inst.t_proc
-        self._push_staged(t + delay, self._on_compute_complete, inst)
-
-    def _stage_wire(self, dispatch: Dispatch, t: float, state: FlightState) -> None:
-        platform = self.sc.nodes[PLATFORM]
-        inst = self._new_instance(dispatch)
-        inst.t_enc = stage_time(dispatch.program.encode_cost, platform)
-        t_start = t + inst.t_enc
+    def _stage(self, dispatch: Dispatch, t: float) -> None:
+        """Stage one execution dispatched at t with the stage times pipeline
+        prices: local work runs them back to back on the platform; wire work
+        is encoded, then its input is sent to the executor."""
+        placement = PipelinePlacement(PLATFORM, dispatch.server_id, dispatch.consumer)
+        t_enc, t_dec, t_proc = stage_times(dispatch.program, placement, self.sc.nodes)
+        inst = _Instance(self.staged, dispatch, t_enc, 0.0, t_dec, t_proc)
+        self.staged += 1
+        if dispatch.local:
+            self._push_staged(t + (t_enc + t_dec + t_proc), self._on_compute_complete, inst)
+            return
+        t_start = t + t_enc
         leg = self._sample_leg(
             t_start, dispatch.program.input_payload, PLATFORM, dispatch.server_id
         )
         inst.t_comm += leg
         self._push_staged(t_start + leg, self._on_input_arrival, inst)
-
-    def _new_instance(self, dispatch: Dispatch) -> _Instance:
-        inst = _Instance(inst_id=self.staged, dispatch=dispatch)
-        self.staged += 1
-        return inst
 
     # --------------------------------------------------------------- handlers
 
@@ -429,9 +399,6 @@ class _Sim:
         dispatch = inst.dispatch
         if not self._live(dispatch):
             return
-        server = self.sc.nodes[dispatch.server_id]
-        inst.t_dec = stage_time(dispatch.program.decode_cost, server)
-        inst.t_proc = stage_time(dispatch.program.compute_cost, server)
         self._push_staged(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
         self._emit(
             t, seq, "TransferComplete",
@@ -475,9 +442,9 @@ class _Sim:
         self.delivered += 1
         fields: list[tuple[str, str]] = []
         if dispatch.local:
-            completed = self.protocol.note_local_result(dispatch, t)
+            self.protocol.note_result(dispatch, t)
         else:
-            completed = self.protocol.on_response(dispatch.key, t)
+            self.protocol.on_response(dispatch.key, t)
             fields.append(("resolved", _fmt_key(dispatch.key)))
         fields.append(("delivered", str(dispatch.consumer)))
         breakdown = inst.breakdown()
@@ -486,16 +453,13 @@ class _Sim:
             prog.breakdown = breakdown
             prog.delivered_at = t
             prog.status = "completed"
-        for task_id in completed:
-            self.task_outcomes[task_id].completed_at = t
         consumer_kind = self.sc.nodes[dispatch.consumer].kind
-        timeline = self.protocol.timeline
         if (
             dispatch.program.task_kind in _MONITORING_KINDS
             and consumer_kind in (NodeKind.ECS, NodeKind.GCS)
-            and timeline.moments.virtual_awareness is None
+            and self.moments.virtual_awareness is None
         ):
-            timeline.moments = record_moment(timeline.moments, "virtual_awareness", t)
+            self.moments = record_moment(self.moments, "virtual_awareness", t)
             fields.append(("moment", "virtual_awareness"))
         return fields
 
@@ -517,8 +481,7 @@ class _Sim:
         t = self.end
         flushed = self.protocol.flush_outstanding()
         self.protocol.try_advance(t)
-        timeline = self.protocol.timeline
-        timeline.moments = record_moment(timeline.moments, "termination", t)
+        self.moments = record_moment(self.moments, "termination", t)
         self._emit(
             t, self.seq, "Flush",
             [
@@ -538,6 +501,8 @@ class _Sim:
             prog.server = chain.server
         self.joined.clear()
         p = self.protocol
+        for task_id, completed_at in p.completed_tasks.items():
+            self.task_outcomes[task_id].completed_at = completed_at
         counts = {
             "requests": p.requests_issued,
             "request_messages": p.request_messages,
@@ -554,11 +519,11 @@ class _Sim:
             duration=self.sc.duration,
             t_int=self.sc.t_int,
             tasks=[self.task_outcomes[t.task_id] for t in self.sc.tasks],
-            moments=p.timeline.moments,
+            moments=self.moments,
             counts=counts,
             samples=self.samples,
             phase_log=list(p.phase_log),
-            final_t_pos=p.timeline.t_pos,
+            final_t_pos=p.t_pos,
         )
 
 
@@ -633,13 +598,13 @@ def samples_to_csv(metrics: MetricsRecord) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SAMPLES_COLUMNS)
-    for row in metrics.samples:
+    for sample in metrics.samples:
         writer.writerow([
-            _cell(row.t),
-            row.band.value,
-            row.sample.direction.value,
-            _cell(row.sample.throughput),
-            _cell(row.sample.one_way_delay),
+            _cell(sample.t),
+            sample.band.value,
+            sample.direction.value,
+            _cell(sample.throughput),
+            _cell(sample.one_way_delay),
         ])
     return buf.getvalue()
 

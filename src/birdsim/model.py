@@ -1,13 +1,14 @@
 """Domain types for the offloading simulator.
 
 Mission participants (aerial platform, edge and ground servers), offloadable
-programs, tasks, the mission timeline, and the incident's critical moments.
+programs, tasks, the mission timeline's phases, and the incident's critical
+moments.
 All times are seconds on a single mission clock whose epoch is 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -292,30 +293,3 @@ def record_moment(moments: CriticalMoments, which: str, t: float) -> CriticalMom
     if issue is not None:
         raise OrderingViolation(f"{which}={t}: {issue}")
     return candidate
-
-
-@dataclass
-class MissionTimeline:
-    """Ordered mission phases plus the current position and moment record."""
-
-    phases: list[Phase]
-    t_pos: int = 0
-    moments: CriticalMoments = field(default_factory=CriticalMoments)
-
-    def __post_init__(self) -> None:
-        if not self.phases:
-            raise ValueError("a timeline needs at least one phase")
-        if not 0 <= self.t_pos < len(self.phases):
-            raise ValueError("t_pos out of range")
-
-    @property
-    def current_phase(self) -> Phase:
-        return self.phases[self.t_pos]
-
-    def advance_to(self, new_pos: int) -> None:
-        # Monotone: the mission never moves backwards through its phases.
-        if new_pos < self.t_pos:
-            raise ValueError("timeline position may only advance")
-        if new_pos >= len(self.phases):
-            raise ValueError("timeline position out of range")
-        self.t_pos = new_pos

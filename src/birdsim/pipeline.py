@@ -4,7 +4,9 @@ A placement names where the input originates, where the program runs, and
 where the result is used. The end-to-end figure is the exact sum of four
 stages: encode at the source, communication over the wireless hops, decode at
 the executor, and processing at the executor. A fully local placement skips
-everything but processing.
+everything but processing. stage_times is shared by the policy's prediction
+(e2e_latency) and the engine's staging, so the two differ only in the link
+legs, which the engine samples when each leg starts.
 """
 
 from __future__ import annotations
@@ -108,6 +110,28 @@ def comm_time(
     return t_comm
 
 
+def stage_times(
+    program: ProgramSpec,
+    placement: PipelinePlacement,
+    nodes: Mapping[int, NodeProfile],
+) -> tuple[float, float, float]:
+    """(t_enc, t_dec, t_proc) of one execution.
+
+    A local placement costs processing only. Any other placement is charged
+    encode at the source, and decode and processing at the executor.
+    """
+    executor = _node(nodes, placement.executor)
+    if placement.local:
+        return 0.0, 0.0, stage_time(program.compute_cost, executor)
+    source = _node(nodes, placement.source)
+    _node(nodes, placement.consumer)
+    return (
+        stage_time(program.encode_cost, source),
+        stage_time(program.decode_cost, executor),
+        stage_time(program.compute_cost, executor),
+    )
+
+
 def e2e_latency(
     program: ProgramSpec,
     placement: PipelinePlacement,
@@ -115,26 +139,7 @@ def e2e_latency(
     link: LinkModel,
     state: FlightState,
 ) -> LatencyBreakdown:
-    """Predict the four-stage latency of one program execution.
-
-    Local placements cost only processing. Otherwise encode is charged to the
-    source, decode and processing to the executor, and the wireless legs as
-    comm_time charges them.
-    """
-    executor = _node(nodes, placement.executor)
-    if placement.local:
-        return LatencyBreakdown(
-            t_enc=0.0,
-            t_comm=0.0,
-            t_dec=0.0,
-            t_proc=stage_time(program.compute_cost, executor),
-        )
-    source = _node(nodes, placement.source)
-    _node(nodes, placement.consumer)
-    t_comm = comm_time(program, placement, link, state)
-    return LatencyBreakdown(
-        t_enc=stage_time(program.encode_cost, source),
-        t_comm=t_comm,
-        t_dec=stage_time(program.decode_cost, executor),
-        t_proc=stage_time(program.compute_cost, executor),
-    )
+    """Predict the four-stage latency of one program execution: the stage
+    times plus the wireless legs as comm_time charges them."""
+    t_enc, t_dec, t_proc = stage_times(program, placement, nodes)
+    return LatencyBreakdown(t_enc, comm_time(program, placement, link, state), t_dec, t_proc)

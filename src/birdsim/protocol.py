@@ -4,7 +4,10 @@ Every update interval the platform bundles the programs of due tasks into one
 request per chosen server. The timeline position may only advance once the
 current interval's requests have all been answered or timed out; a timed-out
 program re-enters the next interval's matching with the failed server
-excluded once.
+excluded once. The protocol state owns the timeline position and task
+completion: a task completes when the result of its last program is
+delivered, through on_response for a wire result and note_result for a local
+one.
 
 A timed-out dispatch is retried on the very next tick: the Timeout for tick k
 is pushed before Tick k+1 at the same time, so it always runs first. Each
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .channel import Band, FlightState, LinkModel, OutOfMeasuredRange, band_for
-from .model import PLATFORM, MissionTimeline, NodeProfile, PhasePredicate, ProgramSpec, Task
+from .model import PLATFORM, NodeProfile, Phase, PhasePredicate, ProgramSpec, Task
 from .policy import (
     NoCapableServer,
     ProgramTableEntry,
@@ -88,14 +91,16 @@ class _WorkItem:
 class ProtocolState:
     """Mutable state of the update loop; driven by the engine's events.
 
-    The server tables, fleet, programs and variance-free link are fixed for
-    the whole run.
+    It owns the timeline position (t_pos, an index into phases, which only
+    moves forward) and task completion (completed_tasks). The phases, server
+    tables, fleet, programs and variance-free link are fixed for the whole
+    run.
     """
 
     def __init__(
         self,
         t_int: float,
-        timeline: MissionTimeline,
+        phases: Sequence[Phase],
         tables: Sequence[ProgramTableEntry],
         nodes: Mapping[int, NodeProfile],
         programs: Mapping[str, ProgramSpec],
@@ -103,8 +108,11 @@ class ProtocolState:
     ):
         if not t_int > 0:
             raise ValueError("t_int must be positive")
+        if not phases:
+            raise ValueError("a timeline needs at least one phase")
         self.t_int = float(t_int)
-        self.timeline = timeline
+        self.phases = phases
+        self.t_pos = 0
         self.tables = tables
         self.nodes = nodes
         self.programs = programs
@@ -245,22 +253,19 @@ class ProtocolState:
 
     # -------------------------------------------------------------- responses
 
-    def on_response(self, key: EntryKey, t: float) -> list[str]:
-        """Resolve one outstanding entry answered at t; returns the tasks
-        completed by this result."""
+    def on_response(self, key: EntryKey, t: float) -> None:
+        """Resolve one outstanding entry answered at t and credit its result."""
         dispatch = self.outstanding.pop(key, None)
         if dispatch is None:
             raise UnknownResponse(key)
         self.responses_received += 1
-        return self._mark_result(dispatch, t)
+        self.note_result(dispatch, t)
 
-    def note_local_result(self, dispatch: Dispatch, t: float) -> list[str]:
-        """Credit a locally executed program (no wire entry to resolve)."""
-        return self._mark_result(dispatch, t)
-
-    def _mark_result(self, dispatch: Dispatch, t: float) -> list[str]:
+    def note_result(self, dispatch: Dispatch, t: float) -> None:
+        """Credit a program result delivered at t: a waiter whose last
+        program this was completes at t. A wire result comes through
+        on_response, which first resolves its entry."""
         self.completed_programs.add(dispatch.program.program_id)
-        newly_done = []
         for task_id in dispatch.waiters:
             remaining = self._remaining.get(task_id)
             if remaining is None or task_id in self.completed_tasks:
@@ -268,8 +273,6 @@ class ProtocolState:
             remaining.discard(dispatch.program.program_id)
             if not remaining:
                 self.completed_tasks[task_id] = t
-                newly_done.append(task_id)
-        return newly_done
 
     # --------------------------------------------------------------- timeouts
 
@@ -324,14 +327,12 @@ class ProtocolState:
             key[0] == self.current_tick for key in self.outstanding
         ):
             return 0
-        timeline = self.timeline
         moved = 0
         while (
-            timeline.t_pos < len(timeline.phases) - 1
-            and self._predicate_holds(timeline.current_phase.completes_when, t)
+            self.t_pos < len(self.phases) - 1
+            and self._predicate_holds(self.phases[self.t_pos].completes_when, t)
         ):
-            old = timeline.t_pos
-            timeline.advance_to(old + 1)
-            self.phase_log.append((t, old, timeline.t_pos))
+            self.t_pos += 1
+            self.phase_log.append((t, self.t_pos - 1, self.t_pos))
             moved += 1
         return moved

@@ -19,6 +19,7 @@ import yaml
 
 from .channel import (
     MAX_ALTITUDE_M,
+    SEED_BOUND,
     Band,
     LinkBandParams,
     default_link_params,
@@ -572,6 +573,8 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
     duration = _num(doc, "duration_s", "scenario", required=True, positive=True)
     t_int = _num(doc, "update_interval_s", "scenario", default=1.0, positive=True)
     seed = _int(doc, "seed", "scenario", default=0, minimum=0)
+    if seed >= SEED_BOUND:
+        raise SchemaError("scenario.seed: must be < 2**128")
 
     programs = _parse_programs(doc)
     nodes = _parse_nodes(doc, programs)

@@ -241,6 +241,56 @@ def test_feasibility_rejects_bad_input(capsys):
     assert capsys.readouterr().err.count("error:") == 4
 
 
+@pytest.mark.parametrize("spec", ["nan,high", "1e400", "inf,low"])
+def test_feasibility_rejects_a_non_finite_bitrate(capsys, spec):
+    assert main(["--feasibility", spec]) == 1
+    bitrate = spec.split(",")[0]
+    assert capsys.readouterr().err == f"error: bitrate {bitrate!r} is not finite\n"
+
+
+# --------------------------------------------------------------------- seeds
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**128 + 5],
+                         ids=["negative", "key-bound", "past-key-bound"])
+def test_seed_outside_the_generator_key_exits_one(tmp_path, capsys, scenario_path, seed):
+    out = tmp_path / "o"
+    rc = main(["--scenario", str(scenario_path), "--out", str(out), "--seed", str(seed)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**128), got {seed}\n"
+    assert not out.exists()
+
+
+def test_seeds_at_the_ends_of_the_key_range_run(tmp_path, scenario_path):
+    for seed in (0, 2**128 - 1):
+        out = tmp_path / str(seed)
+        assert main(["--scenario", str(scenario_path), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("base_seed, replicates, ok", [
+    (2**128 - 2, 2, True), (2**128 - 1, 2, False), (2**128, 1, False),
+], ids=["last-seed-in-key", "last-seed-past-key", "base-seed-past-key"])
+def test_sweep_seeds_stay_inside_the_generator_key(tmp_path, capsys, base_seed,
+                                                  replicates, ok):
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [4.0], "replicates": replicates,
+        "base_seed": base_seed,
+    })
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    rc = main(["--scenario", scenario, "--sweep", spec, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if ok:
+        assert rc == 0
+        rows = list(csv.DictReader((tmp_path / "o" / "sweep_rows.csv").open()))
+        assert [int(r["seed"]) for r in rows] == [2**128 - 2, 2**128 - 1]
+    else:
+        assert rc == 1
+        assert err == (f"error: {spec}: base_seed + replicates - 1 "
+                       "must be < 2**128\n")
+
+
 # ---------------------------------------------------------------- exit codes
 
 

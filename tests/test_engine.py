@@ -29,6 +29,7 @@ from birdsim import (
     Task,
     Waypoint,
     candidates_for,
+    default_link_params,
     e2e_latency,
     load_scenario,
     metrics_to_csv,
@@ -280,6 +281,50 @@ def test_noise_free_run_matches_the_static_prediction():
     assert counts["timeouts"] == 0
 
 
+CAPACITIES = st.floats(0.5, 1000.0)
+COSTS = st.one_of(st.just(0.0), st.floats(0.1, 100.0))
+PAYLOADS = st.one_of(st.just(0.0), st.floats(1e3, 1e7))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_the_engine_realizes_what_pipeline_prices(data):
+    """A one-task mission without link noise, on one waypoint, whose ticks
+    are far apart: the delivered breakdown is exactly the pipeline's price
+    of the placement the policy chose, whatever the stages, the executor,
+    the consumer and the link band."""
+    program = ProgramSpec(
+        "p", "object_detection", compute_cost=data.draw(COSTS),
+        input_payload=data.draw(PAYLOADS), output_payload=data.draw(PAYLOADS),
+        encode_cost=data.draw(COSTS), decode_cost=data.draw(COSTS))
+    cached = data.draw(st.booleans())
+    servers = data.draw(st.lists(st.sampled_from((1, 2)), unique=True,
+                                 min_size=0 if cached else 1))
+    consumer = data.draw(st.sampled_from((0, 1, 2)))
+    nodes = {
+        0: NodeProfile(0, NodeKind.UAV5GP, data.draw(CAPACITIES), mobile=True,
+                       cached_programs=frozenset({"p"} if cached else ()),
+                       battery_budget=1200.0),
+        1: NodeProfile(1, NodeKind.ECS, data.draw(CAPACITIES)),
+        2: NodeProfile(2, NodeKind.GCS, data.draw(CAPACITIES)),
+    }
+    altitude = data.draw(st.sampled_from((20.0, 80.0)))  # low and high bands
+    sc = make_scenario(
+        duration=1000.0, t_int=2000.0, nodes=nodes, programs={"p": program},
+        tables=tuple(ProgramTableEntry(s, "p") for s in servers),
+        tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=consumer),),
+        bands=default_link_params(),
+        flight_plan=(Waypoint(0.0, altitude, data.draw(st.booleans())),),
+    )
+    prog = run(sc).metrics.tasks[0].programs[0]
+    assert prog.status == "completed"
+    mean_link = LinkModel(bands=sc.bands, floor_mbps=sc.floor_mbps, variance_scale=0.0,
+                          one_way_fraction=sc.one_way_fraction)
+    assert prog.breakdown == e2e_latency(
+        program, PipelinePlacement(0, prog.server, consumer), sc.nodes, mean_link,
+        flight_state_at(sc, 0.0))
+
+
 def test_late_tasks_wait_for_their_tick():
     sc = make_scenario(tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 3.0,
                                    consumer=1),))
@@ -509,6 +554,19 @@ def test_out_of_envelope_altitude_aborts_only_where_a_link_is_priced():
         flight_plan=too_high, nodes=nodes, tables=(),
         tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0),)))
     assert local.metrics.tasks_completed() == 1
+
+
+def test_a_chosen_server_without_a_profile_aborts_at_its_tick():
+    # load_scenario rejects a table entry for an unknown node; a hand-built
+    # one competes through its advertised latency, wins, and aborts the run
+    # when its execution is staged, before the Tick is recorded
+    sc = make_scenario(tables=(ProgramTableEntry(3, "p", advertised_latency=0.01),))
+    with pytest.raises(RunAborted) as err:
+        run(sc)
+    assert str(err.value) == "UnknownNode: 3"
+    kinds = [record_fields(line)["kind"] for line in err.value.trace]
+    assert kinds == ["TaskIssued", "FlightWaypoint", "Abort"]
+    assert record_fields(err.value.trace[-1])["t"] == "0.0"
 
 
 # ---------------------------------------------------------------------- loss

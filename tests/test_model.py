@@ -8,7 +8,6 @@ from birdsim import (
     NodeKind,
     NodeProfile,
     Origin,
-    Phase,
     PhasePredicate,
     ProgramSpec,
     Task,
@@ -19,7 +18,6 @@ from birdsim.model import (
     PRE_ARRIVAL_BUDGET_S,
     AlreadySet,
     CriticalMoments,
-    MissionTimeline,
     OrderingViolation,
     record_moment,
     validate_fleet,
@@ -191,19 +189,3 @@ def test_moments_never_accept_regression(a, b):
             record_moment(m, "reported", lo)
     else:
         record_moment(m, "reported", lo)
-
-
-# ----------------------------------------------------------------- timeline
-
-
-def test_timeline_advance_is_monotone_and_bounded():
-    tl = MissionTimeline(phases=[Phase("a"), Phase("b"), Phase("c")])
-    assert tl.current_phase.phase_id == "a"
-    tl.advance_to(1)
-    assert tl.t_pos == 1
-    with pytest.raises(ValueError):
-        tl.advance_to(0)
-    with pytest.raises(ValueError):
-        tl.advance_to(3)
-    tl.advance_to(2)
-    assert tl.current_phase.phase_id == "c"

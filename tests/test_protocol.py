@@ -14,7 +14,6 @@ from birdsim import (
     Task,
     default_profiles,
 )
-from birdsim.model import MissionTimeline
 from birdsim.protocol import ProtocolState, UnknownResponse
 
 from conftest import make_flat_bands
@@ -29,20 +28,16 @@ def make_program(pid, compute=40.0, inp=1e6, out=1e5):
 PROGRAMS = {pid: make_program(pid) for pid in ("a", "b")}
 
 
-def make_timeline(predicate=None):
-    return MissionTimeline([
-        Phase("first", completes_when=predicate),
-        Phase("second"),
-    ])
-
-
 def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
-               t_int=2.0, predicate=None, timeline=None):
+               t_int=2.0, predicate=None, phases=None):
     """Update-loop state over fixed tables, fleet (default: the default
-    profiles), programs and link (default: variance-free)."""
+    profiles), programs and link (default: variance-free); the phases default
+    to "first", which completes when predicate holds, then "second"."""
+    if phases is None:
+        phases = (Phase("first", completes_when=predicate), Phase("second"))
     return ProtocolState(
         t_int=t_int,
-        timeline=timeline or make_timeline(predicate),
+        phases=phases,
         tables=tables,
         nodes=default_profiles() if nodes is None else nodes,
         programs=programs,
@@ -51,7 +46,7 @@ def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
 
 
 def respond(ps, dispatch, t):
-    return ps.on_response(dispatch.key, t)
+    ps.on_response(dispatch.key, t)
 
 
 def task(task_id, programs=("a",), issue=0.0, consumer=0):
@@ -104,9 +99,8 @@ def test_local_execution_sends_no_wire_request(ground_state):
     assert outcome.messages == 0
     assert ps.requests_issued == 0
     assert ps.outstanding == {}
-    done = ps.note_local_result(outcome.dispatches[0], 0.5)
-    assert done == ["t1"]
-    assert ps.completed_tasks["t1"] == 0.5
+    ps.note_result(outcome.dispatches[0], 0.5)
+    assert ps.completed_tasks == {"t1": 0.5}
 
 
 def test_distinct_servers_get_one_bundled_request_each(ground_state):
@@ -139,8 +133,7 @@ def test_shared_program_merges_into_one_dispatch(ground_state):
     assert dispatch.waiters == ("t1", "t2")
     assert ps.requests_issued == 1
     assert outcome.messages == 1
-    done = respond(ps, dispatch, 0.7)
-    assert done == ["t1", "t2"]
+    respond(ps, dispatch, 0.7)
     assert ps.completed_tasks == {"t1": 0.7, "t2": 0.7}
 
 
@@ -152,8 +145,8 @@ def test_response_resolves_the_outstanding_entry(ground_state):
     outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     dispatch = outcome.dispatches[0]
     assert dispatch.key in ps.outstanding
-    done = respond(ps, dispatch, 0.9)
-    assert done == ["t1"]
+    respond(ps, dispatch, 0.9)
+    assert ps.completed_tasks == {"t1": 0.9}
     assert ps.outstanding == {}
     assert ps.responses_received == 1
 
@@ -173,11 +166,10 @@ def test_partial_results_do_not_complete_the_task(ground_state):
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
-    done = respond(ps, by_pid["a"], 0.5)
-    assert done == []
-    assert "t1" not in ps.completed_tasks
-    done = respond(ps, by_pid["b"], 0.8)
-    assert done == ["t1"]
+    respond(ps, by_pid["a"], 0.5)
+    assert ps.completed_tasks == {}
+    respond(ps, by_pid["b"], 0.8)
+    assert ps.completed_tasks == {"t1": 0.8}
 
 
 # ------------------------------------------------------------------ timeouts
@@ -288,11 +280,11 @@ def test_outstanding_entries_gate_the_timeline(ground_state):
                     predicate=PhasePredicate("elapsed", 0.0))
     outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     assert ps.try_advance(0.1) == 0
-    assert ps.timeline.t_pos == 0
+    assert ps.t_pos == 0
     assert ps.phase_log == []
     respond(ps, outcome.dispatches[0], 0.4)
     assert ps.try_advance(0.4) == 1
-    assert ps.timeline.t_pos == 1
+    assert ps.t_pos == 1
     assert ps.phase_log == [(0.4, 0, 1)]
 
 
@@ -301,7 +293,7 @@ def test_false_predicate_holds_the_ungated_timeline(ground_state):
     for t in (0.0, 2.0, 4.0):
         ps.on_tick(t, [], ground_state)
         assert ps.try_advance(t) == 0
-    assert ps.timeline.t_pos == 0
+    assert ps.t_pos == 0
     assert ps.phase_log == []
 
 
@@ -311,7 +303,7 @@ def test_task_completion_predicate_advances_after_the_result(ground_state):
     outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     respond(ps, outcome.dispatches[0], 0.6)
     assert ps.try_advance(0.6) == 1
-    assert ps.timeline.t_pos == 1
+    assert ps.t_pos == 1
 
 
 def test_elapsed_predicate_waits_for_its_time(ground_state):
@@ -325,13 +317,30 @@ def test_elapsed_predicate_waits_for_its_time(ground_state):
 
 
 def test_chained_ready_phases_advance_together(ground_state):
-    timeline = MissionTimeline([
+    ps = make_state(phases=(
         Phase("one", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("two", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("three"),
-    ])
-    ps = make_state(timeline=timeline)
+    ))
     ps.on_tick(0.0, [], ground_state)
     assert ps.try_advance(1.0) == 2
-    assert ps.timeline.t_pos == 2
+    assert ps.t_pos == 2
     assert ps.phase_log == [(1.0, 0, 1), (1.0, 1, 2)]
+
+
+def test_timeline_advance_is_monotone_and_bounded(ground_state):
+    ps = make_state(phases=tuple(
+        Phase(pid, completes_when=PhasePredicate("always")) for pid in "abc"))
+    assert ps.t_pos == 0
+    ps.on_tick(0.0, [], ground_state)
+    assert ps.try_advance(0.0) == 2
+    # the last phase is never left, even though its predicate holds
+    assert ps.phases[ps.t_pos].phase_id == "c"
+    assert ps.try_advance(1.0) == 0
+    assert ps.t_pos == 2
+    assert ps.phase_log == [(0.0, 0, 1), (0.0, 1, 2)]
+
+
+def test_a_timeline_needs_a_phase():
+    with pytest.raises(ValueError, match="at least one phase"):
+        make_state(phases=())

@@ -170,6 +170,14 @@ def test_wrong_types_name_the_field():
         load_scenario(with_(lambda d: d.update(seed=-1)))
 
 
+def test_seed_is_bounded_by_the_generator_key():
+    # seed and seed + 2**128 would key the same draws
+    assert load_scenario(with_(lambda d: d.update(seed=2**128 - 1))).seed == 2**128 - 1
+    for seed in (2**128, 2**128 + 5):
+        with pytest.raises(SchemaError, match=r"^scenario\.seed: must be < 2\*\*128$"):
+            load_scenario(with_(lambda d: d.update(seed=seed)))
+
+
 @pytest.mark.parametrize("mutate, path", [
     (lambda d: d.update(site=5), "site"),
     (lambda d: d.update(description=3), "scenario.description"),

@@ -1,14 +1,24 @@
-"""The repository's tools: the parent/change pairs summary."""
+"""The repository's tools: the parent/change pairs summary and the byte
+check of two checkouts."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_tool("bench_pairs")
+artifact_digests = load_tool("artifact_digests")
 
 
 def result(mission_s, rss_mb, failed=0):
@@ -63,3 +73,25 @@ def test_one_pair_has_degenerate_quartiles():
     summary = bench_pairs.summarize(PAIRS[:1], {"mission_s": "lower"})
     parent = summary["metrics"]["mission_s"]["parent"]
     assert parent["q1"] == parent["median"] == parent["q3"] == 0.060
+
+
+# ---------------------------------------------------------- artifact digests
+
+
+def test_the_reference_digest_is_the_golden_trace():
+    wl = artifact_digests.load_workloads(ROOT).build("reference", 1, ROOT)
+    golden = (ROOT / "tests" / "golden" / "urban_fire_trace.log").read_bytes()
+    digests = artifact_digests.run_digests(wl, 1.0, 1.0)
+    assert digests["trace"] == hashlib.sha256(golden).hexdigest()
+    assert sorted(digests) == ["metrics", "samples", "summary", "trace"]
+
+
+def test_compare_names_every_differing_or_one_sided_key():
+    parent = {"a trace": "1", "a samples": "2", "b trace": "3"}
+    change = {"a trace": "1", "a samples": "9", "c trace": "4"}
+    assert artifact_digests.compare(parent, change) == [
+        "a samples: parent 2 change 9",
+        "b trace: parent 3 change missing",
+        "c trace: parent missing change 4",
+    ]
+    assert artifact_digests.compare(parent, dict(parent)) == []
