@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,101 +32,21 @@ from .engine import (
     trace_to_text,
 )
 from .scenario import (
-    InvariantViolation,
     Scenario,
     ScenarioError,
-    SchemaError,
     Waypoint,
-    _float,
-    _int,
     load_scenario,
-    read_yaml,
+    load_sweep_spec,
 )
 
 log = logging.getLogger("birdsim.cli")
 
-SWEEP_PARAMETERS = (
-    "update_interval",
-    "payload_scale",
-    "altitude_profile",
-    "link_variance_scale",
-)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter experiment plan: values × replicates."""
-
-    parameter: str
-    values: tuple[float, ...]
-    replicates: int
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
-                f"parameter must be one of {list(SWEEP_PARAMETERS)}, "
-                f"got {self.parameter!r}"
-            )
-        if not self.values:
-            raise ValueError("values must be non-empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if self.seed_for(self.replicates - 1) >= SEED_BOUND:
-            raise ValueError("base_seed + replicates - 1 must be < 2**128")
-
-    def seed_for(self, replicate: int) -> int:
-        return self.base_seed + replicate
-
-
-def load_sweep_spec(path: str | Path) -> SweepSpec:
-    p = Path(path)
-    if not p.exists():
-        raise SchemaError(f"sweep spec file not found: {p}")
-    doc = read_yaml(p)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{p}: expected a mapping at top level")
-    unknown = set(doc) - {"parameter", "values", "replicates", "base_seed"}
-    if unknown:
-        raise SchemaError(f"{p}: unknown keys {sorted(unknown)}")
-    raw_values = doc.get("values")
-    if not isinstance(raw_values, list):
-        raise SchemaError(f"{p}: values: expected a list")
-    values = []
-    for i, v in enumerate(raw_values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{p}: values[{i}]: expected a number")
-        v = _float(v)
-        if not math.isfinite(v):
-            raise SchemaError(f"{p}: values[{i}]: must be finite, got {v}")
-        values.append(v)
-    try:
-        replicates = _int(doc, "replicates", "sweep", default=1, minimum=1)
-        base_seed = _int(doc, "base_seed", "sweep", default=0, minimum=0)
-    except SchemaError as exc:
-        raise SchemaError(f"{p}: {exc}") from None
-    try:
-        return SweepSpec(
-            parameter=str(doc.get("parameter", "")),
-            values=tuple(values),
-            replicates=replicates,
-            base_seed=base_seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{p}: {exc}") from None
-
-
 def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
-    """Return a copy of the scenario with one swept parameter overridden."""
+    """Return a copy of the scenario with one swept parameter overridden;
+    load_sweep_spec has checked the parameter and the value's range."""
     if parameter == "update_interval":
-        if value <= 0:
-            raise InvariantViolation(f"update_interval value must be > 0, got {value}")
         return replace(scenario, t_int=value)
     if parameter == "payload_scale":
-        if value < 0:
-            raise InvariantViolation(f"payload_scale value must be >= 0, got {value}")
         programs = {
             pid: replace(
                 p,
@@ -138,24 +58,16 @@ def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scena
         return replace(scenario, programs=programs)
     if parameter == "altitude_profile":
         # the value is a constant mission altitude in meters
-        if not 0 <= value <= 100:
-            raise InvariantViolation(
-                f"altitude_profile value must be within [0, 100] m, got {value}"
-            )
         return replace(scenario, flight_plan=(Waypoint(0.0, value),))
-    if parameter == "link_variance_scale":
-        if value < 0:
-            raise InvariantViolation(
-                f"link_variance_scale value must be >= 0, got {value}"
-            )
-        return replace(scenario, variance_scale=value)
-    raise InvariantViolation(f"unknown sweep parameter {parameter!r}")
+    # link_variance_scale
+    return replace(scenario, variance_scale=value)
 
 
 # ------------------------------------------------------------------ commands
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text)
 
 
@@ -165,9 +77,13 @@ def _fmt_opt(value: float | None) -> str:
 
 def cmd_run(scenario_path: str, seed: int | None, out_dir: str, fmt: str) -> int:
     scenario = load_scenario(scenario_path)
-    result = run(scenario, seed=seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        result = run(scenario, seed=seed)
+    except RunAborted as exc:
+        # the partial trace, ending in its Abort record, and nothing else
+        _write(out, "trace.log", trace_to_text(exc.trace))
+        raise
     _write(out, "trace.log", trace_to_text(result.trace))
     if fmt in ("csv", "both"):
         _write(out, "metrics.csv", metrics_to_csv(result.metrics))
@@ -219,7 +135,7 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
         comm_means: list[float] = []
         completed_counts: list[int] = []
         for rep in range(spec.replicates):
-            seed = spec.seed_for(rep)
+            seed = spec.base_seed + rep
             result: RunResult = run(scenario, seed=seed)
             m = result.metrics
             mean_e2e = m.mean_t_e2e()
@@ -247,7 +163,6 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
         ])
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write(out, "sweep_rows.csv", rows_buf.getvalue())
     _write(out, "sweep_aggregate.csv", agg_buf.getvalue())
     print(
@@ -384,6 +299,11 @@ def _configure_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
+    if args.seed is not None and (args.sweep is not None or args.feasibility is not None):
+        mode = "--sweep" if args.sweep is not None else "--feasibility"
+        print(f"error: --seed applies to single runs only; it cannot be combined "
+              f"with {mode}", file=sys.stderr)
+        return 1
     if args.seed is not None and not 0 <= args.seed < SEED_BOUND:
         print(f"error: --seed must be in [0, 2**128), got {args.seed}", file=sys.stderr)
         return 1

@@ -49,8 +49,9 @@ class AlreadySet(Exception):
 class NodeProfile:
     """One mission participant: the aerial platform or a server.
 
-    location and mobile are carried and checked but not simulated: no link leg
-    or decision reads them.
+    load_scenario checks the fleet's rules; a hand-built profile is taken as
+    given. location and mobile are carried but not simulated: no link leg or
+    decision reads them.
     """
 
     node_id: int
@@ -60,50 +61,6 @@ class NodeProfile:
     mobile: bool = False
     cached_programs: frozenset[str] = frozenset()
     battery_budget: float | None = None  # flight seconds, aerial nodes only
-
-
-def validate_node(profile: NodeProfile) -> str | None:
-    """Check one profile's invariants; return the first violation or None.
-
-    Fleet-level constraints (unique ids, exactly one aerial platform) live in
-    validate_fleet.
-    """
-    if not isinstance(profile.node_id, int) or profile.node_id < 0:
-        return "node_id must be a non-negative integer"
-    if profile.node_id == PLATFORM and profile.kind is not NodeKind.UAV5GP:
-        return "server index 0 is reserved for the aerial platform"
-    if profile.kind is NodeKind.UAV5GP and profile.node_id != PLATFORM:
-        return "the aerial platform must be server index 0"
-    if not profile.compute_capacity > 0:
-        return "compute_capacity must be positive"
-    if len(profile.location) != 3:
-        return "location must be an (x, y, z) triple"
-    if profile.kind is NodeKind.UAV5GP:
-        if profile.battery_budget is None:
-            return "the aerial platform needs a battery_budget"
-        if not profile.battery_budget > 0:
-            return "battery_budget must be positive"
-        if profile.battery_budget > PRE_ARRIVAL_BUDGET_S:
-            return "battery_budget exceeds pre-arrival budget"
-    elif profile.battery_budget is not None:
-        return "battery_budget applies only to the aerial platform"
-    return None
-
-
-def validate_fleet(nodes: dict[int, NodeProfile]) -> str | None:
-    """Check the node set as a whole; return the first violation or None."""
-    if not nodes:
-        return "at least one node is required"
-    for node_id, profile in nodes.items():
-        if node_id != profile.node_id:
-            return f"node {node_id}: key does not match profile node_id"
-        issue = validate_node(profile)
-        if issue is not None:
-            return f"node {node_id}: {issue}"
-    aerial = [n for n in nodes.values() if n.kind is NodeKind.UAV5GP]
-    if PLATFORM not in nodes or len(aerial) != 1:
-        return "exactly one node must be the aerial platform at index 0"
-    return None
 
 
 def default_profiles() -> dict[int, NodeProfile]:

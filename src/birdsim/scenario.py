@@ -34,7 +34,6 @@ from .model import (
     PhasePredicate,
     ProgramSpec,
     Task,
-    validate_fleet,
 )
 from .policy import ProgramTableEntry
 
@@ -128,13 +127,18 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _float(value: int | float) -> float:
-    """value as a float; an int beyond float range becomes an infinity, which
-    the finiteness checks then reject by field path."""
+def _real(value: Any, path: str) -> float:
+    """value as a finite float: a number, not a bool, and neither NaN nor
+    infinite. An int beyond float range counts as infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: must be finite, got {value}")
+    return value
 
 
 def _reject_unknown(doc: Mapping, allowed: set[str], path: str) -> None:
@@ -149,12 +153,7 @@ def _num(doc: Mapping, key: str, path: str, *, default=None, required=False,
         if required:
             raise SchemaError(f"{path}.{key}: required")
         return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number, got {_type_name(value)}")
-    value = _float(value)
-    if not math.isfinite(value):
-        raise SchemaError(f"{path}.{key}: must be finite, got {value}")
+    value = _real(doc[key], f"{path}.{key}")
     if positive and not value > 0:
         raise SchemaError(f"{path}.{key}: must be positive")
     if minimum is not None and value < minimum:
@@ -218,6 +217,8 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
             path,
         )
         node_id = _int(raw, "node_id", path, required=True, minimum=0)
+        if node_id in nodes:
+            raise InvariantViolation(f"{path}.node_id: duplicate node id {node_id}")
         kind_raw = _str(raw, "kind", path, required=True)
         try:
             kind = NodeKind(kind_raw)
@@ -225,14 +226,32 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
             raise SchemaError(
                 f"{path}.kind: expected one of {[k.value for k in NodeKind]}"
             ) from None
-        location = raw.get("location", [0.0, 0.0, 0.0])
-        loc_list = _as_list(location, f"{path}.location")
-        if len(loc_list) != 3 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(_float(v))
-            for v in loc_list
-        ):
-            raise SchemaError(f"{path}.location: expected [x, y, z] finite numbers")
+        if (node_id == PLATFORM) != (kind is NodeKind.UAV5GP):
+            raise InvariantViolation(
+                f"{path}.kind: node {PLATFORM}, and only node {PLATFORM}, is the "
+                f"aerial platform ({NodeKind.UAV5GP.value}); node {node_id} is "
+                f"{kind.value}"
+            )
+        loc_list = _as_list(raw.get("location", [0.0, 0.0, 0.0]), f"{path}.location")
+        if len(loc_list) != 3:
+            raise SchemaError(f"{path}.location: expected [x, y, z], got {len(loc_list)} items")
+        location = tuple(_real(v, f"{path}.location[{j}]") for j, v in enumerate(loc_list))
+        capacity = _num(raw, "compute_capacity", path, required=True)
+        if not capacity > 0:
+            raise InvariantViolation(f"{path}.compute_capacity: must be positive")
+        battery = _num(raw, "battery_budget_s", path)
+        if kind is not NodeKind.UAV5GP:
+            if battery is not None:
+                raise InvariantViolation(
+                    f"{path}.battery_budget_s: applies only to the aerial platform"
+                )
+        elif battery is None:
+            battery = PRE_ARRIVAL_BUDGET_S
+        elif not 0 < battery <= PRE_ARRIVAL_BUDGET_S:
+            raise InvariantViolation(
+                f"{path}.battery_budget_s: must be in (0, {PRE_ARRIVAL_BUDGET_S}], "
+                f"got {battery}"
+            )
         cached = _as_list(raw.get("cached_programs", []), f"{path}.cached_programs")
         for j, pid in enumerate(cached):
             if not isinstance(pid, str):
@@ -241,23 +260,20 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
                 raise DanglingReference(
                     f"{path}.cached_programs[{j}]: unknown program {pid!r}"
                 )
-        if node_id in nodes:
-            raise InvariantViolation(f"{path}.node_id: duplicate node id {node_id}")
-        battery = _num(raw, "battery_budget_s", path)
-        if battery is None and kind is NodeKind.UAV5GP:
-            battery = PRE_ARRIVAL_BUDGET_S
         nodes[node_id] = NodeProfile(
             node_id=node_id,
             kind=kind,
-            compute_capacity=_num(raw, "compute_capacity", path, required=True) or 0.0,
-            location=tuple(float(v) for v in loc_list),
+            compute_capacity=capacity,
+            location=location,
             mobile=_bool(raw, "mobile", path),
             cached_programs=frozenset(cached),
             battery_budget=battery,
         )
-    issue = validate_fleet(nodes)
-    if issue is not None:
-        raise InvariantViolation(f"nodes: {issue}")
+    if PLATFORM not in nodes:
+        raise InvariantViolation(
+            f"nodes: the aerial platform (node {PLATFORM}, {NodeKind.UAV5GP.value}) "
+            "is required"
+        )
     return nodes
 
 
@@ -275,18 +291,18 @@ def _parse_programs(doc: Mapping) -> dict[str, ProgramSpec]:
         program_id = _ident(raw, "program_id", path)
         if program_id in programs:
             raise InvariantViolation(f"{path}.program_id: duplicate {program_id!r}")
-        try:
-            programs[program_id] = ProgramSpec(
-                program_id=program_id,
-                task_kind=_str(raw, "task_kind", path, default="other") or "other",
-                compute_cost=_num(raw, "compute_cost", path, default=0.0, minimum=0.0),
-                input_payload=_num(raw, "input_payload_bits", path, default=0.0, minimum=0.0),
-                output_payload=_num(raw, "output_payload_bits", path, default=0.0, minimum=0.0),
-                encode_cost=_num(raw, "encode_cost", path, default=0.0, minimum=0.0),
-                decode_cost=_num(raw, "decode_cost", path, default=0.0, minimum=0.0),
-            )
-        except ValueError as exc:
-            raise InvariantViolation(f"{path}: {exc}") from None
+        task_kind = _str(raw, "task_kind", path, default="other")
+        if not task_kind:
+            raise SchemaError(f"{path}.task_kind: must be non-empty")
+        programs[program_id] = ProgramSpec(
+            program_id=program_id,
+            task_kind=task_kind,
+            compute_cost=_num(raw, "compute_cost", path, default=0.0, minimum=0.0),
+            input_payload=_num(raw, "input_payload_bits", path, default=0.0, minimum=0.0),
+            output_payload=_num(raw, "output_payload_bits", path, default=0.0, minimum=0.0),
+            encode_cost=_num(raw, "encode_cost", path, default=0.0, minimum=0.0),
+            decode_cost=_num(raw, "decode_cost", path, default=0.0, minimum=0.0),
+        )
     return programs
 
 
@@ -512,10 +528,9 @@ def _parse_loss(doc: Mapping, nodes: dict[int, NodeProfile]) -> dict[int, float]
             raise DanglingReference(f"{path}: unknown node {key}")
         if key == PLATFORM:
             raise InvariantViolation(f"{path}: local execution cannot be lossy")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not 0 <= value <= 1:
+        loss[key] = _real(value, path)
+        if not 0 <= loss[key] <= 1:
             raise SchemaError(f"{path}: expected a probability in [0, 1]")
-        loss[key] = float(value)
     return loss
 
 
@@ -621,3 +636,62 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         truck_arrival=truck,
         loss=loss,
     )
+
+
+# ---------------------------------------------------------------- sweep spec
+
+
+# The values each sweepable parameter admits: (the rule as text, its check).
+SWEEP_RANGES = {
+    "update_interval": ("> 0", lambda v: v > 0),
+    "payload_scale": (">= 0", lambda v: v >= 0),
+    "altitude_profile": (f"within [0, {MAX_ALTITUDE_M}] m", lambda v: 0 <= v <= MAX_ALTITUDE_M),
+    "link_variance_scale": (">= 0", lambda v: v >= 0),
+}
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One-parameter experiment plan: values × replicates; replicate r runs
+    at seed base_seed + r. load_sweep_spec checks every rule."""
+
+    parameter: str
+    values: tuple[float, ...]
+    replicates: int
+    base_seed: int = 0
+
+
+def load_sweep_spec(path: str | Path) -> SweepSpec:
+    """Load and check a sweep-spec file, every value against its parameter's
+    range, before any run. Messages start with the file and name the field
+    as sweep.<field>."""
+    p = Path(path)
+    if not p.exists():
+        raise SchemaError(f"sweep spec file not found: {p}")
+    doc = read_yaml(p)
+    try:
+        doc = _as_map(doc, "sweep")
+        _reject_unknown(doc, {"parameter", "values", "replicates", "base_seed"}, "sweep")
+        parameter = _str(doc, "parameter", "sweep", required=True)
+        if parameter not in SWEEP_RANGES:
+            raise SchemaError(
+                f"sweep.parameter: expected one of {list(SWEEP_RANGES)}, got {parameter!r}"
+            )
+        rule, admits = SWEEP_RANGES[parameter]
+        values = []
+        for i, raw in enumerate(_as_list(doc.get("values"), "sweep.values")):
+            value = _real(raw, f"sweep.values[{i}]")
+            if not admits(value):
+                raise InvariantViolation(
+                    f"sweep.values[{i}]: {parameter} must be {rule}, got {value}"
+                )
+            values.append(value)
+        if not values:
+            raise SchemaError("sweep.values: must be non-empty")
+        replicates = _int(doc, "replicates", "sweep", default=1, minimum=1)
+        base_seed = _int(doc, "base_seed", "sweep", default=0, minimum=0)
+        if base_seed + replicates - 1 >= SEED_BOUND:
+            raise SchemaError("base_seed + replicates - 1 must be < 2**128")
+    except ScenarioError as exc:
+        raise type(exc)(f"{p}: {exc}") from None
+    return SweepSpec(parameter, tuple(values), replicates, base_seed)

@@ -291,6 +291,42 @@ def test_sweep_seeds_stay_inside_the_generator_key(tmp_path, capsys, base_seed,
                        "must be < 2**128\n")
 
 
+@pytest.mark.parametrize("mode", ["--sweep", "--feasibility"])
+def test_seed_is_for_single_runs_only(tmp_path, capsys, monkeypatch, mode):
+    """--seed with --sweep or --feasibility exits 1, naming both flags,
+    before the mode runs."""
+    monkeypatch.setattr("birdsim.cli.run", None)  # a run would raise TypeError
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [4.0], "base_seed": 3,
+    })
+    args = {"--sweep": ["--scenario", scenario, "--sweep", spec],
+            "--feasibility": ["--feasibility", "25,high"]}[mode]
+    out = tmp_path / "o"
+    assert main([*args, "--seed", "99", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --seed applies to single runs only; it cannot be "
+                            f"combined with {mode}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_values_are_checked_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr("birdsim.cli.run", lambda *a, **k: runs.append(a))
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [2.0, -1.0],
+    })
+    out = tmp_path / "o"
+    assert main(["--scenario", scenario, "--sweep", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {spec}: sweep.values[1]: update_interval must be > 0, got -1.0\n"
+    )
+    assert runs == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -384,14 +420,37 @@ def test_sweep_spec_integer_fields_exit_one(tmp_path, capsys, key, value, messag
     assert f"sweep.{key}: {message}" in err
 
 
-def test_aborting_run_exits_two(tmp_path, capsys):
+def aborting_doc():
     doc = mini_doc()
     # a monitoring result will land before this report time
     doc["incident"] = {"start_s": 0.0, "observed_s": 5.0, "reported_s": 10.0}
-    scenario = write_yaml(tmp_path / "aborts.yaml", doc)
-    rc = main(["--scenario", scenario, "--out", str(tmp_path / "o")])
+    return doc
+
+
+def test_aborting_run_exits_two(tmp_path, capsys):
+    """An aborted run writes its partial trace, ending in the Abort record,
+    and no other artifact."""
+    scenario = write_yaml(tmp_path / "aborts.yaml", aborting_doc())
+    out = tmp_path / "o"
+    rc = main(["--scenario", scenario, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("abort:")
+    assert sorted(p.name for p in out.iterdir()) == ["trace.log"]
+    lines = (out / "trace.log").read_text().splitlines()
+    assert " kind=Abort " in lines[-1]
+    assert not any(" kind=Abort " in line for line in lines[:-1])
+    assert any(" kind=Tick " in line for line in lines)
+
+
+def test_aborting_sweep_exits_two_and_writes_nothing(tmp_path, capsys):
+    scenario = write_yaml(tmp_path / "aborts.yaml", aborting_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [2.0],
+    })
+    out = tmp_path / "o"
+    assert main(["--scenario", scenario, "--sweep", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("abort:")
+    assert not out.exists()
 
 
 def test_scenario_is_required_without_feasibility(capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from birdsim import (
     NodeKind,
-    NodeProfile,
     Origin,
     PhasePredicate,
     ProgramSpec,
@@ -20,8 +19,6 @@ from birdsim.model import (
     CriticalMoments,
     OrderingViolation,
     record_moment,
-    validate_fleet,
-    validate_node,
 )
 
 
@@ -46,42 +43,6 @@ def test_default_platform_battery_is_pre_arrival_budget():
     assert nodes[0].battery_budget == PRE_ARRIVAL_BUDGET_S == 1200.0
     assert nodes[1].battery_budget is None
     assert nodes[2].battery_budget is None
-
-
-def test_validate_node_reserves_index_zero_for_the_platform():
-    bad = NodeProfile(node_id=0, kind=NodeKind.ECS, compute_capacity=10.0)
-    issue = validate_node(bad)
-    assert issue is not None and "reserved for the aerial platform" in issue
-
-
-def test_validate_node_rejects_battery_beyond_budget():
-    bad = NodeProfile(
-        node_id=0, kind=NodeKind.UAV5GP, compute_capacity=10.0,
-        battery_budget=PRE_ARRIVAL_BUDGET_S + 1,
-    )
-    issue = validate_node(bad)
-    assert issue is not None and "battery_budget" in issue
-
-
-def test_validate_node_rejects_battery_on_servers():
-    bad = NodeProfile(
-        node_id=1, kind=NodeKind.ECS, compute_capacity=10.0, battery_budget=100.0
-    )
-    issue = validate_node(bad)
-    assert issue is not None and "aerial platform" in issue
-
-
-def test_validate_fleet_requires_exactly_one_platform_at_zero():
-    nodes = default_profiles()
-    no_uav = {k: v for k, v in nodes.items() if k != 0}
-    assert validate_fleet(no_uav) is not None
-    assert validate_fleet(nodes) is None
-
-
-def test_validate_fleet_rejects_key_id_mismatch():
-    nodes = default_profiles()
-    nodes[5] = nodes.pop(1)
-    assert validate_fleet(nodes) is not None
 
 
 # ---------------------------------------------------------- programs / tasks

@@ -13,11 +13,14 @@ from birdsim import (
     InvariantViolation,
     Origin,
     Phase,
+    ScenarioError,
     SchemaError,
     load_scenario,
 )
 from birdsim import scenario as scenario_module
-from birdsim.cli import load_sweep_spec
+from birdsim.cli import apply_sweep_value
+from birdsim.scenario import SWEEP_RANGES, load_sweep_spec
+from conftest import BUNDLED_SCENARIO
 
 
 def minimal_doc():
@@ -246,6 +249,68 @@ def test_predicate_targets_must_be_strings(key, value):
         load_scenario(doc)
 
 
+def test_an_empty_task_kind_is_rejected():
+    with pytest.raises(SchemaError, match=re.escape("programs[0].task_kind: must be non-empty")):
+        load_scenario(with_(lambda d: d["programs"][0].update(task_kind="")))
+    assert load_scenario(with_(lambda d: d["programs"][0].pop("task_kind"))) \
+        .programs["p"].task_kind == "other"
+
+
+def _leaves(value, path):
+    """(path, keys) of every value below a document, by the loader's field
+    paths: top-level scalars as scenario.<key>, site's free-form contents
+    excluded."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else str(key), key, v) for key, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(value)]
+    else:
+        return
+    for child_path, key, child in items:
+        if not path and not isinstance(child, (dict, list)):
+            child_path = f"scenario.{key}"
+        yield child_path, (key,), child
+        if child_path != "site":
+            for sub_path, keys, sub in _leaves(child, child_path):
+                yield sub_path, (key, *keys), sub
+
+
+def _field_mutations():
+    doc = yaml.safe_load(BUNDLED_SCENARIO.read_text())
+    for path, keys, value in _leaves(doc, ""):
+        if isinstance(value, dict):
+            wrong = [("string", "text")]
+        elif isinstance(value, list):
+            wrong = [("number", 1.0)]
+        else:
+            wrong = [("list", [value])]
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                wrong += [("nan", NAN), ("inf", INF)]
+        for name, replacement in wrong:
+            yield pytest.param(doc, path, keys, replacement, id=f"{path}-{name}")
+
+
+FIELD_MUTATIONS = list(_field_mutations())
+
+
+def test_the_field_walk_covers_every_field():
+    assert len(FIELD_MUTATIONS) == 284
+
+
+@pytest.mark.parametrize("doc, path, keys, replacement", FIELD_MUTATIONS)
+def test_every_field_names_itself(doc, path, keys, replacement):
+    """One field of the bundled scenario replaced by a wrong type, NaN or
+    inf: the error starts with that field's path."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = replacement
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_bad_identifier_is_rejected():
     with pytest.raises(SchemaError) as err:
         load_scenario(with_(lambda d: d["tasks"][0].update(task_id="no spaces")))
@@ -322,6 +387,61 @@ def test_duplicate_ids_are_rejected():
     doc["tasks"].append(copy.deepcopy(doc["tasks"][0]))
     with pytest.raises(InvariantViolation):
         load_scenario(doc)
+
+
+PLATFORM_RULE = "node 0, and only node 0, is the aerial platform (uav5gp)"
+
+
+@pytest.mark.parametrize("mutate, error, message", [
+    (lambda d: d["nodes"][0].update(kind="ecs"), InvariantViolation,
+     f"nodes[0].kind: {PLATFORM_RULE}; node 0 is ecs"),
+    (lambda d: d["nodes"][1].update(kind="uav5gp"), InvariantViolation,
+     f"nodes[1].kind: {PLATFORM_RULE}; node 1 is uav5gp"),
+    (lambda d: d["nodes"][1].update(compute_capacity=0), InvariantViolation,
+     "nodes[1].compute_capacity: must be positive"),
+    (lambda d: d["nodes"][0].update(compute_capacity=-2.5), InvariantViolation,
+     "nodes[0].compute_capacity: must be positive"),
+    (lambda d: d["nodes"][0].update(battery_budget_s=0), InvariantViolation,
+     "nodes[0].battery_budget_s: must be in (0, 1200.0], got 0.0"),
+    (lambda d: d["nodes"][0].update(battery_budget_s=1200.5), InvariantViolation,
+     "nodes[0].battery_budget_s: must be in (0, 1200.0], got 1200.5"),
+    (lambda d: d["nodes"][1].update(battery_budget_s=100.0), InvariantViolation,
+     "nodes[1].battery_budget_s: applies only to the aerial platform"),
+    (lambda d: d["nodes"].pop(0), InvariantViolation,
+     "nodes: the aerial platform (node 0, uav5gp) is required"),
+    (lambda d: d.update(nodes=[]), InvariantViolation,
+     "nodes: the aerial platform (node 0, uav5gp) is required"),
+    (lambda d: d["nodes"][1].update(node_id=0), InvariantViolation,
+     "nodes[1].node_id: duplicate node id 0"),
+    (lambda d: d["nodes"][1].update(location=[1.0, 2.0]), SchemaError,
+     "nodes[1].location: expected [x, y, z], got 2 items"),
+    (lambda d: d["nodes"][1].update(location=[1.0, True, 3.0]), SchemaError,
+     "nodes[1].location[1]: expected a number, got bool"),
+], ids=["node-0-not-the-platform", "platform-not-node-0", "capacity-zero",
+        "capacity-negative", "battery-zero", "battery-beyond-budget",
+        "battery-on-a-server", "no-platform", "no-nodes", "duplicate-node-id",
+        "location-not-a-triple", "location-element-bool"])
+def test_node_rules_name_their_field(mutate, error, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(with_(mutate))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_node_rules_admit_their_boundaries():
+    doc = with_(lambda d: d["nodes"][0].update(battery_budget_s=1200))
+    assert load_scenario(doc).nodes[0].battery_budget == 1200.0
+    doc = with_(lambda d: d["nodes"][1].update(compute_capacity=1e-9))
+    assert load_scenario(doc).nodes[1].compute_capacity == 1e-9
+
+
+def test_nodes_are_keyed_by_their_node_id():
+    doc = minimal_doc()
+    doc["nodes"].append({"node_id": 7, "kind": "gcs", "compute_capacity": 400.0})
+    doc["nodes"].reverse()
+    nodes = load_scenario(doc).nodes
+    assert list(nodes) == [7, 1, 0]
+    assert all(key == profile.node_id for key, profile in nodes.items())
 
 
 def test_a_program_listed_twice_in_one_task_is_rejected():
@@ -434,3 +554,73 @@ def test_link_defaults():
     assert scenario.floor_mbps == 1.0
     assert scenario.one_way_fraction == 0.5
     assert scenario.variance_scale == 1.0
+
+
+# ---------------------------------------------------------------- sweep spec
+
+
+def load_sweep(tmp_path, doc):
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return load_sweep_spec(path)
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    ({"parameter": "update_interval", "values": [2.0, 0.0]}, InvariantViolation,
+     "sweep.values[1]: update_interval must be > 0, got 0.0"),
+    ({"parameter": "update_interval", "values": [2.0, -1.0]}, InvariantViolation,
+     "sweep.values[1]: update_interval must be > 0, got -1.0"),
+    ({"parameter": "payload_scale", "values": [-0.5]}, InvariantViolation,
+     "sweep.values[0]: payload_scale must be >= 0, got -0.5"),
+    ({"parameter": "altitude_profile", "values": [30, 100.5]}, InvariantViolation,
+     "sweep.values[1]: altitude_profile must be within [0, 100.0] m, got 100.5"),
+    ({"parameter": "altitude_profile", "values": [-1]}, InvariantViolation,
+     "sweep.values[0]: altitude_profile must be within [0, 100.0] m, got -1.0"),
+    ({"parameter": "link_variance_scale", "values": [-2]}, InvariantViolation,
+     "sweep.values[0]: link_variance_scale must be >= 0, got -2.0"),
+    ({"parameter": "warp_factor", "values": [1.0]}, SchemaError,
+     "sweep.parameter: expected one of ['update_interval', 'payload_scale', "
+     "'altitude_profile', 'link_variance_scale'], got 'warp_factor'"),
+    ({"values": [1.0]}, SchemaError, "sweep.parameter: required"),
+    ({"parameter": "update_interval"}, SchemaError,
+     "sweep.values: expected a list, got NoneType"),
+    ({"parameter": "update_interval", "values": []}, SchemaError,
+     "sweep.values: must be non-empty"),
+    ({"parameter": "update_interval", "values": [1.0, "fast"]}, SchemaError,
+     "sweep.values[1]: expected a number, got str"),
+    ({"parameter": "update_interval", "values": [1.0], "replicates": 0}, SchemaError,
+     "sweep.replicates: must be >= 1"),
+    ({"parameter": "update_interval", "values": [1.0], "base_seed": -1}, SchemaError,
+     "sweep.base_seed: must be >= 0"),
+    ({"parameter": "update_interval", "values": [1.0], "knob": 3}, SchemaError,
+     "sweep: unknown key 'knob'"),
+    ([1.0], SchemaError, "sweep: expected a mapping, got list"),
+], ids=["update_interval-zero", "update_interval-negative", "payload_scale-negative",
+        "altitude_profile-above", "altitude_profile-below", "link_variance_scale-negative",
+        "unknown-parameter", "no-parameter", "no-values", "empty-values", "value-string",
+        "replicates-zero", "base_seed-negative", "unknown-key", "not-a-mapping"])
+def test_sweep_rules_name_their_field(tmp_path, doc, error, message):
+    with pytest.raises(ScenarioError) as err:
+        load_sweep(tmp_path, doc)
+    assert type(err.value) is error
+    assert str(err.value) == f"{tmp_path / 'sweep.yaml'}: {message}"
+
+
+@pytest.mark.parametrize("parameter, values, field", [
+    ("update_interval", [1e-9, 4], "t_int"),
+    ("payload_scale", [0, 2.5], "programs"),
+    ("altitude_profile", [0, 100], "flight_plan"),
+    ("link_variance_scale", [0, 3], "variance_scale"),
+], ids=["update_interval", "payload_scale", "altitude_profile", "link_variance_scale"])
+def test_every_sweep_parameter_admits_its_range_and_sets_its_field(
+        tmp_path, parameter, values, field):
+    assert set(SWEEP_RANGES) == {"update_interval", "payload_scale",
+                                 "altitude_profile", "link_variance_scale"}
+    spec = load_sweep(tmp_path, {"parameter": parameter, "values": values,
+                                 "replicates": 2, "base_seed": 5})
+    assert spec == scenario_module.SweepSpec(parameter, tuple(map(float, values)), 2, 5)
+    base = load_scenario(BUNDLED_SCENARIO)
+    for value in spec.values:
+        swept = apply_sweep_value(base, parameter, value)
+        changed = [name for name in vars(base) if getattr(swept, name) != getattr(base, name)]
+        assert changed == [field]
