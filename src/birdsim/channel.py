@@ -17,7 +17,7 @@ import struct
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def band_for(altitude: float, rotating: bool = False) -> Band:
     return Band.HIGH_ALTITUDE
 
 
-@dataclass(frozen=True)
-class FlightState:
+class FlightState(NamedTuple):
     """Instantaneous flight condition used to pick the link regime."""
 
     t: float
@@ -106,8 +105,7 @@ class FlightState:
     rotating: bool = False
 
 
-@dataclass(frozen=True)
-class LinkSample:
+class LinkSample(NamedTuple):
     t: float
     band: Band
     direction: Direction
@@ -126,31 +124,35 @@ SEED_BOUND = 1 << 128
 # a pure function of (key, counter): setting the whole bit-generator state
 # before each draw (key, counter and an empty buffer, exactly what a fresh
 # Philox(key=..., counter=...) holds) gives the fresh generator's bits without
-# building one per draw. The lock keeps set-then-draw atomic across threads.
+# building one per draw. Only the counter and the key change between draws,
+# so one state mapping is updated in place and assigned. The lock keeps
+# update-set-draw atomic across threads.
 _PHILOX = np.random.Philox()
 _GENERATOR = np.random.Generator(_PHILOX)
 _KEYED_LOCK = threading.Lock()
-_EMPTY_BUFFER = (0, 0, 0, 0)
+_KEYED_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+_COUNTER_AND_KEY = _KEYED_STATE["state"]
+_DOUBLE = struct.Struct("<d")
+_UINT64 = struct.Struct("<Q")
 
 
 def _float_bits(t: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", float(t)))[0]
+    return _UINT64.unpack(_DOUBLE.pack(t))[0]
 
 
 def _keyed_generator(seed: int, c0: int, c1: int, c2: int = 0) -> np.random.Generator:
     # the 128-bit key is two uint64 words, low word first; counters are
     # Python ints, which the state setter converts to uint64 exactly
-    _PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": (c0, c1, c2, 0),
-            "key": (seed & _WORD_MASK, (seed >> 64) & _WORD_MASK),
-        },
-        "buffer": _EMPTY_BUFFER,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    _COUNTER_AND_KEY["counter"] = (c0, c1, c2, 0)
+    _COUNTER_AND_KEY["key"] = (seed & _WORD_MASK, (seed >> 64) & _WORD_MASK)
+    _PHILOX.state = _KEYED_STATE
     return _GENERATOR
 
 
@@ -226,11 +228,7 @@ class LinkModel:
             throughput = mean + std * keyed_normal(self.noise_seed, code, t)
         throughput = max(self.floor_mbps, throughput)
         return LinkSample(
-            t=t,
-            band=band,
-            direction=direction,
-            throughput=throughput,
-            one_way_delay=p.rtt_mean * self.one_way_fraction,
+            t, band, direction, throughput, p.rtt_mean * self.one_way_fraction
         )
 
     def transfer_time(

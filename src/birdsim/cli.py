@@ -81,8 +81,11 @@ def cmd_run(scenario_path: str, seed: int | None, out_dir: str, fmt: str) -> int
     try:
         result = run(scenario, seed=seed)
     except RunAborted as exc:
-        # the partial trace, ending in its Abort record, and nothing else
+        # the partial trace, ending in its Abort record, and nothing else: an
+        # earlier run's artifacts must not sit beside it
         _write(out, "trace.log", trace_to_text(exc.trace))
+        for name in ("metrics.csv", "samples.csv", "summary.json"):
+            (out / name).unlink(missing_ok=True)
         raise
     _write(out, "trace.log", trace_to_text(result.trace))
     if fmt in ("csv", "both"):
@@ -325,6 +328,10 @@ def main(argv: list[str] | None = None) -> int:
     except RunAborted as exc:
         print(f"abort: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an artifact could not be written, e.g. --out lies below a file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -147,18 +147,14 @@ def flight_state_at(scenario: Scenario, t: float) -> FlightState:
     plan = scenario.flight_plan
     if t <= plan[0].t:
         wp = plan[0]
-        return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
+        return FlightState(t, wp.altitude, wp.rotating)
     i = bisect_right(plan, t, key=_waypoint_t)  # plan[i - 1].t <= t < plan[i].t
     if i == len(plan):
         wp = plan[-1]
-        return FlightState(t=t, altitude=wp.altitude, rotating=wp.rotating)
+        return FlightState(t, wp.altitude, wp.rotating)
     a, b = plan[i - 1], plan[i]
     frac = (t - a.t) / (b.t - a.t)
-    return FlightState(
-        t=t,
-        altitude=a.altitude + frac * (b.altitude - a.altitude),
-        rotating=a.rotating,
-    )
+    return FlightState(t, a.altitude + frac * (b.altitude - a.altitude), a.rotating)
 
 
 def _fmt_key(key: tuple[int, int, str]) -> str:
@@ -247,11 +243,9 @@ class _Sim:
 
     # ------------------------------------------------------------------ trace
 
-    def _emit(self, t: float, seq: int, kind: str, fields: list[tuple[str, str]]) -> None:
-        line = " ".join([
-            f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.t_pos}",
-            *map("=".join, fields),
-        ])
+    def _emit(self, t: float, seq: int, kind: str, tail: str) -> None:
+        """Append one trace record; tail holds its fields after `tpos=`."""
+        line = f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.t_pos} {tail}"
         self.trace.append(line)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(line)
@@ -282,17 +276,17 @@ class _Sim:
         return RunResult(metrics=self._metrics(), trace=self.trace)
 
     def _on_task_issued(self, t: float, seq: int, task_id: str) -> None:
-        self._emit(t, seq, "TaskIssued", [("task", task_id)])
+        self._emit(t, seq, "TaskIssued", f"task={task_id}")
 
     def _on_flight_waypoint(self, t: float, seq: int, wp: Waypoint) -> None:
         self._emit(
             t, seq, "FlightWaypoint",
-            [("altitude", repr(wp.altitude)), ("rotating", str(int(wp.rotating)))],
+            f"altitude={wp.altitude!r} rotating={int(wp.rotating)}",
         )
 
     def _on_truck_arrival(self, t: float, seq: int, _: None) -> None:
         self.moments = record_moment(self.moments, "physical_awareness", t)
-        self._emit(t, seq, "TruckArrival", [("moment", "physical_awareness")])
+        self._emit(t, seq, "TruckArrival", "moment=physical_awareness")
 
     # ------------------------------------------------------------------ ticks
 
@@ -309,15 +303,18 @@ class _Sim:
         outcome = self.protocol.on_tick(t, due, state)
         for task in due:
             self.task_outcomes[task.task_id].first_served_at = t
-        wire_issued = False
+        entries: list[str] = []
+        locals_: list[str] = []
         for dispatch in outcome.dispatches:
             # retried waiters are already on the chain: visit only new ones
             program_id = dispatch.program.program_id
             chain = dispatch.chain
             for waiter in dispatch.waiters[dispatch.fresh:]:
                 self.joined.append((self.prog_outcomes[(waiter, program_id)], tick, chain))
-            if not dispatch.local:
-                wire_issued = True
+            if dispatch.local:
+                locals_.append(f"{program_id}@{dispatch.consumer}")
+            else:
+                entries.append(_fmt_key(dispatch.key))
                 # u is in [0, 1), so only a positive loss can lose a dispatch
                 loss = self.sc.loss.get(dispatch.server_id, 0.0)
                 if loss > 0.0 and keyed_uniform(
@@ -328,32 +325,20 @@ class _Sim:
                 ) < loss:
                     continue  # never staged: its entry times out
             self._stage(dispatch, t)
-        if wire_issued:
-            deadline = self.protocol.tick_time(tick + 1)
-            if deadline <= self.end:
-                self._push(deadline, self._on_timeout, tick)
-        next_t = self.protocol.tick_time(tick + 1)
+        # the next tick is also this tick's deadline; its Timeout is pushed
+        # first, so it runs before that Tick (protocol module docstring)
+        next_t = (tick + 1) * self.protocol.t_int
+        if entries and next_t <= self.end:
+            self._push(next_t, self._on_timeout, tick)
         if next_t < self.end:
             self._push(next_t, self._on_tick, tick + 1)
         self.protocol.try_advance(t)
-        entries = ";".join(
-            _fmt_key(d.key) for d in outcome.dispatches if not d.local
-        )
-        locals_ = ";".join(
-            f"{d.program.program_id}@{d.consumer}"
-            for d in outcome.dispatches
-            if d.local
-        )
+        unserved = ";".join([f"{a}:{b}" for a, b in outcome.unserved])
         self._emit(
             t, seq, "Tick",
-            [
-                ("tick", str(tick)),
-                ("due", ",".join(task.task_id for task in due)),
-                ("entries", entries),
-                ("locals", locals_),
-                ("unserved", ";".join(f"{a}:{b}" for a, b in outcome.unserved)),
-                ("msgs", str(outcome.messages)),
-            ],
+            f"tick={tick} due={','.join([task.task_id for task in due])} "
+            f"entries={';'.join(entries)} locals={';'.join(locals_)} "
+            f"unserved={unserved} msgs={outcome.messages}",
         )
 
     # ---------------------------------------------------------------- staging
@@ -402,18 +387,18 @@ class _Sim:
         self._push_staged(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
         self._emit(
             t, seq, "TransferComplete",
-            [("inst", str(inst.inst_id)), ("leg", "input"),
-             ("entry", _fmt_key(dispatch.key))],
+            f"inst={inst.inst_id} leg=input entry={_fmt_key(dispatch.key)}",
         )
 
     def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
         dispatch = inst.dispatch
         if not self._live(dispatch):
             return
-        fields = [("inst", str(inst.inst_id)), ("leg", "output"),
-                  ("entry", _fmt_key(dispatch.key))]
-        fields += self._deliver(inst, t)
-        self._emit(t, seq, "TransferComplete", fields)
+        delivery = self._deliver(inst, t)
+        self._emit(
+            t, seq, "TransferComplete",
+            f"inst={inst.inst_id} leg=output entry={_fmt_key(dispatch.key)}{delivery}",
+        )
         self.protocol.try_advance(t)
 
     def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
@@ -421,32 +406,31 @@ class _Sim:
         if not self._live(dispatch):
             return
         executor = dispatch.server_id
-        fields = [("inst", str(inst.inst_id)), ("entry", _fmt_key(dispatch.key)),
-                  ("local", str(int(dispatch.local)))]
+        record = f"inst={inst.inst_id} entry={_fmt_key(dispatch.key)} local={int(dispatch.local)}"
         if dispatch.consumer != executor:
             leg = self._sample_leg(
                 t, dispatch.program.output_payload, executor, dispatch.consumer
             )
             inst.t_comm += leg
             self._push_staged(t + leg, self._on_output_arrival, inst)
-            self._emit(t, seq, "ComputeComplete", fields)
+            self._emit(t, seq, "ComputeComplete", record)
             return
         # result is consumed where it was computed: delivery happens now
-        fields += self._deliver(inst, t)
-        self._emit(t, seq, "ComputeComplete", fields)
+        delivery = self._deliver(inst, t)
+        self._emit(t, seq, "ComputeComplete", record + delivery)
         self.protocol.try_advance(t)
 
-    def _deliver(self, inst: _Instance, t: float) -> list[tuple[str, str]]:
-        """Credit a finished execution; returns extra trace fields."""
+    def _deliver(self, inst: _Instance, t: float) -> str:
+        """Credit a finished execution; returns the record's
+        ` resolved=... delivered=... moment=...` suffix."""
         dispatch = inst.dispatch
         self.delivered += 1
-        fields: list[tuple[str, str]] = []
         if dispatch.local:
             self.protocol.note_result(dispatch, t)
+            delivery = f" delivered={dispatch.consumer}"
         else:
             self.protocol.on_response(dispatch.key, t)
-            fields.append(("resolved", _fmt_key(dispatch.key)))
-        fields.append(("delivered", str(dispatch.consumer)))
+            delivery = f" resolved={_fmt_key(dispatch.key)} delivered={dispatch.consumer}"
         breakdown = inst.breakdown()
         for waiter in dispatch.waiters:
             prog = self.prog_outcomes[(waiter, dispatch.program.program_id)]
@@ -460,18 +444,15 @@ class _Sim:
             and self.moments.virtual_awareness is None
         ):
             self.moments = record_moment(self.moments, "virtual_awareness", t)
-            fields.append(("moment", "virtual_awareness"))
-        return fields
+            delivery += " moment=virtual_awareness"
+        return delivery
 
     def _on_timeout(self, t: float, seq: int, tick: int) -> None:
         timed_out = self.protocol.on_timeout(tick)
         self._emit(
             t, seq, "Timeout",
-            [
-                ("tick", str(tick)),
-                ("timed_out", ";".join(_fmt_key(d.key) for d in timed_out)),
-                ("count", str(len(timed_out))),
-            ],
+            f"tick={tick} timed_out={';'.join([_fmt_key(d.key) for d in timed_out])} "
+            f"count={len(timed_out)}",
         )
         self.protocol.try_advance(t)
 
@@ -484,10 +465,8 @@ class _Sim:
         self.moments = record_moment(self.moments, "termination", t)
         self._emit(
             t, self.seq, "Flush",
-            [
-                ("flushed", ";".join(_fmt_key(d.key) for d in flushed)),
-                ("cancelled", str(self.staged - self.delivered)),
-            ],
+            f"flushed={';'.join([_fmt_key(d.key) for d in flushed])} "
+            f"cancelled={self.staged - self.delivered}",
         )
 
     # ---------------------------------------------------------------- metrics

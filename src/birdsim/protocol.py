@@ -69,7 +69,7 @@ class Dispatch:
         self.key = (self.tick_index, self.server_id, self.program.program_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class TickOutcome:
     dispatches: list[Dispatch]
     unserved: list[tuple[str, str]]  # (task_id, program_id) pairs deferred
@@ -140,16 +140,13 @@ class ProtocolState:
 
     # ------------------------------------------------------------------ ticks
 
-    def tick_time(self, tick_index: int) -> float:
-        return tick_index * self.t_int
-
     def on_tick(
         self, t_i: float, due_tasks: Sequence[Task], state: FlightState
     ) -> TickOutcome:
         """Serve due and retried work; returns every dispatch (wire and local)
         decided this tick and the number of bundled requests."""
         tick = self.current_tick + 1
-        expected = self.tick_time(tick)
+        expected = tick * self.t_int
         if t_i != expected:
             raise ValueError(f"tick at t={t_i}, expected t={expected}")
         self.current_tick = tick
@@ -190,14 +187,8 @@ class ProtocolState:
             if program_id in more:
                 waiters += tuple(more[program_id])
             dispatch = Dispatch(
-                tick_index=tick,
-                program=self.programs[program_id],
-                server_id=server,
-                consumer=head.consumer,
-                waiters=waiters,
-                local=server == PLATFORM,
-                chain=chain,
-                fresh=fresh,
+                tick, self.programs[program_id], server, head.consumer, waiters,
+                server == PLATFORM, chain, fresh,
             )
             dispatches.append(dispatch)
             if not dispatch.local:
@@ -207,9 +198,7 @@ class ProtocolState:
         # One bundled request per distinct target server.
         messages = len({d.server_id for d in dispatches if not d.local})
         self.request_messages += messages
-        return TickOutcome(
-            dispatches=dispatches, unserved=list(self._unserved), messages=messages
-        )
+        return TickOutcome(dispatches, list(self._unserved), messages)
 
     def _choose(
         self, program_id: str, excluded_server: int | None, consumer: int, state: FlightState

@@ -61,9 +61,13 @@ YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 def read_yaml(path: Path) -> Any:
     """Parse one YAML (or JSON) file; SchemaError names the path when the
-    text does not parse."""
+    file cannot be read as UTF-8 text or the text does not parse."""
     try:
-        return yaml.load(path.read_text(), Loader=YAML_LOADER)
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not readable: {exc}") from None
+    try:
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not parseable: {exc}") from None
 

@@ -5,6 +5,8 @@ model's ground truth and must never drift.
 """
 
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,14 @@ from birdsim import (
     OutOfMeasuredRange,
     default_link_params,
 )
-from birdsim.channel import band_for, keyed_normal, keyed_uniform, transfer_seconds
+from birdsim import channel
+from birdsim.channel import (
+    LinkSample,
+    band_for,
+    keyed_normal,
+    keyed_uniform,
+    transfer_seconds,
+)
 
 # (dl_mean, ul_mean, rtt_mean) per regime — frozen measured values.
 EXPECTED_DEFAULTS = {
@@ -192,6 +201,67 @@ def test_keyed_draws_equal_a_fresh_generator_per_draw(calls):
             c0, c1, c2 = words
             expected = _fresh_generator(seed, c0, c1, c2 | (1 << 63)).random()
             assert keyed_uniform(seed, c0, c1, c2) == expected
+
+
+def test_keyed_draws_are_plain_floats():
+    # a numpy scalar would print as np.float64(...) in the artifacts
+    assert type(keyed_normal(9, 4, 1.25)) is float
+    assert type(keyed_uniform(9, 3, 5, 7)) is float
+
+
+def test_keyed_draws_from_two_threads_equal_the_single_threaded_draws(monkeypatch):
+    """Both draw kinds share one generator state, and the lock keeps each
+    update-set-draw whole. To open that window on every draw, the state
+    update yields the interpreter to the other thread before the draw."""
+    normal_keys = [(11, 257 + i % 3, i * 0.25) for i in range(300)]
+    uniform_keys = [(12, i, i % 5, i % 7) for i in range(300)]
+    expected = [(keyed_normal(*n), keyed_uniform(*u))
+                for n, u in zip(normal_keys, uniform_keys)]
+    keyed_generator = channel._keyed_generator
+
+    def yielding_keyed_generator(*args):
+        generator = keyed_generator(*args)
+        time.sleep(0)  # let the other thread run between set and draw
+        return generator
+
+    monkeypatch.setattr(channel, "_keyed_generator", yielding_keyed_generator)
+    got = {}
+    start = threading.Barrier(2)
+
+    def draw(name, order):
+        start.wait(timeout=30)
+        got[name] = {i: (keyed_normal(*normal_keys[i]), keyed_uniform(*uniform_keys[i]))
+                     for i in order}
+
+    threads = [
+        threading.Thread(target=draw, args=("forward", range(300))),
+        threading.Thread(target=draw, args=("backward", range(299, -1, -1))),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    for name in ("forward", "backward"):
+        assert [got[name][i] for i in range(300)] == expected
+
+
+def test_flight_states_and_link_samples_are_immutable_values():
+    state = FlightState(t=0.0, altitude=70.0)
+    assert state.rotating is False
+    assert state == FlightState(0.0, 70.0, False)
+    assert hash(state) == hash(FlightState(t=0.0, altitude=70.0, rotating=False))
+    assert FlightState._fields == ("t", "altitude", "rotating")
+    sample = LinkSample(t=1.0, band=Band.HIGH_ALTITUDE, direction=Direction.UL,
+                        throughput=37.12, one_way_delay=11.14)
+    same = LinkModel(variance_scale=0.0, one_way_fraction=0.5).sample_throughput(
+        1.0, 70.0, False, Direction.UL
+    )
+    assert same == sample and hash(same) == hash(sample)
+    assert LinkSample._fields == ("t", "band", "direction", "throughput", "one_way_delay")
+    for record, name in ((state, "altitude"), (sample, "throughput")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
 
 
 def test_mean_link_predictions_match_mean(noisy_link):

@@ -339,6 +339,47 @@ def test_missing_scenario_file_exits_one(tmp_path, capsys):
     assert str(missing) in err
 
 
+def _directory(tmp_path):
+    path = tmp_path / "a_directory.yaml"
+    path.mkdir()
+    return path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: caf\u00e9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("make", [_directory, _not_utf8], ids=["directory", "not-utf8"])
+def test_unreadable_scenario_exits_one(tmp_path, capsys, make):
+    path = make(tmp_path)
+    rc = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not readable: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_unreadable_sweep_spec_exits_one(tmp_path, capsys, scenario_path):
+    spec = _not_utf8(tmp_path)
+    rc = main(["--scenario", str(scenario_path), "--sweep", str(spec),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: not readable: ")
+
+
+def test_out_below_a_regular_file_exits_one(tmp_path, capsys):
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["--scenario", scenario, "--out", str(blocker / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_invalid_scenario_exits_one(tmp_path, capsys):
     doc = mini_doc()
     doc["tasks"][0]["required_programs"] = ["ghost"]
@@ -440,6 +481,23 @@ def test_aborting_run_exits_two(tmp_path, capsys):
     assert " kind=Abort " in lines[-1]
     assert not any(" kind=Abort " in line for line in lines[:-1])
     assert any(" kind=Tick " in line for line in lines)
+
+
+def test_aborted_run_leaves_no_earlier_run_artifacts(tmp_path, capsys):
+    """An aborted run into a directory that holds a good run's artifacts
+    removes the good run's metrics, samples and summary, so the partial
+    trace is never paired with them, and touches no other file."""
+    out = tmp_path / "o"
+    assert main(["--scenario", write_yaml(tmp_path / "ok.yaml", mini_doc()),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_ARTIFACTS)
+    (out / "notes.txt").write_text("kept")
+    rc = main(["--scenario", write_yaml(tmp_path / "aborts.yaml", aborting_doc()),
+               "--out", str(out)])
+    assert rc == 2
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace.log"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert " kind=Abort " in (out / "trace.log").read_text().splitlines()[-1]
 
 
 def test_aborting_sweep_exits_two_and_writes_nothing(tmp_path, capsys):

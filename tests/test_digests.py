@@ -11,7 +11,10 @@ digests cover paths the 4-task reference never reaches:
   where merged dispatches carry several waiters, run with and without link
   variance;
 - regime: the offload-choice mission of `test_engine`, whose chosen server
-  flips across the 50 m band split, while rotating, and between consumers.
+  flips across the 50 m band split, while rotating, and between consumers;
+- trace-variants: the list-valued trace fields with two or more items that
+  the others never print: a Tick with several `locals=` and several
+  `unserved=`, and a Flush with a non-empty `flushed=`.
 
 A digest changes only when the simulator's output changes, and such a
 change must be argued for on its own, never come in as a side effect.
@@ -91,11 +94,48 @@ def mixed(variance_scale: float) -> dict:
     return doc
 
 
+def trace_variants() -> dict:
+    doc = _base()
+    doc["name"] = "trace-variants"
+    # the Tick at 60 s dispatches two wire entries that are still open at
+    # the horizon, so the Flush lists both
+    doc["duration_s"] = 60.3
+    del doc["truck_arrival_s"]
+    # cached but in no table: the platform is the only candidate, so these
+    # programs always run locally
+    doc["nodes"][0]["cached_programs"] = ["detect", "onboard_a", "onboard_b"]
+    for program_id in ("onboard_a", "onboard_b", "thermal", "lidar"):
+        doc["programs"].append(
+            {"program_id": program_id, "task_kind": "object_detection",
+             "compute_cost": 10.0, "input_payload_bits": 1e6,
+             "output_payload_bits": 1e5}
+        )
+    doc["tasks"] += [
+        # thermal and lidar have no capable server: deferred on every tick
+        {"task_id": "no-thermal", "required_programs": ["thermal"],
+         "issue_time_s": 4.0, "consumer": 1},
+        {"task_id": "no-lidar", "required_programs": ["lidar"],
+         "issue_time_s": 4.0, "consumer": 2},
+        {"task_id": "onboard", "required_programs": ["onboard_a", "onboard_b"],
+         "issue_time_s": 10.0, "consumer": 0},
+        {"task_id": "onboard-b", "required_programs": ["onboard_b"],
+         "issue_time_s": 10.0, "consumer": 0},
+        {"task_id": "late-detect", "required_programs": ["detect"],
+         "issue_time_s": 60.0, "consumer": 2},
+        {"task_id": "late-plan", "required_programs": ["plan_route"],
+         "issue_time_s": 60.0, "consumer": 2},
+        {"task_id": "late-onboard", "required_programs": ["onboard_a"],
+         "issue_time_s": 60.0, "consumer": 0},
+    ]
+    return doc
+
+
 CASES = {
     "retry_heavy": lambda: load_scenario(retry_heavy()),
     "mixed_var1": lambda: load_scenario(mixed(1.0)),
     "mixed_var0": lambda: load_scenario(mixed(0.0)),
     "regime": regime_scenario,
+    "trace_variants": lambda: load_scenario(trace_variants()),
 }
 
 # sha256 of trace.log, metrics.csv, samples.csv and summary.json
@@ -127,6 +167,12 @@ DIGESTS = {
         "03f75fe4f1b9d9e3edd34dd521ef367f1c9900b93c1940a1ec714998d5134675",
         "2e39e15f602b6457570c55db0c0c570abd9dd4092e7fe23455cb89cf2e0947d9",
     ),
+    "trace_variants": (
+        "a4d7521a5f8a937ca94a26838ed0c4c02c93f69082d6331aa3f26728acb152df",
+        "49490f669514f7511078b0d63674b67faf1efa69be77859d72b4a5f1489bf1ed",
+        "1149b475e00bb2b64ee816a1105ee5c62d9ee67e2993d4b4ea516abb7b29283d",
+        "f0c1a3385f548823cd323c086ca1c38466867a53671f1792728bd974e767a148",
+    ),
 }
 
 
@@ -139,6 +185,21 @@ def artifact_digests(scenario) -> tuple[str, ...]:
         summary_to_json(result.metrics),
     )
     return tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+
+
+def test_trace_variants_prints_every_list_field_with_several_items():
+    trace = run(load_scenario(trace_variants())).trace
+    for line in (
+        "t=10.0 seq=17 kind=Tick tpos=0 tick=5 due=onboard,onboard-b entries= "
+        "locals=onboard_a@0;onboard_b@0 unserved=no-thermal:thermal;no-lidar:lidar msgs=0",
+        "t=60.0 seq=51 kind=Tick tpos=2 tick=30 due=late-detect,late-plan,late-onboard "
+        "entries=30:1:detect;30:2:plan_route locals=onboard_a@0 "
+        "unserved=no-thermal:thermal;no-lidar:lidar msgs=2",
+    ):
+        assert line in trace
+    assert trace[-1] == (
+        "t=60.3 seq=54 kind=Flush tpos=2 flushed=30:1:detect;30:2:plan_route cancelled=3"
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
