@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR", default="out", help="artifact directory"
     )
     parser.add_argument(
-        "--format", choices=("csv", "summary", "both"), default="both",
-        help="which metrics artifacts to write (default: both)",
+        "--format", choices=("csv", "summary", "both"),
+        help="which metrics artifacts to write (single runs only; default: both)",
     )
     parser.add_argument(
         "--sweep", metavar="SPECFILE",
@@ -302,11 +302,13 @@ def _configure_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    if args.seed is not None and (args.sweep is not None or args.feasibility is not None):
+    if args.sweep is not None or args.feasibility is not None:
         mode = "--sweep" if args.sweep is not None else "--feasibility"
-        print(f"error: --seed applies to single runs only; it cannot be combined "
-              f"with {mode}", file=sys.stderr)
-        return 1
+        for flag, value in (("--seed", args.seed), ("--format", args.format)):
+            if value is not None:
+                print(f"error: {flag} applies to single runs only; it cannot be "
+                      f"combined with {mode}", file=sys.stderr)
+                return 1
     if args.seed is not None and not 0 <= args.seed < SEED_BOUND:
         print(f"error: --seed must be in [0, 2**128), got {args.seed}", file=sys.stderr)
         return 1
@@ -321,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if args.sweep is not None:
             return cmd_sweep(args.scenario, args.sweep, args.out)
-        return cmd_run(args.scenario, args.seed, args.out, args.format)
+        return cmd_run(args.scenario, args.seed, args.out, args.format or "both")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

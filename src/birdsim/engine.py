@@ -438,17 +438,20 @@ class _Sim:
             prog.delivered_at = t
             prog.status = "completed"
         consumer_kind = self.sc.nodes[dispatch.consumer].kind
+        reported = self.moments.reported
         if (
             dispatch.program.task_kind in _MONITORING_KINDS
             and consumer_kind in (NodeKind.ECS, NodeKind.GCS)
             and self.moments.virtual_awareness is None
+            # a result before the report makes no one aware of the incident
+            and (reported is None or t >= reported)
         ):
             self.moments = record_moment(self.moments, "virtual_awareness", t)
             delivery += " moment=virtual_awareness"
         return delivery
 
     def _on_timeout(self, t: float, seq: int, tick: int) -> None:
-        timed_out = self.protocol.on_timeout(tick)
+        timed_out = self.protocol.on_timeout()
         self._emit(
             t, seq, "Timeout",
             f"tick={tick} timed_out={';'.join([_fmt_key(d.key) for d in timed_out])} "
@@ -460,7 +463,7 @@ class _Sim:
 
     def _flush(self) -> None:
         t = self.end
-        flushed = self.protocol.flush_outstanding()
+        flushed = self.protocol.on_timeout()
         self.protocol.try_advance(t)
         self.moments = record_moment(self.moments, "termination", t)
         self._emit(

@@ -2,22 +2,23 @@
 
 Every update interval the platform bundles the programs of due tasks into one
 request per chosen server. The timeline position may only advance once the
-current interval's requests have all been answered or timed out; a timed-out
-program re-enters the next interval's matching with the failed server
-excluded once. The protocol state owns the timeline position and task
-completion: a task completes when the result of its last program is
-delivered, through on_response for a wire result and note_result for a local
-one.
+current interval's requests have all been answered or timed out. The protocol
+state owns the timeline position and task completion: a task completes when
+the result of its last program is delivered, through on_response for a wire
+result and note_result for a local one.
 
-A timed-out dispatch is retried on the very next tick: the Timeout for tick k
-is pushed before Tick k+1 at the same time, so it always runs first. Each
-(task, program) therefore belongs to exactly one chain of dispatches on
-consecutive ticks, from its first dispatch until delivery or the end of the
-run, and every dispatch of a chain carries all of its waiters. Hence a
-waiter's attempts are the chain's last tick minus the waiter's first tick
-plus one, and its server is the server of the chain's last dispatch. A tick
-merges at most one retried item per program, ahead of the fresh waiters, so
-the waiters new to a chain are always a suffix of a dispatch's waiters.
+Exactly one tick is open at a time: the Timeout for tick k is pushed before
+Tick k+1 at the same time, so it always runs first and resolves every entry
+still outstanding, and on_tick refuses to open a tick over an open one. A
+retry is therefore the timed-out dispatch itself, at most one per program: it
+is dispatched again on the very next tick with its failed server excluded
+once, carrying its waiters ahead of any fresh ones. Each (task, program)
+belongs to exactly one chain of dispatches on consecutive ticks, from its
+first dispatch until delivery or the end of the run, and every dispatch of a
+chain carries all of its waiters. Hence a waiter's attempts are the chain's
+last tick minus the waiter's first tick plus one, its server is the server of
+the chain's last dispatch, and the waiters new to a chain are always a suffix
+of a dispatch's waiters.
 """
 
 from __future__ import annotations
@@ -76,18 +77,6 @@ class TickOutcome:
     messages: int  # bundled requests: distinct wire servers this tick
 
 
-@dataclass(slots=True)
-class _WorkItem:
-    """Waiting tasks for one program; a retry excludes the failed server and
-    carries its chain."""
-
-    program_id: str
-    waiters: tuple[str, ...]
-    consumer: int  # the first waiter's
-    excluded_server: int | None = None
-    chain: _Chain | None = None
-
-
 class ProtocolState:
     """Mutable state of the update loop; driven by the engine's events.
 
@@ -122,8 +111,9 @@ class ProtocolState:
         self._choices: dict[tuple[str, int | None, int, Band | None], int] = {}
         self.current_tick = -1
         self.outstanding: dict[EntryKey, Dispatch] = {}
-        # bookkeeping for retries and task completion
-        self._program_retries: list[_WorkItem] = []
+        # the last tick's timed-out dispatches, by program, in timeout order:
+        # the next tick retries them
+        self._retries: dict[str, Dispatch] = {}
         # (task, program) of every due task with an unservable program: the
         # tables are fixed, so such a task stays deferred for the whole run
         self._unserved: list[tuple[str, str]] = []
@@ -149,46 +139,45 @@ class ProtocolState:
         expected = tick * self.t_int
         if t_i != expected:
             raise ValueError(f"tick at t={t_i}, expected t={expected}")
+        if self.outstanding:
+            raise ValueError(
+                f"tick {tick} opened with {len(self.outstanding)} entries of "
+                f"tick {self.current_tick} outstanding"
+            )
         self.current_tick = tick
 
-        # Timed-out programs first (they are older), then freshly due tasks.
-        work, self._program_retries = self._program_retries, []
+        # Retried programs come first (they are older), in timeout order, then
+        # the programs of freshly due tasks in order of first appearance.
+        # Tasks sharing a program share one dispatch, since entries are keyed
+        # (tick, server, program): joining maps a program to its consumer (its
+        # retry's, or its first fresh waiter's) and its waiters new to the chain.
+        retries, self._retries = self._retries, {}
+        joining: dict[str, tuple[int, list[str]]] = {
+            program_id: (retry.consumer, []) for program_id, retry in retries.items()
+        }
         for task in due_tasks:
             self._remaining[task.task_id] = set(task.required_programs)
-            work.extend(self._match_whole_task(task))
+            if self._servable(task):
+                for program_id in task.required_programs:
+                    joining.setdefault(program_id, (task.consumer, []))[1].append(task.task_id)
         self.unserved_events += len(self._unserved)
 
-        # Tasks sharing a program this tick share one dispatch: outstanding
-        # entries are keyed (tick, server, program), so duplicates must merge.
-        # Waiters keep their order. The first item of a program is its one
-        # retry, if it has one, and sets the exclusion, consumer and chain.
-        heads: dict[str, _WorkItem] = {}
-        more: dict[str, list[str]] = {}  # waiters of a program's later items
-        for item in work:
-            if item.program_id not in heads:
-                heads[item.program_id] = item
-            else:
-                more.setdefault(item.program_id, []).extend(item.waiters)
-
         # Every program here passed the whole-task match (or was dispatched
-        # before, against the same tables), so it has a capable server.
+        # before, against the same tables), so it has a capable server. A
+        # retry supplies the exclusion, the chain and the leading waiters.
         dispatches: list[Dispatch] = []
-        for program_id, head in heads.items():
-            server = self._choose(program_id, head.excluded_server, head.consumer, state)
-            chain = head.chain
-            if chain is None:
-                chain = _Chain(tick, server)
-                fresh = 0
+        for program_id, (consumer, fresh) in joining.items():
+            retry = retries.get(program_id)
+            excluded = None if retry is None else retry.server_id
+            server = self._choose(program_id, excluded, consumer, state)
+            if retry is None:
+                chain, lead = _Chain(tick, server), ()
             else:
-                chain.last_tick = tick
-                chain.server = server
-                fresh = len(head.waiters)
-            waiters = head.waiters
-            if program_id in more:
-                waiters += tuple(more[program_id])
+                chain, lead = retry.chain, retry.waiters
+                chain.last_tick, chain.server = tick, server
             dispatch = Dispatch(
-                tick, self.programs[program_id], server, head.consumer, waiters,
-                server == PLATFORM, chain, fresh,
+                tick, self.programs[program_id], server, consumer, lead + tuple(fresh),
+                server == PLATFORM, chain, len(lead),
             )
             dispatches.append(dispatch)
             if not dispatch.local:
@@ -228,17 +217,14 @@ class ProtocolState:
             self._choices[key] = server
         return server
 
-    def _match_whole_task(self, task: Task) -> list[_WorkItem]:
+    def _servable(self, task: Task) -> bool:
         # A task with any unservable program is deferred whole, on every tick.
         try:
             match_programs(task, self.tables, self.platform)
         except NoCapableServer as exc:
             self._unserved.append((task.task_id, exc.program_id))
-            return []
-        return [
-            _WorkItem(program_id, (task.task_id,), task.consumer)
-            for program_id in task.required_programs
-        ]
+            return False
+        return True
 
     # -------------------------------------------------------------- responses
 
@@ -265,31 +251,19 @@ class ProtocolState:
 
     # --------------------------------------------------------------- timeouts
 
-    def on_timeout(self, tick_index: int) -> list[Dispatch]:
-        """Expire every still-outstanding entry of the given tick.
+    def on_timeout(self) -> list[Dispatch]:
+        """Expire every still-outstanding entry, all of the one open tick.
 
-        Their programs re-enter the next tick's matching with the failed
-        server excluded once.
+        Each is retried on the next tick with its failed server excluded
+        once. At the end of the run this resolves every open entry as a
+        timeout, so the request/response/timeout conservation holds on
+        truncated runs.
         """
-        expired = [k for k in self.outstanding if k[0] == tick_index]
-        timed_out = []
-        for key in expired:
-            dispatch = self.outstanding.pop(key)
-            self.timeouts += 1
-            timed_out.append(dispatch)
-            self._program_retries.append(_WorkItem(
-                dispatch.program.program_id, dispatch.waiters, dispatch.consumer,
-                dispatch.server_id, dispatch.chain,
-            ))
-        return timed_out
-
-    def flush_outstanding(self) -> list[Dispatch]:
-        """End-of-run resolution: every open entry counts as a timeout so the
-        request/response/timeout conservation holds on truncated runs."""
-        flushed = list(self.outstanding.values())
-        self.timeouts += len(flushed)
+        timed_out = list(self.outstanding.values())
         self.outstanding.clear()
-        return flushed
+        self.timeouts += len(timed_out)
+        self._retries = {d.program.program_id: d for d in timed_out}
+        return timed_out
 
     # ------------------------------------------------------------ advancement
 
@@ -309,12 +283,10 @@ class ProtocolState:
     def try_advance(self, t: float) -> int:
         """Advance the timeline as far as completed phases allow.
 
-        Gated: nothing moves while the current tick still has outstanding
+        Gated: nothing moves while the open tick still has outstanding
         entries. Returns the number of phases advanced (0 is normal).
         """
-        if self.outstanding and any(
-            key[0] == self.current_tick for key in self.outstanding
-        ):
+        if self.outstanding:
             return 0
         moved = 0
         while (

@@ -521,19 +521,34 @@ def _parse_link(doc: Mapping):
     return bands, floor, fraction, variance
 
 
+def _node_key(key: Any) -> Any:
+    """A mapping key as a node id where it is one: JSON object keys are
+    strings, so the canonical decimal string of an int stands for the int."""
+    if isinstance(key, str):
+        try:
+            if str(int(key)) == key:
+                return int(key)
+        except ValueError:
+            pass
+    return key
+
+
 def _parse_loss(doc: Mapping, nodes: dict[int, NodeProfile]) -> dict[int, float]:
     raw = _as_map(doc.get("loss", {}), "loss")
     loss: dict[int, float] = {}
     for key, value in raw.items():
         path = f"loss.{key}"
-        if isinstance(key, bool) or not isinstance(key, int):
+        server = _node_key(key)
+        if isinstance(server, bool) or not isinstance(server, int):
             raise SchemaError(f"{path}: server keys must be integers")
-        if key not in nodes:
-            raise DanglingReference(f"{path}: unknown node {key}")
-        if key == PLATFORM:
+        if server in loss:
+            raise SchemaError(f"{path}: server {server} is listed twice")
+        if server not in nodes:
+            raise DanglingReference(f"{path}: unknown node {server}")
+        if server == PLATFORM:
             raise InvariantViolation(f"{path}: local execution cannot be lossy")
-        loss[key] = _real(value, path)
-        if not 0 <= loss[key] <= 1:
+        loss[server] = _real(value, path)
+        if not 0 <= loss[server] <= 1:
             raise SchemaError(f"{path}: expected a probability in [0, 1]")
     return loss
 

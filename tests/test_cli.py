@@ -291,10 +291,9 @@ def test_sweep_seeds_stay_inside_the_generator_key(tmp_path, capsys, base_seed,
                        "must be < 2**128\n")
 
 
-@pytest.mark.parametrize("mode", ["--sweep", "--feasibility"])
-def test_seed_is_for_single_runs_only(tmp_path, capsys, monkeypatch, mode):
-    """--seed with --sweep or --feasibility exits 1, naming both flags,
-    before the mode runs."""
+def check_single_run_only(tmp_path, capsys, monkeypatch, mode, flag, value):
+    """`flag value` with mode, --sweep or --feasibility, exits 1, naming both
+    flags, before the mode runs."""
     monkeypatch.setattr("birdsim.cli.run", None)  # a run would raise TypeError
     scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
     spec = write_yaml(tmp_path / "sweep.yaml", {
@@ -303,12 +302,24 @@ def test_seed_is_for_single_runs_only(tmp_path, capsys, monkeypatch, mode):
     args = {"--sweep": ["--scenario", scenario, "--sweep", spec],
             "--feasibility": ["--feasibility", "25,high"]}[mode]
     out = tmp_path / "o"
-    assert main([*args, "--seed", "99", "--out", str(out)]) == 1
+    assert main([*args, flag, value, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: --seed applies to single runs only; it cannot be "
+    assert captured.err == (f"error: {flag} applies to single runs only; it cannot be "
                             f"combined with {mode}\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["--sweep", "--feasibility"])
+def test_seed_is_for_single_runs_only(tmp_path, capsys, monkeypatch, mode):
+    check_single_run_only(tmp_path, capsys, monkeypatch, mode, "--seed", "99")
+
+
+@pytest.mark.parametrize("mode", ["--sweep", "--feasibility"])
+@pytest.mark.parametrize("fmt", ["summary", "both"])
+def test_format_is_for_single_runs_only(tmp_path, capsys, monkeypatch, mode, fmt):
+    # even the single run's default is an error outside a single run
+    check_single_run_only(tmp_path, capsys, monkeypatch, mode, "--format", fmt)
 
 
 def test_sweep_values_are_checked_before_any_run(tmp_path, capsys, monkeypatch):
@@ -461,17 +472,20 @@ def test_sweep_spec_integer_fields_exit_one(tmp_path, capsys, key, value, messag
     assert f"sweep.{key}: {message}" in err
 
 
-def aborting_doc():
-    doc = mini_doc()
-    # a monitoring result will land before this report time
-    doc["incident"] = {"start_s": 0.0, "observed_s": 5.0, "reported_s": 10.0}
-    return doc
+def make_runs_abort(monkeypatch):
+    """From here on every run aborts at its first wire response, as a module
+    error surfacing mid-run would, after its first Tick record."""
+    def fault(self, key, t):
+        raise RuntimeError(f"injected fault at {key}")
+
+    monkeypatch.setattr("birdsim.protocol.ProtocolState.on_response", fault)
 
 
-def test_aborting_run_exits_two(tmp_path, capsys):
+def test_aborting_run_exits_two(tmp_path, capsys, monkeypatch):
     """An aborted run writes its partial trace, ending in the Abort record,
     and no other artifact."""
-    scenario = write_yaml(tmp_path / "aborts.yaml", aborting_doc())
+    make_runs_abort(monkeypatch)
+    scenario = write_yaml(tmp_path / "aborts.yaml", mini_doc())
     out = tmp_path / "o"
     rc = main(["--scenario", scenario, "--out", str(out)])
     assert rc == 2
@@ -483,7 +497,7 @@ def test_aborting_run_exits_two(tmp_path, capsys):
     assert any(" kind=Tick " in line for line in lines)
 
 
-def test_aborted_run_leaves_no_earlier_run_artifacts(tmp_path, capsys):
+def test_aborted_run_leaves_no_earlier_run_artifacts(tmp_path, capsys, monkeypatch):
     """An aborted run into a directory that holds a good run's artifacts
     removes the good run's metrics, samples and summary, so the partial
     trace is never paired with them, and touches no other file."""
@@ -492,7 +506,8 @@ def test_aborted_run_leaves_no_earlier_run_artifacts(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(RUN_ARTIFACTS)
     (out / "notes.txt").write_text("kept")
-    rc = main(["--scenario", write_yaml(tmp_path / "aborts.yaml", aborting_doc()),
+    make_runs_abort(monkeypatch)
+    rc = main(["--scenario", write_yaml(tmp_path / "aborts.yaml", mini_doc()),
                "--out", str(out)])
     assert rc == 2
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace.log"]
@@ -500,8 +515,9 @@ def test_aborted_run_leaves_no_earlier_run_artifacts(tmp_path, capsys):
     assert " kind=Abort " in (out / "trace.log").read_text().splitlines()[-1]
 
 
-def test_aborting_sweep_exits_two_and_writes_nothing(tmp_path, capsys):
-    scenario = write_yaml(tmp_path / "aborts.yaml", aborting_doc())
+def test_aborting_sweep_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    make_runs_abort(monkeypatch)
+    scenario = write_yaml(tmp_path / "aborts.yaml", mini_doc())
     spec = write_yaml(tmp_path / "sweep.yaml", {
         "parameter": "update_interval", "values": [2.0],
     })

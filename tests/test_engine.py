@@ -370,9 +370,27 @@ def test_virtual_awareness_precedes_physical(scenario_path):
     assert any("moment=physical_awareness" in line for line in result.trace)
 
 
+def test_a_result_before_the_report_sets_no_awareness(scenario_path):
+    doc = yaml.safe_load(scenario_path.read_text())
+    delivered_at = [float(record_fields(line)["t"])
+                    for line in run(load_scenario(doc)).trace if " delivered=" in line]
+    # the first sensing result reaches a ground node at 30.6 s, the next at
+    # 41.4 s: with the report in between, the later one sets the moment
+    doc["incident"]["reported_s"] = 35.0
+    result = run(load_scenario(doc))
+    assert result.metrics.moments.virtual_awareness == delivered_at[1]
+    [line] = [line for line in result.trace if "moment=virtual_awareness" in line]
+    assert line.startswith(f"t={delivered_at[1]!r} ")
+    # reported after every sensing result: the run completes, never aware
+    doc["incident"]["reported_s"] = 200.0
+    assert run(load_scenario(doc)).metrics.moments.virtual_awareness is None
+
+
 def test_ordering_violations_abort_with_the_trace():
-    # a monitoring result lands before the incident is even reported
-    sc = make_scenario(incident=Incident(start=0.0, observed=5.0, reported=15.0))
+    # the ground unit arrives before the incident is even reported, which
+    # only a hand-built scenario can say: load_scenario rejects it
+    incident = Incident(start=0.0, observed=5.0, reported=15.0)
+    sc = make_scenario(incident=incident, truck_arrival=9.0)
     with pytest.raises(RunAborted) as err:
         run(sc)
     assert "OrderingViolation" in str(err.value)
@@ -391,11 +409,11 @@ def test_ordering_violations_abort_with_the_trace():
     abort = records[-1]
     assert unquote(abort["error"]) == str(err.value)
     assert unquote(abort["error"]).startswith("OrderingViolation: ")
-    # the Abort takes the (t, seq) of the event that raised: the delivery
-    # that sets virtual_awareness in the same run without the incident
-    clean = run(make_scenario())
-    delivery = next(line for line in clean.trace if "moment=virtual_awareness" in line)
-    assert delivery.startswith(f"t={abort['t']} seq={abort['seq']} ")
+    # the Abort takes the (t, seq) of the event that raised: the arrival
+    # that sets physical_awareness in the same run without the incident
+    clean = run(make_scenario(truck_arrival=9.0))
+    arrival = next(line for line in clean.trace if "moment=physical_awareness" in line)
+    assert arrival.startswith(f"t={abort['t']} seq={abort['seq']} ")
 
 
 # -------------------------------------------------------------------- trace
@@ -667,21 +685,19 @@ def run_with_waiter_oracle(monkeypatch, sc):
     on_tick = protocol.ProtocolState.on_tick
 
     def with_oracle(self, t, due, state):
-        retried = {}
-        for item in self._program_retries:
-            # the chain invariant: at most one retried item per program
-            assert item.program_id not in retried
-            retried[item.program_id] = item
+        retried = dict(self._retries)  # the timed-out dispatches, by program
         outcome = on_tick(self, t, due, state)
         for d in outcome.dispatches:
-            item = retried.pop(d.program.program_id, None)
-            if item is None:
+            retry = retried.pop(d.program.program_id, None)
+            if retry is None:
                 assert d.fresh == 0
             else:
-                # the retried waiters come first, on their own chain
-                assert d.fresh == len(item.waiters)
-                assert d.waiters[:d.fresh] == item.waiters
-                assert d.chain is item.chain
+                # the retried waiters come first, on their own chain, on the
+                # tick after their timed-out dispatch
+                assert d.fresh == len(retry.waiters)
+                assert d.waiters[:d.fresh] == retry.waiters
+                assert d.chain is retry.chain
+                assert d.tick_index == retry.tick_index + 1
             for waiter in d.waiters:
                 attempts, _ = expected.get((waiter, d.program.program_id), (0, None))
                 expected[(waiter, d.program.program_id)] = (attempts + 1, d.server_id)

@@ -182,7 +182,7 @@ def test_timeout_excludes_the_failed_server_once(ground_state):
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a")), nodes)
     first = ps.on_tick(0.0, [task("t1")], ground_state)
     assert first.dispatches[0].server_id == 1  # identical servers: lower id
-    expired = ps.on_timeout(0)
+    expired = ps.on_timeout()
     assert [d.server_id for d in expired] == [1]
     assert ps.timeouts == 1
     second = ps.on_tick(2.0, [], ground_state)
@@ -205,24 +205,34 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state):
     def tick(t, *task_ids):
         return ps.on_tick(t, [task(tid) for tid in task_ids], ground_state).dispatches
 
-    assert [d.server_id for d in tick(0.0, "t1")] == [1]
-    ps.on_timeout(0)
-    assert [(d.server_id, d.waiters) for d in tick(2.0, "t2")] == [(2, ("t1", "t2"))]
-    assert [d.server_id for d in tick(4.0, "t3")] == [1]
-    # two timed-out dispatches of one program: (t1, t2) failed on 2, then
-    # (t3,) failed on 1; the older retry's exclusion is the one that holds
-    ps.on_timeout(1)
-    ps.on_timeout(2)
-    merged = tick(6.0, "t4")
-    assert [(d.server_id, d.waiters) for d in merged] == [
-        (1, ("t1", "t2", "t3", "t4"))
-    ]
+    first = tick(0.0, "t1")
+    assert [d.server_id for d in first] == [1]
+    ps.on_timeout()
+    # the retry leads, so its waiters come first and its exclusion holds;
+    # the fresh waiters follow in due order
+    [second] = tick(2.0, "t2", "t3")
+    assert (second.server_id, second.waiters, second.fresh) == (2, ("t1", "t2", "t3"), 1)
+    assert second.chain is first[0].chain
+    ps.on_timeout()
+    [third] = tick(4.0, "t4")
+    assert (third.server_id, third.waiters, third.fresh) == (1, ("t1", "t2", "t3", "t4"), 3)
+    assert (third.chain.last_tick, third.chain.server) == (2, 1)
+
+
+def test_a_tick_cannot_open_over_outstanding_entries(ground_state):
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    ps.on_tick(0.0, [task("t1")], ground_state)
+    with pytest.raises(ValueError, match="outstanding"):
+        ps.on_tick(2.0, [], ground_state)
+    assert ps.current_tick == 0
+    ps.on_timeout()
+    assert [d.waiters for d in ps.on_tick(2.0, [], ground_state).dispatches] == [("t1",)]
 
 
 def test_sole_capable_server_is_retried_after_its_own_timeout(ground_state):
     ps = make_state((ProgramTableEntry(1, "a"),))
     ps.on_tick(0.0, [task("t1")], ground_state)
-    ps.on_timeout(0)
+    ps.on_timeout()
     retry = ps.on_tick(2.0, [], ground_state)
     assert [d.server_id for d in retry.dispatches] == [1]
     assert retry.unserved == []
@@ -233,7 +243,7 @@ def test_timeout_only_retries_the_unresolved_program(ground_state):
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["b"], 0.5)
-    ps.on_timeout(0)
+    ps.on_timeout()
     retry = ps.on_tick(2.0, [], ground_state)
     assert [d.program.program_id for d in retry.dispatches] == ["a"]
     respond(ps, retry.dispatches[0], 2.4)
@@ -260,10 +270,10 @@ def test_conservation_requests_equal_responses_plus_timeouts(ground_state):
     first = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     by_pid = {d.program.program_id: d for d in first.dispatches}
     respond(ps, by_pid["a"], 0.5)
-    ps.on_timeout(0)  # expires "b"
+    ps.on_timeout()  # expires "b"
     second = ps.on_tick(2.0, [task("t2")], ground_state)
     assert len(second.dispatches) == 2  # retried "b" plus fresh "a"
-    flushed = ps.flush_outstanding()
+    flushed = ps.on_timeout()  # the end of the run resolves the open tick
     assert len(flushed) == 2
     assert ps.requests_issued == 4
     assert ps.responses_received == 1

@@ -81,6 +81,26 @@ def test_json_documents_load(tmp_path):
     assert load_scenario(path).name == "mini"
 
 
+def json_round_trip_cases():
+    from test_digests import mixed, retry_heavy
+
+    return {
+        "bundled": lambda: yaml.safe_load(BUNDLED_SCENARIO.read_text()),
+        "retry_heavy": retry_heavy,
+        "mixed": lambda: mixed(1.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["bundled", "retry_heavy", "mixed"])
+def test_a_document_dumped_as_json_loads_as_the_same_scenario(tmp_path, case):
+    """JSON object keys are strings, so the `loss` table reaches the loader
+    as {"1": 0.05}; the scenario is the one its YAML form gives."""
+    doc = json_round_trip_cases()[case]()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert load_scenario(path) == load_scenario(doc)
+
+
 def test_missing_file_names_the_path(tmp_path):
     missing = tmp_path / "nope.yaml"
     with pytest.raises(SchemaError) as err:
@@ -517,6 +537,19 @@ def test_loss_table_is_validated():
     with pytest.raises(SchemaError):
         load_scenario(with_(lambda d: d.update(loss={"ecs": 0.5})))
     assert load_scenario(with_(lambda d: d.update(loss={1: 0.25}))).loss == {1: 0.25}
+
+
+def test_loss_keys_may_be_canonical_decimal_strings():
+    assert load_scenario(with_(lambda d: d.update(loss={"1": 0.25}))).loss == {1: 0.25}
+    with pytest.raises(DanglingReference, match=r"^loss\.9: "):
+        load_scenario(with_(lambda d: d.update(loss={"9": 0.5})))
+    with pytest.raises(InvariantViolation, match=r"^loss\.0: "):
+        load_scenario(with_(lambda d: d.update(loss={"0": 0.5})))
+    for key in (" 1", "01", "+1", "1.0", "1_0", "\u0661", ""):
+        with pytest.raises(SchemaError, match=f"^loss\\.{re.escape(key)}: server keys"):
+            load_scenario(with_(lambda d: d.update(loss={key: 0.5})))
+    with pytest.raises(SchemaError, match=r"^loss\.1: server 1 is listed twice"):
+        load_scenario(with_(lambda d: d.update(loss={1: 0.5, "1": 0.5})))
 
 
 # ---------------------------------------------------------------------- link

@@ -9,7 +9,10 @@ its own subprocess, with its own `src/` on the import path and its own
 `variance_scale` 1 and 0, over its full duration and cut to 0.37 of it (36
 runs, four artifacts each: trace, metrics, samples and summary), plus each
 workload's sweep at each seed (`sweep_rows.csv` and `sweep_aggregate.csv`).
-Every mismatch is printed, and the exit code is 1 if there is any.
+The parent's subprocess runs with PYTHONHASHSEED=0 and the change's with
+PYTHONHASHSEED=1, so 0 mismatches also shows that neither the grid nor the
+sweeps depend on the hash seed. Every mismatch is printed, and the exit code
+is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -116,9 +119,10 @@ def compare(parent: dict[str, str], change: dict[str, str]) -> list[str]:
     return lines
 
 
-def checkout_digests(checkout: Path) -> dict[str, str]:
-    """digests() of a checkout, computed in a subprocess that imports its src/."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+def checkout_digests(checkout: Path, hash_seed: str) -> dict[str, str]:
+    """digests() of a checkout, computed in a subprocess that imports its src/
+    and runs with the given PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--emit", str(checkout)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
@@ -142,8 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    found = {side: checkout_digests(path.resolve())
-             for side, path in (("parent", args.parent), ("change", args.change))}
+    found = {side: checkout_digests(path.resolve(), hash_seed)
+             for side, path, hash_seed in (("parent", args.parent, "0"),
+                                           ("change", args.change, "1"))}
     mismatches = compare(found["parent"], found["change"])
     for line in mismatches:
         print(line)
