@@ -231,20 +231,6 @@ class LinkModel:
             t, band, direction, throughput, p.rtt_mean * self.one_way_fraction
         )
 
-    def transfer_time(
-        self,
-        payload_bits: float,
-        t: float,
-        altitude: float,
-        rotating: bool,
-        direction: Direction,
-    ) -> float:
-        """Seconds to move payload_bits over one hop at flight state (t, alt)."""
-        if payload_bits < 0:
-            raise ValueError("payload must be >= 0 bits")
-        sample = self.sample_throughput(t, altitude, rotating, direction)
-        return transfer_seconds(payload_bits, sample)
-
     def sustainable_uplink(self, bitrate_mbps: float, band: Band) -> tuple[bool, float]:
         """Whether a constant uplink stream fits under the regime's mean.
 

@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the scenario's seed (single runs only)",
     )
     parser.add_argument(
-        "--out", metavar="DIR", default="out", help="artifact directory"
+        "--out", metavar="DIR",
+        help="artifact directory (runs and sweeps only; default: out)",
     )
     parser.add_argument(
         "--format", choices=("csv", "summary", "both"),
@@ -302,11 +303,16 @@ def _configure_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    if args.sweep is not None or args.feasibility is not None:
-        mode = "--sweep" if args.sweep is not None else "--feasibility"
-        for flag, value in (("--seed", args.seed), ("--format", args.format)):
-            if value is not None:
-                print(f"error: {flag} applies to single runs only; it cannot be "
+    modes = {"--sweep": args.sweep, "--feasibility": args.feasibility}
+    # (flag, its value, what it applies to, the modes it cannot join)
+    for flag, value, scope, excluded in (
+        ("--seed", args.seed, "single runs", ("--sweep", "--feasibility")),
+        ("--format", args.format, "single runs", ("--sweep", "--feasibility")),
+        ("--out", args.out, "runs and sweeps", ("--feasibility",)),
+    ):
+        for mode in excluded:
+            if value is not None and modes[mode] is not None:
+                print(f"error: {flag} applies to {scope} only; it cannot be "
                       f"combined with {mode}", file=sys.stderr)
                 return 1
     if args.seed is not None and not 0 <= args.seed < SEED_BOUND:
@@ -321,9 +327,10 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
+        out = "out" if args.out is None else args.out
         if args.sweep is not None:
-            return cmd_sweep(args.scenario, args.sweep, args.out)
-        return cmd_run(args.scenario, args.seed, args.out, args.format or "both")
+            return cmd_sweep(args.scenario, args.sweep, out)
+        return cmd_run(args.scenario, args.seed, out, args.format or "both")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,9 +32,10 @@ from .model import (
     CriticalMoments,
     NodeKind,
     Origin,
+    Task,
     record_moment,
 )
-from .pipeline import LatencyBreakdown, PipelinePlacement, hop_direction, stage_times
+from .pipeline import LatencyBreakdown, PipelinePlacement, leg_sample, stage_times
 from .protocol import Dispatch, ProtocolState, _Chain
 from .scenario import Scenario, Waypoint
 
@@ -195,10 +196,8 @@ class _Sim:
         self.staged = 0  # program executions staged, numbered from 0
         self.delivered = 0
         self.samples: list[LinkSample] = []
-        # (scenario index, task) by issue time; tasks before the cursor have
-        # been handed to the protocol
-        self.by_issue = sorted(enumerate(scenario.tasks), key=lambda p: p[1].issue_time)
-        self.next_due = 0
+        # (scenario index, task) of each task issued since the last Tick
+        self.issued: list[tuple[int, Task]] = []
         self.prog_index = {pid: i for i, pid in enumerate(scenario.programs)}
         self.task_outcomes: dict[str, TaskOutcome] = {}
         self.prog_outcomes: dict[tuple[str, str], ProgramOutcome] = {}
@@ -221,23 +220,22 @@ class _Sim:
     # ------------------------------------------------------------- scheduling
 
     def _push(self, t: float, handler: _Handler, payload: Any = None) -> None:
+        # An event beyond the run window never runs and takes no seq: staged
+        # work dropped here is never delivered, so the flush counts it cancelled.
+        if t > self.end:
+            return
         heapq.heappush(self.heap, (t, self.seq, handler, payload))
         self.seq += 1
 
-    def _push_staged(self, t: float, handler: _Handler, inst: _Instance) -> None:
-        # Work that would land beyond the run window is never delivered: the
-        # flush counts it as cancelled.
-        if t <= self.end:
-            self._push(t, handler, inst)
-
     def _schedule_initial(self) -> None:
-        for task in self.sc.tasks:
-            if task.issue_time <= self.end:
-                self._push(task.issue_time, self._on_task_issued, task.task_id)
+        # Every TaskIssued is pushed before the tick-0 Tick, so at equal
+        # times it runs first: a Tick finds every task issued at or before
+        # its time in self.issued.
+        for index, task in enumerate(self.sc.tasks):
+            self._push(task.issue_time, self._on_task_issued, (index, task))
         for wp in self.sc.flight_plan:
-            if wp.t <= self.end:
-                self._push(wp.t, self._on_flight_waypoint, wp)
-        if self.sc.truck_arrival is not None and self.sc.truck_arrival <= self.end:
+            self._push(wp.t, self._on_flight_waypoint, wp)
+        if self.sc.truck_arrival is not None:
             self._push(self.sc.truck_arrival, self._on_truck_arrival)
         self._push(0.0, self._on_tick, 0)
 
@@ -275,8 +273,9 @@ class _Sim:
             raise RunAborted(error, list(self.trace)) from exc
         return RunResult(metrics=self._metrics(), trace=self.trace)
 
-    def _on_task_issued(self, t: float, seq: int, task_id: str) -> None:
-        self._emit(t, seq, "TaskIssued", f"task={task_id}")
+    def _on_task_issued(self, t: float, seq: int, issued: tuple[int, Task]) -> None:
+        self.issued.append(issued)
+        self._emit(t, seq, "TaskIssued", f"task={issued[1].task_id}")
 
     def _on_flight_waypoint(self, t: float, seq: int, wp: Waypoint) -> None:
         self._emit(
@@ -292,14 +291,9 @@ class _Sim:
 
     def _on_tick(self, t: float, seq: int, tick: int) -> None:
         state = flight_state_at(self.sc, t)
-        start = self.next_due
-        while (
-            self.next_due < len(self.by_issue)
-            and self.by_issue[self.next_due][1].issue_time <= t
-        ):
-            self.next_due += 1
         # tasks due in the same tick are served in scenario order
-        due = [task for _, task in sorted(self.by_issue[start:self.next_due])]
+        due = [task for _, task in sorted(self.issued)]
+        self.issued.clear()
         outcome = self.protocol.on_tick(t, due, state)
         for task in due:
             self.task_outcomes[task.task_id].first_served_at = t
@@ -328,7 +322,7 @@ class _Sim:
         # the next tick is also this tick's deadline; its Timeout is pushed
         # first, so it runs before that Tick (protocol module docstring)
         next_t = (tick + 1) * self.protocol.t_int
-        if entries and next_t <= self.end:
+        if entries:
             self._push(next_t, self._on_timeout, tick)
         if next_t < self.end:
             self._push(next_t, self._on_tick, tick + 1)
@@ -343,14 +337,8 @@ class _Sim:
 
     # ---------------------------------------------------------------- staging
 
-    def _sample_leg(
-        self, t: float, payload: float, sender: int, receiver: int
-    ) -> float:
-        state = flight_state_at(self.sc, t)
-        direction = hop_direction(sender, receiver)
-        sample = self.link.sample_throughput(
-            t, state.altitude, state.rotating, direction
-        )
+    def _sample_leg(self, t: float, payload: float, sender: int, receiver: int) -> float:
+        sample = leg_sample(self.link, flight_state_at(self.sc, t), sender, receiver)
         self.samples.append(sample)
         return transfer_seconds(payload, sample)
 
@@ -363,14 +351,14 @@ class _Sim:
         inst = _Instance(self.staged, dispatch, t_enc, 0.0, t_dec, t_proc)
         self.staged += 1
         if dispatch.local:
-            self._push_staged(t + (t_enc + t_dec + t_proc), self._on_compute_complete, inst)
+            self._push(t + (t_enc + t_dec + t_proc), self._on_compute_complete, inst)
             return
         t_start = t + t_enc
         leg = self._sample_leg(
             t_start, dispatch.program.input_payload, PLATFORM, dispatch.server_id
         )
         inst.t_comm += leg
-        self._push_staged(t_start + leg, self._on_input_arrival, inst)
+        self._push(t_start + leg, self._on_input_arrival, inst)
 
     # --------------------------------------------------------------- handlers
 
@@ -384,7 +372,7 @@ class _Sim:
         dispatch = inst.dispatch
         if not self._live(dispatch):
             return
-        self._push_staged(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
+        self._push(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
         self._emit(
             t, seq, "TransferComplete",
             f"inst={inst.inst_id} leg=input entry={_fmt_key(dispatch.key)}",
@@ -412,7 +400,7 @@ class _Sim:
                 t, dispatch.program.output_payload, executor, dispatch.consumer
             )
             inst.t_comm += leg
-            self._push_staged(t + leg, self._on_output_arrival, inst)
+            self._push(t + leg, self._on_output_arrival, inst)
             self._emit(t, seq, "ComputeComplete", record)
             return
         # result is consumed where it was computed: delivery happens now

@@ -4,9 +4,11 @@ A placement names where the input originates, where the program runs, and
 where the result is used. The end-to-end figure is the exact sum of four
 stages: encode at the source, communication over the wireless hops, decode at
 the executor, and processing at the executor. A fully local placement skips
-everything but processing. stage_times is shared by the policy's prediction
-(e2e_latency) and the engine's staging, so the two differ only in the link
-legs, which the engine samples when each leg starts.
+everything but processing. The policy's prediction (e2e_latency) and the
+engine's staging share stage_times and leg_sample, and differ only in when
+each leg is sampled: the prediction samples both legs at the flight state of
+the deciding tick (on the variance-free link it is given), the engine samples
+each leg when it starts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .channel import Direction, FlightState, LinkModel
+from .channel import Direction, FlightState, LinkModel, LinkSample, transfer_seconds
 from .model import PLATFORM, NodeProfile, ProgramSpec
 
 
@@ -79,6 +81,12 @@ def _node(nodes: Mapping[int, NodeProfile], node_id: int) -> NodeProfile:
         raise UnknownNode(node_id) from None
 
 
+def leg_sample(link: LinkModel, state: FlightState, sender: int, receiver: int) -> LinkSample:
+    """The link sample that prices the hop from sender to receiver at state."""
+    direction = hop_direction(sender, receiver)
+    return link.sample_throughput(state.t, state.altitude, state.rotating, direction)
+
+
 def comm_time(
     program: ProgramSpec,
     placement: PipelinePlacement,
@@ -90,24 +98,14 @@ def comm_time(
     Each hop whose endpoints differ is charged one sampled transfer; a leg
     from a node to itself moves nothing and costs nothing.
     """
-    t_comm = 0.0
+    t_in = t_out = 0.0
     if placement.executor != placement.source:
-        t_comm += link.transfer_time(
-            program.input_payload,
-            state.t,
-            state.altitude,
-            state.rotating,
-            hop_direction(placement.source, placement.executor),
-        )
+        sample = leg_sample(link, state, placement.source, placement.executor)
+        t_in = transfer_seconds(program.input_payload, sample)
     if placement.consumer != placement.executor:
-        t_comm += link.transfer_time(
-            program.output_payload,
-            state.t,
-            state.altitude,
-            state.rotating,
-            hop_direction(placement.executor, placement.consumer),
-        )
-    return t_comm
+        sample = leg_sample(link, state, placement.executor, placement.consumer)
+        t_out = transfer_seconds(program.output_payload, sample)
+    return 0.0 + t_in + t_out
 
 
 def stage_times(

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import yaml
 
@@ -151,12 +152,26 @@ def _reject_unknown(doc: Mapping, allowed: set[str], path: str) -> None:
         raise SchemaError(f"{path}: unknown key {unknown[0]!r}")
 
 
+def _records(items: Any, section: str, allowed: set[str]) -> Iterator[tuple[str, dict]]:
+    """(path, mapping) of each item of a list section, its keys checked."""
+    for i, raw in enumerate(_as_list(items, section)):
+        path = f"{section}[{i}]"
+        raw = _as_map(raw, path)
+        _reject_unknown(raw, allowed, path)
+        yield path, raw
+
+
+def _absent(key: str, path: str, default: Any, required: bool) -> Any:
+    """The value of a missing key: its default, unless the key is required."""
+    if required:
+        raise SchemaError(f"{path}.{key}: required")
+    return default
+
+
 def _num(doc: Mapping, key: str, path: str, *, default=None, required=False,
          minimum=None, positive=False) -> float | None:
     if key not in doc:
-        if required:
-            raise SchemaError(f"{path}.{key}: required")
-        return default
+        return _absent(key, path, default, required)
     value = _real(doc[key], f"{path}.{key}")
     if positive and not value > 0:
         raise SchemaError(f"{path}.{key}: must be positive")
@@ -168,9 +183,7 @@ def _num(doc: Mapping, key: str, path: str, *, default=None, required=False,
 def _int(doc: Mapping, key: str, path: str, *, default=None, required=False,
          minimum=None) -> int | None:
     if key not in doc:
-        if required:
-            raise SchemaError(f"{path}.{key}: required")
-        return default
+        return _absent(key, path, default, required)
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}.{key}: expected an integer, got {_type_name(value)}")
@@ -188,9 +201,7 @@ def _bool(doc: Mapping, key: str, path: str, *, default=False) -> bool:
 
 def _str(doc: Mapping, key: str, path: str, *, default=None, required=False) -> str | None:
     if key not in doc:
-        if required:
-            raise SchemaError(f"{path}.{key}: required")
-        return default
+        return _absent(key, path, default, required)
     value = doc[key]
     if not isinstance(value, str):
         raise SchemaError(f"{path}.{key}: expected a string, got {_type_name(value)}")
@@ -206,30 +217,45 @@ def _ident(doc: Mapping, key: str, path: str) -> str:
     return value
 
 
+def _choice(doc: Mapping, key: str, path: str, choices: type[Enum], *, default=None,
+            required=False) -> Enum:
+    """A string field naming one member of the enum choices."""
+    value = _str(doc, key, path, default=default, required=required)
+    try:
+        return choices(value)
+    except ValueError:
+        raise SchemaError(
+            f"{path}.{key}: expected one of {[c.value for c in choices]}"
+        ) from None
+
+
+def _program_ids(raw: Any, path: str, programs: Mapping, *, unique=False) -> list[str]:
+    """A list of known program ids; with unique, no id may repeat."""
+    ids = _as_list(raw, path)
+    for j, pid in enumerate(ids):
+        if not isinstance(pid, str):
+            raise SchemaError(f"{path}[{j}]: expected a string")
+        if pid not in programs:
+            raise DanglingReference(f"{path}[{j}]: unknown program {pid!r}")
+        if unique and pid in ids[:j]:
+            raise InvariantViolation(f"{path}[{j}]: duplicate program {pid!r}")
+    return ids
+
+
 # ------------------------------------------------------------------ sections
 
 
 def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, NodeProfile]:
     nodes: dict[int, NodeProfile] = {}
-    for i, raw in enumerate(_as_list(doc.get("nodes"), "nodes")):
-        path = f"nodes[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(
-            raw,
-            {"node_id", "kind", "compute_capacity", "location", "mobile",
-             "cached_programs", "battery_budget_s"},
-            path,
-        )
+    for path, raw in _records(
+        doc.get("nodes"), "nodes",
+        {"node_id", "kind", "compute_capacity", "location", "mobile",
+         "cached_programs", "battery_budget_s"},
+    ):
         node_id = _int(raw, "node_id", path, required=True, minimum=0)
         if node_id in nodes:
             raise InvariantViolation(f"{path}.node_id: duplicate node id {node_id}")
-        kind_raw = _str(raw, "kind", path, required=True)
-        try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.kind: expected one of {[k.value for k in NodeKind]}"
-            ) from None
+        kind = _choice(raw, "kind", path, NodeKind, required=True)
         if (node_id == PLATFORM) != (kind is NodeKind.UAV5GP):
             raise InvariantViolation(
                 f"{path}.kind: node {PLATFORM}, and only node {PLATFORM}, is the "
@@ -256,14 +282,8 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
                 f"{path}.battery_budget_s: must be in (0, {PRE_ARRIVAL_BUDGET_S}], "
                 f"got {battery}"
             )
-        cached = _as_list(raw.get("cached_programs", []), f"{path}.cached_programs")
-        for j, pid in enumerate(cached):
-            if not isinstance(pid, str):
-                raise SchemaError(f"{path}.cached_programs[{j}]: expected a string")
-            if pid not in programs:
-                raise DanglingReference(
-                    f"{path}.cached_programs[{j}]: unknown program {pid!r}"
-                )
+        cached = _program_ids(raw.get("cached_programs", []), f"{path}.cached_programs",
+                              programs)
         nodes[node_id] = NodeProfile(
             node_id=node_id,
             kind=kind,
@@ -283,15 +303,11 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
 
 def _parse_programs(doc: Mapping) -> dict[str, ProgramSpec]:
     programs: dict[str, ProgramSpec] = {}
-    for i, raw in enumerate(_as_list(doc.get("programs", []), "programs")):
-        path = f"programs[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(
-            raw,
-            {"program_id", "task_kind", "compute_cost", "input_payload_bits",
-             "output_payload_bits", "encode_cost", "decode_cost"},
-            path,
-        )
+    for path, raw in _records(
+        doc.get("programs", []), "programs",
+        {"program_id", "task_kind", "compute_cost", "input_payload_bits",
+         "output_payload_bits", "encode_cost", "decode_cost"},
+    ):
         program_id = _ident(raw, "program_id", path)
         if program_id in programs:
             raise InvariantViolation(f"{path}.program_id: duplicate {program_id!r}")
@@ -314,12 +330,10 @@ def _parse_tables(
     doc: Mapping, programs: dict[str, ProgramSpec], nodes: dict[int, NodeProfile]
 ) -> tuple[ProgramTableEntry, ...]:
     entries = []
-    for i, raw in enumerate(_as_list(doc.get("tables", []), "tables")):
-        path = f"tables[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(
-            raw, {"server_id", "program_id", "capable", "advertised_latency_s"}, path
-        )
+    for path, raw in _records(
+        doc.get("tables", []), "tables",
+        {"server_id", "program_id", "capable", "advertised_latency_s"},
+    ):
         server_id = _int(raw, "server_id", path, required=True, minimum=0)
         program_id = _str(raw, "program_id", path, required=True)
         if program_id not in programs:
@@ -349,39 +363,20 @@ def _parse_tasks(
 ) -> tuple[Task, ...]:
     tasks = []
     seen = set()
-    for i, raw in enumerate(_as_list(doc.get("tasks", []), "tasks")):
-        path = f"tasks[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(
-            raw,
-            {"task_id", "required_programs", "origin", "issue_time_s", "consumer"},
-            path,
-        )
+    for path, raw in _records(
+        doc.get("tasks", []), "tasks",
+        {"task_id", "required_programs", "origin", "issue_time_s", "consumer"},
+    ):
         task_id = _ident(raw, "task_id", path)
         if task_id in seen:
             raise InvariantViolation(f"{path}.task_id: duplicate {task_id!r}")
         seen.add(task_id)
-        required = _as_list(raw.get("required_programs"), f"{path}.required_programs")
+        # an empty list has no item to reject, so it is reported after them
+        required = _program_ids(raw.get("required_programs"), f"{path}.required_programs",
+                                programs, unique=True)
         if not required:
             raise SchemaError(f"{path}.required_programs: must be non-empty")
-        for j, pid in enumerate(required):
-            if not isinstance(pid, str):
-                raise SchemaError(f"{path}.required_programs[{j}]: expected a string")
-            if pid not in programs:
-                raise DanglingReference(
-                    f"{path}.required_programs[{j}]: unknown program {pid!r}"
-                )
-            if pid in required[:j]:
-                raise InvariantViolation(
-                    f"{path}.required_programs[{j}]: duplicate program {pid!r}"
-                )
-        origin_raw = _str(raw, "origin", path, default=Origin.COMMANDER_ORDER.value)
-        try:
-            origin = Origin(origin_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.origin: expected one of {[o.value for o in Origin]}"
-            ) from None
+        origin = _choice(raw, "origin", path, Origin, default=Origin.COMMANDER_ORDER)
         consumer = _int(raw, "consumer", path, default=PLATFORM, minimum=0)
         if consumer not in nodes:
             raise DanglingReference(f"{path}.consumer: unknown node {consumer}")
@@ -428,10 +423,9 @@ def _parse_timeline(doc: Mapping, programs, tasks) -> tuple[Phase, ...]:
     task_ids = {t.task_id for t in tasks}
     phases = []
     seen = set()
-    for i, raw in enumerate(_as_list(raw_list, "timeline")):
-        path = f"timeline[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(raw, {"phase_id", "implied_task_kinds", "completes_when"}, path)
+    for path, raw in _records(
+        raw_list, "timeline", {"phase_id", "implied_task_kinds", "completes_when"}
+    ):
         phase_id = _ident(raw, "phase_id", path)
         if phase_id in seen:
             raise InvariantViolation(f"{path}.phase_id: duplicate {phase_id!r}")
@@ -459,10 +453,7 @@ def _parse_flight_plan(doc: Mapping) -> tuple[Waypoint, ...]:
     if raw_list is None:
         return (Waypoint(0.0, 0.0),)
     waypoints = []
-    for i, raw in enumerate(_as_list(raw_list, "flight_plan")):
-        path = f"flight_plan[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(raw, {"t_s", "altitude_m", "rotating"}, path)
+    for path, raw in _records(raw_list, "flight_plan", {"t_s", "altitude_m", "rotating"}):
         t = _num(raw, "t_s", path, required=True, minimum=0.0)
         altitude = _num(raw, "altitude_m", path, required=True)
         if altitude < 0 or altitude > MAX_ALTITUDE_M:
@@ -554,26 +545,18 @@ def _parse_loss(doc: Mapping, nodes: dict[int, NodeProfile]) -> dict[int, float]
 
 
 def _parse_incident(doc: Mapping, duration: float) -> Incident:
+    names = ("start_s", "observed_s", "reported_s")  # in the order they must come
     raw = _as_map(doc.get("incident", {}), "incident")
-    _reject_unknown(raw, {"start_s", "observed_s", "reported_s"}, "incident")
-    incident = Incident(
-        start=_num(raw, "start_s", "incident", minimum=0.0),
-        observed=_num(raw, "observed_s", "incident", minimum=0.0),
-        reported=_num(raw, "reported_s", "incident", minimum=0.0),
-    )
-    chain = [
-        ("start_s", incident.start),
-        ("observed_s", incident.observed),
-        ("reported_s", incident.reported),
-    ]
-    known = [(name, t) for name, t in chain if t is not None]
+    _reject_unknown(raw, set(names), "incident")
+    times = [_num(raw, name, "incident", minimum=0.0) for name in names]
+    known = [(name, t) for name, t in zip(names, times) if t is not None]
     for (a_name, a), (b_name, b) in zip(known, known[1:]):
         if a > b:
             raise InvariantViolation(f"incident: {a_name} must not come after {b_name}")
     for name, t in known:
         if t > duration:
             raise InvariantViolation(f"incident.{name}: beyond the mission duration")
-    return incident
+    return Incident(*times)
 
 
 _TOP_KEYS = {

@@ -30,6 +30,8 @@ from birdsim.channel import (
     keyed_uniform,
     transfer_seconds,
 )
+from birdsim.model import PLATFORM
+from birdsim.pipeline import leg_sample
 
 # (dl_mean, ul_mean, rtt_mean) per regime — frozen measured values.
 EXPECTED_DEFAULTS = {
@@ -287,15 +289,22 @@ def test_monte_carlo_mean_and_std_track_configuration():
 # ------------------------------------------------------------------ transfer
 
 
+def uplink_seconds(link, payload_bits, t, altitude):
+    """Seconds of one platform-to-server leg, priced as the pipeline does."""
+    sample = leg_sample(link, FlightState(t, altitude), PLATFORM, 1)
+    assert sample.direction is Direction.UL
+    return transfer_seconds(payload_bits, sample)
+
+
 def test_transfer_time_zero_payload_is_delay_only(mean_link):
-    t = mean_link.transfer_time(0.0, 1.0, 30.0, False, Direction.UL)
+    t = uplink_seconds(mean_link, 0.0, 1.0, 30.0)
     assert t == 10.03 / 1e3
 
 
 def test_transfer_time_large_upload_oracle(mean_link):
     """500 MB (4e9 bits) at exactly 48.13 Mbps: serialization alone is
     4_000_000_000 / 48_130_000 ≈ 83.11 s, plus the one-way delay."""
-    total = mean_link.transfer_time(4_000_000_000.0, 0.0, 30.0, False, Direction.UL)
+    total = uplink_seconds(mean_link, 4_000_000_000.0, 0.0, 30.0)
     serialization = 4_000_000_000.0 / (48.13 * 1e6)
     assert total == serialization + 10.03 / 1e3
     assert abs(serialization - 83.11) < 0.01
@@ -307,11 +316,11 @@ def test_transfer_seconds_matches_sample_arithmetic(mean_link):
 
 
 def test_transfer_time_monotone_in_payload_and_rate(mean_link):
-    t_small = mean_link.transfer_time(1e6, 0.0, 30.0, False, Direction.UL)
-    t_big = mean_link.transfer_time(2e6, 0.0, 30.0, False, Direction.UL)
+    t_small = uplink_seconds(mean_link, 1e6, 0.0, 30.0)
+    t_big = uplink_seconds(mean_link, 2e6, 0.0, 30.0)
     assert t_big > t_small
     # high band has the lower UL mean, so the same payload takes longer
-    t_high = mean_link.transfer_time(1e6, 0.0, 70.0, False, Direction.UL)
+    t_high = uplink_seconds(mean_link, 1e6, 0.0, 70.0)
     assert t_high > t_small
 
 

@@ -322,6 +322,16 @@ def test_format_is_for_single_runs_only(tmp_path, capsys, monkeypatch, mode, fmt
     check_single_run_only(tmp_path, capsys, monkeypatch, mode, "--format", fmt)
 
 
+def test_out_is_for_runs_and_sweeps(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--feasibility", "25,high", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --out applies to runs and sweeps only; it cannot be "
+                            "combined with --feasibility\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_values_are_checked_before_any_run(tmp_path, capsys, monkeypatch):
     runs = []
     monkeypatch.setattr("birdsim.cli.run", lambda *a, **k: runs.append(a))

@@ -326,10 +326,24 @@ def test_the_engine_realizes_what_pipeline_prices(data):
 
 
 def test_late_tasks_wait_for_their_tick():
-    sc = make_scenario(tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 3.0,
-                                   consumer=1),))
-    result = run(sc)
-    assert result.metrics.tasks[0].first_served_at == 4.0
+    def due_by_tick(*issues):
+        """(first_served_at of each task, {tick time: due=}) of a run whose
+        tasks, in scenario order, are issued at the given times."""
+        tasks = tuple(Task(f"t{i}", ("p",), Origin.COMMANDER_ORDER, t, consumer=1)
+                      for i, t in enumerate(issues, 1))
+        result = run(make_scenario(tasks=tasks))
+        due = dict(re.search(r"^t=(\S+) .*kind=Tick .*due=(\S*)", line).groups()
+                   for line in result.trace if "kind=Tick" in line)
+        return [task.first_served_at for task in result.metrics.tasks], due
+
+    served, due = due_by_tick(3.0)
+    assert served == [4.0] and due["2.0"] == "" and due["4.0"] == "t1"
+    # issued exactly on a tick, the first one included: due at that Tick
+    served, due = due_by_tick(0.0, 4.0)
+    assert served == [0.0, 4.0] and due["0.0"] == "t1" and due["4.0"] == "t2"
+    # issued in one interval out of scenario order: listed in scenario order
+    served, due = due_by_tick(5.5, 4.5)
+    assert served == [6.0, 6.0] and due["4.0"] == "" and due["6.0"] == "t1,t2"
 
 
 def test_unreachable_sole_server_times_out_every_interval():

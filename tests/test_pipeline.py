@@ -14,7 +14,8 @@ from birdsim import (
     UnknownNode,
     e2e_latency,
 )
-from birdsim.pipeline import LatencyBreakdown, hop_direction, stage_time
+from birdsim.channel import transfer_seconds
+from birdsim.pipeline import LatencyBreakdown, hop_direction, leg_sample, stage_time
 
 from conftest import make_flat_bands
 
@@ -101,10 +102,9 @@ def test_same_node_leg_costs_nothing(nodes, mean_link, ground_state):
     # executor == source: no input transfer, only the result leg is charged
     program = make_program()
     b = e2e_latency(program, PipelinePlacement(0, 0, 2), nodes, mean_link, ground_state)
-    expected_out = mean_link.transfer_time(
-        program.output_payload, 0.0, 30.0, False, Direction.UL
-    )
-    assert b.t_comm == expected_out
+    sample = leg_sample(mean_link, ground_state, 0, 2)
+    assert sample.direction is Direction.UL
+    assert b.t_comm == transfer_seconds(program.output_payload, sample)
     assert b.t_enc > 0 and b.t_dec > 0 and b.t_proc > 0
 
 

@@ -1,6 +1,7 @@
 """Scenario loading and validation: schema, references, domain invariants."""
 
 import copy
+import hashlib
 import json
 import re
 
@@ -317,18 +318,53 @@ def test_the_field_walk_covers_every_field():
     assert len(FIELD_MUTATIONS) == 284
 
 
-@pytest.mark.parametrize("doc, path, keys, replacement", FIELD_MUTATIONS)
-def test_every_field_names_itself(doc, path, keys, replacement):
-    """One field of the bundled scenario replaced by a wrong type, NaN or
-    inf: the error starts with that field's path."""
+_DELETE = object()
+
+
+def _mutated(doc, keys, replacement):
+    """A copy of doc with the value at keys replaced, or removed when the
+    replacement is _DELETE."""
     doc = copy.deepcopy(doc)
     parent = doc
     for key in keys[:-1]:
         parent = parent[key]
-    parent[keys[-1]] = replacement
+    if replacement is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = replacement
+    return doc
+
+
+@pytest.mark.parametrize("doc, path, keys, replacement", FIELD_MUTATIONS)
+def test_every_field_names_itself(doc, path, keys, replacement):
+    """One field of the bundled scenario replaced by a wrong type, NaN or
+    inf: the error starts with that field's path."""
     with pytest.raises(ScenarioError) as err:
-        load_scenario(doc)
+        load_scenario(_mutated(doc, keys, replacement))
     assert str(err.value).startswith(f"{path}: ")
+
+
+def _loader_message(doc) -> str:
+    try:
+        load_scenario(doc)
+    except ScenarioError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "loads"
+
+
+# sha256 of the loader's `Type: message` lines, one per FIELD_MUTATIONS case
+# and then one per deletion of a field of the bundled scenario, joined by
+# newlines; a document that still loads contributes `loads`
+LOADER_MESSAGES_SHA256 = "f7b9e76fe4a1dcd3891ae079b7b621e490fe912988dab1d7428ea7a53f57d734"
+
+
+def test_every_loader_message_is_pinned():
+    doc = yaml.safe_load(BUNDLED_SCENARIO.read_text())
+    cases = [case.values[2:] for case in FIELD_MUTATIONS]  # (keys, replacement)
+    cases += [(keys, _DELETE) for _, keys, _ in _leaves(doc, "")]
+    lines = [_loader_message(_mutated(doc, keys, replacement)) for keys, replacement in cases]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LOADER_MESSAGES_SHA256
 
 
 def test_bad_identifier_is_rejected():
