@@ -8,13 +8,10 @@ BIRDSIM_LOG={off,info,trace} controls logging verbosity on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +19,7 @@ import numpy as np
 from .channel import SEED_BOUND, Band, LinkBandParams, LinkModel, default_link_params
 from .engine import (
     RunAborted,
-    RunResult,
-    _cell,
+    csv_text,
     metrics_to_csv,
     run,
     samples_to_csv,
@@ -31,36 +27,7 @@ from .engine import (
     summary_to_json,
     trace_to_text,
 )
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    Waypoint,
-    load_scenario,
-    load_sweep_spec,
-)
-
-log = logging.getLogger("birdsim.cli")
-
-def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
-    """Return a copy of the scenario with one swept parameter overridden;
-    load_sweep_spec has checked the parameter and the value's range."""
-    if parameter == "update_interval":
-        return replace(scenario, t_int=value)
-    if parameter == "payload_scale":
-        programs = {
-            pid: replace(
-                p,
-                input_payload=p.input_payload * value,
-                output_payload=p.output_payload * value,
-            )
-            for pid, p in scenario.programs.items()
-        }
-        return replace(scenario, programs=programs)
-    if parameter == "altitude_profile":
-        # the value is a constant mission altitude in meters
-        return replace(scenario, flight_plan=(Waypoint(0.0, value),))
-    # link_variance_scale
-    return replace(scenario, variance_scale=value)
+from .scenario import ScenarioError, apply_sweep_value, load_scenario, load_sweep_spec
 
 
 # ------------------------------------------------------------------ commands
@@ -124,14 +91,8 @@ def _std(values: list[float]) -> float:
 def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
     base = load_scenario(scenario_path)
     spec = load_sweep_spec(sweep_path)
-    rows_buf = io.StringIO()
-    rows = csv.writer(rows_buf, lineterminator="\n")
-    rows.writerow(SWEEP_ROW_COLUMNS)
-    agg_buf = io.StringIO()
-    agg = csv.writer(agg_buf, lineterminator="\n")
-    agg.writerow(SWEEP_AGGREGATE_COLUMNS)
-
-    n_rows = 0
+    rows: list[list] = []
+    aggregates: list[list] = []
     for value in spec.values:
         scenario = apply_sweep_value(base, spec.parameter, value)
         e2e_means: list[float] = []
@@ -139,8 +100,7 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
         completed_counts: list[int] = []
         for rep in range(spec.replicates):
             seed = spec.base_seed + rep
-            result: RunResult = run(scenario, seed=seed)
-            m = result.metrics
+            m = run(scenario, seed=seed).metrics
             mean_e2e = m.mean_t_e2e()
             mean_comm = m.mean_t_comm()
             if mean_e2e is not None:
@@ -148,29 +108,28 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
             if mean_comm is not None:
                 comm_means.append(mean_comm)
             completed_counts.append(m.tasks_completed())
-            rows.writerow([
-                spec.parameter, _cell(value), rep, seed, len(m.tasks),
-                m.tasks_completed(), _cell(mean_e2e), _cell(mean_comm),
+            rows.append([
+                spec.parameter, value, rep, seed, len(m.tasks),
+                m.tasks_completed(), mean_e2e, mean_comm,
                 m.counts["requests"], m.counts["responses"], m.counts["timeouts"],
             ])
-            n_rows += 1
-        agg.writerow([
+        aggregates.append([
             spec.parameter,
-            _cell(value),
+            value,
             spec.replicates,
-            _cell(float(np.mean(completed_counts))),
-            _cell(float(np.mean(e2e_means)) if e2e_means else None),
-            _cell(_std(e2e_means) if e2e_means else None),
-            _cell(float(np.mean(comm_means)) if comm_means else None),
-            _cell(_std(comm_means) if comm_means else None),
+            float(np.mean(completed_counts)),
+            float(np.mean(e2e_means)) if e2e_means else None,
+            _std(e2e_means) if e2e_means else None,
+            float(np.mean(comm_means)) if comm_means else None,
+            _std(comm_means) if comm_means else None,
         ])
 
     out = Path(out_dir)
-    _write(out, "sweep_rows.csv", rows_buf.getvalue())
-    _write(out, "sweep_aggregate.csv", agg_buf.getvalue())
+    _write(out, "sweep_rows.csv", csv_text(SWEEP_ROW_COLUMNS, rows))
+    _write(out, "sweep_aggregate.csv", csv_text(SWEEP_AGGREGATE_COLUMNS, aggregates))
     print(
         f"sweep {spec.parameter}: values={len(spec.values)} "
-        f"replicates={spec.replicates} rows={n_rows}"
+        f"replicates={spec.replicates} rows={len(rows)}"
     )
     return 0
 
@@ -309,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         ("--seed", args.seed, "single runs", ("--sweep", "--feasibility")),
         ("--format", args.format, "single runs", ("--sweep", "--feasibility")),
         ("--out", args.out, "runs and sweeps", ("--feasibility",)),
+        ("--sweep", args.sweep, "scenario runs", ("--feasibility",)),
     ):
         for mode in excluded:
             if value is not None and modes[mode] is not None:

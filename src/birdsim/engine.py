@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import quote
 
 from .channel import FlightState, LinkModel, LinkSample, keyed_uniform, transfer_seconds
@@ -31,12 +31,11 @@ from .model import (
     VR_STITCHING,
     CriticalMoments,
     NodeKind,
-    Origin,
     Task,
     record_moment,
 )
 from .pipeline import LatencyBreakdown, PipelinePlacement, leg_sample, stage_times
-from .protocol import Dispatch, ProtocolState, _Chain
+from .protocol import Chain, Dispatch, ProtocolState
 from .scenario import Scenario, Waypoint
 
 log = logging.getLogger("birdsim.engine")
@@ -76,21 +75,19 @@ class _Instance:
 
 @dataclass
 class ProgramOutcome:
-    task_id: str
+    """One (task, program); breakdown and delivered_at are set together, on
+    delivery, so the program completed iff breakdown is not None."""
+
     program_id: str
     attempts: int = 0
     server: int | None = None
     breakdown: LatencyBreakdown | None = None
     delivered_at: float | None = None
-    status: str = "pending"
 
 
 @dataclass
 class TaskOutcome:
-    task_id: str
-    origin: Origin
-    consumer: int
-    issue_time: float
+    task: Task
     first_served_at: float | None = None
     completed_at: float | None = None
     programs: list[ProgramOutcome] = field(default_factory=list)
@@ -114,7 +111,7 @@ class MetricsRecord:
     def completed(self) -> Iterator[ProgramOutcome]:
         for task in self.tasks:
             for prog in task.programs:
-                if prog.status == "completed" and prog.breakdown is not None:
+                if prog.breakdown is not None:
                     yield prog
 
     def mean_t_e2e(self) -> float | None:
@@ -158,10 +155,6 @@ def flight_state_at(scenario: Scenario, t: float) -> FlightState:
     return FlightState(t, a.altitude + frac * (b.altitude - a.altitude), a.rotating)
 
 
-def _fmt_key(key: tuple[int, int, str]) -> str:
-    return f"{key[0]}:{key[1]}:{key[2]}"
-
-
 class _Sim:
     def __init__(self, scenario: Scenario, seed: int):
         self.sc = scenario
@@ -202,20 +195,15 @@ class _Sim:
         self.task_outcomes: dict[str, TaskOutcome] = {}
         self.prog_outcomes: dict[tuple[str, str], ProgramOutcome] = {}
         for task in scenario.tasks:
-            outcome = TaskOutcome(
-                task_id=task.task_id,
-                origin=task.origin,
-                consumer=task.consumer,
-                issue_time=task.issue_time,
-            )
+            outcome = TaskOutcome(task)
             for pid in task.required_programs:
-                prog = ProgramOutcome(task_id=task.task_id, program_id=pid)
+                prog = ProgramOutcome(pid)
                 outcome.programs.append(prog)
                 self.prog_outcomes[(task.task_id, pid)] = prog
             self.task_outcomes[task.task_id] = outcome
         # (outcome, first tick, chain) of every waiter when it joins a chain;
         # attempts and server are settled from these once, in _metrics
-        self.joined: list[tuple[ProgramOutcome, int, _Chain]] = []
+        self.joined: list[tuple[ProgramOutcome, int, Chain]] = []
 
     # ------------------------------------------------------------- scheduling
 
@@ -262,8 +250,6 @@ class _Sim:
                 handler(t, seq, payload)
             seq = self.seq
             self._flush()
-        except RunAborted:
-            raise
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             self.trace.append(
@@ -308,7 +294,7 @@ class _Sim:
             if dispatch.local:
                 locals_.append(f"{program_id}@{dispatch.consumer}")
             else:
-                entries.append(_fmt_key(dispatch.key))
+                entries.append(dispatch.key)
                 # u is in [0, 1), so only a positive loss can lose a dispatch
                 loss = self.sc.loss.get(dispatch.server_id, 0.0)
                 if loss > 0.0 and keyed_uniform(
@@ -327,12 +313,11 @@ class _Sim:
         if next_t < self.end:
             self._push(next_t, self._on_tick, tick + 1)
         self.protocol.try_advance(t)
-        unserved = ";".join([f"{a}:{b}" for a, b in outcome.unserved])
         self._emit(
             t, seq, "Tick",
             f"tick={tick} due={','.join([task.task_id for task in due])} "
             f"entries={';'.join(entries)} locals={';'.join(locals_)} "
-            f"unserved={unserved} msgs={outcome.messages}",
+            f"unserved={';'.join(outcome.unserved)} msgs={outcome.messages}",
         )
 
     # ---------------------------------------------------------------- staging
@@ -375,7 +360,7 @@ class _Sim:
         self._push(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
         self._emit(
             t, seq, "TransferComplete",
-            f"inst={inst.inst_id} leg=input entry={_fmt_key(dispatch.key)}",
+            f"inst={inst.inst_id} leg=input entry={dispatch.key}",
         )
 
     def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
@@ -385,7 +370,7 @@ class _Sim:
         delivery = self._deliver(inst, t)
         self._emit(
             t, seq, "TransferComplete",
-            f"inst={inst.inst_id} leg=output entry={_fmt_key(dispatch.key)}{delivery}",
+            f"inst={inst.inst_id} leg=output entry={dispatch.key}{delivery}",
         )
         self.protocol.try_advance(t)
 
@@ -394,7 +379,7 @@ class _Sim:
         if not self._live(dispatch):
             return
         executor = dispatch.server_id
-        record = f"inst={inst.inst_id} entry={_fmt_key(dispatch.key)} local={int(dispatch.local)}"
+        record = f"inst={inst.inst_id} entry={dispatch.key} local={int(dispatch.local)}"
         if dispatch.consumer != executor:
             leg = self._sample_leg(
                 t, dispatch.program.output_payload, executor, dispatch.consumer
@@ -418,13 +403,12 @@ class _Sim:
             delivery = f" delivered={dispatch.consumer}"
         else:
             self.protocol.on_response(dispatch.key, t)
-            delivery = f" resolved={_fmt_key(dispatch.key)} delivered={dispatch.consumer}"
+            delivery = f" resolved={dispatch.key} delivered={dispatch.consumer}"
         breakdown = inst.breakdown()
         for waiter in dispatch.waiters:
             prog = self.prog_outcomes[(waiter, dispatch.program.program_id)]
             prog.breakdown = breakdown
             prog.delivered_at = t
-            prog.status = "completed"
         consumer_kind = self.sc.nodes[dispatch.consumer].kind
         reported = self.moments.reported
         if (
@@ -442,7 +426,7 @@ class _Sim:
         timed_out = self.protocol.on_timeout()
         self._emit(
             t, seq, "Timeout",
-            f"tick={tick} timed_out={';'.join([_fmt_key(d.key) for d in timed_out])} "
+            f"tick={tick} timed_out={';'.join([d.key for d in timed_out])} "
             f"count={len(timed_out)}",
         )
         self.protocol.try_advance(t)
@@ -456,7 +440,7 @@ class _Sim:
         self.moments = record_moment(self.moments, "termination", t)
         self._emit(
             t, self.seq, "Flush",
-            f"flushed={';'.join([_fmt_key(d.key) for d in flushed])} "
+            f"flushed={';'.join([d.key for d in flushed])} "
             f"cancelled={self.staged - self.delivered}",
         )
 
@@ -517,12 +501,15 @@ def run(scenario: Scenario, seed: int | None = None) -> RunResult:
 # ------------------------------------------------------------- serialization
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def csv_text(columns: list[str], rows: Iterable[Sequence]) -> str:
+    """A CSV table: the header row, then one line per row. csv.writer writes
+    None as an empty cell and any other value as its str(), which for a float
+    is its shortest round-trip repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 METRICS_COLUMNS = [
@@ -530,53 +517,36 @@ METRICS_COLUMNS = [
     "first_served_s", "attempts", "server", "t_enc_s", "t_comm_s", "t_dec_s",
     "t_proc_s", "t_e2e_s", "delivered_s", "status", "task_completed_s",
 ]
+_NO_STAGES = (None,) * 5
 
 
 def metrics_to_csv(metrics: MetricsRecord) -> str:
     """Per-(task, program) table; column order is fixed and documented."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    for task in metrics.tasks:
-        for prog in task.programs:
+    rows = []
+    for outcome in metrics.tasks:
+        task = outcome.task
+        for prog in outcome.programs:
             b = prog.breakdown
-            writer.writerow([
-                task.task_id,
-                prog.program_id,
-                task.origin.value,
-                task.consumer,
-                _cell(task.issue_time),
-                _cell(task.first_served_at),
-                prog.attempts,
-                _cell(prog.server),
-                _cell(b.t_enc if b else None),
-                _cell(b.t_comm if b else None),
-                _cell(b.t_dec if b else None),
-                _cell(b.t_proc if b else None),
-                _cell(b.t_e2e if b else None),
-                _cell(prog.delivered_at),
-                prog.status,
-                _cell(task.completed_at),
+            if b is None:
+                stages, status = _NO_STAGES, "pending"
+            else:
+                stages, status = (b.t_enc, b.t_comm, b.t_dec, b.t_proc, b.t_e2e), "completed"
+            rows.append([
+                task.task_id, prog.program_id, task.origin.value, task.consumer,
+                task.issue_time, outcome.first_served_at, prog.attempts, prog.server,
+                *stages, prog.delivered_at, status, outcome.completed_at,
             ])
-    return buf.getvalue()
+    return csv_text(METRICS_COLUMNS, rows)
 
 
 SAMPLES_COLUMNS = ["t_s", "band", "direction", "throughput_mbps", "one_way_delay_ms"]
 
 
 def samples_to_csv(metrics: MetricsRecord) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SAMPLES_COLUMNS)
-    for sample in metrics.samples:
-        writer.writerow([
-            _cell(sample.t),
-            sample.band.value,
-            sample.direction.value,
-            _cell(sample.throughput),
-            _cell(sample.one_way_delay),
-        ])
-    return buf.getvalue()
+    return csv_text(SAMPLES_COLUMNS, [
+        (s.t, s.band.value, s.direction.value, s.throughput, s.one_way_delay)
+        for s in metrics.samples
+    ])
 
 
 def summary_dict(metrics: MetricsRecord) -> dict:

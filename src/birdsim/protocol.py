@@ -36,15 +36,13 @@ from .policy import (
     select_server,
 )
 
-EntryKey = tuple[int, int, str]  # (tick_index, server_id, program_id)
-
 
 class UnknownResponse(KeyError):
     """A response arrived for no outstanding entry: a harness bug."""
 
 
 @dataclass(slots=True)
-class _Chain:
+class Chain:
     """The dispatches of one waiter list on consecutive ticks (see the module
     docstring); updated in place by every retry."""
 
@@ -62,18 +60,18 @@ class Dispatch:
     consumer: int
     waiters: tuple[str, ...]  # task ids credited when the result lands
     local: bool
-    chain: _Chain
+    chain: Chain
     fresh: int  # waiters[fresh:] joined the chain at this dispatch
-    key: EntryKey = field(init=False)
+    key: str = field(init=False)  # tick:server:program, as the trace prints it
 
     def __post_init__(self):
-        self.key = (self.tick_index, self.server_id, self.program.program_id)
+        self.key = f"{self.tick_index}:{self.server_id}:{self.program.program_id}"
 
 
 @dataclass(slots=True)
 class TickOutcome:
     dispatches: list[Dispatch]
-    unserved: list[tuple[str, str]]  # (task_id, program_id) pairs deferred
+    unserved: list[str]  # task:program of each deferred pair
     messages: int  # bundled requests: distinct wire servers this tick
 
 
@@ -110,13 +108,13 @@ class ProtocolState:
         # chosen server per (program, excluded server, consumer, band)
         self._choices: dict[tuple[str, int | None, int, Band | None], int] = {}
         self.current_tick = -1
-        self.outstanding: dict[EntryKey, Dispatch] = {}
+        self.outstanding: dict[str, Dispatch] = {}
         # the last tick's timed-out dispatches, by program, in timeout order:
         # the next tick retries them
         self._retries: dict[str, Dispatch] = {}
-        # (task, program) of every due task with an unservable program: the
+        # task:program of every due task with an unservable program: the
         # tables are fixed, so such a task stays deferred for the whole run
-        self._unserved: list[tuple[str, str]] = []
+        self._unserved: list[str] = []
         self._remaining: dict[str, set[str]] = {}
         self.completed_tasks: dict[str, float] = {}
         self.completed_programs: set[str] = set()
@@ -171,7 +169,7 @@ class ProtocolState:
             excluded = None if retry is None else retry.server_id
             server = self._choose(program_id, excluded, consumer, state)
             if retry is None:
-                chain, lead = _Chain(tick, server), ()
+                chain, lead = Chain(tick, server), ()
             else:
                 chain, lead = retry.chain, retry.waiters
                 chain.last_tick, chain.server = tick, server
@@ -222,13 +220,13 @@ class ProtocolState:
         try:
             match_programs(task, self.tables, self.platform)
         except NoCapableServer as exc:
-            self._unserved.append((task.task_id, exc.program_id))
+            self._unserved.append(f"{task.task_id}:{exc.program_id}")
             return False
         return True
 
     # -------------------------------------------------------------- responses
 
-    def on_response(self, key: EntryKey, t: float) -> None:
+    def on_response(self, key: str, t: float) -> None:
         """Resolve one outstanding entry answered at t and credit its result."""
         dispatch = self.outstanding.pop(key, None)
         if dispatch is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -643,13 +643,33 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
 # ---------------------------------------------------------------- sweep spec
 
 
-# The values each sweepable parameter admits: (the rule as text, its check).
-SWEEP_RANGES = {
-    "update_interval": ("> 0", lambda v: v > 0),
-    "payload_scale": (">= 0", lambda v: v >= 0),
-    "altitude_profile": (f"within [0, {MAX_ALTITUDE_M}] m", lambda v: 0 <= v <= MAX_ALTITUDE_M),
-    "link_variance_scale": (">= 0", lambda v: v >= 0),
+def _scale_payloads(scenario: Scenario, scale: float) -> Scenario:
+    return replace(scenario, programs={
+        pid: replace(p, input_payload=p.input_payload * scale,
+                     output_payload=p.output_payload * scale)
+        for pid, p in scenario.programs.items()
+    })
+
+
+# Each sweepable parameter: the values it admits (the rule as text, its
+# check) and how a value overrides the scenario.
+SWEEP_PARAMETERS = {
+    "update_interval": ("> 0", lambda v: v > 0, lambda sc, v: replace(sc, t_int=v)),
+    "payload_scale": (">= 0", lambda v: v >= 0, _scale_payloads),
+    # the value is a constant mission altitude in meters
+    "altitude_profile": (
+        f"within [0, {MAX_ALTITUDE_M}] m", lambda v: 0 <= v <= MAX_ALTITUDE_M,
+        lambda sc, v: replace(sc, flight_plan=(Waypoint(0.0, v),)),
+    ),
+    "link_variance_scale": (">= 0", lambda v: v >= 0, lambda sc, v: replace(sc, variance_scale=v)),
 }
+
+
+def apply_sweep_value(scenario: Scenario, parameter: str, value: float) -> Scenario:
+    """Return a copy of the scenario with one swept parameter overridden;
+    load_sweep_spec has checked the value's range. An unknown parameter
+    raises KeyError."""
+    return SWEEP_PARAMETERS[parameter][2](scenario, value)
 
 
 @dataclass(frozen=True)
@@ -675,11 +695,11 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         doc = _as_map(doc, "sweep")
         _reject_unknown(doc, {"parameter", "values", "replicates", "base_seed"}, "sweep")
         parameter = _str(doc, "parameter", "sweep", required=True)
-        if parameter not in SWEEP_RANGES:
+        if parameter not in SWEEP_PARAMETERS:
             raise SchemaError(
-                f"sweep.parameter: expected one of {list(SWEEP_RANGES)}, got {parameter!r}"
+                f"sweep.parameter: expected one of {list(SWEEP_PARAMETERS)}, got {parameter!r}"
             )
-        rule, admits = SWEEP_RANGES[parameter]
+        rule, admits, _ = SWEEP_PARAMETERS[parameter]
         values = []
         for i, raw in enumerate(_as_list(doc.get("values"), "sweep.values")):
             value = _real(raw, f"sweep.values[{i}]")

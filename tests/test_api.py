@@ -122,3 +122,15 @@ CHECKED_MODULES = [
 @pytest.mark.parametrize("path", CHECKED_MODULES)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, reproducibility, sweeps, feasibility."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -185,6 +186,38 @@ def test_altitude_sweep_shows_the_band_penalty(tmp_path):
     assert high_band > low_band
 
 
+def sweep_digests(tmp_path, scenario, sweep):
+    """sha256 of sweep_rows.csv and sweep_aggregate.csv of one CLI sweep."""
+    spec = write_yaml(tmp_path / "sweep.yaml", sweep)
+    out = tmp_path / "out"
+    assert main(["--scenario", str(scenario), "--sweep", spec, "--out", str(out)]) == 0
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("sweep_rows.csv", "sweep_aggregate.csv")]
+
+
+def test_bundled_sweep_bytes_are_pinned(tmp_path, scenario_path):
+    # ints, 0.0, and floats such as 0.15749999999999997 in both tables
+    assert sweep_digests(tmp_path, scenario_path, {
+        "parameter": "payload_scale", "values": [0.0, 1.0, 1000.0],
+        "replicates": 2, "base_seed": 3,
+    }) == [
+        "c58ce60e637c53758fec76b3c2b9ad9d1dc3a54f16919a7e7e75f53a305be688",
+        "1a7cb9556293e27105053634b74384c417b1af17bb926f7bf427bddd6d3ed0d2",
+    ]
+
+
+def test_sweep_bytes_with_empty_cells_are_pinned(tmp_path):
+    # at payload scale 1e6 no input transfer ends within the mission, so
+    # mean_t_e2e_s, mean_t_comm_s and the value's aggregate cells are empty
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    assert sweep_digests(tmp_path, scenario, {
+        "parameter": "payload_scale", "values": [1.0, 1000000.0], "replicates": 2,
+    }) == [
+        "ffadd4af1e229c28f2125f5fb2b5ba990fadb7981da7351257398d62cf295d6f",
+        "1230d5d6f4cbcf14238ebf4dddb87ea4f7febe78687e567ef7936fd0ef0dd4b1",
+    ]
+
+
 def test_bad_sweep_specs_are_rejected(tmp_path, scenario_path, capsys):
     bad = write_yaml(tmp_path / "bad.yaml", {
         "parameter": "warp_factor", "values": [1.0], "replicates": 1,
@@ -330,6 +363,20 @@ def test_out_is_for_runs_and_sweeps(tmp_path, capsys):
                             "combined with --feasibility\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_sweep_cannot_join_feasibility(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("birdsim.cli.run", None)  # a run would raise TypeError
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [4.0],
+    })
+    assert main(["--scenario", scenario, "--sweep", spec,
+                 "--feasibility", "25,high"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --sweep applies to scenario runs only; it cannot be "
+                            "combined with --feasibility\n")
+    assert captured.out == ""
 
 
 def test_sweep_values_are_checked_before_any_run(tmp_path, capsys, monkeypatch):

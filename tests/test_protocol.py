@@ -159,7 +159,7 @@ def test_duplicate_or_unknown_response_raises(ground_state):
     with pytest.raises(UnknownResponse):
         respond(ps, dispatch, 1.0)
     with pytest.raises(UnknownResponse):
-        ps.on_response((0, 99, "a"), 1.0)
+        ps.on_response("0:99:a", 1.0)
 
 
 def test_partial_results_do_not_complete_the_task(ground_state):
@@ -254,13 +254,13 @@ def test_unservable_task_is_deferred_whole(ground_state):
     ps = make_state((ProgramTableEntry(1, "a"),))
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     assert outcome.dispatches == []
-    assert outcome.unserved == [("t1", "b")]
+    assert outcome.unserved == ["t1:b"]
     assert ps.unserved_events == 1
     assert ps.requests_issued == 0
     # the next tick defers it whole again: its servable "a" is not sent alone
     retry = ps.on_tick(2.0, [], ground_state)
     assert retry.dispatches == []
-    assert retry.unserved == [("t1", "b")]
+    assert retry.unserved == ["t1:b"]
     assert ps.unserved_events == 2
     assert ps.requests_issued == 0
 

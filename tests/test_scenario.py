@@ -17,10 +17,15 @@ from birdsim import (
     ScenarioError,
     SchemaError,
     load_scenario,
+    metrics_to_csv,
+    run,
+    samples_to_csv,
+    summary_to_json,
+    trace_to_text,
 )
 from birdsim import scenario as scenario_module
 from birdsim.cli import apply_sweep_value
-from birdsim.scenario import SWEEP_RANGES, load_sweep_spec
+from birdsim.scenario import SWEEP_PARAMETERS, load_sweep_spec
 from conftest import BUNDLED_SCENARIO
 
 
@@ -392,6 +397,22 @@ def test_dangling_server_in_table():
         load_scenario(with_(lambda d: d["tables"][0].update(server_id=9)))
 
 
+def test_advertised_latency_has_no_effect_in_a_scenario_file():
+    # every table server must be a node and every node has a compute profile,
+    # so the policy never falls back to a row's advertised latency
+    artifacts = []
+    for latency in (0.0, 99.0):
+        doc = yaml.safe_load(BUNDLED_SCENARIO.read_text())
+        for row in doc["tables"]:
+            row["advertised_latency_s"] = latency
+        scenario = load_scenario(doc)
+        assert {entry.advertised_latency for entry in scenario.tables} == {latency}
+        result = run(scenario)
+        artifacts.append([trace_to_text(result.trace), metrics_to_csv(result.metrics),
+                          samples_to_csv(result.metrics), summary_to_json(result.metrics)])
+    assert artifacts[0] == artifacts[1]
+
+
 def test_dangling_program_in_task():
     with pytest.raises(DanglingReference):
         load_scenario(
@@ -683,7 +704,7 @@ def test_sweep_rules_name_their_field(tmp_path, doc, error, message):
 ], ids=["update_interval", "payload_scale", "altitude_profile", "link_variance_scale"])
 def test_every_sweep_parameter_admits_its_range_and_sets_its_field(
         tmp_path, parameter, values, field):
-    assert set(SWEEP_RANGES) == {"update_interval", "payload_scale",
+    assert set(SWEEP_PARAMETERS) == {"update_interval", "payload_scale",
                                  "altitude_profile", "link_variance_scale"}
     spec = load_sweep(tmp_path, {"parameter": parameter, "values": values,
                                  "replicates": 2, "base_seed": 5})
@@ -693,3 +714,9 @@ def test_every_sweep_parameter_admits_its_range_and_sets_its_field(
         swept = apply_sweep_value(base, parameter, value)
         changed = [name for name in vars(base) if getattr(swept, name) != getattr(base, name)]
         assert changed == [field]
+
+
+def test_an_unknown_sweep_parameter_raises():
+    base = load_scenario(BUNDLED_SCENARIO)
+    with pytest.raises(KeyError, match="bogus"):
+        apply_sweep_value(base, "bogus", 2.0)
