@@ -9,6 +9,7 @@ the path of the offending field.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -17,6 +18,15 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 import yaml
+from yaml import (
+    AliasEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
 
 from .channel import (
     MAX_ALTITUDE_M,
@@ -55,20 +65,258 @@ class InvariantViolation(ScenarioError):
     """Well-formed document whose values break a domain rule."""
 
 
-# libyaml builds the same documents as the pure-Python parser, several times
-# faster; PyYAML without it falls back to the pure-Python one.
+# The parser whose events _build_document turns into a document: libyaml's
+# when PyYAML has it, several times faster than the pure-Python one, which
+# emits the same events. Its resolver and SafeConstructor's scalar
+# constructors give each scalar its SafeLoader value.
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+_CORE = "tag:yaml.org,2002:"
+_STR, _MAP, _SET, _SEQ = (_CORE + t for t in ("str", "map", "set", "seq"))
+_ORDERED = {_CORE + "omap", _CORE + "pairs"}
+_SCALARS = {_CORE + t for t in ("null", "bool", "int", "float", "binary", "timestamp")}
+_CORE_TAGS = _SCALARS | _ORDERED | {_STR, _MAP, _SET, _SEQ}
+_MERGE_TAG, _VALUE_TAG = _CORE + "merge", _CORE + "value"
+
+_KEY = object()  # a mapping's next value is a key
+_APPEND = object()  # a sequence's next value is an item
+_MERGE = object()  # the `<<` key; a mapping's next value is merged into it
+_VALUE_KEY = object()  # the `=` key, the string "=" when it is a key
+
+
+class _Open:
+    """A collection whose end event has not come yet. `items` collects its
+    entries; `value` is the object it becomes, made at its start so that an
+    alias inside it can refer to it. `state` is _APPEND, _KEY, _MERGE or
+    the key whose value comes next."""
+
+    __slots__ = ("kind", "items", "value", "state", "merges", "anchor")
+
+    def __init__(self, kind: str, items, value, state, anchor=None):
+        self.kind, self.items, self.value, self.state = kind, items, value, state
+        self.merges: list[dict] = []
+        self.anchor = anchor
+
+
+def _unhashable(event) -> ConstructorError:
+    return ConstructorError("while constructing a mapping", None, "found unhashable key",
+                            event.start_mark)
+
+
+def _no_constructor(tag: str, event) -> ConstructorError:
+    """The error for a tag that nothing builds on this event's kind of node."""
+    if tag in _CORE_TAGS:
+        node = {ScalarEvent: "scalar", MappingStartEvent: "mapping"}.get(type(event), "sequence")
+        problem = f"the tag {tag!r} does not apply to a {node}"
+    else:
+        problem = f"could not determine a constructor for the tag {tag!r}"
+    return ConstructorError(None, None, problem, event.start_mark)
+
+
+def _scalar(loader, tag: str, text: str, event) -> Any:
+    """The value SafeLoader gives a scalar with this resolved tag and text.
+    A text its tag cannot read (`!!int x`) is a ConstructorError."""
+    if tag == _STR:
+        return text
+    if tag == _MERGE_TAG:
+        return _MERGE
+    if tag == _VALUE_TAG:
+        return _VALUE_KEY
+    if tag not in _SCALARS:
+        raise _no_constructor(tag, event)
+    try:
+        return loader.yaml_constructors[tag](loader, yaml.ScalarNode(tag, text))
+    except yaml.YAMLError:
+        raise
+    except Exception as exc:
+        raise ConstructorError(None, None, f"cannot read {text!r} as {tag}: {exc}",
+                               event.start_mark) from None
+
+
+def _open(event, parent: _Open | None) -> _Open:
+    """The collection that a start event opens inside parent."""
+    tag = event.tag
+    if type(event) is MappingStartEvent:
+        if parent is not None and parent.kind == "ordered":
+            return _Open("pair", [], None, _APPEND, event.anchor)
+        if tag is None or tag == "!" or tag == _MAP:
+            items: dict = {}
+            return _Open("map", items, items, _KEY)
+        if tag == _SET:
+            return _Open("map", {}, set(), _KEY)
+    else:
+        if tag is None or tag == "!" or tag == _SEQ:
+            seq: list = []
+            return _Open("seq", seq, seq, _APPEND)
+        if tag in _ORDERED:
+            return _Open("ordered", [], [], _APPEND)
+    raise _no_constructor(tag, event)
+
+
+def _close(frame: _Open, event, anchors: dict) -> Any:
+    """The finished value of frame, whose end event has come. Merged
+    mappings come first, in the order `<<` gave them, and its own keys win."""
+    kind, items = frame.kind, frame.items
+    if kind == "map":
+        if frame.merges:
+            own = dict(items)
+            items.clear()
+            for merged in frame.merges:
+                items.update(merged)
+            items.update(own)
+        if frame.value is not items:  # a !!set
+            frame.value.update(items)
+        return frame.value
+    if kind == "pair":  # an item of an !!omap or !!pairs
+        if len(items) != 2:
+            raise ConstructorError("while constructing an ordered map", None,
+                                   f"expected a single mapping item, but found "
+                                   f"{len(items) // 2} items", event.start_mark)
+        if frame.anchor is not None:
+            if isinstance(items[0], (list, dict, set)):
+                raise _unhashable(event)
+            anchors[frame.anchor] = {items[0]: items[1]}
+        return tuple(items)
+    if kind == "ordered":
+        for item in items:
+            if type(item) is not tuple:  # an alias; only one-item mappings are pairs
+                if type(item) is not dict or len(item) != 1:
+                    raise ConstructorError("while constructing an ordered map", None,
+                                           "expected a mapping of length 1", event.start_mark)
+                item = next(iter(item.items()))
+            frame.value.append(item)
+        return frame.value
+    return items
+
+
+def _merge(frame: _Open, value: Any, event) -> None:
+    """Queue the value of a `<<` key for merging: a mapping, or a list of
+    mappings of which the earlier win."""
+    if type(value) is dict:
+        frame.merges.append(value)
+    elif type(value) is list and all(type(m) is dict for m in value):
+        frame.merges.extend(reversed(value))
+    else:
+        raise ConstructorError("while constructing a mapping", None,
+                               "expected a mapping or list of mappings for merging, "
+                               f"but found {type(value).__name__}", event.start_mark)
+
+
+def _add_anchor(anchors: dict, event, value: Any) -> None:
+    if event.anchor in anchors:
+        raise ComposerError(None, None, f"found duplicate anchor {event.anchor!r}",
+                            event.start_mark)
+    anchors[event.anchor] = value
+
+
+def _build_document(loader) -> Any:
+    """The single document of loader's stream, None if it is empty, built
+    from the parser's events into what SafeLoader builds: the same values,
+    with anchors and aliases, merge keys, and core tags. Within this one
+    load, each (text, implicit) is resolved once and each scalar's value is
+    made once."""
+    get_event, resolve = loader.get_event, loader.resolve
+    tags: dict = {}  # (text, implicit) -> resolved tag
+    scalars: dict = {}  # (tag, text) -> value
+    anchors: dict = {}
+    stack: list[_Open] = []
+    top: _Open | None = None
+    get_event()  # the stream's start
+    if type(get_event()) is StreamEndEvent:
+        return None
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is ScalarEvent:
+            text, tag = event.value, event.tag
+            if tag is None or tag == "!":
+                key = (text, event.implicit)
+                tag = tags.get(key)
+                if tag is None:
+                    tag = tags[key] = resolve(yaml.ScalarNode, text, event.implicit)
+            key = (tag, text)
+            try:
+                value = scalars[key]
+            except KeyError:
+                value = scalars[key] = _scalar(loader, tag, text, event)
+            if value is _VALUE_KEY or value is _MERGE:
+                if top is None or top.state is not _KEY:
+                    raise _no_constructor(tag, event)
+                if value is _VALUE_KEY:
+                    value = text
+            if event.anchor is not None:
+                _add_anchor(anchors, event, value)
+        elif kind is AliasEvent:
+            try:
+                value = anchors[event.anchor]
+            except KeyError:
+                raise ComposerError(None, None, f"found undefined alias {event.anchor!r}",
+                                    event.start_mark) from None
+            if top is not None and top.state is _KEY:
+                if isinstance(value, (list, dict, set)):
+                    raise _unhashable(event)
+            elif value is _MERGE:
+                raise _no_constructor(_MERGE_TAG, event)
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if top is not None and top.state is _KEY:
+                raise _unhashable(event)
+            top = _open(event, top)
+            stack.append(top)
+            if event.anchor is not None:
+                _add_anchor(anchors, event, top.value)  # a pair's is set when it closes
+            continue
+        else:  # the end of a mapping or a sequence
+            value = _close(stack.pop(), event, anchors)
+            top = stack[-1] if stack else None
+        if top is None:
+            break
+        state = top.state
+        if state is _APPEND:
+            top.items.append(value)
+        elif state is _KEY:
+            top.state = value
+        elif state is _MERGE:
+            _merge(top, value, event)
+            top.state = _KEY
+        else:
+            top.items[state] = value
+            top.state = _KEY
+    get_event()  # the document's end
+    event = get_event()
+    if type(event) is not StreamEndEvent:
+        raise ComposerError("expected a single document in the stream", None,
+                            "but found another document", event.start_mark)
+    return value
+
+
+_JSON_START = re.compile(r"\s*\{")
+
+
+def _not_json(constant: str) -> float:
+    raise ValueError(f"{constant} is not a JSON number")
 
 
 def read_yaml(path: Path) -> Any:
     """Parse one YAML (or JSON) file; SchemaError names the path when the
-    file cannot be read as UTF-8 text or the text does not parse."""
+    file cannot be read as UTF-8 text or the text does not parse. A text
+    that starts with `{` and is JSON is read as JSON, where `1e-05` is a
+    number (YAML 1.1 reads it as a string); NaN and Infinity are left to
+    the YAML reading."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not readable: {exc}") from None
+    if _JSON_START.match(text):
+        try:
+            return json.loads(text, parse_constant=_not_json)
+        except (ValueError, RecursionError):
+            pass
     try:
-        return yaml.load(text, Loader=YAML_LOADER)
+        loader = YAML_LOADER(text)
+        try:
+            return _build_document(loader)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: not parseable: {exc}") from None
 

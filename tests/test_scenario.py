@@ -2,11 +2,17 @@
 
 import copy
 import hashlib
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from birdsim import (
     Band,
@@ -27,6 +33,8 @@ from birdsim import scenario as scenario_module
 from birdsim.cli import apply_sweep_value
 from birdsim.scenario import SWEEP_PARAMETERS, load_sweep_spec
 from conftest import BUNDLED_SCENARIO
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def minimal_doc():
@@ -164,6 +172,261 @@ def test_both_yaml_loaders_give_equal_scenarios(monkeypatch, tmp_path, scenario_
     assert default[1].nodes[2].compute_capacity == 100.0
     assert default[1].programs["q"].input_payload == 1000000.0
     assert default[1].tasks[1].required_programs == ("p", "q")
+
+
+# -------------------------------------------------------------- YAML and JSON
+
+
+def test_json_numbers_with_exponents_are_numbers(tmp_path):
+    """json.dumps writes 0.00001 as 1e-05, and a hand-written 1e2 is JSON
+    too; YAML 1.1 reads both as strings, JSON as numbers."""
+    doc = minimal_doc()
+    doc["tasks"][0]["issue_time_s"] = 1e-05
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(doc).replace('"duration_s": 100.0', '"duration_s": 1e2'))
+    assert "1e-05" in path.read_text() and "1e2" in path.read_text()
+    scenario = load_scenario(path)
+    assert scenario.duration == 100.0
+    assert scenario.tasks[0].issue_time == 1e-05
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"parameter": "update_interval", "values": [1e-05, 2.0]}))
+    assert load_sweep_spec(sweep).values == (1e-05, 2.0)
+
+
+def test_json_nan_and_yaml_flow_mappings_are_read_as_yaml(tmp_path):
+    """NaN is not JSON, so the text is read as YAML, where NaN is a string;
+    a flow mapping that is not JSON is read as YAML too."""
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(minimal_doc()).replace('"duration_s": 100.0', '"duration_s": NaN'))
+    with pytest.raises(SchemaError, match=r"scenario\.duration_s: expected a number, got str"):
+        load_scenario(path)
+    flow = tmp_path / "flow.yaml"
+    flow.write_text("  {parameter: update_interval, values: [0.5, 1e2], replicates: 2}\n")
+    with pytest.raises(SchemaError, match=r"sweep\.values\[1\]: expected a number, got str"):
+        load_sweep_spec(flow)
+    flow.write_text("{parameter: update_interval, values: [0.5, 1.0e+2], replicates: 2}\n")
+    assert load_sweep_spec(flow).values == (0.5, 100.0)
+
+
+def same_document(a, b, seen=None) -> bool:
+    """a and b are equal with equal types throughout, mapping keys in the
+    same order, and their lists, dicts and sets aliased alike: where a meets
+    one of its containers again, b meets the matching one."""
+    if seen is None:
+        seen = ({}, {})
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, dict, set)):
+        there, back = seen
+        if id(a) in there or id(b) in back:
+            return there.get(id(a)) is b and back.get(id(b)) is a
+        there[id(a)], back[id(b)] = b, a
+        if isinstance(a, set):
+            return a == b
+        if isinstance(a, dict):
+            a, b = list(a.items()), list(b.items())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same_document(x, y, seen) for x, y in zip(a, b))
+    if isinstance(a, float) and a != a:
+        return b != b
+    return a == b
+
+
+LOADERS = (scenario_module.YAML_LOADER, yaml.SafeLoader)
+
+
+def read_text(text, directory):
+    path = directory / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    return scenario_module.read_yaml(path)
+
+
+def check_read_as_safeloader_reads(text, directory):
+    """Under each loader, read_yaml gives what yaml.load gives, or rejects
+    the text as not parseable where yaml.load raises."""
+    for loader in LOADERS:
+        with mock.patch.object(scenario_module, "YAML_LOADER", loader):
+            try:
+                expected = yaml.load(text, Loader=loader)
+            except Exception:
+                with pytest.raises(SchemaError, match="not parseable"):
+                    read_text(text, directory)
+            else:
+                assert same_document(read_text(text, directory), expected), (loader, text)
+
+
+SCALAR_TEXTS = (
+    "1_000", "0x1f", "0o17", "017", "0b101", "1:30", "-7", "+3", "3.25", "-1_0.5", "1e2",
+    "1.0e+5", ".inf", "-.inf", ".nan", "~", "null", "yes", "No", "on", "OFF", "true",
+    "2001-01-01", "2001-12-14t21:59:43.10-05:00", "''", "'1'", '"2.5"', "'yes'", "abc",
+    "x y", "!!str 1", "!!float 2", "!!int '7'", "!!bool on", "!!null ''", "!!binary aGk=",
+    "!!set {x, y}", "!!omap [{p: 1}, {q: 2}]", "!!pairs [{p: 1}, {p: 2}]", "=",
+)
+KEY_TEXTS = ("a", "b", "c", "1", "'1'", "~", "yes", "=", "2001-01-01", "x y")
+
+
+def yaml_nodes():
+    """Trees of ("scalar", text, anchored), ("alias", n), ("seq", children,
+    anchored, flow) and ("map", entries, anchored, flow); a map entry is
+    (key text, child) or (("<<", [n, ...]), unused child)."""
+    leaf = st.one_of(
+        st.tuples(st.just("scalar"), st.sampled_from(SCALAR_TEXTS), st.booleans()),
+        st.tuples(st.just("alias"), st.integers(0, 20)),
+    )
+    key = st.one_of(st.sampled_from(KEY_TEXTS),
+                    st.tuples(st.just("<<"), st.lists(st.integers(0, 20), min_size=1, max_size=3)))
+    return st.recursive(leaf, lambda children: st.one_of(
+        st.tuples(st.just("seq"), st.lists(children, max_size=4), st.booleans(), st.booleans()),
+        st.tuples(st.just("map"), st.lists(st.tuples(key, children), max_size=4),
+                  st.booleans(), st.booleans()),
+    ), max_leaves=12)
+
+
+class YamlWriter:
+    """Writes a yaml_nodes() tree as YAML text. An alias names one of the
+    anchors written so far, an open collection's too, so aliases can
+    recurse; a merge takes closed anchored mappings or flow mappings."""
+
+    def __init__(self):
+        self.anchors = []  # [name, is a mapping, closed]
+
+    def document(self, node):
+        return "---" + self.after(node, 0) + "\n"
+
+    def _anchor(self, is_map, closed):
+        entry = [f"a{len(self.anchors)}", is_map, closed]
+        self.anchors.append(entry)
+        return entry
+
+    def _open(self, node):
+        if not node[2]:
+            return None, ""
+        entry = self._anchor(node[0] == "map", False)
+        return entry, f"&{entry[0]} "
+
+    def _merge(self, picks):
+        """An alias of a closed anchored mapping for a pick below 10, if
+        there is one, else a flow mapping whose keys overlap the others'."""
+        maps = [name for name, is_map, closed in self.anchors if is_map and closed]
+        merged = [f"*{maps[n % len(maps)]}" if maps and n < 10 else f"{{a: {n}, 'b': {n % 3}}}"
+                  for n in picks]
+        return merged[0] if len(merged) == 1 else "[" + ", ".join(merged) + "]"
+
+    def flow(self, node):
+        if node[0] == "scalar":
+            return (f"&{self._anchor(False, True)[0]} " if node[2] else "") + node[1]
+        if node[0] == "alias":
+            return f"*{self.anchors[node[1] % len(self.anchors)][0]}" if self.anchors else "'none'"
+        entry, anchor = self._open(node)
+        if node[0] == "seq":
+            text = anchor + "[" + ", ".join(self.flow(child) for child in node[1]) + "]"
+        else:
+            text = anchor + "{" + ", ".join(
+                f"<<: {self._merge(key[1])}" if isinstance(key, tuple)
+                else f"{key}: {self.flow(child)}" for key, child in node[1]) + "}"
+        if entry:
+            entry[2] = True
+        return text
+
+    def after(self, node, indent):
+        """node as the text that follows `key:`, `-` or `---`."""
+        if node[0] in ("scalar", "alias") or node[3] or not node[1]:
+            return " " + self.flow(node)
+        entry, anchor = self._open(node)
+        text = " " + anchor.strip() if anchor else ""
+        pad = "\n" + " " * indent
+        for item in node[1]:
+            if node[0] == "seq":
+                text += pad + "-" + self.after(item, indent + 2)
+            elif isinstance(item[0], tuple):
+                text += pad + "<<: " + self._merge(item[0][1])
+            else:
+                text += pad + f"{item[0]}:" + self.after(item[1], indent + 2)
+        if entry:
+            entry[2] = True
+        return text
+
+
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(yaml_nodes())
+def test_documents_read_as_safeloader_reads_them(tmp_path, node):
+    check_read_as_safeloader_reads(YamlWriter().document(node), tmp_path)
+
+
+READ_CASES = {
+    "empty stream": "",
+    "comment only": "# nothing\n",
+    "empty document": "---\n",
+    "core scalars": "[1_000, 0x1f, 0o17, 1:30, .inf, ~, yes, No, 2001-01-01, '', '1', \"2\"]\n",
+    "duplicate keys": "a: 1\nb: 2\na: 3\n",
+    "value key": "=: 1\nb: {=: 2}\n",
+    "merge": "x: &x {a: 1, b: 2}\ny: {c: 0, <<: *x, b: 9}\n",
+    "merge list": "x: &x {a: 1, b: 2}\ny: &y {b: 3, c: 4}\nz: {<<: [*x, *y], d: 5}\n",
+    "two merge keys": "x: &x {a: 1}\ny: &y {a: 2, b: 2}\nz: {<<: *x, <<: *y}\n",
+    "merged merge": "x: &x {a: 1}\ny: &y {<<: *x, b: 2}\nz: {<<: *y, c: 3}\n",
+    "set, omap, pairs": "s: !!set {a, b}\no: !!omap [{a: 1}, {b: 2}]\np: !!pairs [{a: 1}, {a: 2}]\n",
+    "explicit tags": "a: !!str 1\nb: !!float 2\nc: !!int '3'\nd: !!binary aGk=\ne: ! 4\n",
+}
+ERROR_CASES = {
+    "undefined alias": "a: *nowhere\n",
+    "duplicate anchor": "a: &x 1\nb: &x 2\n",
+    "second document": "a: 1\n---\nb: 2\n",
+    "unhashable key": "? [a]\n: 1\n",
+    "unhashable alias key": "a: &l [1]\n*l : 2\n",
+    "unknown tag": "a: !unknown 1\n",
+    "bad merge value": "a: {<<: 1}\n",
+    "bad merge list": "a: &m {x: 1}\nb: {<<: [*m, 2]}\n",
+    "value key as a value": "a: =\n",
+    "tag on the wrong node": "a: !!map [1]\n",
+    "text the tag cannot read": "a: !!int x\n",
+    "impossible date": "a: 2001-13-45\n",
+}
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_read_cases(tmp_path, case):
+    check_read_as_safeloader_reads(READ_CASES[case], tmp_path)
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_error_cases_are_not_parseable(tmp_path, case):
+    """Each is rejected under both loaders, with the path; yaml.load
+    rejects it too, `!!int x` and the date with a bare ValueError."""
+    for loader in LOADERS:
+        with pytest.raises((yaml.YAMLError, ValueError)):
+            yaml.load(ERROR_CASES[case], Loader=loader)
+        with mock.patch.object(scenario_module, "YAML_LOADER", loader):
+            with pytest.raises(SchemaError, match="not parseable") as err:
+                read_text(ERROR_CASES[case], tmp_path)
+        assert str(tmp_path / "doc.yaml") in str(err.value)
+
+
+def test_recursive_aliases_are_the_containers_themselves(tmp_path):
+    for loader in LOADERS:
+        with mock.patch.object(scenario_module, "YAML_LOADER", loader):
+            d = read_text("a: &r [*r, {b: *r}]\nc: &m {self: *m, <<: {x: 1}}\n", tmp_path)
+            root = read_text("&r [*r]\n", tmp_path)
+        assert d["a"][0] is d["a"] and d["a"][1]["b"] is d["a"]
+        assert d["c"]["self"] is d["c"] and d["c"]["x"] == 1
+        assert root[0] is root
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["reference", "storm", "wide"])
+def test_the_bench_documents_read_as_safeloader_reads_them(tmp_path, name):
+    workloads = bench_workloads()
+    for seed in (1, 2, 7):
+        text = workloads.build(name, seed, ROOT).scenario_text
+        expected = yaml.load(text, Loader=scenario_module.YAML_LOADER)
+        assert same_document(read_text(text, tmp_path), expected)
 
 
 def test_empty_task_list_is_valid():

@@ -30,8 +30,6 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 NAMES = ("reference", "storm", "wide")
 SEEDS = (1, 2, 7)
 VARIANCES = (1.0, 0.0)
@@ -53,7 +51,8 @@ def load_workloads(root: Path):
 
 def run_digests(wl, variance: float, cut: float) -> dict[str, str]:
     """sha256 of the four artifacts of workload wl's mission at its run seed,
-    with the given link variance and its duration scaled by cut."""
+    with the given link variance and its duration scaled by cut. The
+    scenario is loaded from a file, so the grid goes through the parser."""
     from birdsim import (
         load_scenario,
         metrics_to_csv,
@@ -63,7 +62,10 @@ def run_digests(wl, variance: float, cut: float) -> dict[str, str]:
         trace_to_text,
     )
 
-    scenario = load_scenario(yaml.safe_load(wl.scenario_text))
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "scenario.yaml"
+        path.write_text(wl.scenario_text)
+        scenario = load_scenario(path)
     scenario = replace(scenario, variance_scale=variance, duration=scenario.duration * cut)
     result = run(scenario, wl.run_seed)
     return {
