@@ -178,6 +178,10 @@ class LinkModel:
 
     variance_scale scales every std; 0 collapses sampling to the means.
     one_way_fraction converts the measured RTT into a one-way delay.
+    Construction works out each leg's parameters once: (band, direction) maps
+    to (mean, std * variance_scale, draw code, rtt_mean * one_way_fraction).
+    The table is derived from the fields, so replace() and mean() build their
+    own, and it takes no part in repr, == or hash.
     """
 
     bands: Mapping[Band, LinkBandParams] = field(default_factory=default_link_params)
@@ -185,6 +189,9 @@ class LinkModel:
     floor_mbps: float = 1.0
     variance_scale: float = 1.0
     one_way_fraction: float = 0.5
+    _legs: dict[tuple[Band, Direction], tuple[float, float, int, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         missing = [b.value for b in Band if b not in self.bands]
@@ -196,6 +203,17 @@ class LinkModel:
             raise ValueError("variance_scale must be >= 0")
         if not 0 < self.one_way_fraction <= 1:
             raise ValueError("one_way_fraction must be in (0, 1]")
+        legs = {}
+        for band in Band:
+            p = self.bands[band]
+            one_way = p.rtt_mean * self.one_way_fraction
+            for direction, mean, std in (
+                (Direction.UL, p.ul_mean, p.ul_std),
+                (Direction.DL, p.dl_mean, p.dl_std),
+            ):
+                code = (_BAND_CODE[band] << 8) | _DIR_CODE[direction]
+                legs[band, direction] = (mean, std * self.variance_scale, code, one_way)
+        object.__setattr__(self, "_legs", legs)
 
     def mean(self) -> "LinkModel":
         """Variance-free copy used for reproducible predictions; a link that
@@ -216,20 +234,11 @@ class LinkModel:
         the floor; deterministic given (seed, t, direction, band).
         """
         band = band_for(altitude, rotating)
-        p = self.bands[band]
-        if direction is Direction.DL:
-            mean, std = p.dl_mean, p.dl_std
-        else:
-            mean, std = p.ul_mean, p.ul_std
-        std *= self.variance_scale
+        mean, std, code, one_way = self._legs[band, direction]
         throughput = mean
         if std > 0:
-            code = (_BAND_CODE[band] << 8) | _DIR_CODE[direction]
             throughput = mean + std * keyed_normal(self.noise_seed, code, t)
-        throughput = max(self.floor_mbps, throughput)
-        return LinkSample(
-            t, band, direction, throughput, p.rtt_mean * self.one_way_fraction
-        )
+        return LinkSample(t, band, direction, max(self.floor_mbps, throughput), one_way)
 
     def sustainable_uplink(self, bitrate_mbps: float, band: Band) -> tuple[bool, float]:
         """Whether a constant uplink stream fits under the regime's mean.

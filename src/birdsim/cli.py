@@ -18,6 +18,7 @@ import numpy as np
 
 from .channel import SEED_BOUND, Band, LinkBandParams, LinkModel, default_link_params
 from .engine import (
+    MetricsRecord,
     RunAborted,
     csv_text,
     metrics_to_csv,
@@ -42,24 +43,42 @@ def _fmt_opt(value: float | None) -> str:
     return "n/a" if value is None else repr(value)
 
 
+# The artifacts written beside trace.log, and the ones each --format writes.
+_SERIALIZERS = {
+    "metrics.csv": metrics_to_csv,
+    "samples.csv": samples_to_csv,
+    "summary.json": summary_to_json,
+}
+_FORMAT_ARTIFACTS = {
+    "csv": ("metrics.csv", "samples.csv"),
+    "summary": ("summary.json",),
+    "both": tuple(_SERIALIZERS),
+}
+
+
+def _write_run(
+    out: Path, trace: list[str], metrics: MetricsRecord | None, names: tuple[str, ...]
+) -> None:
+    """Write trace.log and the named artifacts, and remove the other ones:
+    an earlier run's artifacts must never sit beside this run's trace."""
+    _write(out, "trace.log", trace_to_text(trace))
+    for name, serialize in _SERIALIZERS.items():
+        if name in names:
+            _write(out, name, serialize(metrics))
+        else:
+            (out / name).unlink(missing_ok=True)
+
+
 def cmd_run(scenario_path: str, seed: int | None, out_dir: str, fmt: str) -> int:
     scenario = load_scenario(scenario_path)
     out = Path(out_dir)
     try:
         result = run(scenario, seed=seed)
     except RunAborted as exc:
-        # the partial trace, ending in its Abort record, and nothing else: an
-        # earlier run's artifacts must not sit beside it
-        _write(out, "trace.log", trace_to_text(exc.trace))
-        for name in ("metrics.csv", "samples.csv", "summary.json"):
-            (out / name).unlink(missing_ok=True)
+        # the partial trace, ending in its Abort record, and nothing else
+        _write_run(out, exc.trace, None, ())
         raise
-    _write(out, "trace.log", trace_to_text(result.trace))
-    if fmt in ("csv", "both"):
-        _write(out, "metrics.csv", metrics_to_csv(result.metrics))
-        _write(out, "samples.csv", samples_to_csv(result.metrics))
-    if fmt in ("summary", "both"):
-        _write(out, "summary.json", summary_to_json(result.metrics))
+    _write_run(out, result.trace, result.metrics, _FORMAT_ARTIFACTS[fmt])
     summary = summary_dict(result.metrics)
     print(
         f"{scenario.name}: "

@@ -204,6 +204,10 @@ class _Sim:
         # (outcome, first tick, chain) of every waiter when it joins a chain;
         # attempts and server are settled from these once, in _metrics
         self.joined: list[tuple[ProgramOutcome, int, Chain]] = []
+        # (t_enc, t_dec, t_proc) per (program, executor, consumer): the
+        # programs and fleet are fixed, so each route is priced once per run
+        self.stage_times: dict[tuple[str, int, int], tuple[float, float, float]] = {}
+        self.debug = log.isEnabledFor(logging.DEBUG)
 
     # ------------------------------------------------------------- scheduling
 
@@ -233,7 +237,7 @@ class _Sim:
         """Append one trace record; tail holds its fields after `tpos=`."""
         line = f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.t_pos} {tail}"
         self.trace.append(line)
-        if log.isEnabledFor(logging.DEBUG):
+        if self.debug:
             log.debug(line)
 
     # -------------------------------------------------------------- main loop
@@ -329,10 +333,16 @@ class _Sim:
 
     def _stage(self, dispatch: Dispatch, t: float) -> None:
         """Stage one execution dispatched at t with the stage times pipeline
-        prices: local work runs them back to back on the platform; wire work
-        is encoded, then its input is sent to the executor."""
-        placement = PipelinePlacement(PLATFORM, dispatch.server_id, dispatch.consumer)
-        t_enc, t_dec, t_proc = stage_times(dispatch.program, placement, self.sc.nodes)
+        prices, once per route: local work runs them back to back on the
+        platform; wire work is encoded, then its input is sent to the
+        executor."""
+        route = (dispatch.program.program_id, dispatch.server_id, dispatch.consumer)
+        times = self.stage_times.get(route)
+        if times is None:
+            placement = PipelinePlacement(PLATFORM, dispatch.server_id, dispatch.consumer)
+            times = stage_times(dispatch.program, placement, self.sc.nodes)
+            self.stage_times[route] = times
+        t_enc, t_dec, t_proc = times
         inst = _Instance(self.staged, dispatch, t_enc, 0.0, t_dec, t_proc)
         self.staged += 1
         if dispatch.local:

@@ -8,7 +8,8 @@ everything but processing. The policy's prediction (e2e_latency) and the
 engine's staging share stage_times and leg_sample, and differ only in when
 each leg is sampled: the prediction samples both legs at the flight state of
 the deciding tick (on the variance-free link it is given), the engine samples
-each leg when it starts.
+each leg when it starts. The engine prices the stage times once per route
+(program, executor, consumer) and run, since programs and fleet are fixed.
 """
 
 from __future__ import annotations

@@ -115,6 +115,9 @@ class ProtocolState:
         # task:program of every due task with an unservable program: the
         # tables are fixed, so such a task stays deferred for the whole run
         self._unserved: list[str] = []
+        # first unservable program (None: all servable) per required_programs,
+        # matched once per run for the same reason
+        self._unservable: dict[tuple[str, ...], str | None] = {}
         self._remaining: dict[str, set[str]] = {}
         self.completed_tasks: dict[str, float] = {}
         self.completed_programs: set[str] = set()
@@ -217,12 +220,20 @@ class ProtocolState:
 
     def _servable(self, task: Task) -> bool:
         # A task with any unservable program is deferred whole, on every tick.
+        key = tuple(task.required_programs)
         try:
-            match_programs(task, self.tables, self.platform)
-        except NoCapableServer as exc:
-            self._unserved.append(f"{task.task_id}:{exc.program_id}")
-            return False
-        return True
+            missing = self._unservable[key]
+        except KeyError:
+            try:
+                match_programs(task, self.tables, self.platform)
+                missing = None
+            except NoCapableServer as exc:
+                missing = exc.program_id
+            self._unservable[key] = missing
+        if missing is None:
+            return True
+        self._unserved.append(f"{task.task_id}:{missing}")
+        return False
 
     # -------------------------------------------------------------- responses
 

@@ -7,6 +7,7 @@ model's ground truth and must never drift.
 import struct
 import threading
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -333,6 +334,94 @@ def test_sustainable_uplink_thresholds(mean_link):
     # sitting exactly at the mean is not sustainable: strict headroom rule
     ok, headroom = mean_link.sustainable_uplink(48.13, Band.LOW_ALTITUDE)
     assert not ok and headroom == 0.0
+
+
+# ------------------------------------------------------------ the leg table
+
+# a flight state in each regime, and the draw code of each band and direction
+# (frozen: the codes key every noisy sample of every artifact)
+REGIME_STATES = {
+    Band.LOW_ALTITUDE: (30.0, False),
+    Band.HIGH_ALTITUDE: (70.0, False),
+    Band.ROTATION: (70.0, True),
+}
+BAND_CODES = {Band.LOW_ALTITUDE: 1, Band.HIGH_ALTITUDE: 2, Band.ROTATION: 3}
+DIRECTION_CODES = {Direction.UL: 1, Direction.DL: 2}
+
+
+class HashableBands(dict):
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+def distinct_bands():
+    """Every regime with its own means, stds and RTT, so a leg that read
+    another regime's or direction's parameters would show."""
+    return HashableBands({
+        band: LinkBandParams(band=band, dl_mean=300.0 + 7.3 * i, ul_mean=40.0 + 3.1 * i,
+                             rtt_mean=18.0 + 1.7 * i, dl_std=60.0 + 5.9 * i,
+                             ul_std=9.0 + 2.3 * i)
+        for i, band in enumerate(Band)
+    })
+
+
+def formula_sample(link, t, band, direction):
+    """(throughput, one-way delay) worked out from bands[band] on the spot."""
+    p = link.bands[band]
+    if direction is Direction.DL:
+        mean, std = p.dl_mean, p.dl_std
+    else:
+        mean, std = p.ul_mean, p.ul_std
+    std *= link.variance_scale
+    throughput = mean
+    if std > 0:
+        code = (BAND_CODES[band] << 8) | DIRECTION_CODES[direction]
+        throughput = mean + std * keyed_normal(link.noise_seed, code, t)
+    return max(link.floor_mbps, throughput), p.rtt_mean * link.one_way_fraction
+
+
+def links_at(variance_scale):
+    """The same link three ways: built directly, by replace() and by mean()."""
+    built = LinkModel(bands=distinct_bands(), noise_seed=11, floor_mbps=1.0,
+                      variance_scale=variance_scale, one_way_fraction=0.3)
+    base = LinkModel(bands=distinct_bands(), noise_seed=11, one_way_fraction=0.9)
+    links = [built, replace(base, variance_scale=variance_scale, one_way_fraction=0.3)]
+    if variance_scale == 0:
+        links.append(replace(base, one_way_fraction=0.3).mean())
+    return links
+
+
+@pytest.mark.parametrize("variance_scale", [0.0, 0.37, 1.0])
+def test_every_leg_sample_equals_the_formula_bit_for_bit(variance_scale):
+    for link in links_at(variance_scale):
+        for band, (altitude, rotating) in REGIME_STATES.items():
+            for direction in Direction:
+                for t in (0.0, 0.5, 7.25, 61.125):
+                    s = link.sample_throughput(t, altitude, rotating, direction)
+                    assert (s.t, s.band, s.direction) == (t, band, direction)
+                    got = (s.throughput.hex(), s.one_way_delay.hex())
+                    want = tuple(x.hex() for x in formula_sample(link, t, band, direction))
+                    assert got == want, (variance_scale, band, direction, t)
+
+
+def test_the_leg_table_is_rebuilt_for_new_values_and_is_not_part_of_the_value():
+    link = LinkModel(bands=distinct_bands(), noise_seed=4, variance_scale=0.37,
+                     one_way_fraction=0.3)
+    for other in (replace(link, variance_scale=1.0), replace(link, one_way_fraction=0.6),
+                  link.mean()):
+        fresh = LinkModel(bands=other.bands, noise_seed=other.noise_seed,
+                          variance_scale=other.variance_scale,
+                          one_way_fraction=other.one_way_fraction)
+        assert other._legs == fresh._legs != link._legs
+    assert all(std == 0.0 for _, std, _, _ in link.mean()._legs.values())
+    (legs,) = [f for f in fields(LinkModel) if f.name == "_legs"]
+    assert not (legs.init or legs.repr or legs.compare)
+    assert "_legs" not in repr(link)
+    twin = replace(link)
+    object.__setattr__(twin, "_legs", {})
+    assert twin == link
+    assert hash(twin) == hash(link)
+    assert repr(twin) == repr(link)
 
 
 def test_variance_scale_zero_skips_rng_but_keeps_means():

@@ -87,6 +87,29 @@ def test_format_summary_skips_the_tables(tmp_path, scenario_path):
     assert not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("fmt, kept", [
+    ("csv", ["metrics.csv", "samples.csv"]),
+    ("summary", ["summary.json"]),
+])
+def test_a_format_run_removes_an_earlier_runs_other_artifacts(
+        tmp_path, scenario_path, fmt, kept):
+    """A run that writes some metrics artifacts removes the others an
+    earlier run left, so no artifact of seed 42 sits beside a seed-7 trace,
+    and touches no other file."""
+    out = tmp_path / "out"
+    assert main(["--scenario", str(scenario_path), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main(["--scenario", str(scenario_path), "--out", str(out),
+                 "--seed", "7", "--format", fmt]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["notes.txt", "trace.log", *kept])
+    seven = tmp_path / "seven"
+    assert main(["--scenario", str(scenario_path), "--out", str(seven),
+                 "--seed", "7"]) == 0
+    for name in ["trace.log", *kept]:
+        assert (out / name).read_bytes() == (seven / name).read_bytes(), name
+
+
 def test_seed_override_lands_in_the_summary(tmp_path, scenario_path):
     out = tmp_path / "out"
     main(["--scenario", str(scenario_path), "--out", str(out), "--seed", "7"])

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from urllib.parse import unquote
@@ -767,3 +768,56 @@ def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
     progs = [task.programs[0] for task in result.metrics.tasks]
     assert [(p.attempts, p.server) for p in progs] == [(2, 0), (1, 0)]
     assert statuses(result) == ["completed", "completed"]
+
+
+# ---------------------------------------------------------------- work bounds
+
+WORK_CASES = {
+    "bundled_at_0.5s": lambda: replace(load_scenario(BUNDLED_SCENARIO), t_int=0.5),
+    "sole_server": sole_server_scenario,
+}
+
+
+def count_run_constants(monkeypatch, sc):
+    """Run sc counting the calls that compute a run constant: servability
+    per program list, stage times per route, offload choices."""
+    matched, priced, selected = Counter(), Counter(), []
+    match_programs = protocol.match_programs
+    stage_times = engine.stage_times
+    select = protocol.select_server
+
+    def counting_match(task, tables, platform):
+        matched[task.required_programs] += 1
+        return match_programs(task, tables, platform)
+
+    def counting_stage_times(program, placement, nodes):
+        priced[program.program_id, placement.executor, placement.consumer] += 1
+        return stage_times(program, placement, nodes)
+
+    def counting_select(program, *args, **kwargs):
+        selected.append(program.program_id)
+        return select(program, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "match_programs", counting_match)
+    monkeypatch.setattr(engine, "stage_times", counting_stage_times)
+    monkeypatch.setattr(protocol, "select_server", counting_select)
+    return run(sc), matched, priced, selected
+
+
+@pytest.mark.parametrize("case", sorted(WORK_CASES))
+def test_each_run_constant_is_computed_within_its_bound(monkeypatch, case):
+    """The tables, fleet and programs are fixed for a run, so each distinct
+    program list is matched once, each (program, executor, consumer) route
+    is priced once, and the offload choice is made at most once per
+    (program, excluded server or none, consumer, band)."""
+    sc = WORK_CASES[case]()
+    result, matched, priced, selected = count_run_constants(monkeypatch, sc)
+    lists = {task.required_programs for task in sc.tasks}
+    assert set(matched) == lists
+    assert max(matched.values()) == 1
+    assert not priced or max(priced.values()) == 1
+    servers = {entry.server_id for entry in sc.tables}
+    consumers = {task.consumer for task in sc.tasks}
+    assert 0 < len(selected) <= len(sc.programs) * (len(servers) + 1) * len(consumers) * 3
+    # the sole server loses every request, so nothing is staged there
+    assert case == "sole_server" or result.metrics.counts["requests"] > len(priced) > 0

@@ -14,6 +14,7 @@ from birdsim import (
     Task,
     default_profiles,
 )
+from birdsim import protocol
 from birdsim.protocol import ProtocolState, UnknownResponse
 
 from conftest import make_flat_bands
@@ -263,6 +264,32 @@ def test_unservable_task_is_deferred_whole(ground_state):
     assert retry.unserved == ["t1:b"]
     assert ps.unserved_events == 2
     assert ps.requests_issued == 0
+
+
+def test_tasks_sharing_an_unservable_list_each_report_their_own_program(
+        ground_state, monkeypatch):
+    matched = []
+    match_programs = protocol.match_programs
+
+    def counting(task, tables, platform):
+        matched.append(task.required_programs)
+        return match_programs(task, tables, platform)
+
+    monkeypatch.setattr(protocol, "match_programs", counting)
+    ps = make_state((ProgramTableEntry(1, "a"),),
+                    programs={pid: make_program(pid) for pid in ("a", "b", "c")})
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b")), task("t2", ("a", "b")),
+                               task("t3", ("a", "c", "b")), task("t4")], ground_state)
+    assert [d.waiters for d in outcome.dispatches] == [("t4",)]
+    assert outcome.unserved == ["t1:b", "t2:b", "t3:c"]
+    assert ps.unserved_events == 3
+    respond(ps, outcome.dispatches[0], 0.5)
+    outcome = ps.on_tick(2.0, [task("t5", ("a", "c", "b")), task("t6")], ground_state)
+    assert outcome.unserved == ["t1:b", "t2:b", "t3:c", "t5:c"]
+    assert ps.unserved_events == 7
+    assert [d.waiters for d in outcome.dispatches] == [("t6",)]
+    # each distinct program list is matched once per run
+    assert matched == [("a", "b"), ("a", "c", "b"), ("a",)]
 
 
 def test_conservation_requests_equal_responses_plus_timeouts(ground_state):

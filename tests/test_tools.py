@@ -75,6 +75,28 @@ def test_one_pair_has_degenerate_quartiles():
     assert parent["q1"] == parent["median"] == parent["q3"] == 0.060
 
 
+def test_a_failed_bench_run_is_reported_with_its_stderr(tmp_path, capsys):
+    fake = tmp_path / "checkout"
+    (fake / "bench").mkdir(parents=True)
+    (fake / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    (fake / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'stderr line {i}', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    out = tmp_path / "bench.json"
+    rc = bench_pairs.main(["--parent", str(fake), "--change", str(fake),
+                           "--workload", "storm", "--pairs", "2", "--seconds", "1",
+                           "--seed", "77", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("error: the parent run of workload storm at seed 77 exited "
+                      "with code 3, after 0 complete pairs of it; its last stderr lines:")
+    assert err[1:] == [f"stderr line {i}" for i in range(20, 30)]
+
+
 # ---------------------------------------------------------- artifact digests
 
 

@@ -14,6 +14,8 @@ whether the medians differ by more than the parent's quartile spread, plus
 `correct` and `failed` of every run, the interpreter, numpy and PyYAML
 versions and each checkout's commit. A checkout with uncommitted changes is
 marked `dirty`, and `source_sha256` identifies its `src/` files either way.
+If a run fails, the tool exits 1 and names the run's side, workload, seed,
+exit code and the last lines of its stderr, and writes no output file.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from importlib.metadata import version
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,7 +124,15 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(checkouts[side], workload, seed, args.seconds)
+                try:
+                    pair[side] = run_bench(checkouts[side], workload, seed, args.seconds)
+                except subprocess.CalledProcessError as exc:
+                    tail = exc.stderr.splitlines()[-STDERR_TAIL_LINES:]
+                    print(f"error: the {side} run of workload {workload} at seed {seed} "
+                          f"exited with code {exc.returncode}, after {i} complete "
+                          f"pairs of it; its last stderr lines:", *tail,
+                          sep="\n", file=sys.stderr)
+                    return 1
             pairs.append(pair)
             print(f"{workload} pair {i}: mission_s parent "
                   f"{pair['parent']['metrics']['mission_s']['value']:.4g} change "
