@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .engine import (
     trace_to_text,
 )
 from .scenario import ScenarioError, apply_sweep_value, load_scenario, load_sweep_spec
+
+log = logging.getLogger("birdsim.cli")
 
 
 # ------------------------------------------------------------------ commands
@@ -113,13 +116,15 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
     rows: list[list] = []
     aggregates: list[list] = []
     for value in spec.values:
+        started = perf_counter()
         scenario = apply_sweep_value(base, spec.parameter, value)
         e2e_means: list[float] = []
         comm_means: list[float] = []
         completed_counts: list[int] = []
         for rep in range(spec.replicates):
             seed = spec.base_seed + rep
-            m = run(scenario, seed=seed).metrics
+            # the sweep reads only the metrics, so its runs keep no trace
+            m = run(scenario, seed=seed, trace=False).metrics
             mean_e2e = m.mean_t_e2e()
             mean_comm = m.mean_t_comm()
             if mean_e2e is not None:
@@ -142,6 +147,8 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
             float(np.mean(comm_means)) if comm_means else None,
             _std(comm_means) if comm_means else None,
         ])
+        log.info("sweep parameter=%s value=%r replicates=%d wall_s=%.3f",
+                 spec.parameter, value, spec.replicates, perf_counter() - started)
 
     out = Path(out_dir)
     _write(out, "sweep_rows.csv", csv_text(SWEEP_ROW_COLUMNS, rows))

@@ -8,6 +8,20 @@ The engine stages each dispatched execution with the stage times that
 band), feeds deliveries and timeouts to the protocol state, which owns the
 timeline position and task completion, records the critical moments, and
 emits a replay-complete line trace plus a metrics record.
+
+A run made with `trace=False` (each replicate of a sweep) returns an empty
+trace. It formats no record unless `birdsim.engine` logs at DEBUG
+(`BIRDSIM_LOG=trace`), which logs each one, and it handles every event, seq,
+push and keyed draw exactly as a traced run does, so its metrics are
+byte-equal.
+
+Work bounds, per run (tests/test_engine.py holds each on small rungs):
+- requests <= ticks x programs: one dispatch per program per tick;
+- waiter joins = the sum of len(required_programs) over the servable due
+  tasks: a waiter joins its chain once, however often it is retried;
+- select_server calls <= programs x (servers + 1) x consumers x 3 bands;
+- keyed draws <= 2 x staged + the wire dispatches to lossy servers;
+- records <= tasks + waypoints + 2 x ticks + 3 x staged + 2.
 """
 
 from __future__ import annotations
@@ -135,6 +149,15 @@ class RunResult:
 _waypoint_t = attrgetter("t")
 
 
+def _delivery(dispatch: Dispatch, aware: bool) -> str:
+    """The ` resolved=... delivered=... moment=...` suffix of the record of a
+    delivery; aware is what `_Sim._deliver` returned."""
+    delivery = f" delivered={dispatch.consumer}"
+    if not dispatch.local:
+        delivery = f" resolved={dispatch.key}{delivery}"
+    return delivery + " moment=virtual_awareness" if aware else delivery
+
+
 def flight_state_at(scenario: Scenario, t: float) -> FlightState:
     """Flight condition at mission time t.
 
@@ -156,7 +179,7 @@ def flight_state_at(scenario: Scenario, t: float) -> FlightState:
 
 
 class _Sim:
-    def __init__(self, scenario: Scenario, seed: int):
+    def __init__(self, scenario: Scenario, seed: int, trace: bool):
         self.sc = scenario
         self.seed = seed
         self.link = LinkModel(
@@ -184,6 +207,10 @@ class _Sim:
         # (t, seq) is unique, so heap order never compares two handlers
         self.heap: list[tuple[float, int, _Handler, Any]] = []
         self.seq = 0
+        self.debug = log.isEnabledFor(logging.DEBUG)
+        # every record is formatted into self.trace only if it is kept or logged
+        self.keep = trace
+        self.records = trace or self.debug
         self.trace: list[str] = []
         self.last_t = 0.0
         self.staged = 0  # program executions staged, numbered from 0
@@ -207,7 +234,6 @@ class _Sim:
         # (t_enc, t_dec, t_proc) per (program, executor, consumer): the
         # programs and fleet are fixed, so each route is priced once per run
         self.stage_times: dict[tuple[str, int, int], tuple[float, float, float]] = {}
-        self.debug = log.isEnabledFor(logging.DEBUG)
 
     # ------------------------------------------------------------- scheduling
 
@@ -234,7 +260,8 @@ class _Sim:
     # ------------------------------------------------------------------ trace
 
     def _emit(self, t: float, seq: int, kind: str, tail: str) -> None:
-        """Append one trace record; tail holds its fields after `tpos=`."""
+        """Append one trace record; tail holds its fields after `tpos=`.
+        Called only when self.records is set."""
         line = f"t={t!r} seq={seq} kind={kind} tpos={self.protocol.t_pos} {tail}"
         self.trace.append(line)
         if self.debug:
@@ -256,26 +283,30 @@ class _Sim:
             self._flush()
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-            self.trace.append(
+            trace = self.trace if self.keep else []
+            trace.append(
                 f"t={self.last_t!r} seq={seq} kind=Abort "
                 f"tpos={self.protocol.t_pos} error={quote(error, safe='')}"
             )
-            raise RunAborted(error, list(self.trace)) from exc
-        return RunResult(metrics=self._metrics(), trace=self.trace)
+            raise RunAborted(error, list(trace)) from exc
+        return RunResult(metrics=self._metrics(), trace=self.trace if self.keep else [])
 
     def _on_task_issued(self, t: float, seq: int, issued: tuple[int, Task]) -> None:
         self.issued.append(issued)
-        self._emit(t, seq, "TaskIssued", f"task={issued[1].task_id}")
+        if self.records:
+            self._emit(t, seq, "TaskIssued", f"task={issued[1].task_id}")
 
     def _on_flight_waypoint(self, t: float, seq: int, wp: Waypoint) -> None:
-        self._emit(
-            t, seq, "FlightWaypoint",
-            f"altitude={wp.altitude!r} rotating={int(wp.rotating)}",
-        )
+        if self.records:
+            self._emit(
+                t, seq, "FlightWaypoint",
+                f"altitude={wp.altitude!r} rotating={int(wp.rotating)}",
+            )
 
     def _on_truck_arrival(self, t: float, seq: int, _: None) -> None:
         self.moments = record_moment(self.moments, "physical_awareness", t)
-        self._emit(t, seq, "TruckArrival", "moment=physical_awareness")
+        if self.records:
+            self._emit(t, seq, "TruckArrival", "moment=physical_awareness")
 
     # ------------------------------------------------------------------ ticks
 
@@ -287,7 +318,6 @@ class _Sim:
         outcome = self.protocol.on_tick(t, due, state)
         for task in due:
             self.task_outcomes[task.task_id].first_served_at = t
-        entries: list[str] = []
         locals_: list[str] = []
         for dispatch in outcome.dispatches:
             # retried waiters are already on the chain: visit only new ones
@@ -296,9 +326,9 @@ class _Sim:
             for waiter in dispatch.waiters[dispatch.fresh:]:
                 self.joined.append((self.prog_outcomes[(waiter, program_id)], tick, chain))
             if dispatch.local:
-                locals_.append(f"{program_id}@{dispatch.consumer}")
+                if self.records:
+                    locals_.append(f"{program_id}@{dispatch.consumer}")
             else:
-                entries.append(dispatch.key)
                 # u is in [0, 1), so only a positive loss can lose a dispatch
                 loss = self.sc.loss.get(dispatch.server_id, 0.0)
                 if loss > 0.0 and keyed_uniform(
@@ -309,20 +339,23 @@ class _Sim:
                 ) < loss:
                     continue  # never staged: its entry times out
             self._stage(dispatch, t)
-        # the next tick is also this tick's deadline; its Timeout is pushed
-        # first, so it runs before that Tick (protocol module docstring)
+        # outstanding now holds this tick's wire dispatches, lost ones too, in
+        # dispatch order. The next tick is also their deadline; its Timeout is
+        # pushed first, so it runs before that Tick (protocol module docstring)
+        entries = self.protocol.outstanding
         next_t = (tick + 1) * self.protocol.t_int
         if entries:
             self._push(next_t, self._on_timeout, tick)
         if next_t < self.end:
             self._push(next_t, self._on_tick, tick + 1)
         self.protocol.try_advance(t)
-        self._emit(
-            t, seq, "Tick",
-            f"tick={tick} due={','.join([task.task_id for task in due])} "
-            f"entries={';'.join(entries)} locals={';'.join(locals_)} "
-            f"unserved={';'.join(outcome.unserved)} msgs={outcome.messages}",
-        )
+        if self.records:
+            self._emit(
+                t, seq, "Tick",
+                f"tick={tick} due={','.join([task.task_id for task in due])} "
+                f"entries={';'.join(entries)} locals={';'.join(locals_)} "
+                f"unserved={';'.join(outcome.unserved)} msgs={outcome.messages}",
+            )
 
     # ---------------------------------------------------------------- staging
 
@@ -368,20 +401,23 @@ class _Sim:
         if not self._live(dispatch):
             return
         self._push(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
-        self._emit(
-            t, seq, "TransferComplete",
-            f"inst={inst.inst_id} leg=input entry={dispatch.key}",
-        )
+        if self.records:
+            self._emit(
+                t, seq, "TransferComplete",
+                f"inst={inst.inst_id} leg=input entry={dispatch.key}",
+            )
 
     def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
         dispatch = inst.dispatch
         if not self._live(dispatch):
             return
-        delivery = self._deliver(inst, t)
-        self._emit(
-            t, seq, "TransferComplete",
-            f"inst={inst.inst_id} leg=output entry={dispatch.key}{delivery}",
-        )
+        aware = self._deliver(inst, t)
+        if self.records:
+            self._emit(
+                t, seq, "TransferComplete",
+                f"inst={inst.inst_id} leg=output entry={dispatch.key}"
+                f"{_delivery(dispatch, aware)}",
+            )
         self.protocol.try_advance(t)
 
     def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
@@ -389,31 +425,33 @@ class _Sim:
         if not self._live(dispatch):
             return
         executor = dispatch.server_id
-        record = f"inst={inst.inst_id} entry={dispatch.key} local={int(dispatch.local)}"
-        if dispatch.consumer != executor:
+        # a result consumed where it was computed is delivered now
+        delivered = dispatch.consumer == executor
+        if delivered:
+            aware = self._deliver(inst, t)
+        else:
             leg = self._sample_leg(
                 t, dispatch.program.output_payload, executor, dispatch.consumer
             )
             inst.t_comm += leg
             self._push(t + leg, self._on_output_arrival, inst)
+        if self.records:
+            record = f"inst={inst.inst_id} entry={dispatch.key} local={int(dispatch.local)}"
+            if delivered:
+                record += _delivery(dispatch, aware)
             self._emit(t, seq, "ComputeComplete", record)
-            return
-        # result is consumed where it was computed: delivery happens now
-        delivery = self._deliver(inst, t)
-        self._emit(t, seq, "ComputeComplete", record + delivery)
-        self.protocol.try_advance(t)
+        if delivered:
+            self.protocol.try_advance(t)
 
-    def _deliver(self, inst: _Instance, t: float) -> str:
-        """Credit a finished execution; returns the record's
-        ` resolved=... delivered=... moment=...` suffix."""
+    def _deliver(self, inst: _Instance, t: float) -> bool:
+        """Credit a finished execution; returns whether it made the incident's
+        virtual awareness moment."""
         dispatch = inst.dispatch
         self.delivered += 1
         if dispatch.local:
             self.protocol.note_result(dispatch, t)
-            delivery = f" delivered={dispatch.consumer}"
         else:
             self.protocol.on_response(dispatch.key, t)
-            delivery = f" resolved={dispatch.key} delivered={dispatch.consumer}"
         breakdown = inst.breakdown()
         for waiter in dispatch.waiters:
             prog = self.prog_outcomes[(waiter, dispatch.program.program_id)]
@@ -429,16 +467,17 @@ class _Sim:
             and (reported is None or t >= reported)
         ):
             self.moments = record_moment(self.moments, "virtual_awareness", t)
-            delivery += " moment=virtual_awareness"
-        return delivery
+            return True
+        return False
 
     def _on_timeout(self, t: float, seq: int, tick: int) -> None:
         timed_out = self.protocol.on_timeout()
-        self._emit(
-            t, seq, "Timeout",
-            f"tick={tick} timed_out={';'.join([d.key for d in timed_out])} "
-            f"count={len(timed_out)}",
-        )
+        if self.records:
+            self._emit(
+                t, seq, "Timeout",
+                f"tick={tick} timed_out={';'.join([d.key for d in timed_out])} "
+                f"count={len(timed_out)}",
+            )
         self.protocol.try_advance(t)
 
     # ------------------------------------------------------------------ flush
@@ -448,11 +487,12 @@ class _Sim:
         flushed = self.protocol.on_timeout()
         self.protocol.try_advance(t)
         self.moments = record_moment(self.moments, "termination", t)
-        self._emit(
-            t, self.seq, "Flush",
-            f"flushed={';'.join([d.key for d in flushed])} "
-            f"cancelled={self.staged - self.delivered}",
-        )
+        if self.records:
+            self._emit(
+                t, self.seq, "Flush",
+                f"flushed={';'.join([d.key for d in flushed])} "
+                f"cancelled={self.staged - self.delivered}",
+            )
 
     # ---------------------------------------------------------------- metrics
 
@@ -491,17 +531,21 @@ class _Sim:
         )
 
 
-def run(scenario: Scenario, seed: int | None = None) -> RunResult:
-    """Simulate one scenario; deterministic for a fixed (scenario, seed)."""
+def run(scenario: Scenario, seed: int | None = None, *, trace: bool = True) -> RunResult:
+    """Simulate one scenario; deterministic for a fixed (scenario, seed).
+    With trace=False the result's trace is empty and its metrics are the
+    same (module docstring)."""
     effective_seed = scenario.seed if seed is None else seed
     if log.isEnabledFor(logging.INFO):
         log.info("run scenario=%s seed=%d", scenario.name, effective_seed)
-    result = _Sim(scenario, effective_seed).run()
+    sim = _Sim(scenario, effective_seed, trace)
+    result = sim.run()
     if log.isEnabledFor(logging.INFO):
+        # every event pushed takes the next seq and is handled
         log.info(
             "done scenario=%s events=%d tasks=%d/%d",
             scenario.name,
-            len(result.trace),
+            sim.seq,
             result.metrics.tasks_completed(),
             len(result.metrics.tasks),
         )

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
+from birdsim import load_scenario, run
+from birdsim.scenario import apply_sweep_value
 from birdsim.cli import main
 
 RUN_ARTIFACTS = ("trace.log", "metrics.csv", "samples.csv", "summary.json")
@@ -632,3 +634,40 @@ def test_log_env_var_controls_stderr(tmp_path, scenario_path):
     assert chatty.returncode == 0
     assert "birdsim" in chatty.stderr
     assert len(chatty.stderr) > len(quiet.stderr)
+
+
+def test_a_logged_sweep_reports_each_value_run_and_record(tmp_path):
+    """Under BIRDSIM_LOG=trace a sweep, whose runs keep no trace, still logs
+    every record of every run, each run's `done` line with the events it
+    handled, and one progress line per value."""
+    scenario = write_yaml(tmp_path / "mini.yaml", mini_doc())
+    spec = write_yaml(tmp_path / "sweep.yaml", {
+        "parameter": "update_interval", "values": [1.0, 2.0], "replicates": 2,
+        "base_seed": 5,
+    })
+    proc = subprocess.run(
+        [sys.executable, "-m", "birdsim.cli", "--scenario", scenario,
+         "--sweep", spec, "--out", str(tmp_path / "o")],
+        capture_output=True, env=dict(os.environ, BIRDSIM_LOG="trace"), text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    base = load_scenario(scenario)
+    records, events = [], []
+    for value in (1.0, 2.0):
+        for seed in (5, 6):
+            trace = run(apply_sweep_value(base, "update_interval", value), seed=seed).trace
+            records += trace
+            # the Flush record's seq is the number of events the run handled
+            events.append(int(trace[-1].split(" seq=")[1].split(" ")[0]))
+    engine_lines = [line.removeprefix("birdsim.engine: ") for line in lines
+                    if line.startswith("birdsim.engine: t=")]
+    assert engine_lines == records
+    done = [line for line in lines if line.startswith("birdsim.engine: done ")]
+    assert [int(line.split(" events=")[1].split(" ")[0]) for line in done] == events
+    assert min(events) > 0
+    progress = [line for line in lines if line.startswith("birdsim.cli: sweep ")]
+    assert [line.split(" wall_s=")[0] for line in progress] == [
+        f"birdsim.cli: sweep parameter=update_interval value={value} replicates=2"
+        for value in (1.0, 2.0)
+    ]

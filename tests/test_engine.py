@@ -2,8 +2,10 @@
 retry chains."""
 
 import csv
+import functools
 import importlib.util
 import io
+import random
 import re
 import sys
 from collections import Counter
@@ -37,10 +39,12 @@ from birdsim import (
     load_scenario,
     metrics_to_csv,
     run,
+    samples_to_csv,
     select_server,
+    summary_to_json,
     trace_to_text,
 )
-from birdsim import engine, protocol
+from birdsim import channel, engine, protocol
 from birdsim.channel import FlightState, band_for, keyed_uniform
 from birdsim.engine import flight_state_at
 
@@ -665,8 +669,10 @@ def test_loss_draws_only_for_servers_that_can_lose(monkeypatch):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@functools.cache
 def storm_scenario(seed, cut):
-    """The benchmark's `storm` workload, with its duration cut by `cut`."""
+    """The benchmark's `storm` workload, with its duration cut by `cut`; a
+    Scenario is frozen, so the tests share one build."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -821,3 +827,165 @@ def test_each_run_constant_is_computed_within_its_bound(monkeypatch, case):
     assert 0 < len(selected) <= len(sc.programs) * (len(servers) + 1) * len(consumers) * 3
     # the sole server loses every request, so nothing is staged there
     assert case == "sole_server" or result.metrics.counts["requests"] > len(priced) > 0
+
+
+# ------------------------------------------------------------ untraced runs
+
+
+def run_counting_draws(monkeypatch, sc, **kwargs):
+    """Run sc; returns the result and its keyed draws by kind."""
+    draws = Counter()
+    uniform, normal = engine.keyed_uniform, channel.keyed_normal
+
+    def counting_uniform(*args):
+        draws["uniform"] += 1
+        return uniform(*args)
+
+    def counting_normal(*args):
+        draws["normal"] += 1
+        return normal(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "keyed_uniform", counting_uniform)
+        patch.setattr(channel, "keyed_normal", counting_normal)
+        return run(sc, **kwargs), draws
+
+
+def mixed_var1_scenario():
+    from test_digests import mixed  # test_digests imports this module
+
+    return load_scenario(mixed(1.0))
+
+
+def trace_variants_scenario():
+    from test_digests import trace_variants  # test_digests imports this module
+
+    return load_scenario(trace_variants())
+
+
+UNTRACED_CASES = {
+    # stitch is retried on every tick and never answered
+    "bundled_at_0.5s": lambda: replace(load_scenario(BUNDLED_SCENARIO), t_int=0.5),
+    "retry_heavy": retry_heavy_scenario,
+    "mixed_var1": mixed_var1_scenario,
+    "regime": regime_scenario,
+    "trace_variants": trace_variants_scenario,
+    "storm_cut": lambda: storm_scenario(1, 0.37),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTRACED_CASES))
+def test_an_untraced_run_reports_what_the_traced_run_does(monkeypatch, case):
+    sc = UNTRACED_CASES[case]()
+    traced, traced_draws = run_counting_draws(monkeypatch, sc)
+    untraced, untraced_draws = run_counting_draws(monkeypatch, sc, trace=False)
+    assert traced.trace and untraced.trace == []
+    for serialize in (metrics_to_csv, samples_to_csv, summary_to_json):
+        assert serialize(untraced.metrics) == serialize(traced.metrics)
+    assert untraced.metrics.counts == traced.metrics.counts
+    assert untraced_draws == traced_draws
+    assert sum(traced_draws.values()) > 0
+
+
+def test_an_untraced_abort_carries_only_its_abort_record(monkeypatch):
+    from test_cli import make_runs_abort
+
+    make_runs_abort(monkeypatch)
+    sc = load_scenario(BUNDLED_SCENARIO)
+    with pytest.raises(RunAborted) as traced:
+        run(sc)
+    with pytest.raises(RunAborted) as untraced:
+        run(sc, trace=False)
+    assert str(untraced.value) == str(traced.value)
+    assert len(traced.value.trace) > 1
+    assert untraced.value.trace == traced.value.trace[-1:]
+
+
+# -------------------------------------------------------- work bounds: rungs
+
+# the bench workloads' program mix, and storm's one consumer per program
+RUNG_PROGRAMS = ("detect", "detect", "stitch", "plan_route")
+RUNG_CONSUMER = {"detect": 2, "stitch": 2, "plan_route": 0}
+
+
+def rung(t_int, count, mixed_consumers):
+    """The bundled mission cut to 120 s at update interval t_int, plus count
+    one-program tasks issued over its survey window: one consumer per
+    program, or a random one of three."""
+    base = load_scenario(BUNDLED_SCENARIO)
+    rng = random.Random(f"{t_int}:{count}:{mixed_consumers}")
+    tasks = []
+    for i in range(count):
+        program = rng.choice(RUNG_PROGRAMS)
+        consumer = rng.randrange(3) if mixed_consumers else RUNG_CONSUMER[program]
+        issue = round(rng.uniform(30.0, 100.0), 1)
+        tasks.append(Task(f"g{i:03d}", (program,), Origin.COMMANDER_ORDER, issue,
+                          consumer=consumer))
+    return replace(base, t_int=t_int, duration=120.0, tasks=base.tasks + tuple(tasks))
+
+
+RUNGS = {
+    "t_int_0.2s": lambda: rung(0.2, 40, False),
+    "t_int_2.0s": lambda: rung(2.0, 40, False),
+    "mixed_consumers": lambda: rung(1.0, 40, True),
+}
+
+
+def count_work(monkeypatch, sc, trace):
+    """Run sc counting its ticks, dispatches, servable due tasks, staged
+    executions, waiter joins and keyed draws."""
+    work = Counter()
+    on_tick = protocol.ProtocolState.on_tick
+    stage = engine._Sim._stage
+    metrics = engine._Sim._metrics
+    platform = sc.nodes[0]
+
+    def counting_tick(self, t, due, state):
+        outcome = on_tick(self, t, due, state)
+        work["ticks"] += 1
+        work["servable_programs"] += sum(
+            len(task.required_programs) for task in due
+            if all(candidates_for(pid, sc.tables, platform)
+                   for pid in task.required_programs))
+        for d in outcome.dispatches:
+            work["dispatch_joins"] += len(d.waiters) - d.fresh
+            if not d.local and sc.loss.get(d.server_id, 0.0) > 0.0:
+                work["lossy_wire"] += 1
+        return outcome
+
+    def counting_stage(self, dispatch, t):
+        work["staged"] += 1
+        return stage(self, dispatch, t)
+
+    def counting_metrics(self):
+        work["engine_joins"] = len(self.joined)
+        return metrics(self)
+
+    monkeypatch.setattr(protocol.ProtocolState, "on_tick", counting_tick)
+    monkeypatch.setattr(engine._Sim, "_stage", counting_stage)
+    monkeypatch.setattr(engine._Sim, "_metrics", counting_metrics)
+    result, draws = run_counting_draws(monkeypatch, sc, trace=trace)
+    return result, work, draws
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("case", sorted(RUNGS))
+def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trace):
+    """The work bounds of the engine module docstring: one dispatch per
+    program per tick, one join per waiter however often it is retried, at
+    most two link samples per staged execution plus one loss draw per wire
+    dispatch to a lossy server, and at most three records per staged
+    execution besides a fixed few per task, waypoint and tick."""
+    sc = RUNGS[case]()
+    result, work, draws = count_work(monkeypatch, sc, trace)
+    counts = result.metrics.counts
+    assert 0 < counts["requests"] <= work["ticks"] * len(sc.programs)
+    assert work["engine_joins"] == work["dispatch_joins"] == work["servable_programs"] > 0
+    assert 0 < draws["uniform"] + draws["normal"] <= 2 * work["staged"] + work["lossy_wire"]
+    if trace:
+        delivered = sum(" delivered=" in line for line in result.trace)
+        assert work["staged"] == delivered + counts["cancelled"]
+        assert len(result.trace) <= (len(sc.tasks) + len(sc.flight_plan)
+                                     + 2 * work["ticks"] + 3 * work["staged"] + 2)
+    else:
+        assert result.trace == []
