@@ -125,16 +125,15 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
             seed = spec.base_seed + rep
             # the sweep reads only the metrics, so its runs keep no trace
             m = run(scenario, seed=seed, trace=False).metrics
-            mean_e2e = m.mean_t_e2e()
-            mean_comm = m.mean_t_comm()
+            completed, mean_e2e, mean_comm = m.outcome_stats()
             if mean_e2e is not None:
                 e2e_means.append(mean_e2e)
             if mean_comm is not None:
                 comm_means.append(mean_comm)
-            completed_counts.append(m.tasks_completed())
+            completed_counts.append(completed)
             rows.append([
                 spec.parameter, value, rep, seed, len(m.tasks),
-                m.tasks_completed(), mean_e2e, mean_comm,
+                completed, mean_e2e, mean_comm,
                 m.counts["requests"], m.counts["responses"], m.counts["timeouts"],
             ])
         aggregates.append([

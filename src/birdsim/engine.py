@@ -26,19 +26,25 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 import json
 import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
-from .channel import FlightState, LinkModel, LinkSample, keyed_uniform, transfer_seconds
+from .channel import (
+    Band,
+    Direction,
+    FlightState,
+    LinkModel,
+    LinkSample,
+    keyed_uniform,
+    transfer_seconds,
+)
 from .model import (
     OBJECT_DETECTION,
     PLATFORM,
@@ -107,6 +113,12 @@ class TaskOutcome:
     programs: list[ProgramOutcome] = field(default_factory=list)
 
 
+class OutcomeStats(NamedTuple):
+    tasks_completed: int
+    mean_t_e2e: float | None  # None when no program completed
+    mean_t_comm: float | None
+
+
 @dataclass
 class MetricsRecord:
     """Everything a run reports besides the event trace."""
@@ -122,22 +134,28 @@ class MetricsRecord:
     phase_log: list[tuple[float, int, int]]
     final_t_pos: int
 
-    def completed(self) -> Iterator[ProgramOutcome]:
-        for task in self.tasks:
-            for prog in task.programs:
-                if prog.breakdown is not None:
-                    yield prog
-
-    def mean_t_e2e(self) -> float | None:
-        vals = [p.breakdown.t_e2e for p in self.completed()]
-        return sum(vals) / len(vals) if vals else None
-
-    def mean_t_comm(self) -> float | None:
-        vals = [p.breakdown.t_comm for p in self.completed()]
-        return sum(vals) / len(vals) if vals else None
-
     def tasks_completed(self) -> int:
         return sum(1 for t in self.tasks if t.completed_at is not None)
+
+    def outcome_stats(self) -> OutcomeStats:
+        """The tasks completed and the mean t_e2e and t_comm over the
+        completed programs, in one pass over the tasks."""
+        tasks_completed = 0
+        e2e: list[float] = []
+        comm: list[float] = []
+        for task in self.tasks:
+            if task.completed_at is not None:
+                tasks_completed += 1
+            for prog in task.programs:
+                b = prog.breakdown
+                if b is not None:
+                    e2e.append(b.t_e2e)
+                    comm.append(b.t_comm)
+        return OutcomeStats(
+            tasks_completed,
+            sum(e2e) / len(e2e) if e2e else None,
+            sum(comm) / len(comm) if comm else None,
+        )
 
 
 @dataclass
@@ -555,15 +573,34 @@ def run(scenario: Scenario, seed: int | None = None, *, trace: bool = True) -> R
 # ------------------------------------------------------------- serialization
 
 
+def csv_cell(text: str) -> str:
+    """A text cell: quoted, its double quotes doubled, when it holds `,`,
+    `"` or a newline (a carriage return alone is not quoted)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return csv_cell(value)
+    return repr(value)
+
+
+def _csv_line(row: Sequence) -> str:
+    line = ",".join([_cell(value) for value in row])
+    # a lone empty cell is written "" so that the line is not blank
+    return '""' if not line and len(row) == 1 else line
+
+
 def csv_text(columns: list[str], rows: Iterable[Sequence]) -> str:
-    """A CSV table: the header row, then one line per row. csv.writer writes
-    None as an empty cell and any other value as its str(), which for a float
-    is its shortest round-trip repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """A CSV table: the header row, then one line per row, each ending in a
+    newline. Every CSV follows these cell rules (docs/output-formats.md):
+    None is an empty cell, text goes through csv_cell, and any other value
+    is its repr, which for an int, float or bool is also its str."""
+    return "".join([_csv_line(row) + "\n" for row in (columns, *rows)])
 
 
 METRICS_COLUMNS = [
@@ -571,50 +608,87 @@ METRICS_COLUMNS = [
     "first_served_s", "attempts", "server", "t_enc_s", "t_comm_s", "t_dec_s",
     "t_proc_s", "t_e2e_s", "delivered_s", "status", "task_completed_s",
 ]
-_NO_STAGES = (None,) * 5
 
 
 def metrics_to_csv(metrics: MetricsRecord) -> str:
-    """Per-(task, program) table; column order is fixed and documented."""
-    rows = []
+    """Per-(task, program) table; column order is fixed and documented.
+
+    The waiters a delivery credits share its breakdown and delivery time, so
+    each delivery's six cells are formatted once, as are the first_served_s
+    and task_completed_s cells of each time. The memos key on identity, not
+    value (0.0 and -0.0 are equal but print differently), and live only for
+    this call, while every keyed object is alive.
+    """
+    times: dict[int, str] = {id(None): ""}
+    deliveries: dict[tuple[int, int], str] = {}
+    lines = [_csv_line(METRICS_COLUMNS) + "\n"]
     for outcome in metrics.tasks:
         task = outcome.task
+        served = outcome.first_served_at
+        served_cell = times.get(id(served))
+        if served_cell is None:
+            served_cell = times[id(served)] = repr(served)
+        done = outcome.completed_at
+        done_cell = times.get(id(done))
+        if done_cell is None:
+            done_cell = times[id(done)] = repr(done)
+        task_id = csv_cell(task.task_id)
+        task_cells = (
+            f"{csv_cell(task.origin.value)},{task.consumer!r},"
+            f"{task.issue_time!r},{served_cell}"
+        )
         for prog in outcome.programs:
             b = prog.breakdown
-            if b is None:
-                stages, status = _NO_STAGES, "pending"
-            else:
-                stages, status = (b.t_enc, b.t_comm, b.t_dec, b.t_proc, b.t_e2e), "completed"
-            rows.append([
-                task.task_id, prog.program_id, task.origin.value, task.consumer,
-                task.issue_time, outcome.first_served_at, prog.attempts, prog.server,
-                *stages, prog.delivered_at, status, outcome.completed_at,
-            ])
-    return csv_text(METRICS_COLUMNS, rows)
+            at = prog.delivered_at
+            key = (id(b), id(at))
+            delivery = deliveries.get(key)
+            if delivery is None:
+                at_cell = "" if at is None else repr(at)
+                if b is None:
+                    delivery = f",,,,,{at_cell},pending"
+                else:
+                    delivery = (
+                        f"{b.t_enc!r},{b.t_comm!r},{b.t_dec!r},{b.t_proc!r},"
+                        f"{b.t_e2e!r},{at_cell},completed"
+                    )
+                deliveries[key] = delivery
+            server = prog.server
+            lines.append(
+                f"{task_id},{csv_cell(prog.program_id)},{task_cells},"
+                f"{prog.attempts!r},{'' if server is None else repr(server)},"
+                f"{delivery},{done_cell}\n"
+            )
+    return "".join(lines)
 
 
 SAMPLES_COLUMNS = ["t_s", "band", "direction", "throughput_mbps", "one_way_delay_ms"]
+# Enum.value is a property call; these tables read each text once
+_BAND_CELL = {band: csv_cell(band.value) for band in Band}
+_DIRECTION_CELL = {direction: csv_cell(direction.value) for direction in Direction}
 
 
 def samples_to_csv(metrics: MetricsRecord) -> str:
-    return csv_text(SAMPLES_COLUMNS, [
-        (s.t, s.band.value, s.direction.value, s.throughput, s.one_way_delay)
-        for s in metrics.samples
+    band_cell, direction_cell = _BAND_CELL, _DIRECTION_CELL
+    return _csv_line(SAMPLES_COLUMNS) + "\n" + "".join([
+        f"{t!r},{band_cell[band]},{direction_cell[direction]},"
+        f"{throughput!r},{one_way_delay!r}\n"
+        for t, band, direction, throughput, one_way_delay in metrics.samples
     ])
 
 
 def summary_dict(metrics: MetricsRecord) -> dict:
     """Structured run summary; key order is fixed and documented."""
     moments = metrics.moments
+    stats = metrics.outcome_stats()
     return {
         "scenario": metrics.scenario_name,
         "seed": metrics.seed,
         "duration_s": metrics.duration,
         "update_interval_s": metrics.t_int,
         "tasks_total": len(metrics.tasks),
-        "tasks_completed": metrics.tasks_completed(),
-        "mean_t_e2e_s": metrics.mean_t_e2e(),
-        "mean_t_comm_s": metrics.mean_t_comm(),
+        "tasks_completed": stats.tasks_completed,
+        "mean_t_e2e_s": stats.mean_t_e2e,
+        "mean_t_comm_s": stats.mean_t_comm,
         "counts": dict(metrics.counts),
         "moments": moments.as_dict(),
         "reported_to_virtual_s": moments.span("reported", "virtual_awareness"),

@@ -989,3 +989,106 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
                                      + 2 * work["ticks"] + 3 * work["staged"] + 2)
     else:
         assert result.trace == []
+
+
+# ------------------------------------------------------------- CSV cell rules
+
+
+def writer_text(rows):
+    """The lines csv.writer writes for rows, the reference for the cell rules."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+CSV_TEXT = st.text(st.sampled_from(list(',"\n\r ab1.-éü中\t')) | st.characters())
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**128, max_value=2**128),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    CSV_TEXT,
+)
+
+
+@given(columns=st.lists(CSV_TEXT, max_size=4),
+       rows=st.lists(st.lists(CSV_CELLS, max_size=6), max_size=5))
+@settings(deadline=None, max_examples=150)
+def test_csv_text_writes_what_csv_writer_writes(columns, rows):
+    assert engine.csv_text(columns, rows) == writer_text([columns, *rows])
+
+
+@given(text=CSV_TEXT)
+@settings(deadline=None, max_examples=100)
+def test_csv_cell_is_a_csv_writer_text_cell(text):
+    # two cells, so that an empty one is not written as a lone ""
+    assert f"{engine.csv_cell(text)},{engine.csv_cell(text)}\n" == writer_text([[text, text]])
+
+
+def writer_metrics_csv(metrics):
+    """metrics.csv as csv.writer wrote it before its cells were memoized."""
+    rows = [engine.METRICS_COLUMNS]
+    for outcome in metrics.tasks:
+        task = outcome.task
+        for prog in outcome.programs:
+            b = prog.breakdown
+            if b is None:
+                stages, status = (None,) * 5, "pending"
+            else:
+                stages, status = (b.t_enc, b.t_comm, b.t_dec, b.t_proc, b.t_e2e), "completed"
+            rows.append([
+                task.task_id, prog.program_id, task.origin.value, task.consumer,
+                task.issue_time, outcome.first_served_at, prog.attempts, prog.server,
+                *stages, prog.delivered_at, status, outcome.completed_at,
+            ])
+    return writer_text(rows)
+
+
+def test_metrics_csv_memoizes_cells_by_identity_not_value():
+    from birdsim.model import CriticalMoments
+    from birdsim.pipeline import LatencyBreakdown
+
+    zero, minus_zero = float("0.0"), float("-0.0")
+    # equal values (0.0 == -0.0), distinct objects that print differently
+    shared = LatencyBreakdown(zero, 0.5, 0.25, 0.125)
+    negative = LatencyBreakdown(minus_zero, 0.5, 0.25, 0.125)
+    assert shared == negative and shared is not negative
+
+    def outcome(task_id, served, completed, *programs):
+        task = Task(task_id, tuple(p.program_id for p in programs), issue_time=1.5)
+        return engine.TaskOutcome(task, served, completed, list(programs))
+
+    def prog(program_id, breakdown, delivered_at, attempts=1, server=2):
+        return engine.ProgramOutcome(program_id, attempts, server, breakdown, delivered_at)
+
+    tasks = [
+        # one breakdown and delivery time shared by two waiters
+        outcome('odd,"id"\nx', zero, zero, prog("detect", shared, zero)),
+        outcome("plain", zero, None, prog("detect", shared, zero),
+                prog("stitch", None, None, attempts=3, server=None)),
+        outcome("negative", minus_zero, minus_zero, prog("detect", negative, minus_zero)),
+        outcome("a,b", None, None, prog('p"q', None, None, attempts=0, server=None)),
+    ]
+    metrics = engine.MetricsRecord(
+        scenario_name="hand-built", seed=1, duration=10.0, t_int=1.0, tasks=tasks,
+        moments=CriticalMoments(), counts={}, samples=[], phase_log=[], final_t_pos=0,
+    )
+    text = metrics_to_csv(metrics)
+    assert text == writer_metrics_csv(metrics)
+    assert "-0.0,0.5,0.25,0.125,0.875,-0.0,completed,-0.0" in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == engine.METRICS_COLUMNS
+    assert [row[0] for row in rows[1:]] == ['odd,"id"\nx', "plain", "plain", "negative", "a,b"]
+    assert rows[3][1:3] == ["stitch", "commander_order"]
+    assert rows[4][5] == "-0.0" and rows[4][8] == "-0.0"
+
+
+def test_outcome_stats_is_the_three_summary_values():
+    sc = replace(load_scenario(BUNDLED_SCENARIO), t_int=0.5)  # stitch never completes
+    m = run(sc).metrics
+    breakdowns = [p.breakdown for t in m.tasks for p in t.programs if p.breakdown is not None]
+    assert 0 < len(breakdowns) < sum(len(t.programs) for t in m.tasks)
+    e2e = [b.t_e2e for b in breakdowns]
+    comm = [b.t_comm for b in breakdowns]
+    assert m.outcome_stats() == (m.tasks_completed(), sum(e2e) / len(e2e), sum(comm) / len(comm))

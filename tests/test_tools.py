@@ -3,6 +3,7 @@ check of two checkouts."""
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,68 @@ def test_a_failed_bench_run_is_reported_with_its_stderr(tmp_path, capsys):
     assert err[0] == ("error: the parent run of workload storm at seed 77 exited "
                       "with code 3, after 0 complete pairs of it; its last stderr lines:")
     assert err[1:] == [f"stderr line {i}" for i in range(20, 30)]
+
+
+FAKE_BENCH = """\
+import json
+from pathlib import Path
+value = float(Path(__file__).with_name("value").read_text())
+spec = json.loads(Path("BENCHMARK.json").read_text())
+print("a line before the result")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+    m["name"]: {"value": value * (k + 1), "unit": m["unit"]}
+    for k, m in enumerate(spec["end_to_end"])}}))
+"""
+
+
+def fake_checkout(root, value):
+    (root / "bench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    (root / "bench" / "run.py").write_text(FAKE_BENCH)
+    (root / "bench" / "value").write_text(str(value))
+    return root
+
+
+def test_each_pair_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "checkout_id", lambda path: {"commit": path.name})
+    parent = fake_checkout(tmp_path / "parent", 1.0)
+    change = fake_checkout(tmp_path / "change", 0.5)
+    out = tmp_path / "bench.json"
+    rc = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                           "--workload", "wide", "--pairs", "2", "--seconds", "1",
+                           "--out", str(out)])
+    assert rc == 0
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    cells = "; ".join(f"{name} parent {k + 1:.4g} change {(k + 1) / 2:.4g}"
+                      for k, name in enumerate(names))
+    assert capsys.readouterr().err.splitlines() == [
+        f"wide pair 0: {cells}", f"wide pair 1: {cells}"]
+    summary = json.loads(out.read_text())
+    assert summary["parent"] == {"commit": "parent"}
+    assert sorted(summary["workloads"]["wide"]["metrics"]) == sorted(names)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--pairs", "0", "--pairs must be at least 1, got 0"),
+    ("--pairs", "-3", "--pairs must be at least 1, got -3"),
+    ("--seconds", "0", "--seconds must be positive, got 0.0"),
+    ("--seconds", "-1", "--seconds must be positive, got -1.0"),
+    ("--seconds", "nan", "--seconds must be positive, got nan"),
+])
+def test_a_pairless_or_timeless_request_is_refused_before_any_run(
+        tmp_path, monkeypatch, capsys, option, value, message):
+    def no_run(*args):
+        raise AssertionError("a bench run started")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = {"--parent": str(tmp_path), "--change": str(tmp_path), "--workload": "wide",
+            "--pairs": "2", "--seconds": "1", "--out": str(tmp_path / "bench.json")}
+    argv[option] = value
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([item for pair in argv.items() for item in pair])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+    assert not (tmp_path / "bench.json").exists()
 
 
 # ---------------------------------------------------------- artifact digests

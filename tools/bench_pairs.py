@@ -14,8 +14,11 @@ whether the medians differ by more than the parent's quartile spread, plus
 `correct` and `failed` of every run, the interpreter, numpy and PyYAML
 versions and each checkout's commit. A checkout with uncommitted changes is
 marked `dirty`, and `source_sha256` identifies its `src/` files either way.
-If a run fails, the tool exits 1 and names the run's side, workload, seed,
-exit code and the last lines of its stderr, and writes no output file.
+Each completed pair prints one stderr line with both sides' value of every
+end-to-end metric. `--pairs` must be at least 1 and `--seconds` positive;
+otherwise the tool exits 2 before any run. If a run fails, the tool exits 1
+and names the run's side, workload, seed, exit code and the last lines of
+its stderr, and writes no output file.
 """
 
 from __future__ import annotations
@@ -84,6 +87,16 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return {"metrics": metrics, "runs": runs}
 
 
+def progress_line(workload: str, i: int, pair: dict, better: dict[str, str]) -> str:
+    """One pair's end-to-end metrics, parent then change, for stderr."""
+    cells = [
+        f"{name} parent {pair['parent']['metrics'][name]['value']:.4g} "
+        f"change {pair['change']['metrics'][name]['value']:.4g}"
+        for name in better
+    ]
+    return f"{workload} pair {i}: " + "; ".join(cells)
+
+
 def checkout_id(checkout: Path) -> dict:
     """The commit of a checkout and a digest of its source files."""
     def git(*args: str) -> str:
@@ -112,6 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=901)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not args.seconds > 0:
+        parser.error(f"--seconds must be positive, got {args.seconds}")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
@@ -134,9 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                           sep="\n", file=sys.stderr)
                     return 1
             pairs.append(pair)
-            print(f"{workload} pair {i}: mission_s parent "
-                  f"{pair['parent']['metrics']['mission_s']['value']:.4g} change "
-                  f"{pair['change']['metrics']['mission_s']['value']:.4g}", file=sys.stderr)
+            print(progress_line(workload, i, pair, better), file=sys.stderr)
         workloads[workload] = summarize(pairs, better)
     result = {
         "command": "bench/run.py --trace 0",
