@@ -581,16 +581,11 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return csv_cell(value)
-    return repr(value)
-
-
 def _csv_line(row: Sequence) -> str:
-    line = ",".join([_cell(value) for value in row])
+    line = ",".join([
+        "" if value is None else csv_cell(value) if isinstance(value, str) else repr(value)
+        for value in row
+    ])
     # a lone empty cell is written "" so that the line is not blank
     return '""' if not line and len(row) == 1 else line
 

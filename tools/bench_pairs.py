@@ -87,16 +87,6 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return {"metrics": metrics, "runs": runs}
 
 
-def progress_line(workload: str, i: int, pair: dict, better: dict[str, str]) -> str:
-    """One pair's end-to-end metrics, parent then change, for stderr."""
-    cells = [
-        f"{name} parent {pair['parent']['metrics'][name]['value']:.4g} "
-        f"change {pair['change']['metrics'][name]['value']:.4g}"
-        for name in better
-    ]
-    return f"{workload} pair {i}: " + "; ".join(cells)
-
-
 def checkout_id(checkout: Path) -> dict:
     """The commit of a checkout and a digest of its source files."""
     def git(*args: str) -> str:
@@ -151,7 +141,10 @@ def main(argv: list[str] | None = None) -> int:
                           sep="\n", file=sys.stderr)
                     return 1
             pairs.append(pair)
-            print(progress_line(workload, i, pair, better), file=sys.stderr)
+            print(f"{workload} pair {i}: " + "; ".join(
+                f"{name} parent {pair['parent']['metrics'][name]['value']:.4g} "
+                f"change {pair['change']['metrics'][name]['value']:.4g}" for name in better
+            ), file=sys.stderr)
         workloads[workload] = summarize(pairs, better)
     result = {
         "command": "bench/run.py --trace 0",
