@@ -72,30 +72,25 @@ class InvariantViolation(ScenarioError):
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _CORE = "tag:yaml.org,2002:"
-_STR, _MAP, _SET, _SEQ = (_CORE + t for t in ("str", "map", "set", "seq"))
-_ORDERED = {_CORE + "omap", _CORE + "pairs"}
+_STR, _MAP, _SEQ, _MERGE_TAG = (_CORE + t for t in ("str", "map", "seq", "merge"))
 _SCALARS = {_CORE + t for t in ("null", "bool", "int", "float", "binary", "timestamp")}
-_CORE_TAGS = _SCALARS | _ORDERED | {_STR, _MAP, _SET, _SEQ}
-_MERGE_TAG, _VALUE_TAG = _CORE + "merge", _CORE + "value"
 
 _KEY = object()  # a mapping's next value is a key
 _APPEND = object()  # a sequence's next value is an item
 _MERGE = object()  # the `<<` key; a mapping's next value is merged into it
-_VALUE_KEY = object()  # the `=` key, the string "=" when it is a key
 
 
 class _Open:
-    """A collection whose end event has not come yet. `items` collects its
-    entries; `value` is the object it becomes, made at its start so that an
-    alias inside it can refer to it. `state` is _APPEND, _KEY, _MERGE or
-    the key whose value comes next."""
+    """A mapping or sequence whose end event has not come yet. `value` is
+    the dict or list it becomes, made at its start so that an alias inside
+    it can refer to it. `state` is _APPEND, _KEY, _MERGE or the key whose
+    value comes next; `merges` holds the mappings that `<<` gave it."""
 
-    __slots__ = ("kind", "items", "value", "state", "merges", "anchor")
+    __slots__ = ("value", "state", "merges")
 
-    def __init__(self, kind: str, items, value, state, anchor=None):
-        self.kind, self.items, self.value, self.state = kind, items, value, state
+    def __init__(self, value, state):
+        self.value, self.state = value, state
         self.merges: list[dict] = []
-        self.anchor = anchor
 
 
 def _unhashable(event) -> ConstructorError:
@@ -104,13 +99,9 @@ def _unhashable(event) -> ConstructorError:
 
 
 def _no_constructor(tag: str, event) -> ConstructorError:
-    """The error for a tag that nothing builds on this event's kind of node."""
-    if tag in _CORE_TAGS:
-        node = {ScalarEvent: "scalar", MappingStartEvent: "mapping"}.get(type(event), "sequence")
-        problem = f"the tag {tag!r} does not apply to a {node}"
-    else:
-        problem = f"could not determine a constructor for the tag {tag!r}"
-    return ConstructorError(None, None, problem, event.start_mark)
+    """The error for a tag that nothing builds on this event's node."""
+    return ConstructorError(None, None, f"could not determine a constructor for the tag {tag!r}",
+                            event.start_mark)
 
 
 def _scalar(loader, tag: str, text: str, event) -> Any:
@@ -120,8 +111,6 @@ def _scalar(loader, tag: str, text: str, event) -> Any:
         return text
     if tag == _MERGE_TAG:
         return _MERGE
-    if tag == _VALUE_TAG:
-        return _VALUE_KEY
     if tag not in _SCALARS:
         raise _no_constructor(tag, event)
     try:
@@ -133,59 +122,27 @@ def _scalar(loader, tag: str, text: str, event) -> Any:
                                event.start_mark) from None
 
 
-def _open(event, parent: _Open | None) -> _Open:
-    """The collection that a start event opens inside parent."""
+def _open(event) -> _Open:
+    """The mapping or sequence that a start event opens."""
     tag = event.tag
     if type(event) is MappingStartEvent:
-        if parent is not None and parent.kind == "ordered":
-            return _Open("pair", [], None, _APPEND, event.anchor)
         if tag is None or tag == "!" or tag == _MAP:
-            items: dict = {}
-            return _Open("map", items, items, _KEY)
-        if tag == _SET:
-            return _Open("map", {}, set(), _KEY)
-    else:
-        if tag is None or tag == "!" or tag == _SEQ:
-            seq: list = []
-            return _Open("seq", seq, seq, _APPEND)
-        if tag in _ORDERED:
-            return _Open("ordered", [], [], _APPEND)
+            return _Open({}, _KEY)
+    elif tag is None or tag == "!" or tag == _SEQ:
+        return _Open([], _APPEND)
     raise _no_constructor(tag, event)
 
 
-def _close(frame: _Open, event, anchors: dict) -> Any:
+def _close(frame: _Open) -> Any:
     """The finished value of frame, whose end event has come. Merged
     mappings come first, in the order `<<` gave them, and its own keys win."""
-    kind, items = frame.kind, frame.items
-    if kind == "map":
-        if frame.merges:
-            own = dict(items)
-            items.clear()
-            for merged in frame.merges:
-                items.update(merged)
-            items.update(own)
-        if frame.value is not items:  # a !!set
-            frame.value.update(items)
-        return frame.value
-    if kind == "pair":  # an item of an !!omap or !!pairs
-        if len(items) != 2:
-            raise ConstructorError("while constructing an ordered map", None,
-                                   f"expected a single mapping item, but found "
-                                   f"{len(items) // 2} items", event.start_mark)
-        if frame.anchor is not None:
-            if isinstance(items[0], (list, dict, set)):
-                raise _unhashable(event)
-            anchors[frame.anchor] = {items[0]: items[1]}
-        return tuple(items)
-    if kind == "ordered":
-        for item in items:
-            if type(item) is not tuple:  # an alias; only one-item mappings are pairs
-                if type(item) is not dict or len(item) != 1:
-                    raise ConstructorError("while constructing an ordered map", None,
-                                           "expected a mapping of length 1", event.start_mark)
-                item = next(iter(item.items()))
-            frame.value.append(item)
-        return frame.value
+    items = frame.value
+    if frame.merges:
+        own = dict(items)
+        items.clear()
+        for merged in frame.merges:
+            items.update(merged)
+        items.update(own)
     return items
 
 
@@ -211,10 +168,11 @@ def _add_anchor(anchors: dict, event, value: Any) -> None:
 
 def _build_document(loader) -> Any:
     """The single document of loader's stream, None if it is empty, built
-    from the parser's events into what SafeLoader builds: the same values,
-    with anchors and aliases, merge keys, and core tags. Within this one
-    load, each (text, implicit) is resolved once and each scalar's value is
-    made once."""
+    from the parser's events into what SafeLoader builds from mappings,
+    sequences and the core scalar tags, with anchors, aliases and merge
+    keys. Any other tag, `!!set`, `!!omap` and `!!pairs` among them, and
+    the `=` key are a ConstructorError. Within this one load, each (text,
+    implicit) is resolved once and each scalar's value is made once."""
     get_event, resolve = loader.get_event, loader.resolve
     tags: dict = {}  # (text, implicit) -> resolved tag
     scalars: dict = {}  # (tag, text) -> value
@@ -239,11 +197,8 @@ def _build_document(loader) -> Any:
                 value = scalars[key]
             except KeyError:
                 value = scalars[key] = _scalar(loader, tag, text, event)
-            if value is _VALUE_KEY or value is _MERGE:
-                if top is None or top.state is not _KEY:
-                    raise _no_constructor(tag, event)
-                if value is _VALUE_KEY:
-                    value = text
+            if value is _MERGE and (top is None or top.state is not _KEY):
+                raise _no_constructor(tag, event)
             if event.anchor is not None:
                 _add_anchor(anchors, event, value)
         elif kind is AliasEvent:
@@ -253,33 +208,33 @@ def _build_document(loader) -> Any:
                 raise ComposerError(None, None, f"found undefined alias {event.anchor!r}",
                                     event.start_mark) from None
             if top is not None and top.state is _KEY:
-                if isinstance(value, (list, dict, set)):
+                if isinstance(value, (list, dict)):
                     raise _unhashable(event)
             elif value is _MERGE:
                 raise _no_constructor(_MERGE_TAG, event)
         elif kind is MappingStartEvent or kind is SequenceStartEvent:
             if top is not None and top.state is _KEY:
                 raise _unhashable(event)
-            top = _open(event, top)
+            top = _open(event)
             stack.append(top)
             if event.anchor is not None:
-                _add_anchor(anchors, event, top.value)  # a pair's is set when it closes
+                _add_anchor(anchors, event, top.value)
             continue
         else:  # the end of a mapping or a sequence
-            value = _close(stack.pop(), event, anchors)
+            value = _close(stack.pop())
             top = stack[-1] if stack else None
         if top is None:
             break
         state = top.state
         if state is _APPEND:
-            top.items.append(value)
+            top.value.append(value)
         elif state is _KEY:
             top.state = value
         elif state is _MERGE:
             _merge(top, value, event)
             top.state = _KEY
         else:
-            top.items[state] = value
+            top.value[state] = value
             top.state = _KEY
     get_event()  # the document's end
     event = get_event()

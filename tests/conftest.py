@@ -1,5 +1,8 @@
-"""Shared fixtures: default fleet, deterministic links, bundled scenario."""
+"""Shared fixtures: default fleet, deterministic links, bundled scenario,
+and the repository's tools and bench workloads as modules."""
 
+import functools
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,22 @@ from birdsim import (
 )
 
 BUNDLED_SCENARIO = Path(birdsim.__file__).parent / "scenarios" / "urban_fire.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    """`tools/<name>.py` as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def bench_workloads():
+    """`bench/workloads.py` as a module, loaded once, by the loader that the
+    byte check of two checkouts uses."""
+    return load_tool("artifact_digests").load_workloads(ROOT)
 
 
 @pytest.fixture

@@ -3,14 +3,11 @@ retry chains."""
 
 import csv
 import functools
-import importlib.util
 import io
 import random
 import re
-import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 from urllib.parse import unquote
 
 import pytest
@@ -48,7 +45,7 @@ from birdsim import channel, engine, protocol
 from birdsim.channel import FlightState, band_for, keyed_uniform
 from birdsim.engine import flight_state_at
 
-from conftest import BUNDLED_SCENARIO, make_flat_bands
+from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads, make_flat_bands
 
 DETECT = ProgramSpec("p", "object_detection", compute_cost=40.0,
                      input_payload=1e6, output_payload=1e5,
@@ -666,19 +663,12 @@ def test_loss_draws_only_for_servers_that_can_lose(monkeypatch):
 
 # ------------------------------------------------------- attempts and server
 
-ROOT = Path(__file__).resolve().parent.parent
-
 
 @functools.cache
 def storm_scenario(seed, cut):
     """The benchmark's `storm` workload, with its duration cut by `cut`; a
     Scenario is frozen, so the tests share one build."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks the module up
-    spec.loader.exec_module(workloads)
-    wl = workloads.build("storm", seed, ROOT)
+    wl = bench_workloads().build("storm", seed, ROOT)
     sc = load_scenario(yaml.safe_load(wl.scenario_text))
     return replace(sc, duration=sc.duration * cut)
 

@@ -2,11 +2,8 @@
 
 import copy
 import hashlib
-import importlib.util
 import json
 import re
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,9 +29,7 @@ from birdsim import (
 from birdsim import scenario as scenario_module
 from birdsim.cli import apply_sweep_value
 from birdsim.scenario import SWEEP_PARAMETERS, load_sweep_spec
-from conftest import BUNDLED_SCENARIO
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads
 
 
 def minimal_doc():
@@ -179,12 +174,16 @@ def test_both_yaml_loaders_give_equal_scenarios(monkeypatch, tmp_path, scenario_
 
 def test_json_numbers_with_exponents_are_numbers(tmp_path):
     """json.dumps writes 0.00001 as 1e-05, and a hand-written 1e2 is JSON
-    too; YAML 1.1 reads both as strings, JSON as numbers."""
+    too; YAML 1.1 reads both as strings, JSON as numbers. This is the one
+    difference from yaml.load on JSON text."""
     doc = minimal_doc()
     doc["tasks"][0]["issue_time_s"] = 1e-05
     path = tmp_path / "mini.json"
     path.write_text(json.dumps(doc).replace('"duration_s": 100.0', '"duration_s": 1e2'))
     assert "1e-05" in path.read_text() and "1e2" in path.read_text()
+    for loader in LOADERS:
+        as_yaml = yaml.load(path.read_text(), Loader=loader)
+        assert (as_yaml["duration_s"], as_yaml["tasks"][0]["issue_time_s"]) == ("1e2", "1e-05")
     scenario = load_scenario(path)
     assert scenario.duration == 100.0
     assert scenario.tasks[0].issue_time == 1e-05
@@ -210,19 +209,17 @@ def test_json_nan_and_yaml_flow_mappings_are_read_as_yaml(tmp_path):
 
 def same_document(a, b, seen=None) -> bool:
     """a and b are equal with equal types throughout, mapping keys in the
-    same order, and their lists, dicts and sets aliased alike: where a meets
-    one of its containers again, b meets the matching one."""
+    same order, and their lists and dicts aliased alike: where a meets one
+    of its containers again, b meets the matching one."""
     if seen is None:
         seen = ({}, {})
     if type(a) is not type(b):
         return False
-    if isinstance(a, (list, dict, set)):
+    if isinstance(a, (list, dict)):
         there, back = seen
         if id(a) in there or id(b) in back:
             return there.get(id(a)) is b and back.get(id(b)) is a
         there[id(a)], back[id(b)] = b, a
-        if isinstance(a, set):
-            return a == b
         if isinstance(a, dict):
             a, b = list(a.items()), list(b.items())
     if isinstance(a, (list, tuple)):
@@ -260,9 +257,8 @@ SCALAR_TEXTS = (
     "1.0e+5", ".inf", "-.inf", ".nan", "~", "null", "yes", "No", "on", "OFF", "true",
     "2001-01-01", "2001-12-14t21:59:43.10-05:00", "''", "'1'", '"2.5"', "'yes'", "abc",
     "x y", "!!str 1", "!!float 2", "!!int '7'", "!!bool on", "!!null ''", "!!binary aGk=",
-    "!!set {x, y}", "!!omap [{p: 1}, {q: 2}]", "!!pairs [{p: 1}, {p: 2}]", "=",
 )
-KEY_TEXTS = ("a", "b", "c", "1", "'1'", "~", "yes", "=", "2001-01-01", "x y")
+KEY_TEXTS = ("a", "b", "c", "1", "'1'", "~", "yes", "2001-01-01", "x y")
 
 
 def yaml_nodes():
@@ -360,12 +356,10 @@ READ_CASES = {
     "empty document": "---\n",
     "core scalars": "[1_000, 0x1f, 0o17, 1:30, .inf, ~, yes, No, 2001-01-01, '', '1', \"2\"]\n",
     "duplicate keys": "a: 1\nb: 2\na: 3\n",
-    "value key": "=: 1\nb: {=: 2}\n",
     "merge": "x: &x {a: 1, b: 2}\ny: {c: 0, <<: *x, b: 9}\n",
     "merge list": "x: &x {a: 1, b: 2}\ny: &y {b: 3, c: 4}\nz: {<<: [*x, *y], d: 5}\n",
     "two merge keys": "x: &x {a: 1}\ny: &y {a: 2, b: 2}\nz: {<<: *x, <<: *y}\n",
     "merged merge": "x: &x {a: 1}\ny: &y {<<: *x, b: 2}\nz: {<<: *y, c: 3}\n",
-    "set, omap, pairs": "s: !!set {a, b}\no: !!omap [{a: 1}, {b: 2}]\np: !!pairs [{a: 1}, {a: 2}]\n",
     "explicit tags": "a: !!str 1\nb: !!float 2\nc: !!int '3'\nd: !!binary aGk=\ne: ! 4\n",
 }
 ERROR_CASES = {
@@ -389,6 +383,27 @@ def test_read_cases(tmp_path, case):
     check_read_as_safeloader_reads(READ_CASES[case], tmp_path)
 
 
+# yaml.load reads these, but each uses `!!set`, `!!omap`, `!!pairs` or the
+# `=` key, which build what no field of a scenario or a sweep spec reads
+NARROWED_CASES = {
+    "set": "site: !!set {a, b}\n",
+    "omap": "site: {o: !!omap [{a: 1}]}\n",
+    "pairs": "site: {p: !!pairs [{a: 1}, {a: 2}]}\n",
+    "value key": "site: {=: 1}\n",
+    "value key under a scalar tag": "a: !!str {=: x}\n",
+    "merged set": "m: &m !!set {a, b}\nn: {<<: *m}\n",
+    "merged omap": "a: {<<: !!omap [{p: 1}]}\n",
+    "merged pairs": "a: {<<: !!pairs [{p: 1}]}\n",
+}
+
+
+def check_not_parseable(text, directory, loader):
+    with mock.patch.object(scenario_module, "YAML_LOADER", loader):
+        with pytest.raises(SchemaError, match="not parseable") as err:
+            read_text(text, directory)
+    assert str(directory / "doc.yaml") in str(err.value)
+
+
 @pytest.mark.parametrize("case", ERROR_CASES)
 def test_error_cases_are_not_parseable(tmp_path, case):
     """Each is rejected under both loaders, with the path; yaml.load
@@ -396,10 +411,16 @@ def test_error_cases_are_not_parseable(tmp_path, case):
     for loader in LOADERS:
         with pytest.raises((yaml.YAMLError, ValueError)):
             yaml.load(ERROR_CASES[case], Loader=loader)
-        with mock.patch.object(scenario_module, "YAML_LOADER", loader):
-            with pytest.raises(SchemaError, match="not parseable") as err:
-                read_text(ERROR_CASES[case], tmp_path)
-        assert str(tmp_path / "doc.yaml") in str(err.value)
+        check_not_parseable(ERROR_CASES[case], tmp_path, loader)
+
+
+@pytest.mark.parametrize("case", NARROWED_CASES)
+def test_tags_that_no_scenario_can_hold_are_not_parseable(tmp_path, case):
+    """Each is rejected under both loaders, with the path, where yaml.load
+    reads it."""
+    for loader in LOADERS:
+        yaml.load(NARROWED_CASES[case], Loader=loader)
+        check_not_parseable(NARROWED_CASES[case], tmp_path, loader)
 
 
 def test_recursive_aliases_are_the_containers_themselves(tmp_path):
@@ -412,21 +433,42 @@ def test_recursive_aliases_are_the_containers_themselves(tmp_path):
         assert root[0] is root
 
 
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks the module up
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 @pytest.mark.parametrize("name", ["reference", "storm", "wide"])
 def test_the_bench_documents_read_as_safeloader_reads_them(tmp_path, name):
-    workloads = bench_workloads()
     for seed in (1, 2, 7):
-        text = workloads.build(name, seed, ROOT).scenario_text
+        text = bench_workloads().build(name, seed, ROOT).scenario_text
         expected = yaml.load(text, Loader=scenario_module.YAML_LOADER)
         assert same_document(read_text(text, tmp_path), expected)
+
+
+JSON_KEYS = ("name", "duration_s", "nodes", "node_id", "kind", "location", "programs",
+             "program_id", "tasks", "required_programs", "loss", "1", "site", "")
+
+
+def json_documents():
+    """Scenario-shaped JSON documents: mappings at the top, with numbers
+    whose JSON text YAML 1.1 reads as a number. Floats are drawn only where
+    that text has a dot; YAML 1.1 reads one such as 1e-05 as a string
+    (test_json_numbers_with_exponents_are_numbers)."""
+    number = st.one_of(st.integers(-2**70, 2**70),
+                       st.floats(allow_nan=False, allow_infinity=False).filter(
+                           lambda x: "." in repr(x)))
+    text = st.text(st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",)), max_size=6)
+    key = st.one_of(st.sampled_from(JSON_KEYS), text)
+    value = st.recursive(st.one_of(st.none(), st.booleans(), number, text), lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(key, children, max_size=4)
+    ), max_leaves=16)
+    return st.dictionaries(key, value, max_size=6)
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_documents())
+def test_json_documents_read_as_safeloader_reads_them(tmp_path, doc):
+    text = json.dumps(doc)
+    read = read_text(text, tmp_path)
+    for loader in LOADERS:
+        assert same_document(read, yaml.load(text, Loader=loader)), (loader, text)
 
 
 def test_empty_task_list_is_valid():

@@ -2,21 +2,11 @@
 check of two checkouts."""
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import ROOT, load_tool
 
 bench_pairs = load_tool("bench_pairs")
 artifact_digests = load_tool("artifact_digests")
