@@ -9,6 +9,17 @@ band), feeds deliveries and timeouts to the protocol state, which owns the
 timeline position and task completion, records the critical moments, and
 emits a replay-complete line trace plus a metrics record.
 
+Every event in the heap is live: it is handled and, on a traced run, writes
+one record. A wire execution counts only while its entry is outstanding. Its
+deadline is the next tick, where the Timeout that ends the entry is pushed
+after the tick's input arrivals and before anything they schedule. So each
+staged event is checked when it is scheduled: an input arrival that lands
+after the deadline is doomed, and so is a compute completion or output
+arrival that lands at or after it. A doomed event takes its seq, as if it
+had been pushed and then dropped, but never enters the heap, so seqs have
+gaps. (A Timeout past the run window is never pushed, and the flush ends its
+entries; every event that is not dropped with it lands before that deadline.)
+
 A run made with `trace=False` (each replicate of a sweep) returns an empty
 trace. It formats no record unless `birdsim.engine` logs at DEBUG
 (`BIRDSIM_LOG=trace`), which logs each one, and it handles every event, seq,
@@ -21,7 +32,9 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
   tasks: a waiter joins its chain once, however often it is retried;
 - select_server calls <= programs x (servers + 1) x consumers x 3 bands;
 - keyed draws <= 2 x staged + the wire dispatches to lossy servers;
-- records <= tasks + waypoints + 2 x ticks + 3 x staged + 2.
+- records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
+- heap pushes = records - 1 on a traced run: every pushed event writes one
+  record, and the Flush writes the last.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ from .model import (
     Task,
     record_moment,
 )
-from .pipeline import LatencyBreakdown, PipelinePlacement, leg_sample, stage_times
+from .pipeline import LatencyBreakdown, PipelinePlacement, hop_direction, stage_times
 from .protocol import Chain, Dispatch, ProtocolState
 from .scenario import Scenario, Waypoint
 
@@ -80,7 +93,10 @@ _Handler = Callable[[float, int, Any], None]
 @dataclass(slots=True)
 class _Instance:
     """One staged program execution (a dispatch in flight); its stage times
-    are priced when it is staged, and t_comm grows by each link leg."""
+    are priced when it is staged, and t_comm grows by each link leg. A wire
+    execution carries its entry's deadline, a local one an infinite one;
+    output is the direction of the hop to the consumer, None when the result
+    is consumed where it is computed."""
 
     inst_id: int
     dispatch: Dispatch
@@ -88,6 +104,8 @@ class _Instance:
     t_comm: float
     t_dec: float
     t_proc: float
+    deadline: float
+    output: Direction | None
 
     def breakdown(self) -> LatencyBreakdown:
         return LatencyBreakdown(self.t_enc, self.t_comm, self.t_dec, self.t_proc)
@@ -249,18 +267,30 @@ class _Sim:
         # (outcome, first tick, chain) of every waiter when it joins a chain;
         # attempts and server are settled from these once, in _metrics
         self.joined: list[tuple[ProgramOutcome, int, Chain]] = []
-        # (t_enc, t_dec, t_proc) per (program, executor, consumer): the
-        # programs and fleet are fixed, so each route is priced once per run
-        self.stage_times: dict[tuple[str, int, int], tuple[float, float, float]] = {}
+        # the deadline of the open tick's wire dispatches (module docstring)
+        self.deadline = math.inf
+        # (t_enc, t_dec, t_proc, input hop direction, output hop direction)
+        # per (program, executor, consumer), a direction None where its hop
+        # moves nothing: the programs and fleet are fixed, so each route is
+        # priced once per run
+        self.routes: dict[
+            tuple[str, int, int],
+            tuple[float, float, float, Direction | None, Direction | None],
+        ] = {}
 
     # ------------------------------------------------------------- scheduling
 
-    def _push(self, t: float, handler: _Handler, payload: Any = None) -> None:
+    def _push(
+        self, t: float, handler: _Handler, payload: Any = None, live: bool = True
+    ) -> None:
         # An event beyond the run window never runs and takes no seq: staged
-        # work dropped here is never delivered, so the flush counts it cancelled.
+        # work dropped here is never delivered, so the flush counts it
+        # cancelled. A doomed event (not live) takes its seq but is never
+        # pushed (module docstring).
         if t > self.end:
             return
-        heapq.heappush(self.heap, (t, self.seq, handler, payload))
+        if live:
+            heapq.heappush(self.heap, (t, self.seq, handler, payload))
         self.seq += 1
 
     def _schedule_initial(self) -> None:
@@ -331,11 +361,17 @@ class _Sim:
     def _on_tick(self, t: float, seq: int, tick: int) -> None:
         state = flight_state_at(self.sc, t)
         # tasks due in the same tick are served in scenario order
-        due = [task for _, task in sorted(self.issued)]
-        self.issued.clear()
+        due: Sequence[Task] = ()
+        if self.issued:
+            due = [task for _, task in sorted(self.issued)]
+            self.issued.clear()
         outcome = self.protocol.on_tick(t, due, state)
         for task in due:
             self.task_outcomes[task.task_id].first_served_at = t
+        # The next tick is also the deadline of this tick's wire dispatches:
+        # their Timeout is pushed there, before that Tick, so it runs first
+        # (protocol module docstring)
+        next_t = self.deadline = (tick + 1) * self.protocol.t_int
         locals_: list[str] = []
         for dispatch in outcome.dispatches:
             # retried waiters are already on the chain: visit only new ones
@@ -358,10 +394,8 @@ class _Sim:
                     continue  # never staged: its entry times out
             self._stage(dispatch, t)
         # outstanding now holds this tick's wire dispatches, lost ones too, in
-        # dispatch order. The next tick is also their deadline; its Timeout is
-        # pushed first, so it runs before that Tick (protocol module docstring)
+        # dispatch order
         entries = self.protocol.outstanding
-        next_t = (tick + 1) * self.protocol.t_int
         if entries:
             self._push(next_t, self._on_timeout, tick)
         if next_t < self.end:
@@ -377,8 +411,11 @@ class _Sim:
 
     # ---------------------------------------------------------------- staging
 
-    def _sample_leg(self, t: float, payload: float, sender: int, receiver: int) -> float:
-        sample = leg_sample(self.link, flight_state_at(self.sc, t), sender, receiver)
+    def _sample_leg(self, t: float, payload: float, direction: Direction) -> float:
+        """Sample one link leg starting at t, as pipeline.leg_sample prices a
+        hop, and return its transfer seconds."""
+        state = flight_state_at(self.sc, t)
+        sample = self.link.sample_throughput(t, state.altitude, state.rotating, direction)
         self.samples.append(sample)
         return transfer_seconds(payload, sample)
 
@@ -386,49 +423,49 @@ class _Sim:
         """Stage one execution dispatched at t with the stage times pipeline
         prices, once per route: local work runs them back to back on the
         platform; wire work is encoded, then its input is sent to the
-        executor."""
-        route = (dispatch.program.program_id, dispatch.server_id, dispatch.consumer)
-        times = self.stage_times.get(route)
-        if times is None:
-            placement = PipelinePlacement(PLATFORM, dispatch.server_id, dispatch.consumer)
-            times = stage_times(dispatch.program, placement, self.sc.nodes)
-            self.stage_times[route] = times
-        t_enc, t_dec, t_proc = times
-        inst = _Instance(self.staged, dispatch, t_enc, 0.0, t_dec, t_proc)
+        executor. A doomed input arrival builds no _Instance, but takes its
+        inst id."""
+        server, consumer = dispatch.server_id, dispatch.consumer
+        route = (dispatch.program.program_id, server, consumer)
+        plan = self.routes.get(route)
+        if plan is None:
+            placement = PipelinePlacement(PLATFORM, server, consumer)
+            plan = self.routes[route] = (
+                *stage_times(dispatch.program, placement, self.sc.nodes),
+                None if dispatch.local else hop_direction(PLATFORM, server),
+                None if consumer == server else hop_direction(server, consumer),
+            )
+        t_enc, t_dec, t_proc, input_hop, output_hop = plan
+        inst_id = self.staged
         self.staged += 1
-        if dispatch.local:
+        if input_hop is None:
+            inst = _Instance(inst_id, dispatch, t_enc, 0.0, t_dec, t_proc, math.inf, output_hop)
             self._push(t + (t_enc + t_dec + t_proc), self._on_compute_complete, inst)
             return
         t_start = t + t_enc
-        leg = self._sample_leg(
-            t_start, dispatch.program.input_payload, PLATFORM, dispatch.server_id
-        )
-        inst.t_comm += leg
-        self._push(t_start + leg, self._on_input_arrival, inst)
+        leg = self._sample_leg(t_start, dispatch.program.input_payload, input_hop)
+        t_in = t_start + leg
+        deadline = self.deadline
+        # an input landing on its deadline was pushed before the Timeout
+        if t_in <= deadline:
+            inst = _Instance(inst_id, dispatch, t_enc, leg, t_dec, t_proc, deadline, output_hop)
+            self._push(t_in, self._on_input_arrival, inst)
+        else:
+            self._push(t_in, self._on_input_arrival, None, live=False)
 
     # --------------------------------------------------------------- handlers
 
-    def _live(self, dispatch: Dispatch) -> bool:
-        # A wire execution counts only while its entry is outstanding: once the
-        # entry times out, its staged events are dropped. A local one always
-        # counts.
-        return dispatch.local or dispatch.key in self.protocol.outstanding
-
     def _on_input_arrival(self, t: float, seq: int, inst: _Instance) -> None:
-        dispatch = inst.dispatch
-        if not self._live(dispatch):
-            return
-        self._push(t + inst.t_dec + inst.t_proc, self._on_compute_complete, inst)
+        t_done = t + inst.t_dec + inst.t_proc
+        self._push(t_done, self._on_compute_complete, inst, t_done < inst.deadline)
         if self.records:
             self._emit(
                 t, seq, "TransferComplete",
-                f"inst={inst.inst_id} leg=input entry={dispatch.key}",
+                f"inst={inst.inst_id} leg=input entry={inst.dispatch.key}",
             )
 
     def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
         dispatch = inst.dispatch
-        if not self._live(dispatch):
-            return
         aware = self._deliver(inst, t)
         if self.records:
             self._emit(
@@ -440,19 +477,15 @@ class _Sim:
 
     def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
         dispatch = inst.dispatch
-        if not self._live(dispatch):
-            return
-        executor = dispatch.server_id
         # a result consumed where it was computed is delivered now
-        delivered = dispatch.consumer == executor
+        delivered = inst.output is None
         if delivered:
             aware = self._deliver(inst, t)
         else:
-            leg = self._sample_leg(
-                t, dispatch.program.output_payload, executor, dispatch.consumer
-            )
+            leg = self._sample_leg(t, dispatch.program.output_payload, inst.output)
             inst.t_comm += leg
-            self._push(t + leg, self._on_output_arrival, inst)
+            t_out = t + leg
+            self._push(t_out, self._on_output_arrival, inst, t_out < inst.deadline)
         if self.records:
             record = f"inst={inst.inst_id} entry={dispatch.key} local={int(dispatch.local)}"
             if delivered:
@@ -559,7 +592,8 @@ def run(scenario: Scenario, seed: int | None = None, *, trace: bool = True) -> R
     sim = _Sim(scenario, effective_seed, trace)
     result = sim.run()
     if log.isEnabledFor(logging.INFO):
-        # every event pushed takes the next seq and is handled
+        # every event scheduled within the window takes the next seq and is
+        # handled unless it is doomed (module docstring)
         log.info(
             "done scenario=%s events=%d tasks=%d/%d",
             scenario.name,

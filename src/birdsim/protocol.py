@@ -71,7 +71,7 @@ class Dispatch:
 @dataclass(slots=True)
 class TickOutcome:
     dispatches: list[Dispatch]
-    unserved: list[str]  # task:program of each deferred pair
+    unserved: tuple[str, ...]  # task:program of each deferred pair
     messages: int  # bundled requests: distinct wire servers this tick
 
 
@@ -150,45 +150,53 @@ class ProtocolState:
         # Retried programs come first (they are older), in timeout order, then
         # the programs of freshly due tasks in order of first appearance.
         # Tasks sharing a program share one dispatch, since entries are keyed
-        # (tick, server, program): joining maps a program to its consumer (its
-        # retry's, or its first fresh waiter's) and its waiters new to the chain.
+        # (tick, server, program): fresh maps a program to its first fresh
+        # waiter's consumer and its waiters new to the chain; a retried
+        # program keeps its retry's consumer.
         retries, self._retries = self._retries, {}
-        joining: dict[str, tuple[int, list[str]]] = {
-            program_id: (retry.consumer, []) for program_id, retry in retries.items()
-        }
+        fresh: dict[str, tuple[int, list[str]]] = {}
         for task in due_tasks:
             self._remaining[task.task_id] = set(task.required_programs)
             if self._servable(task):
                 for program_id in task.required_programs:
-                    joining.setdefault(program_id, (task.consumer, []))[1].append(task.task_id)
+                    joining = fresh.get(program_id)
+                    if joining is None:
+                        fresh[program_id] = (task.consumer, [task.task_id])
+                    else:
+                        joining[1].append(task.task_id)
         self.unserved_events += len(self._unserved)
 
         # Every program here passed the whole-task match (or was dispatched
         # before, against the same tables), so it has a capable server. A
         # retry supplies the exclusion, the chain and the leading waiters.
         dispatches: list[Dispatch] = []
-        for program_id, (consumer, fresh) in joining.items():
-            retry = retries.get(program_id)
-            excluded = None if retry is None else retry.server_id
-            server = self._choose(program_id, excluded, consumer, state)
-            if retry is None:
-                chain, lead = Chain(tick, server), ()
-            else:
-                chain, lead = retry.chain, retry.waiters
-                chain.last_tick, chain.server = tick, server
-            dispatch = Dispatch(
-                tick, self.programs[program_id], server, consumer, lead + tuple(fresh),
+        for program_id, retry in retries.items():
+            server = self._choose(program_id, retry.server_id, retry.consumer, state)
+            chain, lead = retry.chain, retry.waiters
+            chain.last_tick, chain.server = tick, server
+            joining = fresh.pop(program_id, None) if fresh else None
+            dispatches.append(Dispatch(
+                tick, retry.program, server, retry.consumer,
+                lead if joining is None else lead + tuple(joining[1]),
                 server == PLATFORM, chain, len(lead),
-            )
-            dispatches.append(dispatch)
+            ))
+        for program_id, (consumer, waiters) in fresh.items():
+            server = self._choose(program_id, None, consumer, state)
+            dispatches.append(Dispatch(
+                tick, self.programs[program_id], server, consumer, tuple(waiters),
+                server == PLATFORM, Chain(tick, server), 0,
+            ))
+
+        # Each wire dispatch opens its entry; one bundled request goes to each
+        # distinct wire server.
+        servers: set[int] = set()
+        for dispatch in dispatches:
             if not dispatch.local:
                 self.outstanding[dispatch.key] = dispatch
-                self.requests_issued += 1
-
-        # One bundled request per distinct target server.
-        messages = len({d.server_id for d in dispatches if not d.local})
-        self.request_messages += messages
-        return TickOutcome(dispatches, list(self._unserved), messages)
+                servers.add(dispatch.server_id)
+        self.requests_issued += len(self.outstanding)
+        self.request_messages += len(servers)
+        return TickOutcome(dispatches, tuple(self._unserved), len(servers))
 
     def _choose(
         self, program_id: str, excluded_server: int | None, consumer: int, state: FlightState

@@ -3,11 +3,13 @@ retry chains."""
 
 import csv
 import functools
+import heapq
 import io
 import random
 import re
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from urllib.parse import unquote
 
 import pytest
@@ -369,6 +371,73 @@ def test_unreachable_sole_server_times_out_every_interval():
     assert statuses(result) == ["pending"]
     assert prog.delivered_at is None
     assert prog.attempts == 5
+
+
+def deadline_tie_scenario(duration, consumer, **payloads):
+    """One task on server 1 whose stages are timed in quarter seconds: encode
+    0.25 s, no compute, and a 0.25 s one-way delay plus 1 s per 1e6 bits on
+    every leg. Each tick dispatches it again, at t_int 1 s."""
+    return make_scenario(
+        duration=duration, t_int=1.0,
+        nodes={0: NodeProfile(0, NodeKind.UAV5GP, 4.0, mobile=True),
+               1: NodeProfile(1, NodeKind.ECS, 1.0)},
+        programs={"p": ProgramSpec("p", "object_detection", compute_cost=0.0,
+                                   encode_cost=1.0, **payloads)},
+        tasks=(Task("a", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=consumer),),
+        bands=make_flat_bands(ul=1.0, dl=1.0, rtt=500.0),
+    )
+
+
+def test_an_input_on_its_deadline_runs_and_work_after_it_is_doomed():
+    """Each input lands exactly on its deadline, the next tick: it was pushed
+    before that tick's Timeout, so it is handled first. Its compute stage
+    ends at the same time, after the Timeout, so that event is doomed: it
+    takes its seq (6, 10, 14 and 17 are missing) but never runs."""
+    sc = deadline_tie_scenario(4.0, 1, input_payload=500_000.0, output_payload=0.0)
+    assert run(sc).trace == [
+        "t=0.0 seq=0 kind=TaskIssued tpos=0 task=a",
+        "t=0.0 seq=1 kind=FlightWaypoint tpos=0 altitude=0.0 rotating=0",
+        "t=0.0 seq=2 kind=Tick tpos=0 tick=0 due=a entries=0:1:p locals= unserved= msgs=1",
+        "t=1.0 seq=3 kind=TransferComplete tpos=0 inst=0 leg=input entry=0:1:p",
+        "t=1.0 seq=4 kind=Timeout tpos=0 tick=0 timed_out=0:1:p count=1",
+        "t=1.0 seq=5 kind=Tick tpos=0 tick=1 due= entries=1:1:p locals= unserved= msgs=1",
+        "t=2.0 seq=7 kind=TransferComplete tpos=0 inst=1 leg=input entry=1:1:p",
+        "t=2.0 seq=8 kind=Timeout tpos=0 tick=1 timed_out=1:1:p count=1",
+        "t=2.0 seq=9 kind=Tick tpos=0 tick=2 due= entries=2:1:p locals= unserved= msgs=1",
+        "t=3.0 seq=11 kind=TransferComplete tpos=0 inst=2 leg=input entry=2:1:p",
+        "t=3.0 seq=12 kind=Timeout tpos=0 tick=2 timed_out=2:1:p count=1",
+        "t=3.0 seq=13 kind=Tick tpos=0 tick=3 due= entries=3:1:p locals= unserved= msgs=1",
+        "t=4.0 seq=15 kind=TransferComplete tpos=0 inst=3 leg=input entry=3:1:p",
+        "t=4.0 seq=16 kind=Timeout tpos=0 tick=3 timed_out=3:1:p count=1",
+        "t=4.0 seq=18 kind=Flush tpos=0 flushed= cancelled=4",
+    ]
+
+
+def test_an_output_on_its_deadline_is_doomed():
+    """The output leg of each execution lands exactly on its deadline. It was
+    scheduled after that tick's Timeout, so its entry has timed out: the
+    arrival is doomed (seqs 7, 12 and 16 are missing) and nothing is
+    delivered."""
+    sc = deadline_tie_scenario(3.0, 0, input_payload=0.0, output_payload=250_000.0)
+    result = run(sc)
+    assert result.trace == [
+        "t=0.0 seq=0 kind=TaskIssued tpos=0 task=a",
+        "t=0.0 seq=1 kind=FlightWaypoint tpos=0 altitude=0.0 rotating=0",
+        "t=0.0 seq=2 kind=Tick tpos=0 tick=0 due=a entries=0:1:p locals= unserved= msgs=1",
+        "t=0.5 seq=3 kind=TransferComplete tpos=0 inst=0 leg=input entry=0:1:p",
+        "t=0.5 seq=6 kind=ComputeComplete tpos=0 inst=0 entry=0:1:p local=0",
+        "t=1.0 seq=4 kind=Timeout tpos=0 tick=0 timed_out=0:1:p count=1",
+        "t=1.0 seq=5 kind=Tick tpos=0 tick=1 due= entries=1:1:p locals= unserved= msgs=1",
+        "t=1.5 seq=8 kind=TransferComplete tpos=0 inst=1 leg=input entry=1:1:p",
+        "t=1.5 seq=11 kind=ComputeComplete tpos=0 inst=1 entry=1:1:p local=0",
+        "t=2.0 seq=9 kind=Timeout tpos=0 tick=1 timed_out=1:1:p count=1",
+        "t=2.0 seq=10 kind=Tick tpos=0 tick=2 due= entries=2:1:p locals= unserved= msgs=1",
+        "t=2.5 seq=13 kind=TransferComplete tpos=0 inst=2 leg=input entry=2:1:p",
+        "t=2.5 seq=15 kind=ComputeComplete tpos=0 inst=2 entry=2:1:p local=0",
+        "t=3.0 seq=14 kind=Timeout tpos=0 tick=2 timed_out=2:1:p count=1",
+        "t=3.0 seq=17 kind=Flush tpos=0 flushed= cancelled=3",
+    ]
+    assert result.metrics.counts["responses"] == 0
 
 
 # ------------------------------------------------------------------ ordering
@@ -923,8 +992,12 @@ RUNGS = {
 
 def count_work(monkeypatch, sc, trace):
     """Run sc counting its ticks, dispatches, servable due tasks, staged
-    executions, waiter joins and keyed draws."""
+    executions, waiter joins, heap pushes and keyed draws."""
     work = Counter()
+
+    def counting_push(heap, item):
+        work["heap_pushes"] += 1
+        heapq.heappush(heap, item)
     on_tick = protocol.ProtocolState.on_tick
     stage = engine._Sim._stage
     metrics = engine._Sim._metrics
@@ -954,6 +1027,8 @@ def count_work(monkeypatch, sc, trace):
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", counting_tick)
     monkeypatch.setattr(engine._Sim, "_stage", counting_stage)
     monkeypatch.setattr(engine._Sim, "_metrics", counting_metrics)
+    monkeypatch.setattr(engine, "heapq",
+                        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
     result, draws = run_counting_draws(monkeypatch, sc, trace=trace)
     return result, work, draws
 
@@ -964,8 +1039,9 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
     """The work bounds of the engine module docstring: one dispatch per
     program per tick, one join per waiter however often it is retried, at
     most two link samples per staged execution plus one loss draw per wire
-    dispatch to a lossy server, and at most three records per staged
-    execution besides a fixed few per task, waypoint and tick."""
+    dispatch to a lossy server, at most three records per staged execution
+    besides a fixed few per task, waypoint and tick, and no doomed event in
+    the heap: each push writes one record, and the Flush writes the last."""
     sc = RUNGS[case]()
     result, work, draws = count_work(monkeypatch, sc, trace)
     counts = result.metrics.counts
@@ -977,6 +1053,7 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
         assert work["staged"] == delivered + counts["cancelled"]
         assert len(result.trace) <= (len(sc.tasks) + len(sc.flight_plan)
                                      + 2 * work["ticks"] + 3 * work["staged"] + 2)
+        assert work["heap_pushes"] == len(result.trace) - 1
     else:
         assert result.trace == []
 

@@ -236,7 +236,7 @@ def test_sole_capable_server_is_retried_after_its_own_timeout(ground_state):
     ps.on_timeout()
     retry = ps.on_tick(2.0, [], ground_state)
     assert [d.server_id for d in retry.dispatches] == [1]
-    assert retry.unserved == []
+    assert retry.unserved == ()
 
 
 def test_timeout_only_retries_the_unresolved_program(ground_state):
@@ -255,13 +255,13 @@ def test_unservable_task_is_deferred_whole(ground_state):
     ps = make_state((ProgramTableEntry(1, "a"),))
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
     assert outcome.dispatches == []
-    assert outcome.unserved == ["t1:b"]
+    assert outcome.unserved == ("t1:b",)
     assert ps.unserved_events == 1
     assert ps.requests_issued == 0
     # the next tick defers it whole again: its servable "a" is not sent alone
     retry = ps.on_tick(2.0, [], ground_state)
     assert retry.dispatches == []
-    assert retry.unserved == ["t1:b"]
+    assert retry.unserved == ("t1:b",)
     assert ps.unserved_events == 2
     assert ps.requests_issued == 0
 
@@ -281,11 +281,11 @@ def test_tasks_sharing_an_unservable_list_each_report_their_own_program(
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b")), task("t2", ("a", "b")),
                                task("t3", ("a", "c", "b")), task("t4")], ground_state)
     assert [d.waiters for d in outcome.dispatches] == [("t4",)]
-    assert outcome.unserved == ["t1:b", "t2:b", "t3:c"]
+    assert outcome.unserved == ("t1:b", "t2:b", "t3:c")
     assert ps.unserved_events == 3
     respond(ps, outcome.dispatches[0], 0.5)
     outcome = ps.on_tick(2.0, [task("t5", ("a", "c", "b")), task("t6")], ground_state)
-    assert outcome.unserved == ["t1:b", "t2:b", "t3:c", "t5:c"]
+    assert outcome.unserved == ("t1:b", "t2:b", "t3:c", "t5:c")
     assert ps.unserved_events == 7
     assert [d.waiters for d in outcome.dispatches] == [("t6",)]
     # each distinct program list is matched once per run

@@ -133,6 +133,10 @@ def test_each_pair_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys)
     ("--seconds", "0", "--seconds must be positive, got 0.0"),
     ("--seconds", "-1", "--seconds must be positive, got -1.0"),
     ("--seconds", "nan", "--seconds must be positive, got nan"),
+    ("--workload", "gale",
+     "--workload gale is not in BENCHMARK.json, which declares reference, storm, wide"),
+    ("--out", "missing/bench.json",
+     "--out missing/bench.json: directory missing does not exist"),
 ])
 def test_a_pairless_or_timeless_request_is_refused_before_any_run(
         tmp_path, monkeypatch, capsys, option, value, message):
@@ -140,14 +144,49 @@ def test_a_pairless_or_timeless_request_is_refused_before_any_run(
         raise AssertionError("a bench run started")
 
     monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
     argv = {"--parent": str(tmp_path), "--change": str(tmp_path), "--workload": "wide",
-            "--pairs": "2", "--seconds": "1", "--out": str(tmp_path / "bench.json")}
+            "--pairs": "2", "--seconds": "1", "--out": "bench.json"}
     argv[option] = value
     with pytest.raises(SystemExit) as exit_:
         bench_pairs.main([item for pair in argv.items() for item in pair])
     assert exit_.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_a_checkout_without_git_is_identified_before_the_first_run(
+        tmp_path, monkeypatch):
+    """A checkout made without git (as `git archive` makes one) has no commit,
+    and both checkouts are identified before any run, so a failure there
+    costs no runs."""
+    parent = fake_checkout(tmp_path / "parent", 1.0)
+    change = fake_checkout(tmp_path / "change", 0.5)
+    (change / "src").mkdir()
+    (change / "src" / "mod.py").write_text("x = 1\n")
+    identified = []
+    checkout_id, run_bench = bench_pairs.checkout_id, bench_pairs.run_bench
+
+    def recording_id(path):
+        identified.append(path.name)
+        return checkout_id(path)
+
+    def checked_run(checkout, *args):
+        assert identified == ["parent", "change"]
+        return run_bench(checkout, *args)
+
+    monkeypatch.setattr(bench_pairs, "checkout_id", recording_id)
+    monkeypatch.setattr(bench_pairs, "run_bench", checked_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "storm", "--pairs", "1", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    empty = hashlib.sha256().hexdigest()
+    source = hashlib.sha256(b"src/mod.py\0x = 1\n").hexdigest()
+    assert summary["parent"] == {"commit": None, "dirty": None, "source_sha256": empty}
+    assert summary["change"] == {"commit": None, "dirty": None, "source_sha256": source}
 
 
 # ---------------------------------------------------------- artifact digests

@@ -13,12 +13,15 @@ the number of pairs the change won (ties count for neither side) and
 whether the medians differ by more than the parent's quartile spread, plus
 `correct` and `failed` of every run, the interpreter, numpy and PyYAML
 versions and each checkout's commit. A checkout with uncommitted changes is
-marked `dirty`, and `source_sha256` identifies its `src/` files either way.
-Each completed pair prints one stderr line with both sides' value of every
-end-to-end metric. `--pairs` must be at least 1 and `--seconds` positive;
-otherwise the tool exits 2 before any run. If a run fails, the tool exits 1
-and names the run's side, workload, seed, exit code and the last lines of
-its stderr, and writes no output file.
+marked `dirty`, and `source_sha256` identifies its `src/` files either way; a
+checkout without git (say, one made with `git archive`) has `commit` and
+`dirty` null. Both checkouts are identified before the first run. Each
+completed pair prints one stderr line with both sides' value of every
+end-to-end metric. `--pairs` must be at least 1, `--seconds` positive, every
+`--workload` one that the change's BENCHMARK.json declares and the directory
+of `--out` must exist; otherwise the tool exits 2 before any run. If a run
+fails, the tool exits 1 and names the run's side, workload, seed, exit code
+and the last lines of its stderr, and writes no output file.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 
 def checkout_id(checkout: Path) -> dict:
-    """The commit of a checkout and a digest of its source files."""
+    """The commit of a checkout (None without git) and a digest of its source
+    files."""
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                               text=True, check=True).stdout.strip()
@@ -98,11 +102,11 @@ def checkout_id(checkout: Path) -> dict:
         if path.is_file() and "__pycache__" not in path.parts:
             digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
             digest.update(path.read_bytes())
-    return {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
-        "source_sha256": digest.hexdigest(),
-    }
+    commit = dirty = None
+    if (checkout / ".git").exists():
+        commit = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--", "src", "bench"))
+    return {"commit": commit, "dirty": dirty, "source_sha256": digest.hexdigest()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,7 +126,15 @@ def main(argv: list[str] | None = None) -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    declared = [w["name"] for w in spec["workloads"]]
+    for workload in args.workload:
+        if workload not in declared:
+            parser.error(f"--workload {workload} is not in BENCHMARK.json, "
+                         f"which declares {', '.join(declared)}")
+    if not args.out.parent.is_dir():
+        parser.error(f"--out {args.out}: directory {args.out.parent} does not exist")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    ids = {side: checkout_id(path) for side, path in checkouts.items()}
     workloads = {}
     for workload in args.workload:
         pairs = []
@@ -151,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "versions": {"python": sys.version.split()[0], "numpy": version("numpy"),
                      "pyyaml": version("PyYAML")},
-        **{side: checkout_id(path) for side, path in checkouts.items()},
+        **ids,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
