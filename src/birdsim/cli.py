@@ -159,25 +159,6 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
     return 0
 
 
-_BAND_ALIASES = {
-    "low": Band.LOW_ALTITUDE,
-    "lowaltitude": Band.LOW_ALTITUDE,
-    "high": Band.HIGH_ALTITUDE,
-    "highaltitude": Band.HIGH_ALTITUDE,
-    "rotation": Band.ROTATION,
-    "rotating": Band.ROTATION,
-}
-
-
-def _parse_band(text: str) -> Band:
-    key = text.strip().lower().replace("_", "").replace("-", "").replace(" ", "")
-    if key not in _BAND_ALIASES:
-        raise ValueError(
-            f"unknown band {text!r}; expected one of low, high, rotation"
-        )
-    return _BAND_ALIASES[key]
-
-
 def feasibility_report(
     bitrate: float,
     band: Band,
@@ -195,8 +176,8 @@ def feasibility_report(
 
 
 def cmd_feasibility(spec_text: str, scenario_path: str | None = None) -> int:
-    parts = [p for p in spec_text.split(",") if p.strip()]
-    if not parts or len(parts) > 2:
+    parts = spec_text.split(",")
+    if len(parts) > 2 or not all(part.strip() for part in parts):
         print(
             f"error: --feasibility expects \"BITRATE,BAND\" or \"BITRATE\", "
             f"got {spec_text!r}",
@@ -217,14 +198,14 @@ def cmd_feasibility(spec_text: str, scenario_path: str | None = None) -> int:
     bands = None
     if scenario_path is not None:
         bands = load_scenario(scenario_path).bands
+    targets = list(Band)
     if len(parts) == 2:
         try:
-            targets = [_parse_band(parts[1])]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            targets = [Band(parts[1].strip())]
+        except ValueError:
+            names = ", ".join([band.value for band in Band])
+            print(f"error: unknown band {parts[1]!r}; expected one of {names}", file=sys.stderr)
             return 1
-    else:
-        targets = list(Band)
     for band in targets:
         print(feasibility_report(bitrate, band, bands))
     return 0

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Collection, Iterator, Mapping
 
 import yaml
 from yaml import (
@@ -349,19 +349,47 @@ def _real(value: Any, path: str) -> float:
     return value
 
 
-def _reject_unknown(doc: Mapping, allowed: set[str], path: str) -> None:
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise SchemaError(f"{path}: unknown key {unknown[0]!r}")
+# The keys each mapping of a scenario or sweep spec accepts, by section: a
+# list section's entry holds the keys of each item. Any other key is a
+# SchemaError. docs/scenario-schema.md lists the same keys, and a test holds
+# the two together. incident's keys are in the order their moments must come.
+SECTION_KEYS: dict[str, Collection[str]] = {
+    "scenario": {
+        "name", "description", "seed", "duration_s", "update_interval_s", "site",
+        "incident", "truck_arrival_s", "nodes", "link", "programs", "tables",
+        "tasks", "timeline", "flight_plan", "loss",
+    },
+    "nodes": {"node_id", "kind", "compute_capacity", "location", "mobile",
+              "cached_programs", "battery_budget_s"},
+    "programs": {"program_id", "task_kind", "compute_cost", "input_payload_bits",
+                 "output_payload_bits", "encode_cost", "decode_cost"},
+    "tables": {"server_id", "program_id", "capable", "advertised_latency_s"},
+    "tasks": {"task_id", "required_programs", "origin", "issue_time_s", "consumer"},
+    "timeline": {"phase_id", "implied_task_kinds", "completes_when"},
+    "flight_plan": {"t_s", "altitude_m", "rotating"},
+    "link": {"bands", "floor_mbps", "one_way_fraction", "variance_scale"},
+    "link.bands.<band>": {"dl_mean_mbps", "ul_mean_mbps", "rtt_mean_ms", "dl_std_mbps",
+                          "ul_std_mbps"},
+    "incident": ("start_s", "observed_s", "reported_s"),
+    "sweep": {"parameter", "values", "replicates", "base_seed"},
+}
 
 
-def _records(items: Any, section: str, allowed: set[str]) -> Iterator[tuple[str, dict]]:
+def _section(value: Any, path: str, keys: Collection[str]) -> dict:
+    """value as a mapping that holds no key but keys, a SECTION_KEYS entry."""
+    value = _as_map(value, path)
+    for key in value:
+        if key not in keys:
+            raise SchemaError(f"{path}: unknown key {key!r}")
+    return value
+
+
+def _records(items: Any, section: str) -> Iterator[tuple[str, dict]]:
     """(path, mapping) of each item of a list section, its keys checked."""
+    keys = SECTION_KEYS[section]
     for i, raw in enumerate(_as_list(items, section)):
         path = f"{section}[{i}]"
-        raw = _as_map(raw, path)
-        _reject_unknown(raw, allowed, path)
-        yield path, raw
+        yield path, _section(raw, path, keys)
 
 
 def _absent(key: str, path: str, default: Any, required: bool) -> Any:
@@ -450,11 +478,7 @@ def _program_ids(raw: Any, path: str, programs: Mapping, *, unique=False) -> lis
 
 def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, NodeProfile]:
     nodes: dict[int, NodeProfile] = {}
-    for path, raw in _records(
-        doc.get("nodes"), "nodes",
-        {"node_id", "kind", "compute_capacity", "location", "mobile",
-         "cached_programs", "battery_budget_s"},
-    ):
+    for path, raw in _records(doc.get("nodes"), "nodes"):
         node_id = _int(raw, "node_id", path, required=True, minimum=0)
         if node_id in nodes:
             raise InvariantViolation(f"{path}.node_id: duplicate node id {node_id}")
@@ -506,11 +530,7 @@ def _parse_nodes(doc: Mapping, programs: dict[str, ProgramSpec]) -> dict[int, No
 
 def _parse_programs(doc: Mapping) -> dict[str, ProgramSpec]:
     programs: dict[str, ProgramSpec] = {}
-    for path, raw in _records(
-        doc.get("programs", []), "programs",
-        {"program_id", "task_kind", "compute_cost", "input_payload_bits",
-         "output_payload_bits", "encode_cost", "decode_cost"},
-    ):
+    for path, raw in _records(doc.get("programs", []), "programs"):
         program_id = _ident(raw, "program_id", path)
         if program_id in programs:
             raise InvariantViolation(f"{path}.program_id: duplicate {program_id!r}")
@@ -533,10 +553,7 @@ def _parse_tables(
     doc: Mapping, programs: dict[str, ProgramSpec], nodes: dict[int, NodeProfile]
 ) -> tuple[ProgramTableEntry, ...]:
     entries = []
-    for path, raw in _records(
-        doc.get("tables", []), "tables",
-        {"server_id", "program_id", "capable", "advertised_latency_s"},
-    ):
+    for path, raw in _records(doc.get("tables", []), "tables"):
         server_id = _int(raw, "server_id", path, required=True, minimum=0)
         program_id = _str(raw, "program_id", path, required=True)
         if program_id not in programs:
@@ -566,10 +583,7 @@ def _parse_tasks(
 ) -> tuple[Task, ...]:
     tasks = []
     seen = set()
-    for path, raw in _records(
-        doc.get("tasks", []), "tasks",
-        {"task_id", "required_programs", "origin", "issue_time_s", "consumer"},
-    ):
+    for path, raw in _records(doc.get("tasks", []), "tasks"):
         task_id = _ident(raw, "task_id", path)
         if task_id in seen:
             raise InvariantViolation(f"{path}.task_id: duplicate {task_id!r}")
@@ -626,9 +640,7 @@ def _parse_timeline(doc: Mapping, programs, tasks) -> tuple[Phase, ...]:
     task_ids = {t.task_id for t in tasks}
     phases = []
     seen = set()
-    for path, raw in _records(
-        raw_list, "timeline", {"phase_id", "implied_task_kinds", "completes_when"}
-    ):
+    for path, raw in _records(raw_list, "timeline"):
         phase_id = _ident(raw, "phase_id", path)
         if phase_id in seen:
             raise InvariantViolation(f"{path}.phase_id: duplicate {phase_id!r}")
@@ -656,7 +668,7 @@ def _parse_flight_plan(doc: Mapping) -> tuple[Waypoint, ...]:
     if raw_list is None:
         return (Waypoint(0.0, 0.0),)
     waypoints = []
-    for path, raw in _records(raw_list, "flight_plan", {"t_s", "altitude_m", "rotating"}):
+    for path, raw in _records(raw_list, "flight_plan"):
         t = _num(raw, "t_s", path, required=True, minimum=0.0)
         altitude = _num(raw, "altitude_m", path, required=True)
         if altitude < 0 or altitude > MAX_ALTITUDE_M:
@@ -674,10 +686,7 @@ def _parse_flight_plan(doc: Mapping) -> tuple[Waypoint, ...]:
 
 
 def _parse_link(doc: Mapping):
-    raw = _as_map(doc.get("link", {}), "link")
-    _reject_unknown(
-        raw, {"bands", "floor_mbps", "one_way_fraction", "variance_scale"}, "link"
-    )
+    raw = _section(doc.get("link", {}), "link", SECTION_KEYS["link"])
     bands = default_link_params()
     overrides = _as_map(raw.get("bands", {}), "link.bands")
     key_by_band = {b.value: b for b in Band}
@@ -689,12 +698,7 @@ def _parse_link(doc: Mapping):
             )
         band = key_by_band[band_key]
         path = f"link.bands.{band_key}"
-        fields_raw = _as_map(fields_raw, path)
-        _reject_unknown(
-            fields_raw,
-            {"dl_mean_mbps", "ul_mean_mbps", "rtt_mean_ms", "dl_std_mbps", "ul_std_mbps"},
-            path,
-        )
+        fields_raw = _section(fields_raw, path, SECTION_KEYS["link.bands.<band>"])
         base = bands[band]
         try:
             bands[band] = LinkBandParams(
@@ -748,9 +752,8 @@ def _parse_loss(doc: Mapping, nodes: dict[int, NodeProfile]) -> dict[int, float]
 
 
 def _parse_incident(doc: Mapping, duration: float) -> Incident:
-    names = ("start_s", "observed_s", "reported_s")  # in the order they must come
-    raw = _as_map(doc.get("incident", {}), "incident")
-    _reject_unknown(raw, set(names), "incident")
+    names = SECTION_KEYS["incident"]
+    raw = _section(doc.get("incident", {}), "incident", names)
     times = [_num(raw, name, "incident", minimum=0.0) for name in names]
     known = [(name, t) for name, t in zip(names, times) if t is not None]
     for (a_name, a), (b_name, b) in zip(known, known[1:]):
@@ -760,13 +763,6 @@ def _parse_incident(doc: Mapping, duration: float) -> Incident:
         if t > duration:
             raise InvariantViolation(f"incident.{name}: beyond the mission duration")
     return Incident(*times)
-
-
-_TOP_KEYS = {
-    "name", "description", "seed", "duration_s", "update_interval_s", "site",
-    "incident", "truck_arrival_s", "nodes", "link", "programs", "tables",
-    "tasks", "timeline", "flight_plan", "loss",
-}
 
 
 def load_scenario(source: str | Path | Mapping) -> Scenario:
@@ -784,8 +780,7 @@ def load_scenario(source: str | Path | Mapping) -> Scenario:
         if not path.exists():
             raise SchemaError(f"scenario file not found: {path}")
         doc = read_yaml(path)
-    doc = _as_map(doc, "scenario")
-    _reject_unknown(doc, _TOP_KEYS, "scenario")
+    doc = _section(doc, "scenario", SECTION_KEYS["scenario"])
 
     name = _str(doc, "name", "scenario", required=True)
     if not name:
@@ -895,8 +890,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         raise SchemaError(f"sweep spec file not found: {p}")
     doc = read_yaml(p)
     try:
-        doc = _as_map(doc, "sweep")
-        _reject_unknown(doc, {"parameter", "values", "replicates", "base_seed"}, "sweep")
+        doc = _section(doc, "sweep", SECTION_KEYS["sweep"])
         parameter = _str(doc, "parameter", "sweep", required=True)
         if parameter not in SWEEP_PARAMETERS:
             raise SchemaError(

@@ -261,10 +261,12 @@ def test_bad_sweep_specs_are_rejected(tmp_path, scenario_path, capsys):
 
 
 def test_feasibility_line_for_one_band(capsys):
+    """Spaces around the band are ignored."""
     assert main(["--feasibility", "25,high"]) == 0
+    assert main(["--feasibility", "25, high"]) == 0
     out = capsys.readouterr().out
     assert out == ("band=high bitrate_mbps=25.00 ul_mean_mbps=37.12 "
-                   "sustainable=yes headroom_mbps=12.12\n")
+                   "sustainable=yes headroom_mbps=12.12\n") * 2
 
 
 def test_feasibility_boundary_is_not_sustainable(capsys):
@@ -292,11 +294,21 @@ def test_feasibility_uses_scenario_band_overrides(tmp_path, capsys):
 
 
 def test_feasibility_rejects_bad_input(capsys):
-    assert main(["--feasibility", "fast,high"]) == 1
-    assert main(["--feasibility=-3,high"]) == 1
-    assert main(["--feasibility", "25,stratosphere"]) == 1
-    assert main(["--feasibility", "25,high,extra"]) == 1
-    assert capsys.readouterr().err.count("error:") == 4
+    """Each bad spec exits 1 with one error line. An empty field is a bad
+    spec, and a band is spelled as link.bands and the report spell it."""
+    empty = ["25,,high", ",25", "25,"]
+    misspelled = ["rotating", "low_altitude"]
+    for spec in ["fast,high", "-3,high", "25,stratosphere", "25,high,extra", *empty,
+                 *[f"25,{band}" for band in misspelled]]:
+        assert main([f"--feasibility={spec}"]) == 1, spec
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 9 and all(line.startswith("error: ") for line in err)
+    assert err[4:] == [
+        *[f'error: --feasibility expects "BITRATE,BAND" or "BITRATE", got {spec!r}'
+          for spec in empty],
+        *[f"error: unknown band {band!r}; expected one of low, high, rotation"
+          for band in misspelled],
+    ]
 
 
 @pytest.mark.parametrize("spec", ["nan,high", "1e400", "inf,low"])

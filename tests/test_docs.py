@@ -1,0 +1,177 @@
+"""The docs are the contract. docs/scenario-schema.md lists, in its key
+tables, the keys that the loader accepts, and in its parameter table the
+sweepable parameters. docs/output-formats.md lists the fields of each trace
+record kind, the columns of each CSV and the keys of summary.json. A
+mismatch names the doc, the section and the name, so a doc edit and a code
+edit land together."""
+
+import json
+import re
+
+import pytest
+
+from birdsim import RunAborted, load_scenario, run
+from birdsim.cli import SWEEP_AGGREGATE_COLUMNS, SWEEP_ROW_COLUMNS
+from birdsim.engine import METRICS_COLUMNS, SAMPLES_COLUMNS, summary_dict
+from birdsim.scenario import SECTION_KEYS, SWEEP_PARAMETERS
+
+from conftest import BUNDLED_SCENARIO, ROOT
+from test_cli import make_runs_abort
+from test_digests import trace_variants
+from test_engine import reported_tie_scenario
+
+SCHEMA = "docs/scenario-schema.md"
+OUTPUTS = "docs/output-formats.md"
+GOLDEN_TRACE = ROOT / "tests" / "golden" / "urban_fire_trace.log"
+
+# the SECTION_KEYS entry of each schema heading that does not name it itself
+SCHEMA_SECTIONS = {"Top-level keys": "scenario", "Sweep spec": "sweep"}
+
+
+def sections(doc: str) -> dict[str, str]:
+    """The text of each `##` or `###` section of a doc, by its heading."""
+    parts = re.split(r"^#{2,3} (.*)\n", (ROOT / doc).read_text(), flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def section(doc: str, prefix: str) -> tuple[str, str]:
+    """The heading and text of the one section of doc whose heading starts
+    with prefix."""
+    found = [(h, text) for h, text in sections(doc).items() if h.startswith(prefix)]
+    if len(found) != 1:
+        pytest.fail(f"{doc}: {len(found)} sections start with {prefix!r}, not one")
+    return found[0]
+
+
+def tables(text: str) -> list[list[list[str]]]:
+    """Each table in text as its rows, header first and the separator left
+    out, each row a list of cells; `\\|` inside a cell does not split it."""
+    found: list[list[list[str]]] = []
+    rows: list[list[str]] = []
+    for line in text.splitlines() + [""]:
+        if line.startswith("|"):
+            if set(line) - set("|-: "):
+                rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+        elif rows:
+            found.append(rows)
+            rows = []
+    return found
+
+
+def fences(text: str) -> list[str]:
+    """The contents of each fenced block in text."""
+    return re.findall(r"^```\w*\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def compare(doc: str, heading: str, what: str, documented, actual, ordered=False) -> list[str]:
+    """How documented names differ from the names the code has, one line
+    per name, each naming the doc and the section."""
+    where = f"{doc}, section {heading!r}"
+    problems = [f"{where}: {what} {name!r} is missing from the doc"
+                for name in actual if name not in documented]
+    problems += [f"{where}: {what} {name!r} is documented but not in the code"
+                 for name in documented if name not in actual]
+    if ordered and not problems and list(documented) != list(actual):
+        problems.append(f"{where}: {what}s are documented in the order "
+                        f"{list(documented)}, the code's is {list(actual)}")
+    return problems
+
+
+def grammar_fields(line: str) -> list[str]:
+    """The field names of a record, or of a documented grammar line."""
+    return re.findall(r"(\w+)=", line)
+
+
+# ------------------------------------------------------------------- schema
+
+
+def test_schema_tables_list_the_loader_keys():
+    problems: list[str] = []
+    documented = set()
+    parameter_tables = 0
+    for heading, text in sections(SCHEMA).items():
+        for table in tables(text):
+            names = [row[0].strip("`") for row in table[1:]]
+            problems += [f"{SCHEMA}, section {heading!r}: the row of {name!r} has "
+                         f"{len(row)} cells under {len(table[0])} headings"
+                         for name, row in zip(names, table[1:]) if len(row) != len(table[0])]
+            if table[0][0] == "key":
+                entry = SCHEMA_SECTIONS.get(heading, heading.strip("`"))
+                documented.add(entry)
+                problems += compare(SCHEMA, heading, f"{entry} key", names,
+                                    SECTION_KEYS.get(entry, ()))
+            elif table[0][0] == "`parameter`":
+                parameter_tables += 1
+                problems += compare(SCHEMA, heading, "sweep parameter", names,
+                                    SWEEP_PARAMETERS)
+    problems += [f"{SCHEMA}: no section has a key table for {entry!r}"
+                 for entry in SECTION_KEYS if entry not in documented]
+    if parameter_tables != 1:
+        problems.append(f"{SCHEMA}: {parameter_tables} sweep parameter tables, not one")
+    assert not problems, "\n".join(problems)
+
+
+# ------------------------------------------------------------------ outputs
+
+
+def test_record_fields_are_the_documented_ones(monkeypatch):
+    """Over the golden trace, the trace variants, the `reported` tie and an
+    aborted run, each kind's fields after the common four are those of its
+    row in the kind table, `Abort`'s those of its grammar line, and every
+    record starts with the common four."""
+    lines = GOLDEN_TRACE.read_text().splitlines()
+    lines += run(load_scenario(trace_variants())).trace
+    lines += run(reported_tie_scenario()).trace
+    make_runs_abort(monkeypatch)
+    with pytest.raises(RunAborted) as aborted:
+        run(load_scenario(BUNDLED_SCENARIO))
+    lines += aborted.value.trace
+
+    heading, text = section(OUTPUTS, "`trace.log`")
+    grammar, abort = fences(text)
+    common = grammar_fields(grammar)
+    documented = {row[0].strip("`"): grammar_fields(row[1])
+                  for table in tables(text) if table[0] == ["kind", "fields"]
+                  for row in table[1:]}
+    documented["Abort"] = grammar_fields(abort)[len(common):]
+    emitted: dict[str, set[str]] = {}
+    problems: list[str] = []
+    for line in lines:
+        fields = grammar_fields(line)
+        if fields[:len(common)] != common:
+            problems.append(f"{OUTPUTS}, section {heading!r}: {line!r} does not "
+                            f"start with {common}")
+        kind = re.search(r" kind=(\w+)", line)[1]
+        emitted.setdefault(kind, set()).update(fields[len(common):])
+    problems += compare(OUTPUTS, heading, "record kind", documented, emitted)
+    for kind in sorted(documented.keys() & emitted.keys()):
+        problems += compare(OUTPUTS, heading, f"{kind} field", documented[kind], emitted[kind])
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("prefix, constants", [
+    ("`metrics.csv`", [METRICS_COLUMNS]),
+    ("`samples.csv`", [SAMPLES_COLUMNS]),
+    ("Sweep artifacts", [SWEEP_ROW_COLUMNS, SWEEP_AGGREGATE_COLUMNS]),
+])
+def test_column_blocks_are_the_column_constants(prefix, constants):
+    heading, text = section(OUTPUTS, prefix)
+    blocks = fences(text)
+    assert len(blocks) == len(constants), (
+        f"{OUTPUTS}, section {heading!r}: {len(blocks)} column blocks, not {len(constants)}")
+    problems: list[str] = []
+    for block, columns in zip(blocks, constants):
+        documented = [name.strip() for name in block.split(",")]
+        problems += compare(OUTPUTS, heading, "column", documented, columns, ordered=True)
+    assert not problems, "\n".join(problems)
+
+
+def test_summary_example_has_the_summary_keys():
+    heading, text = section(OUTPUTS, "`summary.json`")
+    (example,) = [json.loads(block) for block in fences(text)]
+    summary = summary_dict(run(load_scenario(BUNDLED_SCENARIO)).metrics)
+    problems = compare(OUTPUTS, heading, "summary key", example, summary, ordered=True)
+    for key in ("counts", "moments"):
+        problems += compare(OUTPUTS, heading, f"{key} key", example.get(key, {}),
+                            summary[key], ordered=True)
+    assert not problems, "\n".join(problems)

@@ -440,6 +440,25 @@ def test_an_output_on_its_deadline_is_doomed():
     assert result.metrics.counts["responses"] == 0
 
 
+def reported_tie_scenario():
+    """deadline_tie_scenario without payloads, reported at 0.5 s: its first
+    result reaches server 1, an ecs consumer, at exactly 0.5 s (a 0.25 s
+    encode, a 0.25 s one-way input leg, no compute)."""
+    return replace(deadline_tie_scenario(4.0, 1, input_payload=0.0, output_payload=0.0),
+                   incident=Incident(reported=0.5))
+
+
+def test_a_result_at_the_report_sets_virtual_awareness():
+    """A sensing result delivered at reported_s, not only after it, makes
+    virtual awareness, and the record that delivers it says so."""
+    result = run(reported_tie_scenario())
+    assert result.metrics.moments.virtual_awareness == 0.5
+    assert result.trace[4] == (
+        "t=0.5 seq=6 kind=ComputeComplete tpos=0 inst=0 entry=0:1:p local=0 "
+        "resolved=0:1:p delivered=1 moment=virtual_awareness"
+    )
+
+
 # ------------------------------------------------------------------ ordering
 
 
