@@ -17,8 +17,14 @@ staged event is checked when it is scheduled: an input arrival that lands
 after the deadline is doomed, and so is a compute completion or output
 arrival that lands at or after it. A doomed event takes its seq, as if it
 had been pushed and then dropped, but never enters the heap, so seqs have
-gaps. (A Timeout past the run window is never pushed, and the flush ends its
-entries; every event that is not dropped with it lands before that deadline.)
+gaps; its execution was still staged, with its _Instance and inst id. (A
+Timeout past the run window is never pushed, and the flush ends its entries;
+every event that is not dropped with it lands before that deadline.)
+
+A finished execution is delivered in one step, `_Sim._deliver`, from a
+compute completion (the result is consumed where it is computed) or an
+output arrival: it is credited, its record is written, then the advancement
+gate is checked.
 
 A run made with `trace=False` (each replicate of a sweep) returns an empty
 trace. It formats no record unless `birdsim.engine` logs at DEBUG
@@ -107,9 +113,6 @@ class _Instance:
     deadline: float
     output: Direction | None
 
-    def breakdown(self) -> LatencyBreakdown:
-        return LatencyBreakdown(self.t_enc, self.t_comm, self.t_dec, self.t_proc)
-
 
 @dataclass
 class ProgramOutcome:
@@ -184,14 +187,10 @@ class RunResult:
 
 _waypoint_t = attrgetter("t")
 
-
-def _delivery(dispatch: Dispatch, aware: bool) -> str:
-    """The ` resolved=... delivered=... moment=...` suffix of the record of a
-    delivery; aware is what `_Sim._deliver` returned."""
-    delivery = f" delivered={dispatch.consumer}"
-    if not dispatch.local:
-        delivery = f" resolved={dispatch.key}{delivery}"
-    return delivery + " moment=virtual_awareness" if aware else delivery
+# The leading fields of the records an execution's compute completion and
+# output arrival write, formatted with its inst id, entry key and local flag
+_COMPUTE_COMPLETE = "inst={} entry={} local={:d}"
+_OUTPUT_ARRIVAL = "inst={} leg=output entry={}"
 
 
 def flight_state_at(scenario: Scenario, t: float) -> FlightState:
@@ -372,17 +371,13 @@ class _Sim:
         # their Timeout is pushed there, before that Tick, so it runs first
         # (protocol module docstring)
         next_t = self.deadline = (tick + 1) * self.protocol.t_int
-        locals_: list[str] = []
         for dispatch in outcome.dispatches:
             # retried waiters are already on the chain: visit only new ones
             program_id = dispatch.program.program_id
             chain = dispatch.chain
             for waiter in dispatch.waiters[dispatch.fresh:]:
                 self.joined.append((self.prog_outcomes[(waiter, program_id)], tick, chain))
-            if dispatch.local:
-                if self.records:
-                    locals_.append(f"{program_id}@{dispatch.consumer}")
-            else:
+            if not dispatch.local:
                 # u is in [0, 1), so only a positive loss can lose a dispatch
                 loss = self.sc.loss.get(dispatch.server_id, 0.0)
                 if loss > 0.0 and keyed_uniform(
@@ -402,10 +397,13 @@ class _Sim:
             self._push(next_t, self._on_tick, tick + 1)
         self.protocol.try_advance(t)
         if self.records:
+            local_runs = [
+                f"{d.program.program_id}@{d.consumer}" for d in outcome.dispatches if d.local
+            ]
             self._emit(
                 t, seq, "Tick",
                 f"tick={tick} due={','.join([task.task_id for task in due])} "
-                f"entries={';'.join(entries)} locals={';'.join(locals_)} "
+                f"entries={';'.join(entries)} locals={';'.join(local_runs)} "
                 f"unserved={';'.join(outcome.unserved)} msgs={outcome.messages}",
             )
 
@@ -423,8 +421,8 @@ class _Sim:
         """Stage one execution dispatched at t with the stage times pipeline
         prices, once per route: local work runs them back to back on the
         platform; wire work is encoded, then its input is sent to the
-        executor. A doomed input arrival builds no _Instance, but takes its
-        inst id."""
+        executor. A doomed input arrival is staged like any other, with its
+        _Instance and inst id, but never enters the heap."""
         server, consumer = dispatch.server_id, dispatch.consumer
         route = (dispatch.program.program_id, server, consumer)
         plan = self.routes.get(route)
@@ -445,13 +443,9 @@ class _Sim:
         t_start = t + t_enc
         leg = self._sample_leg(t_start, dispatch.program.input_payload, input_hop)
         t_in = t_start + leg
-        deadline = self.deadline
+        inst = _Instance(inst_id, dispatch, t_enc, leg, t_dec, t_proc, self.deadline, output_hop)
         # an input landing on its deadline was pushed before the Timeout
-        if t_in <= deadline:
-            inst = _Instance(inst_id, dispatch, t_enc, leg, t_dec, t_proc, deadline, output_hop)
-            self._push(t_in, self._on_input_arrival, inst)
-        else:
-            self._push(t_in, self._on_input_arrival, None, live=False)
+        self._push(t_in, self._on_input_arrival, inst, t_in <= inst.deadline)
 
     # --------------------------------------------------------------- handlers
 
@@ -464,62 +458,67 @@ class _Sim:
                 f"inst={inst.inst_id} leg=input entry={inst.dispatch.key}",
             )
 
-    def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
+    def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
+        # a result consumed where it was computed is delivered now
+        if inst.output is None:
+            self._deliver(t, seq, inst, "ComputeComplete", _COMPUTE_COMPLETE)
+            return
         dispatch = inst.dispatch
-        aware = self._deliver(inst, t)
+        leg = self._sample_leg(t, dispatch.program.output_payload, inst.output)
+        inst.t_comm += leg
+        t_out = t + leg
+        self._push(t_out, self._on_output_arrival, inst, t_out < inst.deadline)
         if self.records:
             self._emit(
-                t, seq, "TransferComplete",
-                f"inst={inst.inst_id} leg=output entry={dispatch.key}"
-                f"{_delivery(dispatch, aware)}",
+                t, seq, "ComputeComplete",
+                _COMPUTE_COMPLETE.format(inst.inst_id, dispatch.key, dispatch.local),
             )
-        self.protocol.try_advance(t)
 
-    def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
-        dispatch = inst.dispatch
-        # a result consumed where it was computed is delivered now
-        delivered = inst.output is None
-        if delivered:
-            aware = self._deliver(inst, t)
-        else:
-            leg = self._sample_leg(t, dispatch.program.output_payload, inst.output)
-            inst.t_comm += leg
-            t_out = t + leg
-            self._push(t_out, self._on_output_arrival, inst, t_out < inst.deadline)
-        if self.records:
-            record = f"inst={inst.inst_id} entry={dispatch.key} local={int(dispatch.local)}"
-            if delivered:
-                record += _delivery(dispatch, aware)
-            self._emit(t, seq, "ComputeComplete", record)
-        if delivered:
-            self.protocol.try_advance(t)
+    def _on_output_arrival(self, t: float, seq: int, inst: _Instance) -> None:
+        self._deliver(t, seq, inst, "TransferComplete", _OUTPUT_ARRIVAL)
 
-    def _deliver(self, inst: _Instance, t: float) -> bool:
-        """Credit a finished execution; returns whether it made the incident's
-        virtual awareness moment."""
+    def _deliver(self, t: float, seq: int, inst: _Instance, kind: str, record: str) -> None:
+        """Deliver a finished execution at t, in this order:
+        1. credit it: resolve its entry (a wire one), count the result toward
+           its waiters' tasks, set their breakdown and delivery time, and make
+           the virtual awareness moment if this is the first sensing result
+           at an agency node since the report;
+        2. write the record of the event (t, seq): kind, then record
+           formatted with the inst id, entry key and local flag, then
+           `resolved=` (a wire one), `delivered=` and `moment=`;
+        3. check the advancement gate. So the record's tpos is the position
+           before any advance the delivery causes (docs/output-formats.md).
+        """
         dispatch = inst.dispatch
+        program_id = dispatch.program.program_id
         self.delivered += 1
         if dispatch.local:
             self.protocol.note_result(dispatch, t)
         else:
             self.protocol.on_response(dispatch.key, t)
-        breakdown = inst.breakdown()
+        breakdown = LatencyBreakdown(inst.t_enc, inst.t_comm, inst.t_dec, inst.t_proc)
         for waiter in dispatch.waiters:
-            prog = self.prog_outcomes[(waiter, dispatch.program.program_id)]
+            prog = self.prog_outcomes[(waiter, program_id)]
             prog.breakdown = breakdown
             prog.delivered_at = t
         consumer_kind = self.sc.nodes[dispatch.consumer].kind
         reported = self.moments.reported
-        if (
+        aware = (
             dispatch.program.task_kind in _MONITORING_KINDS
             and consumer_kind in (NodeKind.ECS, NodeKind.GCS)
             and self.moments.virtual_awareness is None
             # a result before the report makes no one aware of the incident
             and (reported is None or t >= reported)
-        ):
+        )
+        if aware:
             self.moments = record_moment(self.moments, "virtual_awareness", t)
-            return True
-        return False
+        if self.records:
+            tail = record.format(inst.inst_id, dispatch.key, dispatch.local)
+            if not dispatch.local:
+                tail += f" resolved={dispatch.key}"
+            tail += f" delivered={dispatch.consumer}"
+            self._emit(t, seq, kind, tail + " moment=virtual_awareness" if aware else tail)
+        self.protocol.try_advance(t)
 
     def _on_timeout(self, t: float, seq: int, tick: int) -> None:
         timed_out = self.protocol.on_timeout()

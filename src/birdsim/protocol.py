@@ -256,13 +256,13 @@ class ProtocolState:
     def note_result(self, dispatch: Dispatch, t: float) -> None:
         """Credit a program result delivered at t: a waiter whose last
         program this was completes at t. A wire result comes through
-        on_response, which first resolves its entry."""
-        self.completed_programs.add(dispatch.program.program_id)
+        on_response, which first resolves its entry. Every waiter was due
+        before it joined, so on_tick has listed its remaining programs."""
+        program_id = dispatch.program.program_id
+        self.completed_programs.add(program_id)
         for task_id in dispatch.waiters:
-            remaining = self._remaining.get(task_id)
-            if remaining is None or task_id in self.completed_tasks:
-                continue
-            remaining.discard(dispatch.program.program_id)
+            remaining = self._remaining[task_id]
+            remaining.discard(program_id)
             if not remaining:
                 self.completed_tasks[task_id] = t
 
@@ -297,20 +297,18 @@ class ProtocolState:
             return predicate.value in self.completed_tasks
         raise ValueError(f"unknown predicate kind: {predicate.kind!r}")
 
-    def try_advance(self, t: float) -> int:
-        """Advance the timeline as far as completed phases allow.
+    def try_advance(self, t: float) -> None:
+        """Advance the timeline as far as completed phases allow, logging
+        each step in phase_log.
 
         Gated: nothing moves while the open tick still has outstanding
-        entries. Returns the number of phases advanced (0 is normal).
+        entries.
         """
         if self.outstanding:
-            return 0
-        moved = 0
+            return
         while (
             self.t_pos < len(self.phases) - 1
             and self._predicate_holds(self.phases[self.t_pos].completes_when, t)
         ):
             self.t_pos += 1
             self.phase_log.append((t, self.t_pos - 1, self.t_pos))
-            moved += 1
-        return moved

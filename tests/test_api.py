@@ -1,6 +1,7 @@
 """The public API: the exported names are pinned and resolve, the README's
-Python examples run as written, and no module of the package, its tests,
-its benchmark or its tools imports a name it never uses."""
+Python examples run as written, bad arguments are rejected with a pinned
+type and message, and no module of the package, its tests, its benchmark or
+its tools imports a name it never uses."""
 
 import ast
 import contextlib
@@ -11,6 +12,23 @@ from pathlib import Path
 import pytest
 
 import birdsim
+from birdsim import (
+    Band,
+    FlightState,
+    LinkModel,
+    NoCapableServer,
+    NodeKind,
+    NodeProfile,
+    PhasePredicate,
+    ProgramSpec,
+    ProgramTableEntry,
+    Task,
+    default_link_params,
+    default_profiles,
+    select_server,
+)
+from birdsim.model import CriticalMoments, record_moment
+from birdsim.pipeline import stage_time
 
 ROOT = Path(__file__).resolve().parent.parent
 README_EXAMPLES = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
@@ -92,6 +110,67 @@ def test_readme_imports_only_public_names():
     }
     assert imported
     assert imported <= set(PUBLIC_API)
+
+
+def _all_but_rotation():
+    return {b: p for b, p in default_link_params().items() if b is not Band.ROTATION}
+
+
+def _only_incapable_rows():
+    program = ProgramSpec("p", "object_detection", 1.0, 1.0, 1.0)
+    select_server(program, [ProgramTableEntry(1, "p", capable=False)],
+                  default_profiles(), LinkModel(noise_seed=0), FlightState(0.0, 10.0))
+
+
+IDLE_SERVER = NodeProfile(node_id=3, kind=NodeKind.ECS, compute_capacity=0.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LinkModel(bands=_all_but_rotation()), ValueError,
+     "bands missing regimes: ['rotation']"),
+    (lambda: LinkModel(floor_mbps=0.0), ValueError, "floor_mbps must be positive"),
+    (lambda: LinkModel(variance_scale=-0.5), ValueError, "variance_scale must be >= 0"),
+    (lambda: LinkModel(one_way_fraction=0.0), ValueError,
+     "one_way_fraction must be in (0, 1]"),
+    (lambda: LinkModel(one_way_fraction=1.5), ValueError,
+     "one_way_fraction must be in (0, 1]"),
+    (_only_incapable_rows, NoCapableServer, "no capable server for program 'p'"),
+    (lambda: stage_time(-1.0, default_profiles()[1]), ValueError, "cost must be >= 0"),
+    (lambda: stage_time(1.0, IDLE_SERVER), ValueError,
+     "node 3 has no positive compute capacity"),
+    (lambda: record_moment(CriticalMoments(), "start", -1.0), ValueError,
+     "moment timestamps must be >= 0"),
+    (lambda: ProgramTableEntry(1, "p", advertised_latency=-0.5), ValueError,
+     "advertised_latency must be >= 0"),
+    (lambda: ProgramSpec("", "object_detection", 1.0, 1.0, 1.0), ValueError,
+     "program_id must be non-empty"),
+    (lambda: ProgramSpec("p", "", 1.0, 1.0, 1.0), ValueError,
+     "task_kind must be non-empty"),
+    (lambda: ProgramSpec("p", "object_detection", 1.0, 1.0, 1.0, decode_cost=-1.0),
+     ValueError, "decode_cost must be >= 0"),
+    (lambda: Task("", ("p",)), ValueError, "task_id must be non-empty"),
+    (lambda: Task("t", ()), ValueError, "a task requires at least one program"),
+    (lambda: Task("t", ("p",), issue_time=-1.0), ValueError, "issue_time must be >= 0"),
+    (lambda: PhasePredicate("sometimes"), ValueError,
+     "unknown predicate kind: 'sometimes'"),
+    (lambda: PhasePredicate("elapsed", "soon"), ValueError,
+     "elapsed predicate needs a numeric value"),
+    (lambda: PhasePredicate("program_result"), ValueError,
+     "program_result predicate needs a target id"),
+    (lambda: PhasePredicate("task_completed", ""), ValueError,
+     "task_completed predicate needs a target id"),
+], ids=["link-bands-missing", "link-floor-zero", "link-variance-negative",
+        "link-one-way-zero", "link-one-way-above-one", "select-only-incapable",
+        "stage-cost-negative", "stage-capacity-zero", "moment-negative",
+        "table-latency-negative", "program-id-empty", "program-kind-empty",
+        "program-cost-negative", "task-id-empty", "task-no-programs",
+        "task-issue-negative", "predicate-unknown-kind", "predicate-elapsed-text",
+        "predicate-program-no-target", "predicate-task-empty-target"])
+def test_bad_arguments_are_rejected_with_their_message(call, error, message):
+    with pytest.raises(Exception) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -499,6 +499,24 @@ def test_a_result_before_the_report_sets_no_awareness(scenario_path):
     assert run(load_scenario(doc)).metrics.moments.virtual_awareness is None
 
 
+def test_a_program_result_phase_advances_at_its_delivery(scenario_path):
+    doc = yaml.safe_load(scenario_path.read_text())
+    # stitch is the one program of stream-vr, the task the survey waits for,
+    # so the run is the golden one
+    doc["timeline"][1]["completes_when"] = {"program_result": "stitch"}
+    golden = (ROOT / "tests" / "golden" / "urban_fire_trace.log").read_text()
+    assert trace_to_text(run(load_scenario(doc)).trace) == golden
+    # the first detect result ends the survey: its record shows the position
+    # before the advance, the next record the one after
+    doc["timeline"][1]["completes_when"] = {"program_result": "detect"}
+    result = run(load_scenario(doc))
+    assert result.metrics.phase_log == [(20.0, 0, 1), (30.599192090422072, 1, 2)]
+    [i] = [i for i, line in enumerate(result.trace)
+           if line.startswith("t=30.599192090422072 ")]
+    assert " resolved=15:1:detect delivered=2 " in result.trace[i]
+    assert [record_fields(line)["tpos"] for line in result.trace[i:i + 2]] == ["1", "2"]
+
+
 def test_ordering_violations_abort_with_the_trace():
     # the ground unit arrives before the incident is even reported, which
     # only a hand-built scenario can say: load_scenario rejects it

@@ -22,44 +22,13 @@ from birdsim import (
 from birdsim.policy import match_programs
 
 from conftest import make_flat_bands
+from test_acceptance import _oracle_choice
 
 
 def make_program(pid="p", compute=100.0, inp=1e6, out=1e5, enc=2.0, dec=2.0):
     return ProgramSpec(pid, "object_detection", compute_cost=compute,
                        input_payload=inp, output_payload=out,
                        encode_cost=enc, decode_cost=dec)
-
-
-def oracle_choice(program, candidates, nodes, link, state, consumer=0):
-    """Independent exhaustive argmin over capable candidates, ranked by
-    (t_e2e, t_comm, server_id) on the variance-free link."""
-    frozen = link.mean()
-    ranked = []
-    for entry in candidates:
-        if not entry.capable:
-            continue
-        if entry.server_id in nodes:
-            b = e2e_latency(
-                program,
-                PipelinePlacement(0, entry.server_id, consumer),
-                nodes, frozen, state,
-            )
-            ranked.append(((b.t_e2e, b.t_comm, entry.server_id), entry.server_id))
-        else:
-            stand_in = dict(nodes)
-            stand_in[entry.server_id] = NodeProfile(
-                node_id=entry.server_id, kind=NodeKind.ECS,
-                compute_capacity=float("inf"),
-            )
-            legs = e2e_latency(
-                program,
-                PipelinePlacement(0, entry.server_id, consumer),
-                stand_in, frozen, state,
-            )
-            total = legs.t_enc + legs.t_comm + entry.advertised_latency
-            ranked.append(((total, legs.t_comm, entry.server_id), entry.server_id))
-    ranked.sort()
-    return ranked[0][1]
 
 
 # ---------------------------------------------------------------- candidates
@@ -211,8 +180,8 @@ def test_decision_is_argmin_against_the_oracle(nodes, ground_state):
                             altitude=float(rng.uniform(0, 100)))
         decision = select_server(program, platform_entries, trial_nodes, link,
                                  state, consumer=consumer)
-        expected = oracle_choice(program, platform_entries, trial_nodes, link,
-                                 state, consumer=consumer)
+        expected = _oracle_choice(program, platform_entries, trial_nodes, link,
+                                  state, consumer=consumer)
         assert decision.chosen_server == expected, f"trial {trial}"
 
 

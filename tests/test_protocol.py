@@ -316,11 +316,11 @@ def test_outstanding_entries_gate_the_timeline(ground_state):
     ps = make_state((ProgramTableEntry(1, "a"),),
                     predicate=PhasePredicate("elapsed", 0.0))
     outcome = ps.on_tick(0.0, [task("t1")], ground_state)
-    assert ps.try_advance(0.1) == 0
+    ps.try_advance(0.1)
     assert ps.t_pos == 0
     assert ps.phase_log == []
     respond(ps, outcome.dispatches[0], 0.4)
-    assert ps.try_advance(0.4) == 1
+    ps.try_advance(0.4)
     assert ps.t_pos == 1
     assert ps.phase_log == [(0.4, 0, 1)]
 
@@ -329,7 +329,7 @@ def test_false_predicate_holds_the_ungated_timeline(ground_state):
     ps = make_state(predicate=PhasePredicate("never"))
     for t in (0.0, 2.0, 4.0):
         ps.on_tick(t, [], ground_state)
-        assert ps.try_advance(t) == 0
+        ps.try_advance(t)
     assert ps.t_pos == 0
     assert ps.phase_log == []
 
@@ -339,18 +339,51 @@ def test_task_completion_predicate_advances_after_the_result(ground_state):
                     predicate=PhasePredicate("task_completed", "t1"))
     outcome = ps.on_tick(0.0, [task("t1")], ground_state)
     respond(ps, outcome.dispatches[0], 0.6)
-    assert ps.try_advance(0.6) == 1
+    ps.try_advance(0.6)
     assert ps.t_pos == 1
+    assert ps.phase_log == [(0.6, 0, 1)]
+
+
+def test_program_result_predicate_advances_on_local_and_resolved_wire_results(
+        ground_state):
+    # "a" runs on the platform, which caches it; "b" only on server 1
+    nodes = default_profiles()
+    nodes[0] = NodeProfile(
+        node_id=0, kind=NodeKind.UAV5GP, compute_capacity=25.0,
+        cached_programs=frozenset({"a"}), battery_budget=1200.0,
+    )
+    ps = make_state((ProgramTableEntry(1, "b"),), nodes, phases=(
+        Phase("first", completes_when=PhasePredicate("program_result", "a")),
+        Phase("second", completes_when=PhasePredicate("program_result", "b")),
+        Phase("third"),
+    ))
+    [local] = ps.on_tick(0.0, [task("t1", ("a",))], ground_state).dispatches
+    assert local.local
+    ps.note_result(local, 0.5)
+    ps.try_advance(0.5)
+    assert ps.phase_log == [(0.5, 0, 1)]
+    [wire] = ps.on_tick(2.0, [task("t2", ("b",))], ground_state).dispatches
+    assert not wire.local
+    ps.try_advance(2.0)
+    assert ps.t_pos == 1
+    # the result counts once its entry resolves, and the gate opens with it
+    respond(ps, wire, 2.7)
+    ps.try_advance(2.7)
+    assert ps.completed_programs == {"a", "b"}
+    assert ps.phase_log == [(0.5, 0, 1), (2.7, 1, 2)]
 
 
 def test_elapsed_predicate_waits_for_its_time(ground_state):
     ps = make_state(predicate=PhasePredicate("elapsed", 4.0))
     ps.on_tick(0.0, [], ground_state)
-    assert ps.try_advance(0.0) == 0
+    ps.try_advance(0.0)
     ps.on_tick(2.0, [], ground_state)
-    assert ps.try_advance(2.0) == 0
+    ps.try_advance(2.0)
+    assert ps.t_pos == 0
     ps.on_tick(4.0, [], ground_state)
-    assert ps.try_advance(4.0) == 1
+    ps.try_advance(4.0)
+    assert ps.t_pos == 1
+    assert ps.phase_log == [(4.0, 0, 1)]
 
 
 def test_chained_ready_phases_advance_together(ground_state):
@@ -360,7 +393,7 @@ def test_chained_ready_phases_advance_together(ground_state):
         Phase("three"),
     ))
     ps.on_tick(0.0, [], ground_state)
-    assert ps.try_advance(1.0) == 2
+    ps.try_advance(1.0)
     assert ps.t_pos == 2
     assert ps.phase_log == [(1.0, 0, 1), (1.0, 1, 2)]
 
@@ -370,10 +403,10 @@ def test_timeline_advance_is_monotone_and_bounded(ground_state):
         Phase(pid, completes_when=PhasePredicate("always")) for pid in "abc"))
     assert ps.t_pos == 0
     ps.on_tick(0.0, [], ground_state)
-    assert ps.try_advance(0.0) == 2
+    ps.try_advance(0.0)
     # the last phase is never left, even though its predicate holds
     assert ps.phases[ps.t_pos].phase_id == "c"
-    assert ps.try_advance(1.0) == 0
+    ps.try_advance(1.0)
     assert ps.t_pos == 2
     assert ps.phase_log == [(0.0, 0, 1), (0.0, 1, 2)]
 

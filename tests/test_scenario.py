@@ -810,6 +810,38 @@ def test_node_rules_name_their_field(mutate, error, message):
     assert str(err.value) == message
 
 
+def bundled_with(mutate):
+    doc = yaml.safe_load(BUNDLED_SCENARIO.read_text())
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize("mutate, error, message", [
+    (lambda d: d["programs"][0].update(compute_cost=-1), SchemaError,
+     "programs[0].compute_cost: must be >= 0.0"),
+    (lambda d: d["tasks"][0].update(issue_time_s=-1), SchemaError,
+     "tasks[0].issue_time_s: must be >= 0.0"),
+    (lambda d: d["flight_plan"][0].update(t_s=-1), SchemaError,
+     "flight_plan[0].t_s: must be >= 0.0"),
+    (lambda d: d["timeline"][1].update(phase_id="transit"), InvariantViolation,
+     "timeline[1].phase_id: duplicate 'transit'"),
+    (lambda d: d.update(timeline=[]), SchemaError,
+     "timeline: must be non-empty when present"),
+    (lambda d: d.update(flight_plan=[]), SchemaError,
+     "flight_plan: must be non-empty when present"),
+    (lambda d: d.update(link={"bands": {"low": {"ul_mean_mbps": 0}}}), InvariantViolation,
+     "link.bands.low: ul_mean must be positive"),
+    (lambda d: d.update(name=""), SchemaError, "scenario.name: must be non-empty"),
+], ids=["compute-cost-negative", "issue-time-negative", "waypoint-time-negative",
+        "duplicate-phase-id", "empty-timeline", "empty-flight-plan", "band-mean-zero",
+        "empty-name"])
+def test_range_and_shape_rules_name_their_field(mutate, error, message):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(bundled_with(mutate))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_node_rules_admit_their_boundaries():
     doc = with_(lambda d: d["nodes"][0].update(battery_budget_s=1200))
     assert load_scenario(doc).nodes[0].battery_budget == 1200.0
@@ -999,6 +1031,14 @@ def test_sweep_rules_name_their_field(tmp_path, doc, error, message):
         load_sweep(tmp_path, doc)
     assert type(err.value) is error
     assert str(err.value) == f"{tmp_path / 'sweep.yaml'}: {message}"
+
+
+def test_a_missing_sweep_file_names_the_path(tmp_path):
+    path = tmp_path / "absent.yaml"
+    with pytest.raises(ScenarioError) as err:
+        load_sweep_spec(path)
+    assert type(err.value) is SchemaError
+    assert str(err.value) == f"sweep spec file not found: {path}"
 
 
 @pytest.mark.parametrize("parameter, values, field", [
