@@ -225,20 +225,24 @@ class LinkModel:
     def params_for(self, band: Band) -> LinkBandParams:
         return self.bands[band]
 
-    def sample_throughput(
-        self, t: float, altitude: float, rotating: bool, direction: Direction
-    ) -> LinkSample:
-        """Draw the instantaneous throughput for one transfer.
+    def sample(self, t: float, band: Band, direction: Direction) -> LinkSample:
+        """Draw the instantaneous throughput for one transfer in band.
 
         Gaussian around the regime mean with the direction's std, clamped at
-        the floor; deterministic given (seed, t, direction, band).
+        the floor; deterministic given (seed, t, direction, band). A
+        variance-free link returns the mean and makes no draw.
         """
-        band = band_for(altitude, rotating)
         mean, std, code, one_way = self._legs[band, direction]
         throughput = mean
         if std > 0:
             throughput = mean + std * keyed_normal(self.noise_seed, code, t)
         return LinkSample(t, band, direction, max(self.floor_mbps, throughput), one_way)
+
+    def sample_throughput(
+        self, t: float, altitude: float, rotating: bool, direction: Direction
+    ) -> LinkSample:
+        """sample() in the band of the flight state (altitude, rotating)."""
+        return self.sample(t, band_for(altitude, rotating), direction)
 
     def sustainable_uplink(self, bitrate_mbps: float, band: Band) -> tuple[bool, float]:
         """Whether a constant uplink stream fits under the regime's mean.

@@ -21,6 +21,18 @@ gaps; its execution was still staged, with its _Instance and inst id. (A
 Timeout past the run window is never pushed, and the flush ends its entries;
 every event that is not dropped with it lands before that deadline.)
 
+Every tick and link leg reads its link band off one band timeline, built
+from the flight plan once per run by band_timeline: ascending edge times and
+the band from each edge on, None where band_for raises (outside the measured
+envelope), so that `bands[bisect_right(edges, t)]` is band_for of
+flight_state_at at t for every float t. It is exact, not sampled: on each
+segment every IEEE operation of the interpolation rounds monotonically in t,
+so the computed altitude is monotone and each comparison band_for makes
+flips at most once, at a float the builder finds exactly. A tick hands its
+band to the protocol, which builds a FlightState only for an offload choice
+it has not memoized; a leg is sampled by band, and builds its flight state
+only on a None span, where sample_throughput raises with the altitude.
+
 A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
 output arrival: it is credited, its record is written, then the advancement
@@ -40,7 +52,9 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - keyed draws <= 2 x staged + the wire dispatches to lossy servers;
 - records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
 - heap pushes = records - 1 on a traced run: every pushed event writes one
-  record, and the Flush writes the last.
+  record, and the Flush writes the last;
+- flight_state_at calls <= select_server calls + the ticks and legs that
+  fall on out-of-envelope spans.
 """
 
 from __future__ import annotations
@@ -49,18 +63,23 @@ import heapq
 import json
 import logging
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, gt, lt
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .channel import (
+    BAND_SPLIT_M,
+    MAX_ALTITUDE_M,
     Band,
     Direction,
     FlightState,
     LinkModel,
     LinkSample,
+    OutOfMeasuredRange,
+    band_for,
     keyed_uniform,
     transfer_seconds,
 )
@@ -209,8 +228,105 @@ def flight_state_at(scenario: Scenario, t: float) -> FlightState:
         wp = plan[-1]
         return FlightState(t, wp.altitude, wp.rotating)
     a, b = plan[i - 1], plan[i]
-    frac = (t - a.t) / (b.t - a.t)
-    return FlightState(t, a.altitude + frac * (b.altitude - a.altitude), a.rotating)
+    return FlightState(t, _altitude(a, b, t), a.rotating)
+
+
+def _altitude(a: Waypoint, b: Waypoint, t: float) -> float:
+    """The altitude at t on the segment from waypoint a to b (a.t <= t < b.t)."""
+    return a.altitude + (t - a.t) / (b.t - a.t) * (b.altitude - a.altitude)
+
+
+def _band_or_none(altitude: float, rotating: bool) -> Band | None:
+    try:
+        return band_for(altitude, rotating)
+    except OutOfMeasuredRange:
+        return None
+
+
+# band_for's comparisons of the altitude: below the envelope, above it, and
+# (unless rotating) below the band split
+_ENVELOPE_TESTS = ((lt, 0.0), (gt, MAX_ALTITUDE_M))
+_SPLIT_TESTS = (*_ENVELOPE_TESTS, (lt, BAND_SPLIT_M))
+
+_DOUBLE = struct.Struct("<d")
+_UINT64 = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _rank(x: float) -> int:
+    """x's place in the order of floats: adjacent floats have adjacent ranks
+    (0.0 and -0.0 share 0)."""
+    bits = _UINT64.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _float_at(rank: int) -> float:
+    return _DOUBLE.unpack(_UINT64.pack(rank if rank >= 0 else _SIGN - rank))[0]
+
+
+def _first_true(test: Callable[[float], bool], lo: float, hi: float, guess: float) -> float:
+    """The least float t in (lo, hi] where test holds, for a test that is
+    false at lo, true at hi and flips once between. Probes 4 ulps on each
+    side of guess narrow the bracket first, so a guess that close costs five
+    tests; then the bracket is bisected ulp by ulp."""
+    lo_r, hi_r = _rank(lo), _rank(hi)
+    near = min(max(_rank(guess), lo_r), hi_r)
+    for probe in (max(near - 4, lo_r), min(near + 4, hi_r)):
+        if test(_float_at(probe)):
+            hi_r = min(hi_r, probe)
+        else:
+            lo_r = max(lo_r, probe)
+    while hi_r - lo_r > 1:
+        mid = (lo_r + hi_r) // 2
+        if test(_float_at(mid)):
+            hi_r = mid
+        else:
+            lo_r = mid
+    return _float_at(hi_r)
+
+
+def band_timeline(plan: Sequence[Waypoint]) -> tuple[list[float], list[Band | None]]:
+    """The link band over a flight plan as ascending edge times and the band
+    from each edge on (module docstring). On a sloped segment each flip of
+    one of band_for's comparisons is searched from the closed-form crossing
+    time, and the band is evaluated at each flip. Raises ValueError for a
+    plan whose times do not strictly increase or whose consecutive waypoints
+    differ by a non-finite amount (load_scenario rejects both).
+    """
+    first = plan[0]
+    edges: list[float] = []
+    bands = [_band_or_none(first.altitude, first.rotating)]
+
+    def enter(t: float, band: Band | None) -> None:
+        if band is not bands[-1]:
+            edges.append(t)
+            bands.append(band)
+
+    for a, b in zip(plan, plan[1:]):
+        span, rise = b.t - a.t, b.altitude - a.altitude
+        if not (0.0 < span < math.inf and math.isfinite(rise)):
+            raise ValueError(
+                f"flight plan: waypoints at t={a.t!r} and t={b.t!r} are not "
+                "strictly increasing and finite"
+            )
+        enter(a.t, _band_or_none(a.altitude, a.rotating))
+        if not rise:
+            continue  # a level segment keeps the band of its start
+        last = math.nextafter(b.t, -math.inf)  # the segment's last instant
+        end = _altitude(a, b, last)
+        flips = []
+        for compare, level in _ENVELOPE_TESTS if a.rotating else _SPLIT_TESTS:
+            after = compare(end, level)
+            if compare(a.altitude, level) != after:
+                flips.append(_first_true(
+                    lambda t: compare(_altitude(a, b, t), level) == after,
+                    a.t, last, a.t + (level - a.altitude) / rise * span,
+                ))
+        for t in sorted(flips):
+            enter(t, _band_or_none(_altitude(a, b, t), a.rotating))
+    last_wp = plan[-1]
+    enter(last_wp.t, _band_or_none(last_wp.altitude, last_wp.rotating))
+    return edges, bands
 
 
 class _Sim:
@@ -232,10 +348,13 @@ class _Sim:
         ):
             if value is not None:
                 self.moments = record_moment(self.moments, which, value)
-        # policy predictions use the variance-free link
+        # the link band of every instant (module docstring)
+        self.band_edges, self.bands = band_timeline(scenario.flight_plan)
+        # policy predictions use the variance-free link; the flight state is
+        # looked up by its module-global name at each call
         self.protocol = ProtocolState(
             scenario.t_int, scenario.phases, scenario.tables, scenario.nodes,
-            scenario.programs, self.link.mean(),
+            scenario.programs, self.link.mean(), lambda t: flight_state_at(scenario, t),
         )
         battery = scenario.nodes[PLATFORM].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
@@ -358,13 +477,13 @@ class _Sim:
     # ------------------------------------------------------------------ ticks
 
     def _on_tick(self, t: float, seq: int, tick: int) -> None:
-        state = flight_state_at(self.sc, t)
         # tasks due in the same tick are served in scenario order
         due: Sequence[Task] = ()
         if self.issued:
             due = [task for _, task in sorted(self.issued)]
             self.issued.clear()
-        outcome = self.protocol.on_tick(t, due, state)
+        band = self.bands[bisect_right(self.band_edges, t)]
+        outcome = self.protocol.on_tick(t, due, band)
         for task in due:
             self.task_outcomes[task.task_id].first_served_at = t
         # The next tick is also the deadline of this tick's wire dispatches:
@@ -411,9 +530,15 @@ class _Sim:
 
     def _sample_leg(self, t: float, payload: float, direction: Direction) -> float:
         """Sample one link leg starting at t, as pipeline.leg_sample prices a
-        hop, and return its transfer seconds."""
-        state = flight_state_at(self.sc, t)
-        sample = self.link.sample_throughput(t, state.altitude, state.rotating, direction)
+        hop, and return its transfer seconds. Outside the measured envelope
+        (band None) the flight state is built, and sample_throughput raises
+        with its altitude."""
+        band = self.bands[bisect_right(self.band_edges, t)]
+        if band is None:
+            state = flight_state_at(self.sc, t)
+            sample = self.link.sample_throughput(t, state.altitude, state.rotating, direction)
+        else:
+            sample = self.link.sample(t, band, direction)
         self.samples.append(sample)
         return transfer_seconds(payload, sample)
 

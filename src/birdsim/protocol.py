@@ -24,9 +24,9 @@ of a dispatch's waiters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .channel import Band, FlightState, LinkModel, OutOfMeasuredRange, band_for
+from .channel import Band, FlightState, LinkModel
 from .model import PLATFORM, NodeProfile, Phase, PhasePredicate, ProgramSpec, Task
 from .policy import (
     NoCapableServer,
@@ -81,7 +81,8 @@ class ProtocolState:
     It owns the timeline position (t_pos, an index into phases, which only
     moves forward) and task completion (completed_tasks). The phases, server
     tables, fleet, programs and variance-free link are fixed for the whole
-    run.
+    run; state_at(t) gives the flight state at t, which the offload choice
+    prices a link leg at.
     """
 
     def __init__(
@@ -92,6 +93,7 @@ class ProtocolState:
         nodes: Mapping[int, NodeProfile],
         programs: Mapping[str, ProgramSpec],
         link: LinkModel,
+        state_at: Callable[[float], FlightState],
     ):
         if not t_int > 0:
             raise ValueError("t_int must be positive")
@@ -104,6 +106,7 @@ class ProtocolState:
         self.nodes = nodes
         self.programs = programs
         self.link = link
+        self.state_at = state_at
         self.platform = nodes[PLATFORM]
         # chosen server per (program, excluded server, consumer, band)
         self._choices: dict[tuple[str, int | None, int, Band | None], int] = {}
@@ -132,10 +135,13 @@ class ProtocolState:
     # ------------------------------------------------------------------ ticks
 
     def on_tick(
-        self, t_i: float, due_tasks: Sequence[Task], state: FlightState
+        self, t_i: float, due_tasks: Sequence[Task], band: Band | None
     ) -> TickOutcome:
         """Serve due and retried work; returns every dispatch (wire and local)
-        decided this tick and the number of bundled requests."""
+        decided this tick and the number of bundled requests. band is the
+        link band at t_i, which the engine reads off its band timeline (None
+        where the altitude is outside the measured envelope); a FlightState
+        is built only when an offload choice is not yet memoized."""
         tick = self.current_tick + 1
         expected = tick * self.t_int
         if t_i != expected:
@@ -171,7 +177,7 @@ class ProtocolState:
         # retry supplies the exclusion, the chain and the leading waiters.
         dispatches: list[Dispatch] = []
         for program_id, retry in retries.items():
-            server = self._choose(program_id, retry.server_id, retry.consumer, state)
+            server = self._choose(program_id, retry.server_id, retry.consumer, t_i, band)
             chain, lead = retry.chain, retry.waiters
             chain.last_tick, chain.server = tick, server
             joining = fresh.pop(program_id, None) if fresh else None
@@ -181,7 +187,7 @@ class ProtocolState:
                 server == PLATFORM, chain, len(lead),
             ))
         for program_id, (consumer, waiters) in fresh.items():
-            server = self._choose(program_id, None, consumer, state)
+            server = self._choose(program_id, None, consumer, t_i, band)
             dispatches.append(Dispatch(
                 tick, self.programs[program_id], server, consumer, tuple(waiters),
                 server == PLATFORM, Chain(tick, server), 0,
@@ -199,17 +205,16 @@ class ProtocolState:
         return TickOutcome(dispatches, tuple(self._unserved), len(servers))
 
     def _choose(
-        self, program_id: str, excluded_server: int | None, consumer: int, state: FlightState
+        self, program_id: str, excluded_server: int | None, consumer: int,
+        t: float, band: Band | None,
     ) -> int:
-        """The argmin server for one dispatch, computed once per key: the
+        """The argmin server for one dispatch at t, computed once per key: the
         variance-free link reads the flight state only through its band, and
-        the candidates depend only on the program and the exclusion."""
-        try:
-            band = band_for(state.altitude, state.rotating)
-        except OutOfMeasuredRange:
-            # load_scenario rejects such flight plans; a hand-built one still
-            # raises inside select_server below wherever a link leg is priced
-            band = None
+        the candidates depend only on the program and the exclusion. The band
+        comes from the engine; the FlightState is built, with state_at, only
+        on a miss. A band of None (outside the measured envelope; only a
+        hand-built flight plan gets there) raises inside select_server
+        wherever a link leg is priced."""
         key = (program_id, excluded_server, consumer, band)
         server = self._choices.get(key)
         if server is None:
@@ -220,8 +225,8 @@ class ProtocolState:
                 reduced = [c for c in found if c.server_id != excluded_server]
                 found = reduced or found
             server = select_server(
-                self.programs[program_id], found, self.nodes, self.link, state,
-                consumer=consumer,
+                self.programs[program_id], found, self.nodes, self.link,
+                self.state_at(t), consumer=consumer,
             ).chosen_server
             self._choices[key] = server
         return server

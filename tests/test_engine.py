@@ -5,8 +5,10 @@ import csv
 import functools
 import heapq
 import io
+import math
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -14,17 +16,19 @@ from urllib.parse import unquote
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birdsim import (
     Band,
+    Direction,
     Incident,
     LinkBandParams,
     LinkModel,
     NodeKind,
     NodeProfile,
     Origin,
+    OutOfMeasuredRange,
     PipelinePlacement,
     ProgramSpec,
     ProgramTableEntry,
@@ -45,7 +49,7 @@ from birdsim import (
 )
 from birdsim import channel, engine, protocol
 from birdsim.channel import FlightState, band_for, keyed_uniform
-from birdsim.engine import flight_state_at
+from birdsim.engine import band_timeline, flight_state_at
 
 from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads, make_flat_bands
 
@@ -171,6 +175,69 @@ def test_bisected_flight_state_equals_the_linear_scan(data):
     for t in queries:
         assert state_bits(flight_state_at(sc, t)) == state_bits(
             linear_flight_state(plan, t)), t
+
+
+def band_or_none(state):
+    """The band of a flight state, None where band_for raises."""
+    try:
+        return band_for(state.altitude, state.rotating)
+    except OutOfMeasuredRange:
+        return None
+
+
+# in the envelope, on its edges and the band split, and (hand-built) outside it
+ALTITUDES = (st.floats(0.0, 100.0) | st.sampled_from([0.0, 50.0, 100.0])
+             | st.floats(-200.0, 300.0))
+BUNDLED_PLAN = load_scenario(BUNDLED_SCENARIO).flight_plan
+
+
+@st.composite
+def flight_plans(draw):
+    times = sorted(draw(WAYPOINT_TIMES))
+    return tuple(Waypoint(t, draw(ALTITUDES), draw(st.booleans())) for t in times)
+
+
+@settings(deadline=None, max_examples=200)
+@given(flight_plans(), st.lists(st.floats(-10.0, 1.1e4), max_size=5))
+@example(BUNDLED_PLAN, [])
+@example((Waypoint(0.0, 50.0), Waypoint(10.0, 40.0)), [])  # descends from 50 m
+@example((Waypoint(5.0, 70.0),), [])
+@example((Waypoint(0.0, 150.0, rotating=True),), [])
+def test_the_band_timeline_equals_the_band_of_each_flight_state(plan, random_times):
+    edges, bands = band_timeline(plan)
+    assert len(bands) == len(edges) + 1
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    sc = make_scenario(flight_plan=plan)
+    queries = [*(wp.t for wp in plan), *edges,
+               *(math.nextafter(e, side) for e in edges for side in (-math.inf, math.inf)),
+               plan[0].t - 1.0, plan[-1].t + 1.0, *random_times]
+    for t in queries:
+        assert bands[bisect_right(edges, t)] is band_or_none(flight_state_at(sc, t)), t
+
+
+def test_the_bundled_plan_crosses_50_m_exactly_at_150_s_and_after_340_s():
+    # 150.0 is a tick at the reference sweep's update intervals 0.5, 1 and
+    # 2 s, and 340.0 at all four: a crossing one ulp off would give those
+    # ticks the other band
+    sc = make_scenario(flight_plan=BUNDLED_PLAN)
+    low, high, rot = Band.LOW_ALTITUDE, Band.HIGH_ALTITUDE, Band.ROTATION
+    assert flight_state_at(sc, 150.0).altitude == flight_state_at(sc, 340.0).altitude == 50.0
+    after = math.nextafter(340.0, math.inf)
+    assert after == 340.00000000000006
+    assert flight_state_at(sc, after).altitude < 50.0
+    assert band_timeline(BUNDLED_PLAN) == ([60.0, 120.0, 150.0, after],
+                                           [low, rot, low, high, low])
+
+
+@pytest.mark.parametrize("plan", [
+    (Waypoint(0.0, 10.0), Waypoint(0.0, 20.0)),
+    (Waypoint(1.0, 10.0), Waypoint(0.0, 20.0)),
+    (Waypoint(0.0, 10.0), Waypoint(math.inf, 20.0)),
+    (Waypoint(0.0, 10.0), Waypoint(1.0, math.nan)),
+], ids=["repeated-time", "time-goes-back", "infinite-time", "nan-altitude"])
+def test_a_plan_without_a_band_timeline_is_refused(plan):
+    with pytest.raises(ValueError, match="not strictly increasing and finite"):
+        band_timeline(plan)
 
 
 # ------------------------------------------------------------------ horizons
@@ -335,6 +402,37 @@ def test_the_engine_realizes_what_pipeline_prices(data):
     assert prog.breakdown == e2e_latency(
         program, PipelinePlacement(0, prog.server, consumer), sc.nodes, mean_link,
         flight_state_at(sc, 0.0))
+
+
+def test_samples_csv_has_a_row_per_link_leg_and_a_variance_free_link_draws_nothing(
+        monkeypatch):
+    """samples.csv as docs/output-formats.md defines it: one row per sampled
+    link leg, in sampling order; t_s is when the leg starts, band the band
+    there, the throughput the value after the floor clamp, and the delay
+    rtt_mean x one_way_fraction. Without variance a leg takes its band's
+    mean, so the bundled mission writes 6 rows and draws nothing."""
+    legs = []
+    sample_leg = engine._Sim._sample_leg
+
+    def recording(self, t, payload, direction):
+        legs.append((t, direction))
+        return sample_leg(self, t, payload, direction)
+
+    monkeypatch.setattr(engine._Sim, "_sample_leg", recording)
+    sc = replace(load_scenario(BUNDLED_SCENARIO), variance_scale=0.0)
+    result, draws = run_counting_draws(monkeypatch, sc)
+    rows = list(csv.DictReader(io.StringIO(samples_to_csv(result.metrics))))
+    assert len(rows) == len(legs) == 6
+    assert draws["normal"] == 0
+    for row, (t, direction) in zip(rows, legs):
+        state = flight_state_at(sc, t)
+        params = sc.bands[band_for(state.altitude, state.rotating)]
+        mean = params.ul_mean if direction is Direction.UL else params.dl_mean
+        assert row == {
+            "t_s": repr(t), "band": params.band.value, "direction": direction.value,
+            "throughput_mbps": repr(max(sc.floor_mbps, mean)),
+            "one_way_delay_ms": repr(params.rtt_mean * sc.one_way_fraction),
+        }
 
 
 def test_late_tasks_wait_for_their_tick():
@@ -642,8 +740,8 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
     decided = {}
     on_tick = protocol.ProtocolState.on_tick
 
-    def recording(self, t, due, state):
-        outcome = on_tick(self, t, due, state)
+    def recording(self, t, due, band):
+        outcome = on_tick(self, t, due, band)
         decided[self.current_tick] = outcome.dispatches
         return outcome
 
@@ -703,6 +801,39 @@ def test_out_of_envelope_altitude_aborts_only_where_a_link_is_priced():
         flight_plan=too_high, nodes=nodes, tables=(),
         tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0),)))
     assert local.metrics.tasks_completed() == 1
+
+
+OUT_OF_ENVELOPE_CASES = {
+    # the tick at 8.0 prices t2's wire dispatch at 110 m: a memo miss, since
+    # t1's choice at 0.0 was made in the low band
+    "tick": (
+        make_scenario(
+            flight_plan=(Waypoint(0.0, 30.0), Waypoint(10.0, 130.0)),
+            tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=1),
+                   Task("t2", ("p",), Origin.COMMANDER_ORDER, 7.5, consumer=1))),
+        "t=8.0 seq=11 kind=Abort tpos=0 error=OutOfMeasuredRange%3A%20altitude"
+        "%20110.0%20m%20outside%20%5B0%2C%20100.0%5D",
+    ),
+    # the plan leaves the envelope at 0.55 s, where only the output leg of
+    # the tick-0 dispatch is sampled (its compute completes at 0.61 s)
+    "leg": (
+        make_scenario(
+            flight_plan=(Waypoint(0.0, 30.0), Waypoint(0.2, 30.0), Waypoint(0.7, 130.0)),
+            tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=0),)),
+        "t=0.61 seq=8 kind=Abort tpos=0 error=OutOfMeasuredRange%3A%20altitude"
+        "%20112.0%20m%20outside%20%5B0%2C%20100.0%5D",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_ENVELOPE_CASES))
+def test_an_out_of_envelope_abort_writes_its_record_byte_for_byte(case):
+    """Leaving the envelope mid-segment aborts at the tick or the leg that
+    prices a link there, with the altitude in the error."""
+    sc, abort = OUT_OF_ENVELOPE_CASES[case]
+    with pytest.raises(RunAborted) as err:
+        run(sc)
+    assert err.value.trace[-1] == abort
 
 
 def test_a_chosen_server_without_a_profile_aborts_at_its_tick():
@@ -810,9 +941,9 @@ def run_with_waiter_oracle(monkeypatch, sc):
     dispatched = []
     on_tick = protocol.ProtocolState.on_tick
 
-    def with_oracle(self, t, due, state):
+    def with_oracle(self, t, due, band):
         retried = dict(self._retries)  # the timed-out dispatches, by program
-        outcome = on_tick(self, t, due, state)
+        outcome = on_tick(self, t, due, band)
         for d in outcome.dispatches:
             retry = retried.pop(d.program.program_id, None)
             if retry is None:
@@ -1029,7 +1160,8 @@ RUNGS = {
 
 def count_work(monkeypatch, sc, trace):
     """Run sc counting its ticks, dispatches, servable due tasks, staged
-    executions, waiter joins, heap pushes and keyed draws."""
+    executions, waiter joins, heap pushes, keyed draws, flight states and
+    offload choices."""
     work = Counter()
 
     def counting_push(heap, item):
@@ -1038,10 +1170,12 @@ def count_work(monkeypatch, sc, trace):
     on_tick = protocol.ProtocolState.on_tick
     stage = engine._Sim._stage
     metrics = engine._Sim._metrics
+    flight_state = engine.flight_state_at
+    select = protocol.select_server
     platform = sc.nodes[0]
 
-    def counting_tick(self, t, due, state):
-        outcome = on_tick(self, t, due, state)
+    def counting_tick(self, t, due, band):
+        outcome = on_tick(self, t, due, band)
         work["ticks"] += 1
         work["servable_programs"] += sum(
             len(task.required_programs) for task in due
@@ -1061,9 +1195,19 @@ def count_work(monkeypatch, sc, trace):
         work["engine_joins"] = len(self.joined)
         return metrics(self)
 
+    def counting_flight_state(scenario, t):
+        work["flight_states"] += 1
+        return flight_state(scenario, t)
+
+    def counting_select(*args, **kwargs):
+        work["selects"] += 1
+        return select(*args, **kwargs)
+
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", counting_tick)
     monkeypatch.setattr(engine._Sim, "_stage", counting_stage)
     monkeypatch.setattr(engine._Sim, "_metrics", counting_metrics)
+    monkeypatch.setattr(engine, "flight_state_at", counting_flight_state)
+    monkeypatch.setattr(protocol, "select_server", counting_select)
     monkeypatch.setattr(engine, "heapq",
                         SimpleNamespace(heappush=counting_push, heappop=heapq.heappop))
     result, draws = run_counting_draws(monkeypatch, sc, trace=trace)
@@ -1077,11 +1221,13 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
     program per tick, one join per waiter however often it is retried, at
     most two link samples per staged execution plus one loss draw per wire
     dispatch to a lossy server, at most three records per staged execution
-    besides a fixed few per task, waypoint and tick, and no doomed event in
-    the heap: each push writes one record, and the Flush writes the last."""
+    besides a fixed few per task, waypoint and tick, no doomed event in the
+    heap (each push writes one record, and the Flush writes the last), and,
+    inside the measured envelope, a flight state only per offload choice."""
     sc = RUNGS[case]()
     result, work, draws = count_work(monkeypatch, sc, trace)
     counts = result.metrics.counts
+    assert 0 < work["flight_states"] <= work["selects"]
     assert 0 < counts["requests"] <= work["ticks"] * len(sc.programs)
     assert work["engine_joins"] == work["dispatch_joins"] == work["servable_programs"] > 0
     assert 0 < draws["uniform"] + draws["normal"] <= 2 * work["staged"] + work["lossy_wire"]

@@ -3,6 +3,7 @@
 import pytest
 
 from birdsim import (
+    FlightState,
     LinkModel,
     NodeKind,
     NodeProfile,
@@ -15,6 +16,7 @@ from birdsim import (
     default_profiles,
 )
 from birdsim import protocol
+from birdsim.channel import band_for
 from birdsim.protocol import ProtocolState, UnknownResponse
 
 from conftest import make_flat_bands
@@ -27,13 +29,18 @@ def make_program(pid, compute=40.0, inp=1e6, out=1e5):
 
 
 PROGRAMS = {pid: make_program(pid) for pid in ("a", "b")}
+# every tick here is decided in the band of this flight state, which a
+# memo miss builds at the tick's time
+GROUND = FlightState(t=0.0, altitude=30.0)
+GROUND_BAND = band_for(GROUND.altitude, GROUND.rotating)
 
 
 def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
                t_int=2.0, predicate=None, phases=None):
     """Update-loop state over fixed tables, fleet (default: the default
-    profiles), programs and link (default: variance-free); the phases default
-    to "first", which completes when predicate holds, then "second"."""
+    profiles), programs and link (default: variance-free), flying at GROUND;
+    the phases default to "first", which completes when predicate holds,
+    then "second"."""
     if phases is None:
         phases = (Phase("first", completes_when=predicate), Phase("second"))
     return ProtocolState(
@@ -43,6 +50,7 @@ def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
         nodes=default_profiles() if nodes is None else nodes,
         programs=programs,
         link=link or LinkModel(noise_seed=0, variance_scale=0.0),
+        state_at=lambda t: GROUND._replace(t=t),
     )
 
 
@@ -63,18 +71,18 @@ def test_t_int_must_be_positive():
         make_state(t_int=0.0)
 
 
-def test_ticks_must_land_on_the_interval_grid(ground_state):
+def test_ticks_must_land_on_the_interval_grid():
     ps = make_state(t_int=2.0)
-    ps.on_tick(0.0, [], ground_state)
+    ps.on_tick(0.0, [], GROUND_BAND)
     with pytest.raises(ValueError):
-        ps.on_tick(3.0, [], ground_state)
-    ps.on_tick(2.0, [], ground_state)
+        ps.on_tick(3.0, [], GROUND_BAND)
+    ps.on_tick(2.0, [], GROUND_BAND)
     assert ps.current_tick == 1
 
 
-def test_empty_tick_issues_nothing(ground_state):
+def test_empty_tick_issues_nothing():
     ps = make_state()
-    outcome = ps.on_tick(0.0, [], ground_state)
+    outcome = ps.on_tick(0.0, [], GROUND_BAND)
     assert outcome.messages == 0
     assert outcome.dispatches == []
     assert ps.requests_issued == 0
@@ -84,7 +92,7 @@ def test_empty_tick_issues_nothing(ground_state):
 # ------------------------------------------------------------------ dispatch
 
 
-def test_local_execution_sends_no_wire_request(ground_state):
+def test_local_execution_sends_no_wire_request():
     nodes = default_profiles()
     nodes[0] = NodeProfile(
         node_id=0, kind=NodeKind.UAV5GP, compute_capacity=25.0,
@@ -94,7 +102,7 @@ def test_local_execution_sends_no_wire_request(ground_state):
                          noise_seed=0)
     cheap = {"a": make_program("a", compute=5.0, inp=1e7, out=1e6)}
     ps = make_state((ProgramTableEntry(1, "a"),), nodes, cheap, degraded)
-    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     assert len(outcome.dispatches) == 1
     assert outcome.dispatches[0].local
     assert outcome.messages == 0
@@ -104,9 +112,9 @@ def test_local_execution_sends_no_wire_request(ground_state):
     assert ps.completed_tasks == {"t1": 0.5}
 
 
-def test_distinct_servers_get_one_bundled_request_each(ground_state):
+def test_distinct_servers_get_one_bundled_request_each():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
     assert [(d.server_id, d.program.program_id) for d in outcome.dispatches] == [
         (1, "a"), (2, "b"),
     ]
@@ -115,9 +123,9 @@ def test_distinct_servers_get_one_bundled_request_each(ground_state):
     assert ps.request_messages == 2
 
 
-def test_same_server_programs_share_one_request(ground_state):
+def test_same_server_programs_share_one_request():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
     assert ps.requests_issued == 2
     assert ps.request_messages == 1
     assert outcome.messages == 1
@@ -126,9 +134,9 @@ def test_same_server_programs_share_one_request(ground_state):
     ]
 
 
-def test_shared_program_merges_into_one_dispatch(ground_state):
+def test_shared_program_merges_into_one_dispatch():
     ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1"), task("t2")], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1"), task("t2")], GROUND_BAND)
     assert len(outcome.dispatches) == 1
     dispatch = outcome.dispatches[0]
     assert dispatch.waiters == ("t1", "t2")
@@ -141,9 +149,9 @@ def test_shared_program_merges_into_one_dispatch(ground_state):
 # ----------------------------------------------------------------- responses
 
 
-def test_response_resolves_the_outstanding_entry(ground_state):
+def test_response_resolves_the_outstanding_entry():
     ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     dispatch = outcome.dispatches[0]
     assert dispatch.key in ps.outstanding
     respond(ps, dispatch, 0.9)
@@ -152,9 +160,9 @@ def test_response_resolves_the_outstanding_entry(ground_state):
     assert ps.responses_received == 1
 
 
-def test_duplicate_or_unknown_response_raises(ground_state):
+def test_duplicate_or_unknown_response_raises():
     ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     dispatch = outcome.dispatches[0]
     respond(ps, dispatch, 0.9)
     with pytest.raises(UnknownResponse):
@@ -163,9 +171,9 @@ def test_duplicate_or_unknown_response_raises(ground_state):
         ps.on_response("0:99:a", 1.0)
 
 
-def test_partial_results_do_not_complete_the_task(ground_state):
+def test_partial_results_do_not_complete_the_task():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["a"], 0.5)
     assert ps.completed_tasks == {}
@@ -176,26 +184,26 @@ def test_partial_results_do_not_complete_the_task(ground_state):
 # ------------------------------------------------------------------ timeouts
 
 
-def test_timeout_excludes_the_failed_server_once(ground_state):
+def test_timeout_excludes_the_failed_server_once():
     nodes = default_profiles()
     nodes[1] = NodeProfile(node_id=1, kind=NodeKind.ECS, compute_capacity=100.0)
     nodes[2] = NodeProfile(node_id=2, kind=NodeKind.GCS, compute_capacity=100.0)
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a")), nodes)
-    first = ps.on_tick(0.0, [task("t1")], ground_state)
+    first = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     assert first.dispatches[0].server_id == 1  # identical servers: lower id
     expired = ps.on_timeout()
     assert [d.server_id for d in expired] == [1]
     assert ps.timeouts == 1
-    second = ps.on_tick(2.0, [], ground_state)
+    second = ps.on_tick(2.0, [], GROUND_BAND)
     assert [d.server_id for d in second.dispatches] == [2]
     respond(ps, second.dispatches[0], 2.5)
     assert ps.completed_tasks["t1"] == 2.5
     # the exclusion lasted one re-match only
-    third = ps.on_tick(4.0, [task("t2")], ground_state)
+    third = ps.on_tick(4.0, [task("t2")], GROUND_BAND)
     assert third.dispatches[0].server_id == 1
 
 
-def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state):
+def test_merged_retries_keep_waiter_order_and_the_first_exclusion():
     nodes = default_profiles()
     for server in (1, 2, 3):
         nodes[server] = NodeProfile(node_id=server, kind=NodeKind.ECS,
@@ -204,7 +212,7 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state):
     ps = make_state(tables, nodes)
 
     def tick(t, *task_ids):
-        return ps.on_tick(t, [task(tid) for tid in task_ids], ground_state).dispatches
+        return ps.on_tick(t, [task(tid) for tid in task_ids], GROUND_BAND).dispatches
 
     first = tick(0.0, "t1")
     assert [d.server_id for d in first] == [1]
@@ -220,54 +228,53 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion(ground_state):
     assert (third.chain.last_tick, third.chain.server) == (2, 1)
 
 
-def test_a_tick_cannot_open_over_outstanding_entries(ground_state):
+def test_a_tick_cannot_open_over_outstanding_entries():
     ps = make_state((ProgramTableEntry(1, "a"),))
-    ps.on_tick(0.0, [task("t1")], ground_state)
+    ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     with pytest.raises(ValueError, match="outstanding"):
-        ps.on_tick(2.0, [], ground_state)
+        ps.on_tick(2.0, [], GROUND_BAND)
     assert ps.current_tick == 0
     ps.on_timeout()
-    assert [d.waiters for d in ps.on_tick(2.0, [], ground_state).dispatches] == [("t1",)]
+    assert [d.waiters for d in ps.on_tick(2.0, [], GROUND_BAND).dispatches] == [("t1",)]
 
 
-def test_sole_capable_server_is_retried_after_its_own_timeout(ground_state):
+def test_sole_capable_server_is_retried_after_its_own_timeout():
     ps = make_state((ProgramTableEntry(1, "a"),))
-    ps.on_tick(0.0, [task("t1")], ground_state)
+    ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     ps.on_timeout()
-    retry = ps.on_tick(2.0, [], ground_state)
+    retry = ps.on_tick(2.0, [], GROUND_BAND)
     assert [d.server_id for d in retry.dispatches] == [1]
     assert retry.unserved == ()
 
 
-def test_timeout_only_retries_the_unresolved_program(ground_state):
+def test_timeout_only_retries_the_unresolved_program():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["b"], 0.5)
     ps.on_timeout()
-    retry = ps.on_tick(2.0, [], ground_state)
+    retry = ps.on_tick(2.0, [], GROUND_BAND)
     assert [d.program.program_id for d in retry.dispatches] == ["a"]
     respond(ps, retry.dispatches[0], 2.4)
     assert ps.completed_tasks["t1"] == 2.4
 
 
-def test_unservable_task_is_deferred_whole(ground_state):
+def test_unservable_task_is_deferred_whole():
     ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
     assert outcome.dispatches == []
     assert outcome.unserved == ("t1:b",)
     assert ps.unserved_events == 1
     assert ps.requests_issued == 0
     # the next tick defers it whole again: its servable "a" is not sent alone
-    retry = ps.on_tick(2.0, [], ground_state)
+    retry = ps.on_tick(2.0, [], GROUND_BAND)
     assert retry.dispatches == []
     assert retry.unserved == ("t1:b",)
     assert ps.unserved_events == 2
     assert ps.requests_issued == 0
 
 
-def test_tasks_sharing_an_unservable_list_each_report_their_own_program(
-        ground_state, monkeypatch):
+def test_tasks_sharing_an_unservable_list_each_report_their_own_program(monkeypatch):
     matched = []
     match_programs = protocol.match_programs
 
@@ -279,12 +286,12 @@ def test_tasks_sharing_an_unservable_list_each_report_their_own_program(
     ps = make_state((ProgramTableEntry(1, "a"),),
                     programs={pid: make_program(pid) for pid in ("a", "b", "c")})
     outcome = ps.on_tick(0.0, [task("t1", ("a", "b")), task("t2", ("a", "b")),
-                               task("t3", ("a", "c", "b")), task("t4")], ground_state)
+                               task("t3", ("a", "c", "b")), task("t4")], GROUND_BAND)
     assert [d.waiters for d in outcome.dispatches] == [("t4",)]
     assert outcome.unserved == ("t1:b", "t2:b", "t3:c")
     assert ps.unserved_events == 3
     respond(ps, outcome.dispatches[0], 0.5)
-    outcome = ps.on_tick(2.0, [task("t5", ("a", "c", "b")), task("t6")], ground_state)
+    outcome = ps.on_tick(2.0, [task("t5", ("a", "c", "b")), task("t6")], GROUND_BAND)
     assert outcome.unserved == ("t1:b", "t2:b", "t3:c", "t5:c")
     assert ps.unserved_events == 7
     assert [d.waiters for d in outcome.dispatches] == [("t6",)]
@@ -292,13 +299,13 @@ def test_tasks_sharing_an_unservable_list_each_report_their_own_program(
     assert matched == [("a", "b"), ("a", "c", "b"), ("a",)]
 
 
-def test_conservation_requests_equal_responses_plus_timeouts(ground_state):
+def test_conservation_requests_equal_responses_plus_timeouts():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    first = ps.on_tick(0.0, [task("t1", ("a", "b"))], ground_state)
+    first = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
     by_pid = {d.program.program_id: d for d in first.dispatches}
     respond(ps, by_pid["a"], 0.5)
     ps.on_timeout()  # expires "b"
-    second = ps.on_tick(2.0, [task("t2")], ground_state)
+    second = ps.on_tick(2.0, [task("t2")], GROUND_BAND)
     assert len(second.dispatches) == 2  # retried "b" plus fresh "a"
     flushed = ps.on_timeout()  # the end of the run resolves the open tick
     assert len(flushed) == 2
@@ -312,10 +319,10 @@ def test_conservation_requests_equal_responses_plus_timeouts(ground_state):
 # --------------------------------------------------------------- advancement
 
 
-def test_outstanding_entries_gate_the_timeline(ground_state):
+def test_outstanding_entries_gate_the_timeline():
     ps = make_state((ProgramTableEntry(1, "a"),),
                     predicate=PhasePredicate("elapsed", 0.0))
-    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     ps.try_advance(0.1)
     assert ps.t_pos == 0
     assert ps.phase_log == []
@@ -325,27 +332,26 @@ def test_outstanding_entries_gate_the_timeline(ground_state):
     assert ps.phase_log == [(0.4, 0, 1)]
 
 
-def test_false_predicate_holds_the_ungated_timeline(ground_state):
+def test_false_predicate_holds_the_ungated_timeline():
     ps = make_state(predicate=PhasePredicate("never"))
     for t in (0.0, 2.0, 4.0):
-        ps.on_tick(t, [], ground_state)
+        ps.on_tick(t, [], GROUND_BAND)
         ps.try_advance(t)
     assert ps.t_pos == 0
     assert ps.phase_log == []
 
 
-def test_task_completion_predicate_advances_after_the_result(ground_state):
+def test_task_completion_predicate_advances_after_the_result():
     ps = make_state((ProgramTableEntry(1, "a"),),
                     predicate=PhasePredicate("task_completed", "t1"))
-    outcome = ps.on_tick(0.0, [task("t1")], ground_state)
+    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
     respond(ps, outcome.dispatches[0], 0.6)
     ps.try_advance(0.6)
     assert ps.t_pos == 1
     assert ps.phase_log == [(0.6, 0, 1)]
 
 
-def test_program_result_predicate_advances_on_local_and_resolved_wire_results(
-        ground_state):
+def test_program_result_predicate_advances_on_local_and_resolved_wire_results():
     # "a" runs on the platform, which caches it; "b" only on server 1
     nodes = default_profiles()
     nodes[0] = NodeProfile(
@@ -357,12 +363,12 @@ def test_program_result_predicate_advances_on_local_and_resolved_wire_results(
         Phase("second", completes_when=PhasePredicate("program_result", "b")),
         Phase("third"),
     ))
-    [local] = ps.on_tick(0.0, [task("t1", ("a",))], ground_state).dispatches
+    [local] = ps.on_tick(0.0, [task("t1", ("a",))], GROUND_BAND).dispatches
     assert local.local
     ps.note_result(local, 0.5)
     ps.try_advance(0.5)
     assert ps.phase_log == [(0.5, 0, 1)]
-    [wire] = ps.on_tick(2.0, [task("t2", ("b",))], ground_state).dispatches
+    [wire] = ps.on_tick(2.0, [task("t2", ("b",))], GROUND_BAND).dispatches
     assert not wire.local
     ps.try_advance(2.0)
     assert ps.t_pos == 1
@@ -373,36 +379,36 @@ def test_program_result_predicate_advances_on_local_and_resolved_wire_results(
     assert ps.phase_log == [(0.5, 0, 1), (2.7, 1, 2)]
 
 
-def test_elapsed_predicate_waits_for_its_time(ground_state):
+def test_elapsed_predicate_waits_for_its_time():
     ps = make_state(predicate=PhasePredicate("elapsed", 4.0))
-    ps.on_tick(0.0, [], ground_state)
+    ps.on_tick(0.0, [], GROUND_BAND)
     ps.try_advance(0.0)
-    ps.on_tick(2.0, [], ground_state)
+    ps.on_tick(2.0, [], GROUND_BAND)
     ps.try_advance(2.0)
     assert ps.t_pos == 0
-    ps.on_tick(4.0, [], ground_state)
+    ps.on_tick(4.0, [], GROUND_BAND)
     ps.try_advance(4.0)
     assert ps.t_pos == 1
     assert ps.phase_log == [(4.0, 0, 1)]
 
 
-def test_chained_ready_phases_advance_together(ground_state):
+def test_chained_ready_phases_advance_together():
     ps = make_state(phases=(
         Phase("one", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("two", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("three"),
     ))
-    ps.on_tick(0.0, [], ground_state)
+    ps.on_tick(0.0, [], GROUND_BAND)
     ps.try_advance(1.0)
     assert ps.t_pos == 2
     assert ps.phase_log == [(1.0, 0, 1), (1.0, 1, 2)]
 
 
-def test_timeline_advance_is_monotone_and_bounded(ground_state):
+def test_timeline_advance_is_monotone_and_bounded():
     ps = make_state(phases=tuple(
         Phase(pid, completes_when=PhasePredicate("always")) for pid in "abc"))
     assert ps.t_pos == 0
-    ps.on_tick(0.0, [], ground_state)
+    ps.on_tick(0.0, [], GROUND_BAND)
     ps.try_advance(0.0)
     # the last phase is never left, even though its predicate holds
     assert ps.phases[ps.t_pos].phase_id == "c"

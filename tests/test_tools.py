@@ -88,6 +88,31 @@ def test_a_failed_bench_run_is_reported_with_its_stderr(tmp_path, capsys):
     assert err[1:] == [f"stderr line {i}" for i in range(20, 30)]
 
 
+def test_an_incorrect_bench_run_is_refused_like_a_failed_one(tmp_path, monkeypatch, capsys):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    def run_bench(checkout, workload, seed, seconds):
+        return {"correct": not (checkout.name == "change" and seed == 78),
+                "attempted": 8, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                            for m in spec["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "checkout_id", lambda path: {"commit": path.name})
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    out = tmp_path / "bench.json"
+    rc = bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                           "--workload", "reference", "--pairs", "3", "--seconds", "1",
+                           "--seed", "77", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: the change run of workload reference at seed 78 read correct: false, "
+        "after 1 complete pairs of it")
+
+
 FAKE_BENCH = """\
 import json
 from pathlib import Path

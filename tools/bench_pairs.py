@@ -21,7 +21,9 @@ end-to-end metric. `--pairs` must be at least 1, `--seconds` positive, every
 `--workload` one that the change's BENCHMARK.json declares and the directory
 of `--out` must exist; otherwise the tool exits 2 before any run. If a run
 fails, the tool exits 1 and names the run's side, workload, seed, exit code
-and the last lines of its stderr, and writes no output file.
+and the last lines of its stderr, and writes no output file. A run whose
+result reads `correct: false` is refused the same way: its timings are of
+wrong outputs.
 """
 
 from __future__ import annotations
@@ -151,6 +153,11 @@ def main(argv: list[str] | None = None) -> int:
                           f"exited with code {exc.returncode}, after {i} complete "
                           f"pairs of it; its last stderr lines:", *tail,
                           sep="\n", file=sys.stderr)
+                    return 1
+                if not pair[side]["correct"]:
+                    print(f"error: the {side} run of workload {workload} at seed {seed} "
+                          f"read correct: false, after {i} complete pairs of it",
+                          file=sys.stderr)
                     return 1
             pairs.append(pair)
             print(f"{workload} pair {i}: " + "; ".join(
