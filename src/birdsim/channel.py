@@ -113,6 +113,7 @@ class LinkSample(NamedTuple):
     one_way_delay: float  # ms
 
 
+_new_tuple = tuple.__new__
 _BAND_CODE = {Band.LOW_ALTITUDE: 1, Band.HIGH_ALTITUDE: 2, Band.ROTATION: 3}
 _DIR_CODE = {Direction.UL: 1, Direction.DL: 2}
 _WORD_MASK = (1 << 64) - 1
@@ -236,7 +237,11 @@ class LinkModel:
         throughput = mean
         if std > 0:
             throughput = mean + std * keyed_normal(self.noise_seed, code, t)
-        return LinkSample(t, band, direction, max(self.floor_mbps, throughput), one_way)
+        floor = self.floor_mbps
+        if not throughput > floor:  # max(floor, throughput), NaN included
+            throughput = floor
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return _new_tuple(LinkSample, (t, band, direction, throughput, one_way))
 
     def sample_throughput(
         self, t: float, altitude: float, rotating: bool, direction: Direction

@@ -17,9 +17,16 @@ staged event is checked when it is scheduled: an input arrival that lands
 after the deadline is doomed, and so is a compute completion or output
 arrival that lands at or after it. A doomed event takes its seq, as if it
 had been pushed and then dropped, but never enters the heap, so seqs have
-gaps; its execution was still staged, with its _Instance and inst id. (A
-Timeout past the run window is never pushed, and the flush ends its entries;
-every event that is not dropped with it lands before that deadline.)
+gaps. A doomed input arrival still takes its execution's inst id and its
+leg sample (keyed draw and samples.csv row), so inst ids have gaps too, but
+builds no _Instance: nothing would read it. (A Timeout past the run window
+is never pushed, and the flush ends its entries; every event that is not
+dropped with it lands before that deadline.)
+
+An idle tick, with no due task and no retry, is a counter and a record: the
+protocol checks its time and that no entry is open, advances current_tick
+and counts the deferred pairs, and the engine pushes the next Tick, checks
+the advancement gate and writes the Tick record with its `unserved=` list.
 
 Every tick and link leg reads its link band off one band timeline, built
 from the flight plan once per run by band_timeline: ascending edge times and
@@ -484,12 +491,24 @@ class _Sim:
             self.issued.clear()
         band = self.bands[bisect_right(self.band_edges, t)]
         outcome = self.protocol.on_tick(t, due, band)
-        for task in due:
-            self.task_outcomes[task.task_id].first_served_at = t
         # The next tick is also the deadline of this tick's wire dispatches:
         # their Timeout is pushed there, before that Tick, so it runs first
         # (protocol module docstring)
         next_t = self.deadline = (tick + 1) * self.protocol.t_int
+        if not (due or outcome.dispatches):
+            # an idle tick opens no entry and stages nothing (module docstring)
+            if next_t < self.end:
+                self._push(next_t, self._on_tick, tick + 1)
+            self.protocol.try_advance(t)
+            if self.records:
+                self._emit(
+                    t, seq, "Tick",
+                    f"tick={tick} due= entries= locals= "
+                    f"unserved={';'.join(outcome.unserved)} msgs=0",
+                )
+            return
+        for task in due:
+            self.task_outcomes[task.task_id].first_served_at = t
         for dispatch in outcome.dispatches:
             # retried waiters are already on the chain: visit only new ones
             program_id = dispatch.program.program_id
@@ -546,8 +565,9 @@ class _Sim:
         """Stage one execution dispatched at t with the stage times pipeline
         prices, once per route: local work runs them back to back on the
         platform; wire work is encoded, then its input is sent to the
-        executor. A doomed input arrival is staged like any other, with its
-        _Instance and inst id, but never enters the heap."""
+        executor. A doomed input arrival takes its inst id, its leg sample
+        and its seq like any other, but builds no _Instance and never enters
+        the heap."""
         server, consumer = dispatch.server_id, dispatch.consumer
         route = (dispatch.program.program_id, server, consumer)
         plan = self.routes.get(route)
@@ -568,9 +588,13 @@ class _Sim:
         t_start = t + t_enc
         leg = self._sample_leg(t_start, dispatch.program.input_payload, input_hop)
         t_in = t_start + leg
-        inst = _Instance(inst_id, dispatch, t_enc, leg, t_dec, t_proc, self.deadline, output_hop)
         # an input landing on its deadline was pushed before the Timeout
-        self._push(t_in, self._on_input_arrival, inst, t_in <= inst.deadline)
+        deadline = self.deadline
+        if t_in <= deadline:
+            inst = _Instance(inst_id, dispatch, t_enc, leg, t_dec, t_proc, deadline, output_hop)
+            self._push(t_in, self._on_input_arrival, inst)
+        else:
+            self._push(t_in, self._on_input_arrival, None, False)
 
     # --------------------------------------------------------------- handlers
 

@@ -141,7 +141,12 @@ class ProtocolState:
         decided this tick and the number of bundled requests. band is the
         link band at t_i, which the engine reads off its band timeline (None
         where the altitude is outside the measured envelope); a FlightState
-        is built only when an offload choice is not yet memoized."""
+        is built only when an offload choice is not yet memoized.
+
+        Every tick is checked against the interval grid and the open tick,
+        advances current_tick and counts each deferred pair in
+        unserved_events. An idle tick (no retry and no due task) stops
+        there: it dispatches nothing and sends no message."""
         tick = self.current_tick + 1
         expected = tick * self.t_int
         if t_i != expected:
@@ -152,6 +157,9 @@ class ProtocolState:
                 f"tick {self.current_tick} outstanding"
             )
         self.current_tick = tick
+        if not (due_tasks or self._retries):
+            self.unserved_events += len(self._unserved)
+            return TickOutcome([], tuple(self._unserved), 0)
 
         # Retried programs come first (they are older), in timeout order, then
         # the programs of freshly due tasks in order of first appearance.

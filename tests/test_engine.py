@@ -229,6 +229,22 @@ def test_the_bundled_plan_crosses_50_m_exactly_at_150_s_and_after_340_s():
                                            [low, rot, low, high, low])
 
 
+def test_legs_that_start_on_a_50_m_crossing_are_sampled_high():
+    """Two wire dispatches on the bundled plan whose input legs start at the
+    ticks 150.0 and 340.0, where the altitude is exactly 50 m. A band edge
+    one ulp late reads 150.0 as low; a last edge one ulp early reads 340.0 as
+    low. Either reaches samples.csv here."""
+    sc = make_scenario(
+        flight_plan=BUNDLED_PLAN, duration=400.0, t_int=2.0,
+        programs={"p": replace(DETECT, encode_cost=0.0)},
+        tasks=tuple(Task(f"t{t:g}", ("p",), Origin.COMMANDER_ORDER, t, consumer=1)
+                    for t in (150.0, 340.0)),
+    )
+    rows = csv.DictReader(io.StringIO(samples_to_csv(run(sc).metrics)))
+    assert [(row["t_s"], row["band"]) for row in rows] == [
+        ("150.0", "high"), ("340.0", "high")]
+
+
 @pytest.mark.parametrize("plan", [
     (Waypoint(0.0, 10.0), Waypoint(0.0, 20.0)),
     (Waypoint(1.0, 10.0), Waypoint(0.0, 20.0)),
@@ -536,6 +552,54 @@ def test_an_output_on_its_deadline_is_doomed():
         "t=3.0 seq=17 kind=Flush tpos=0 flushed= cancelled=3",
     ]
     assert result.metrics.counts["responses"] == 0
+
+
+def test_a_doomed_input_keeps_its_inst_id_leg_sample_and_seq():
+    """Two programs dispatched together: "big"'s input lands at 1.25 s, after
+    its 1.0 s deadline, and "p"'s on it. The doomed input takes inst id 0 and
+    seq 4 and writes its samples.csv row, but no record; so do the retries
+    at tick 1, whose inputs land past the run."""
+    sc = deadline_tie_scenario(1.25, 1, input_payload=500_000.0, output_payload=0.0)
+    big = replace(sc.programs["p"], program_id="big", input_payload=750_000.0)
+    sc = replace(
+        sc, programs={"big": big, **sc.programs},
+        tables=(ProgramTableEntry(1, "big"), ProgramTableEntry(1, "p")),
+        tasks=(Task("a", ("big",), Origin.COMMANDER_ORDER, 0.0, consumer=1),
+               Task("b", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=1)),
+    )
+    result = run(sc)
+    assert result.trace == [
+        "t=0.0 seq=0 kind=TaskIssued tpos=0 task=a",
+        "t=0.0 seq=1 kind=TaskIssued tpos=0 task=b",
+        "t=0.0 seq=2 kind=FlightWaypoint tpos=0 altitude=0.0 rotating=0",
+        "t=0.0 seq=3 kind=Tick tpos=0 tick=0 due=a,b entries=0:1:big;0:1:p locals= "
+        "unserved= msgs=1",
+        "t=1.0 seq=5 kind=TransferComplete tpos=0 inst=1 leg=input entry=0:1:p",
+        "t=1.0 seq=6 kind=Timeout tpos=0 tick=0 timed_out=0:1:big;0:1:p count=2",
+        "t=1.0 seq=7 kind=Tick tpos=0 tick=1 due= entries=1:1:big;1:1:p locals= "
+        "unserved= msgs=1",
+        "t=1.25 seq=9 kind=Flush tpos=0 flushed=1:1:big;1:1:p cancelled=4",
+    ]
+    assert samples_to_csv(result.metrics).splitlines()[1:] == [
+        "0.25,low,ul,1.0,250.0", "0.25,low,ul,1.0,250.0",
+        "1.25,low,ul,1.0,250.0", "1.25,low,ul,1.0,250.0",
+    ]
+
+
+def test_an_idle_tick_writes_its_deferred_pairs():
+    """A tick with no due task and no retry dispatches nothing, but its
+    record still lists every deferred pair."""
+    sc = make_scenario(
+        duration=4.0, programs={"p": DETECT, "q": replace(DETECT, program_id="q")},
+        tasks=(Task("t1", ("p", "q"), Origin.COMMANDER_ORDER, 0.0, consumer=1),),
+    )
+    result = run(sc)
+    assert result.trace[2:] == [
+        "t=0.0 seq=2 kind=Tick tpos=0 tick=0 due=t1 entries= locals= unserved=t1:q msgs=0",
+        "t=2.0 seq=3 kind=Tick tpos=0 tick=1 due= entries= locals= unserved=t1:q msgs=0",
+        "t=4.0 seq=4 kind=Flush tpos=0 flushed= cancelled=0",
+    ]
+    assert result.metrics.counts["unserved_events"] == 2
 
 
 def reported_tie_scenario():

@@ -274,6 +274,28 @@ def test_unservable_task_is_deferred_whole():
     assert ps.requests_issued == 0
 
 
+def test_idle_ticks_keep_the_books():
+    """A tick with no retry and no due task dispatches nothing, but it still
+    opens its tick, counts every deferred pair and refuses a time off the
+    grid or an open entry."""
+    ps = make_state((ProgramTableEntry(1, "a"),))
+    ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    n = 4
+    outcomes = [ps.on_tick(2.0 * k, [], GROUND_BAND) for k in range(1, n + 1)]
+    assert ps.unserved_events == n + 1
+    assert ps.current_tick == n
+    assert [(o.dispatches, o.unserved, o.messages) for o in outcomes] == (
+        [([], ("t1:b",), 0)] * n)
+    with pytest.raises(ValueError, match="expected t=10.0"):
+        ps.on_tick(11.0, [], GROUND_BAND)
+    assert (ps.current_tick, ps.unserved_events) == (n, n + 1)
+    # the next tick opens an entry that no response or timeout resolves
+    ps.on_tick(10.0, [task("t2")], GROUND_BAND)
+    with pytest.raises(ValueError, match="outstanding"):
+        ps.on_tick(12.0, [], GROUND_BAND)
+    assert (ps.current_tick, ps.unserved_events) == (n + 1, n + 2)
+
+
 def test_tasks_sharing_an_unservable_list_each_report_their_own_program(monkeypatch):
     matched = []
     match_programs = protocol.match_programs

@@ -149,7 +149,46 @@ def test_each_pair_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys)
         f"wide pair 0: {cells}", f"wide pair 1: {cells}"]
     summary = json.loads(out.read_text())
     assert summary["parent"] == {"commit": "parent"}
+    assert summary["checkout_warning"] is None
     assert sorted(summary["workloads"]["wide"]["metrics"]) == sorted(names)
+
+
+@pytest.mark.parametrize("parent_commit, change_commit, git_side", [
+    (None, "c0ffee", "change"),
+    ("c0ffee", None, "parent"),
+    (None, None, None),
+    ("c0ffee", "c0ffee", None),
+])
+def test_a_git_and_a_plain_checkout_are_warned_of_before_the_first_run(
+        tmp_path, monkeypatch, capsys, parent_commit, change_commit, git_side):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    stderr_at_first_run = []
+
+    def run_bench(checkout, workload, seed, seconds):
+        if not stderr_at_first_run:
+            stderr_at_first_run.append(capsys.readouterr().err)
+        return {"correct": True, "attempted": 8, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                            for m in spec["end_to_end"]}}
+
+    commits = {"parent": parent_commit, "change": change_commit}
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "checkout_id",
+                        lambda path: {"commit": commits[path.name]})
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "reference", "--pairs", "1", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    warning = None
+    if git_side is not None:
+        warning = (f"only the {git_side} checkout is a git work tree; that alone moves "
+                   "peak_rss_mb by about 1 % on identical source, so make both "
+                   "checkouts the same way")
+    assert stderr_at_first_run == ["" if warning is None else f"warning: {warning}\n"]
+    assert json.loads(out.read_text())["checkout_warning"] == warning
 
 
 @pytest.mark.parametrize("option, value, message", [

@@ -15,8 +15,11 @@ whether the medians differ by more than the parent's quartile spread, plus
 versions and each checkout's commit. A checkout with uncommitted changes is
 marked `dirty`, and `source_sha256` identifies its `src/` files either way; a
 checkout without git (say, one made with `git archive`) has `commit` and
-`dirty` null. Both checkouts are identified before the first run. Each
-completed pair prints one stderr line with both sides' value of every
+`dirty` null. Both checkouts are identified before the first run. If
+exactly one of them is a git work tree, the tool prints a warning to stderr
+before the first run and records it as `checkout_warning` (null otherwise):
+that difference alone moves `peak_rss_mb` by about 1 % on identical source.
+Each completed pair prints one stderr line with both sides' value of every
 end-to-end metric. `--pairs` must be at least 1, `--seconds` positive, every
 `--workload` one that the change's BENCHMARK.json declares and the directory
 of `--out` must exist; otherwise the tool exits 2 before any run. If a run
@@ -137,6 +140,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--out {args.out}: directory {args.out.parent} does not exist")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     ids = {side: checkout_id(path) for side, path in checkouts.items()}
+    git_sides = [side for side in SIDES if ids[side]["commit"] is not None]
+    warning = None
+    if len(git_sides) == 1:
+        warning = (f"only the {git_sides[0]} checkout is a git work tree; that alone "
+                   "moves peak_rss_mb by about 1 % on identical source, so make both "
+                   "checkouts the same way")
+        print(f"warning: {warning}", file=sys.stderr)
     workloads = {}
     for workload in args.workload:
         pairs = []
@@ -171,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "versions": {"python": sys.version.split()[0], "numpy": version("numpy"),
                      "pyyaml": version("PyYAML")},
         **ids,
+        "checkout_warning": warning,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
