@@ -63,7 +63,7 @@ class LinkBandParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("dl_std", "ul_std"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
 
@@ -200,7 +200,7 @@ class LinkModel:
             raise ValueError(f"bands missing regimes: {missing}")
         if not self.floor_mbps > 0:
             raise ValueError("floor_mbps must be positive")
-        if self.variance_scale < 0:
+        if not self.variance_scale >= 0:
             raise ValueError("variance_scale must be >= 0")
         if not 0 < self.one_way_fraction <= 1:
             raise ValueError("one_way_fraction must be in (0, 1]")

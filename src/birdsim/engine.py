@@ -6,7 +6,7 @@ pair replays to the byte.
 The engine stages each dispatched execution with the stage times that
 `pipeline` prices and the link legs it samples (each sample carries its
 band), feeds deliveries and timeouts to the protocol state, which owns the
-timeline position and task completion, records the critical moments, and
+timeline position and every outcome, records the critical moments, and
 emits a replay-complete line trace plus a metrics record.
 
 Every event in the heap is live: it is handled and, on a traced run, writes
@@ -43,7 +43,8 @@ only on a None span, where sample_throughput raises with the altitude.
 A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
 output arrival: it is credited, its record is written, then the advancement
-gate is checked.
+gate is checked. The protocol credits each (task, program) outcome it waits
+for; _metrics settles attempts and server from each outcome's chain.
 
 A run made with `trace=False` (each replicate of a sweep) returns an empty
 trace. It formats no record unless `birdsim.engine` logs at DEBUG
@@ -53,8 +54,8 @@ byte-equal.
 
 Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - requests <= ticks x programs: one dispatch per program per tick;
-- waiter joins = the sum of len(required_programs) over the servable due
-  tasks: a waiter joins its chain once, however often it is retried;
+- outcomes with a chain = the sum of len(required_programs) over the
+  servable due tasks: a waiter joins one chain, however often it is retried;
 - select_server calls <= programs x (servers + 1) x consumers x 3 bands;
 - keyed draws <= 2 x staged + the wire dispatches to lossy servers;
 - records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
@@ -72,7 +73,7 @@ import logging
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, gt, lt
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import quote
@@ -100,7 +101,7 @@ from .model import (
     record_moment,
 )
 from .pipeline import LatencyBreakdown, PipelinePlacement, hop_direction, stage_times
-from .protocol import Chain, Dispatch, ProtocolState
+from .protocol import Dispatch, ProtocolState, TaskOutcome
 from .scenario import Scenario, Waypoint
 
 log = logging.getLogger("birdsim.engine")
@@ -138,26 +139,6 @@ class _Instance:
     t_proc: float
     deadline: float
     output: Direction | None
-
-
-@dataclass
-class ProgramOutcome:
-    """One (task, program); breakdown and delivered_at are set together, on
-    delivery, so the program completed iff breakdown is not None."""
-
-    program_id: str
-    attempts: int = 0
-    server: int | None = None
-    breakdown: LatencyBreakdown | None = None
-    delivered_at: float | None = None
-
-
-@dataclass
-class TaskOutcome:
-    task: Task
-    first_served_at: float | None = None
-    completed_at: float | None = None
-    programs: list[ProgramOutcome] = field(default_factory=list)
 
 
 class OutcomeStats(NamedTuple):
@@ -361,7 +342,8 @@ class _Sim:
         # looked up by its module-global name at each call
         self.protocol = ProtocolState(
             scenario.t_int, scenario.phases, scenario.tables, scenario.nodes,
-            scenario.programs, self.link.mean(), lambda t: flight_state_at(scenario, t),
+            scenario.programs, scenario.tasks, self.link.mean(),
+            lambda t: flight_state_at(scenario, t),
         )
         battery = scenario.nodes[PLATFORM].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
@@ -380,18 +362,6 @@ class _Sim:
         # (scenario index, task) of each task issued since the last Tick
         self.issued: list[tuple[int, Task]] = []
         self.prog_index = {pid: i for i, pid in enumerate(scenario.programs)}
-        self.task_outcomes: dict[str, TaskOutcome] = {}
-        self.prog_outcomes: dict[tuple[str, str], ProgramOutcome] = {}
-        for task in scenario.tasks:
-            outcome = TaskOutcome(task)
-            for pid in task.required_programs:
-                prog = ProgramOutcome(pid)
-                outcome.programs.append(prog)
-                self.prog_outcomes[(task.task_id, pid)] = prog
-            self.task_outcomes[task.task_id] = outcome
-        # (outcome, first tick, chain) of every waiter when it joins a chain;
-        # attempts and server are settled from these once, in _metrics
-        self.joined: list[tuple[ProgramOutcome, int, Chain]] = []
         # the deadline of the open tick's wire dispatches (module docstring)
         self.deadline = math.inf
         # (t_enc, t_dec, t_proc, input hop direction, output hop direction)
@@ -507,14 +477,7 @@ class _Sim:
                     f"unserved={';'.join(outcome.unserved)} msgs=0",
                 )
             return
-        for task in due:
-            self.task_outcomes[task.task_id].first_served_at = t
         for dispatch in outcome.dispatches:
-            # retried waiters are already on the chain: visit only new ones
-            program_id = dispatch.program.program_id
-            chain = dispatch.chain
-            for waiter in dispatch.waiters[dispatch.fresh:]:
-                self.joined.append((self.prog_outcomes[(waiter, program_id)], tick, chain))
             if not dispatch.local:
                 # u is in [0, 1), so only a positive loss can lose a dispatch
                 loss = self.sc.loss.get(dispatch.server_id, 0.0)
@@ -522,7 +485,7 @@ class _Sim:
                     self.seed,
                     dispatch.tick_index,
                     dispatch.server_id,
-                    self.prog_index[program_id],
+                    self.prog_index[dispatch.program.program_id],
                 ) < loss:
                     continue  # never staged: its entry times out
             self._stage(dispatch, t)
@@ -628,10 +591,9 @@ class _Sim:
 
     def _deliver(self, t: float, seq: int, inst: _Instance, kind: str, record: str) -> None:
         """Deliver a finished execution at t, in this order:
-        1. credit it: resolve its entry (a wire one), count the result toward
-           its waiters' tasks, set their breakdown and delivery time, and make
-           the virtual awareness moment if this is the first sensing result
-           at an agency node since the report;
+        1. credit it: the protocol resolves its entry (a wire one) and
+           credits its waiters; make the virtual awareness moment if this is
+           the first sensing result at an agency node since the report;
         2. write the record of the event (t, seq): kind, then record
            formatted with the inst id, entry key and local flag, then
            `resolved=` (a wire one), `delivered=` and `moment=`;
@@ -639,17 +601,12 @@ class _Sim:
            before any advance the delivery causes (docs/output-formats.md).
         """
         dispatch = inst.dispatch
-        program_id = dispatch.program.program_id
         self.delivered += 1
-        if dispatch.local:
-            self.protocol.note_result(dispatch, t)
-        else:
-            self.protocol.on_response(dispatch.key, t)
         breakdown = LatencyBreakdown(inst.t_enc, inst.t_comm, inst.t_dec, inst.t_proc)
-        for waiter in dispatch.waiters:
-            prog = self.prog_outcomes[(waiter, program_id)]
-            prog.breakdown = breakdown
-            prog.delivered_at = t
+        if dispatch.local:
+            self.protocol.note_result(dispatch, t, breakdown)
+        else:
+            self.protocol.on_response(dispatch.key, t, breakdown)
         consumer_kind = self.sc.nodes[dispatch.consumer].kind
         reported = self.moments.reported
         aware = (
@@ -697,15 +654,13 @@ class _Sim:
 
     def _metrics(self) -> MetricsRecord:
         # a chain dispatches its waiters on every tick from their first to
-        # its last (protocol module docstring); a hand-built task that lists
-        # a program twice joins its chain twice and counts twice
-        for prog, first_tick, chain in self.joined:
-            prog.attempts += chain.last_tick - first_tick + 1
-            prog.server = chain.server
-        self.joined.clear()
+        # its last (protocol module docstring)
         p = self.protocol
-        for task_id, completed_at in p.completed_tasks.items():
-            self.task_outcomes[task_id].completed_at = completed_at
+        for outcome in p.outcomes.values():
+            for prog in outcome.programs:
+                if prog.chain is not None:
+                    prog.attempts = prog.chain.last_tick - prog.first_tick + 1
+                    prog.server = prog.chain.server
         counts = {
             "requests": p.requests_issued,
             "request_messages": p.request_messages,
@@ -721,7 +676,7 @@ class _Sim:
             seed=self.seed,
             duration=self.sc.duration,
             t_int=self.sc.t_int,
-            tasks=[self.task_outcomes[t.task_id] for t in self.sc.tasks],
+            tasks=[p.outcomes[t.task_id] for t in self.sc.tasks],
             moments=self.moments,
             counts=counts,
             samples=self.samples,

@@ -119,7 +119,7 @@ class ProgramSpec:
             "encode_cost",
             "decode_cost",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
 
@@ -142,7 +142,9 @@ class Task:
             raise ValueError("task_id must be non-empty")
         if not self.required_programs:
             raise ValueError("a task requires at least one program")
-        if self.issue_time < 0:
+        if len(set(self.required_programs)) < len(self.required_programs):
+            raise ValueError("a task requires each program once")
+        if not self.issue_time >= 0:
             raise ValueError("issue_time must be >= 0")
 
 
@@ -241,7 +243,7 @@ def record_moment(moments: CriticalMoments, which: str, t: float) -> CriticalMom
     """
     if which not in MOMENT_NAMES:
         raise ValueError(f"unknown moment: {which!r}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("moment timestamps must be >= 0")
     if getattr(moments, which) is not None:
         raise AlreadySet(which)

@@ -49,7 +49,7 @@ class LatencyBreakdown:
 
     def __post_init__(self) -> None:
         for name in ("t_enc", "t_comm", "t_dec", "t_proc"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         total = self.t_enc + self.t_comm + self.t_dec + self.t_proc
         object.__setattr__(self, "t_e2e", total)
@@ -57,7 +57,7 @@ class LatencyBreakdown:
 
 def stage_time(cost: float, node: NodeProfile) -> float:
     """Seconds node needs for cost work-units."""
-    if cost < 0:
+    if not cost >= 0:
         raise ValueError("cost must be >= 0")
     if not node.compute_capacity > 0:
         raise ValueError(f"node {node.node_id} has no positive compute capacity")

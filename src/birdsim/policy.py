@@ -36,7 +36,7 @@ class ProgramTableEntry:
     advertised_latency: float = 0.0  # server's own decode+process estimate, s
 
     def __post_init__(self) -> None:
-        if self.advertised_latency < 0:
+        if not self.advertised_latency >= 0:
             raise ValueError("advertised_latency must be >= 0")
 
 

@@ -3,9 +3,11 @@
 Every update interval the platform bundles the programs of due tasks into one
 request per chosen server. The timeline position may only advance once the
 current interval's requests have all been answered or timed out. The protocol
-state owns the timeline position and task completion: a task completes when
-the result of its last program is delivered, through on_response for a wire
-result and note_result for a local one.
+state owns the timeline position and the run's one ledger: an outcome per
+task and per (task, program). on_tick marks each due task served; a waiter
+takes its chain and first tick when it joins a dispatch; note_result (a wire
+result comes through on_response) credits each waiter and completes a task
+once every program of it has a breakdown.
 
 Exactly one tick is open at a time: the Timeout for tick k is pushed before
 Tick k+1 at the same time, so it always runs first and resolves every entry
@@ -16,9 +18,8 @@ once, carrying its waiters ahead of any fresh ones. Each (task, program)
 belongs to exactly one chain of dispatches on consecutive ticks, from its
 first dispatch until delivery or the end of the run, and every dispatch of a
 chain carries all of its waiters. Hence a waiter's attempts are the chain's
-last tick minus the waiter's first tick plus one, its server is the server of
-the chain's last dispatch, and the waiters new to a chain are always a suffix
-of a dispatch's waiters.
+last tick minus the waiter's first tick plus one, and its server is the
+server of the chain's last dispatch.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 from .channel import Band, FlightState, LinkModel
 from .model import PLATFORM, NodeProfile, Phase, PhasePredicate, ProgramSpec, Task
+from .pipeline import LatencyBreakdown
 from .policy import (
     NoCapableServer,
     ProgramTableEntry,
@@ -51,6 +53,37 @@ class Chain:
 
 
 @dataclass(slots=True)
+class ProgramOutcome:
+    """One (task, program); breakdown and delivered_at are set together, on
+    delivery, so the program completed iff breakdown is not None. chain and
+    first_tick are set when it joins a chain (module docstring)."""
+
+    program_id: str
+    attempts: int = 0
+    server: int | None = None
+    breakdown: LatencyBreakdown | None = None
+    delivered_at: float | None = None
+    task_outcome: TaskOutcome | None = field(default=None, repr=False, compare=False)
+    chain: Chain | None = field(default=None, repr=False, compare=False)
+    first_tick: int = field(default=-1, repr=False, compare=False)
+
+
+@dataclass(slots=True)
+class TaskOutcome:
+    task: Task
+    first_served_at: float | None = None
+    completed_at: float | None = None
+    programs: list[ProgramOutcome] = field(default_factory=list)
+
+
+def _join(waiters: list[ProgramOutcome], chain: Chain, tick: int) -> tuple[ProgramOutcome, ...]:
+    """Put waiters new to a chain on it from tick on."""
+    for prog in waiters:
+        prog.chain, prog.first_tick = chain, tick
+    return tuple(waiters)
+
+
+@dataclass(slots=True)
 class Dispatch:
     """One program execution decided at a tick, wire or local."""
 
@@ -58,10 +91,9 @@ class Dispatch:
     program: ProgramSpec
     server_id: int
     consumer: int
-    waiters: tuple[str, ...]  # task ids credited when the result lands
+    waiters: tuple[ProgramOutcome, ...]  # credited when the result lands
     local: bool
     chain: Chain
-    fresh: int  # waiters[fresh:] joined the chain at this dispatch
     key: str = field(init=False)  # tick:server:program, as the trace prints it
 
     def __post_init__(self):
@@ -79,10 +111,10 @@ class ProtocolState:
     """Mutable state of the update loop; driven by the engine's events.
 
     It owns the timeline position (t_pos, an index into phases, which only
-    moves forward) and task completion (completed_tasks). The phases, server
-    tables, fleet, programs and variance-free link are fixed for the whole
-    run; state_at(t) gives the flight state at t, which the offload choice
-    prices a link leg at.
+    moves forward) and every task's outcome, by task id (outcomes). The
+    phases, server tables, fleet, programs, tasks and variance-free link are
+    fixed for the whole run; state_at(t) gives the flight state at t, which
+    the offload choice prices a link leg at.
     """
 
     def __init__(
@@ -92,6 +124,7 @@ class ProtocolState:
         tables: Sequence[ProgramTableEntry],
         nodes: Mapping[int, NodeProfile],
         programs: Mapping[str, ProgramSpec],
+        tasks: Sequence[Task],
         link: LinkModel,
         state_at: Callable[[float], FlightState],
     ):
@@ -121,8 +154,12 @@ class ProtocolState:
         # first unservable program (None: all servable) per required_programs,
         # matched once per run for the same reason
         self._unservable: dict[tuple[str, ...], str | None] = {}
-        self._remaining: dict[str, set[str]] = {}
-        self.completed_tasks: dict[str, float] = {}
+        self.outcomes: dict[str, TaskOutcome] = {}
+        for task in tasks:
+            outcome = self.outcomes[task.task_id] = TaskOutcome(task)
+            outcome.programs = [
+                ProgramOutcome(pid, task_outcome=outcome) for pid in task.required_programs
+            ]
         self.completed_programs: set[str] = set()
         self.phase_log: list[tuple[float, int, int]] = []
         # conservation counters (entry granularity)
@@ -138,7 +175,8 @@ class ProtocolState:
         self, t_i: float, due_tasks: Sequence[Task], band: Band | None
     ) -> TickOutcome:
         """Serve due and retried work; returns every dispatch (wire and local)
-        decided this tick and the number of bundled requests. band is the
+        decided this tick and the number of bundled requests; each due task,
+        deferred or not, is first served now. band is the
         link band at t_i, which the engine reads off its band timeline (None
         where the altitude is outside the measured envelope); a FlightState
         is built only when an offload choice is not yet memoized.
@@ -168,16 +206,17 @@ class ProtocolState:
         # waiter's consumer and its waiters new to the chain; a retried
         # program keeps its retry's consumer.
         retries, self._retries = self._retries, {}
-        fresh: dict[str, tuple[int, list[str]]] = {}
+        fresh: dict[str, tuple[int, list[ProgramOutcome]]] = {}
         for task in due_tasks:
-            self._remaining[task.task_id] = set(task.required_programs)
+            outcome = self.outcomes[task.task_id]
+            outcome.first_served_at = t_i
             if self._servable(task):
-                for program_id in task.required_programs:
-                    joining = fresh.get(program_id)
+                for prog in outcome.programs:
+                    joining = fresh.get(prog.program_id)
                     if joining is None:
-                        fresh[program_id] = (task.consumer, [task.task_id])
+                        fresh[prog.program_id] = (task.consumer, [prog])
                     else:
-                        joining[1].append(task.task_id)
+                        joining[1].append(prog)
         self.unserved_events += len(self._unserved)
 
         # Every program here passed the whole-task match (or was dispatched
@@ -186,19 +225,21 @@ class ProtocolState:
         dispatches: list[Dispatch] = []
         for program_id, retry in retries.items():
             server = self._choose(program_id, retry.server_id, retry.consumer, t_i, band)
-            chain, lead = retry.chain, retry.waiters
+            chain, waiters = retry.chain, retry.waiters
             chain.last_tick, chain.server = tick, server
             joining = fresh.pop(program_id, None) if fresh else None
+            if joining is not None:
+                waiters += _join(joining[1], chain, tick)
             dispatches.append(Dispatch(
-                tick, retry.program, server, retry.consumer,
-                lead if joining is None else lead + tuple(joining[1]),
-                server == PLATFORM, chain, len(lead),
+                tick, retry.program, server, retry.consumer, waiters,
+                server == PLATFORM, chain,
             ))
         for program_id, (consumer, waiters) in fresh.items():
             server = self._choose(program_id, None, consumer, t_i, band)
+            chain = Chain(tick, server)
             dispatches.append(Dispatch(
-                tick, self.programs[program_id], server, consumer, tuple(waiters),
-                server == PLATFORM, Chain(tick, server), 0,
+                tick, self.programs[program_id], server, consumer,
+                _join(waiters, chain, tick), server == PLATFORM, chain,
             ))
 
         # Each wire dispatch opens its entry; one bundled request goes to each
@@ -258,26 +299,24 @@ class ProtocolState:
 
     # -------------------------------------------------------------- responses
 
-    def on_response(self, key: str, t: float) -> None:
+    def on_response(self, key: str, t: float, breakdown: LatencyBreakdown) -> None:
         """Resolve one outstanding entry answered at t and credit its result."""
         dispatch = self.outstanding.pop(key, None)
         if dispatch is None:
             raise UnknownResponse(key)
         self.responses_received += 1
-        self.note_result(dispatch, t)
+        self.note_result(dispatch, t, breakdown)
 
-    def note_result(self, dispatch: Dispatch, t: float) -> None:
-        """Credit a program result delivered at t: a waiter whose last
-        program this was completes at t. A wire result comes through
-        on_response, which first resolves its entry. Every waiter was due
-        before it joined, so on_tick has listed its remaining programs."""
-        program_id = dispatch.program.program_id
-        self.completed_programs.add(program_id)
-        for task_id in dispatch.waiters:
-            remaining = self._remaining[task_id]
-            remaining.discard(program_id)
-            if not remaining:
-                self.completed_tasks[task_id] = t
+    def note_result(self, dispatch: Dispatch, t: float, breakdown: LatencyBreakdown) -> None:
+        """Credit a result delivered at t to each waiter, in one walk: a
+        task completes at t once every program of it has a breakdown. A wire
+        result comes through on_response, which first resolves its entry."""
+        self.completed_programs.add(dispatch.program.program_id)
+        for prog in dispatch.waiters:
+            prog.breakdown, prog.delivered_at = breakdown, t
+            outcome = prog.task_outcome
+            if all(p.breakdown is not None for p in outcome.programs):
+                outcome.completed_at = t
 
     # --------------------------------------------------------------- timeouts
 
@@ -307,7 +346,8 @@ class ProtocolState:
         if predicate.kind == "program_result":
             return predicate.value in self.completed_programs
         if predicate.kind == "task_completed":
-            return predicate.value in self.completed_tasks
+            outcome = self.outcomes.get(predicate.value)
+            return outcome is not None and outcome.completed_at is not None
         raise ValueError(f"unknown predicate kind: {predicate.kind!r}")
 
     def try_advance(self, t: float) -> None:

@@ -15,6 +15,7 @@ import birdsim
 from birdsim import (
     Band,
     FlightState,
+    LinkBandParams,
     LinkModel,
     NoCapableServer,
     NodeKind,
@@ -28,7 +29,7 @@ from birdsim import (
     select_server,
 )
 from birdsim.model import CriticalMoments, record_moment
-from birdsim.pipeline import stage_time
+from birdsim.pipeline import LatencyBreakdown, stage_time
 
 ROOT = Path(__file__).resolve().parent.parent
 README_EXAMPLES = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
@@ -123,6 +124,7 @@ def _only_incapable_rows():
 
 
 IDLE_SERVER = NodeProfile(node_id=3, kind=NodeKind.ECS, compute_capacity=0.0)
+NAN = float("nan")  # fails every range check written `not x >= 0`
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -151,6 +153,23 @@ IDLE_SERVER = NodeProfile(node_id=3, kind=NodeKind.ECS, compute_capacity=0.0)
     (lambda: Task("", ("p",)), ValueError, "task_id must be non-empty"),
     (lambda: Task("t", ()), ValueError, "a task requires at least one program"),
     (lambda: Task("t", ("p",), issue_time=-1.0), ValueError, "issue_time must be >= 0"),
+    (lambda: Task("t", ("p", "q", "p")), ValueError, "a task requires each program once"),
+    (lambda: Task("t", ("p",), issue_time=NAN), ValueError, "issue_time must be >= 0"),
+    (lambda: ProgramSpec("p", "object_detection", NAN, 1.0, 1.0), ValueError,
+     "compute_cost must be >= 0"),
+    (lambda: ProgramSpec("p", "object_detection", 1.0, 1.0, NAN), ValueError,
+     "output_payload must be >= 0"),
+    (lambda: ProgramTableEntry(1, "p", advertised_latency=NAN), ValueError,
+     "advertised_latency must be >= 0"),
+    (lambda: LinkBandParams(Band.LOW_ALTITUDE, 10.0, 10.0, 20.0, dl_std=NAN), ValueError,
+     "dl_std must be >= 0"),
+    (lambda: LinkBandParams(Band.LOW_ALTITUDE, 10.0, 10.0, 20.0, ul_std=NAN), ValueError,
+     "ul_std must be >= 0"),
+    (lambda: LinkModel(variance_scale=NAN), ValueError, "variance_scale must be >= 0"),
+    (lambda: LatencyBreakdown(0.1, NAN, 0.1, 0.1), ValueError, "t_comm must be >= 0"),
+    (lambda: stage_time(NAN, default_profiles()[1]), ValueError, "cost must be >= 0"),
+    (lambda: record_moment(CriticalMoments(), "start", NAN), ValueError,
+     "moment timestamps must be >= 0"),
     (lambda: PhasePredicate("sometimes"), ValueError,
      "unknown predicate kind: 'sometimes'"),
     (lambda: PhasePredicate("elapsed", "soon"), ValueError,
@@ -164,7 +183,10 @@ IDLE_SERVER = NodeProfile(node_id=3, kind=NodeKind.ECS, compute_capacity=0.0)
         "stage-cost-negative", "stage-capacity-zero", "moment-negative",
         "table-latency-negative", "program-id-empty", "program-kind-empty",
         "program-cost-negative", "task-id-empty", "task-no-programs",
-        "task-issue-negative", "predicate-unknown-kind", "predicate-elapsed-text",
+        "task-issue-negative", "task-program-repeated", "task-issue-nan",
+        "program-cost-nan", "program-payload-nan", "table-latency-nan",
+        "band-dl-std-nan", "band-ul-std-nan", "link-variance-nan",
+        "breakdown-nan", "stage-cost-nan", "moment-nan", "predicate-unknown-kind", "predicate-elapsed-text",
         "predicate-program-no-target", "predicate-task-empty-target"])
 def test_bad_arguments_are_rejected_with_their_message(call, error, message):
     with pytest.raises(Exception) as err:

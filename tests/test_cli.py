@@ -569,7 +569,7 @@ def test_sweep_spec_integer_fields_exit_one(tmp_path, capsys, key, value, messag
 def make_runs_abort(monkeypatch):
     """From here on every run aborts at its first wire response, as a module
     error surfacing mid-run would, after its first Tick record."""
-    def fault(self, key, t):
+    def fault(self, key, t, breakdown):
         raise RuntimeError(f"injected fault at {key}")
 
     monkeypatch.setattr("birdsim.protocol.ProtocolState.on_response", fault)

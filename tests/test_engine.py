@@ -997,6 +997,11 @@ def sole_server_scenario():
                          consumer=1) for i in range(4)))
 
 
+def waiter_key(prog):
+    """A waiter's (task id, program id)."""
+    return prog.task_outcome.task.task_id, prog.program_id
+
+
 def run_with_waiter_oracle(monkeypatch, sc):
     """Run sc while recomputing attempts and server the direct way: one
     visit per waiter of every dispatch. Returns the result, the oracle's
@@ -1010,18 +1015,16 @@ def run_with_waiter_oracle(monkeypatch, sc):
         outcome = on_tick(self, t, due, band)
         for d in outcome.dispatches:
             retry = retried.pop(d.program.program_id, None)
-            if retry is None:
-                assert d.fresh == 0
-            else:
-                # the retried waiters come first, on their own chain, on the
-                # tick after their timed-out dispatch
-                assert d.fresh == len(retry.waiters)
-                assert d.waiters[:d.fresh] == retry.waiters
-                assert d.chain is retry.chain
-                assert d.tick_index == retry.tick_index + 1
-            for waiter in d.waiters:
-                attempts, _ = expected.get((waiter, d.program.program_id), (0, None))
-                expected[(waiter, d.program.program_id)] = (attempts + 1, d.server_id)
+            lead = () if retry is None else retry.waiters
+            # the retried waiters come first, on their own chain, on the tick
+            # after their timed-out dispatch; the rest join the chain now
+            assert all(a is b for a, b in zip(d.waiters, lead))
+            assert all(p.chain is d.chain for p in d.waiters)
+            assert [p.first_tick < d.tick_index for p in d.waiters] == (
+                [True] * len(lead) + [False] * (len(d.waiters) - len(lead)))
+            for prog in d.waiters:
+                attempts, _ = expected.get(waiter_key(prog), (0, None))
+                expected[waiter_key(prog)] = (attempts + 1, d.server_id)
         assert not retried
         dispatched.extend(outcome.dispatches)
         return outcome
@@ -1058,13 +1061,51 @@ def test_attempts_and_server_equal_a_visit_per_waiter(monkeypatch, case):
 def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
     result, _, dispatched = run_with_waiter_oracle(monkeypatch, fallback_scenario())
     first, retry = dispatched[:2]
-    assert (first.server_id, first.local, first.waiters) == (1, False, ("t1",))
-    assert (retry.server_id, retry.local, retry.waiters, retry.fresh) == (
-        0, True, ("t1", "t2"), 1)
+    assert (first.server_id, first.local, first.waiters) == (1, False, retry.waiters[:1])
+    assert (retry.server_id, retry.local, [waiter_key(p) for p in retry.waiters]) == (
+        0, True, [("t1", "p"), ("t2", "p")])
+    assert [p.first_tick for p in retry.waiters] == [0, 1]
     assert retry.chain is first.chain
     progs = [task.programs[0] for task in result.metrics.tasks]
     assert [(p.attempts, p.server) for p in progs] == [(2, 0), (1, 0)]
     assert statuses(result) == ["completed", "completed"]
+
+
+@pytest.mark.parametrize("t_int", [2.0, 1.0])
+def test_a_task_completes_when_its_last_program_is_delivered(t_int):
+    """A task needing detect and stitch completes at the later of its two
+    deliveries. At a 1.0 s interval (the bundled one is 2.0 s) stitch never
+    completes, so the task stays open after its detect is delivered."""
+    sc = load_scenario(BUNDLED_SCENARIO)
+    both = Task("both", ("detect", "stitch"), Origin.COMMANDER_ORDER, 30.0, consumer=2)
+    result = run(replace(sc, t_int=t_int, tasks=sc.tasks + (both,)))
+    [outcome] = [o for o in result.metrics.tasks if o.task.task_id == "both"]
+    detect, stitch = outcome.programs
+    assert detect.delivered_at is not None
+    if t_int == 2.0:
+        assert outcome.completed_at == max(detect.delivered_at, stitch.delivered_at)
+    else:
+        assert stitch.delivered_at is None
+        assert outcome.completed_at is None
+
+
+def test_a_deferred_task_is_first_served_at_the_tick_that_lists_it_due():
+    """first_served_s is the time of the first Tick whose due= lists the
+    task, also for a task deferred as unservable: with no table row for
+    plan_route, plan-approach is listed at 200 s and never dispatched."""
+    sc = load_scenario(BUNDLED_SCENARIO)
+    sc = replace(sc, tables=tuple(e for e in sc.tables if e.program_id != "plan_route"))
+    result = run(sc)
+    [row] = [row for row in csv.DictReader(io.StringIO(metrics_to_csv(result.metrics)))
+             if row["task_id"] == "plan-approach"]
+    assert {key: row[key] for key in (
+        "first_served_s", "attempts", "server", "status", "task_completed_s")} == {
+        "first_served_s": "200.0", "attempts": "0", "server": "",
+        "status": "pending", "task_completed_s": ""}
+    listed = [line for line in result.trace if " kind=Tick " in line
+              and "plan-approach" in re.search(r" due=(\S*)", line)[1].split(",")]
+    assert listed[0].startswith("t=200.0 ")
+    assert " unserved=plan-approach:plan_route " in listed[0]
 
 
 # ---------------------------------------------------------------- work bounds
@@ -1246,7 +1287,7 @@ def count_work(monkeypatch, sc, trace):
             if all(candidates_for(pid, sc.tables, platform)
                    for pid in task.required_programs))
         for d in outcome.dispatches:
-            work["dispatch_joins"] += len(d.waiters) - d.fresh
+            work["dispatch_joins"] += sum(p.first_tick == d.tick_index for p in d.waiters)
             if not d.local and sc.loss.get(d.server_id, 0.0) > 0.0:
                 work["lossy_wire"] += 1
         return outcome
@@ -1256,7 +1297,8 @@ def count_work(monkeypatch, sc, trace):
         return stage(self, dispatch, t)
 
     def counting_metrics(self):
-        work["engine_joins"] = len(self.joined)
+        work["chained"] = sum(p.chain is not None for outcome in self.protocol.outcomes.values()
+                              for p in outcome.programs)
         return metrics(self)
 
     def counting_flight_state(scenario, t):
@@ -1282,7 +1324,8 @@ def count_work(monkeypatch, sc, trace):
 @pytest.mark.parametrize("case", sorted(RUNGS))
 def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trace):
     """The work bounds of the engine module docstring: one dispatch per
-    program per tick, one join per waiter however often it is retried, at
+    program per tick, one chain per (task, program) outcome of a servable
+    due task, joined once however often it is retried, at
     most two link samples per staged execution plus one loss draw per wire
     dispatch to a lossy server, at most three records per staged execution
     besides a fixed few per task, waypoint and tick, no doomed event in the
@@ -1293,7 +1336,7 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
     counts = result.metrics.counts
     assert 0 < work["flight_states"] <= work["selects"]
     assert 0 < counts["requests"] <= work["ticks"] * len(sc.programs)
-    assert work["engine_joins"] == work["dispatch_joins"] == work["servable_programs"] > 0
+    assert work["chained"] == work["dispatch_joins"] == work["servable_programs"] > 0
     assert 0 < draws["uniform"] + draws["normal"] <= 2 * work["staged"] + work["lossy_wire"]
     if trace:
         delivered = sum(" delivered=" in line for line in result.trace)
@@ -1371,10 +1414,10 @@ def test_metrics_csv_memoizes_cells_by_identity_not_value():
 
     def outcome(task_id, served, completed, *programs):
         task = Task(task_id, tuple(p.program_id for p in programs), issue_time=1.5)
-        return engine.TaskOutcome(task, served, completed, list(programs))
+        return protocol.TaskOutcome(task, served, completed, list(programs))
 
     def prog(program_id, breakdown, delivered_at, attempts=1, server=2):
-        return engine.ProgramOutcome(program_id, attempts, server, breakdown, delivered_at)
+        return protocol.ProgramOutcome(program_id, attempts, server, breakdown, delivered_at)
 
     tasks = [
         # one breakdown and delivery time shared by two waiters

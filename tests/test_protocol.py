@@ -17,6 +17,7 @@ from birdsim import (
 )
 from birdsim import protocol
 from birdsim.channel import band_for
+from birdsim.pipeline import LatencyBreakdown
 from birdsim.protocol import ProtocolState, UnknownResponse
 
 from conftest import make_flat_bands
@@ -35,12 +36,17 @@ GROUND = FlightState(t=0.0, altitude=30.0)
 GROUND_BAND = band_for(GROUND.altitude, GROUND.rotating)
 
 
+def task(task_id, programs=("a",), issue=0.0, consumer=0):
+    return Task(task_id, tuple(programs), Origin.COMMANDER_ORDER, issue,
+                consumer=consumer)
+
+
 def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
-               t_int=2.0, predicate=None, phases=None):
+               tasks=(), t_int=2.0, predicate=None, phases=None):
     """Update-loop state over fixed tables, fleet (default: the default
-    profiles), programs and link (default: variance-free), flying at GROUND;
-    the phases default to "first", which completes when predicate holds,
-    then "second"."""
+    profiles), programs, tasks (each a task id, needing "a", or a Task) and
+    link (default: variance-free), flying at GROUND; the phases default to
+    "first", which completes when predicate holds, then "second"."""
     if phases is None:
         phases = (Phase("first", completes_when=predicate), Phase("second"))
     return ProtocolState(
@@ -49,18 +55,38 @@ def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
         tables=tables,
         nodes=default_profiles() if nodes is None else nodes,
         programs=programs,
+        tasks=[task(t) if isinstance(t, str) else t for t in tasks],
         link=link or LinkModel(noise_seed=0, variance_scale=0.0),
         state_at=lambda t: GROUND._replace(t=t),
     )
 
 
+def due(ps, *task_ids):
+    """The tasks of ps named by task_ids, in that order."""
+    return [ps.outcomes[task_id].task for task_id in task_ids]
+
+
+RESULT = LatencyBreakdown(0.1, 0.2, 0.05, 0.15)
+
+
 def respond(ps, dispatch, t):
-    ps.on_response(dispatch.key, t)
+    ps.on_response(dispatch.key, t, RESULT)
 
 
-def task(task_id, programs=("a",), issue=0.0, consumer=0):
-    return Task(task_id, tuple(programs), Origin.COMMANDER_ORDER, issue,
-                consumer=consumer)
+def completed(ps):
+    """The completion time of each completed task, by task id."""
+    return {task_id: outcome.completed_at for task_id, outcome in ps.outcomes.items()
+            if outcome.completed_at is not None}
+
+
+def waiter_ids(dispatch):
+    """The task id of each waiter of dispatch, in order."""
+    return tuple(prog.task_outcome.task.task_id for prog in dispatch.waiters)
+
+
+def joined(dispatch):
+    """How many of dispatch's waiters joined its chain at its tick."""
+    return sum(prog.first_tick == dispatch.tick_index for prog in dispatch.waiters)
 
 
 # -------------------------------------------------------------------- cadence
@@ -101,20 +127,23 @@ def test_local_execution_sends_no_wire_request():
     degraded = LinkModel(bands=make_flat_bands(ul=1.0, dl=1.0, rtt=20.0),
                          noise_seed=0)
     cheap = {"a": make_program("a", compute=5.0, inp=1e7, out=1e6)}
-    ps = make_state((ProgramTableEntry(1, "a"),), nodes, cheap, degraded)
-    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), nodes, cheap, degraded, tasks=["t1"])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     assert len(outcome.dispatches) == 1
     assert outcome.dispatches[0].local
     assert outcome.messages == 0
     assert ps.requests_issued == 0
     assert ps.outstanding == {}
-    ps.note_result(outcome.dispatches[0], 0.5)
-    assert ps.completed_tasks == {"t1": 0.5}
+    ps.note_result(outcome.dispatches[0], 0.5, RESULT)
+    assert completed(ps) == {"t1": 0.5}
+    [prog] = ps.outcomes["t1"].programs
+    assert (prog.breakdown, prog.delivered_at) == (RESULT, 0.5)
 
 
 def test_distinct_servers_get_one_bundled_request_each():
-    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
+                    tasks=[task("t1", ("a", "b"))])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     assert [(d.server_id, d.program.program_id) for d in outcome.dispatches] == [
         (1, "a"), (2, "b"),
     ]
@@ -124,8 +153,9 @@ def test_distinct_servers_get_one_bundled_request_each():
 
 
 def test_same_server_programs_share_one_request():
-    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b")),
+                    tasks=[task("t1", ("a", "b"))])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     assert ps.requests_issued == 2
     assert ps.request_messages == 1
     assert outcome.messages == 1
@@ -135,50 +165,55 @@ def test_same_server_programs_share_one_request():
 
 
 def test_shared_program_merges_into_one_dispatch():
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1"), task("t2")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1", "t2"])
+    outcome = ps.on_tick(0.0, due(ps, "t1", "t2"), GROUND_BAND)
     assert len(outcome.dispatches) == 1
     dispatch = outcome.dispatches[0]
-    assert dispatch.waiters == ("t1", "t2")
+    assert waiter_ids(dispatch) == ("t1", "t2")
     assert ps.requests_issued == 1
     assert outcome.messages == 1
     respond(ps, dispatch, 0.7)
-    assert ps.completed_tasks == {"t1": 0.7, "t2": 0.7}
+    assert completed(ps) == {"t1": 0.7, "t2": 0.7}
+    # both waiters take the one result
+    assert [(p.breakdown, p.delivered_at) for p in dispatch.waiters] == [(RESULT, 0.7)] * 2
 
 
 # ----------------------------------------------------------------- responses
 
 
 def test_response_resolves_the_outstanding_entry():
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     dispatch = outcome.dispatches[0]
     assert dispatch.key in ps.outstanding
     respond(ps, dispatch, 0.9)
-    assert ps.completed_tasks == {"t1": 0.9}
+    assert completed(ps) == {"t1": 0.9}
     assert ps.outstanding == {}
     assert ps.responses_received == 1
 
 
 def test_duplicate_or_unknown_response_raises():
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     dispatch = outcome.dispatches[0]
     respond(ps, dispatch, 0.9)
     with pytest.raises(UnknownResponse):
         respond(ps, dispatch, 1.0)
     with pytest.raises(UnknownResponse):
-        ps.on_response("0:99:a", 1.0)
+        ps.on_response("0:99:a", 1.0, RESULT)
+    # the refused duplicate credits nothing
+    assert ps.outcomes["t1"].programs[0].delivered_at == 0.9
 
 
 def test_partial_results_do_not_complete_the_task():
-    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
+                    tasks=[task("t1", ("a", "b"))])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["a"], 0.5)
-    assert ps.completed_tasks == {}
+    assert completed(ps) == {}
     respond(ps, by_pid["b"], 0.8)
-    assert ps.completed_tasks == {"t1": 0.8}
+    assert completed(ps) == {"t1": 0.8}
 
 
 # ------------------------------------------------------------------ timeouts
@@ -188,8 +223,9 @@ def test_timeout_excludes_the_failed_server_once():
     nodes = default_profiles()
     nodes[1] = NodeProfile(node_id=1, kind=NodeKind.ECS, compute_capacity=100.0)
     nodes[2] = NodeProfile(node_id=2, kind=NodeKind.GCS, compute_capacity=100.0)
-    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a")), nodes)
-    first = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a")), nodes,
+                    tasks=["t1", "t2"])
+    first = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     assert first.dispatches[0].server_id == 1  # identical servers: lower id
     expired = ps.on_timeout()
     assert [d.server_id for d in expired] == [1]
@@ -197,9 +233,9 @@ def test_timeout_excludes_the_failed_server_once():
     second = ps.on_tick(2.0, [], GROUND_BAND)
     assert [d.server_id for d in second.dispatches] == [2]
     respond(ps, second.dispatches[0], 2.5)
-    assert ps.completed_tasks["t1"] == 2.5
+    assert completed(ps) == {"t1": 2.5}
     # the exclusion lasted one re-match only
-    third = ps.on_tick(4.0, [task("t2")], GROUND_BAND)
+    third = ps.on_tick(4.0, due(ps, "t2"), GROUND_BAND)
     assert third.dispatches[0].server_id == 1
 
 
@@ -209,38 +245,43 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion():
         nodes[server] = NodeProfile(node_id=server, kind=NodeKind.ECS,
                                     compute_capacity=100.0)
     tables = tuple(ProgramTableEntry(server, "a") for server in (1, 2, 3))
-    ps = make_state(tables, nodes)
+    ps = make_state(tables, nodes, tasks=["t1", "t2", "t3", "t4"])
 
     def tick(t, *task_ids):
-        return ps.on_tick(t, [task(tid) for tid in task_ids], GROUND_BAND).dispatches
+        return ps.on_tick(t, due(ps, *task_ids), GROUND_BAND).dispatches
 
     first = tick(0.0, "t1")
     assert [d.server_id for d in first] == [1]
     ps.on_timeout()
     # the retry leads, so its waiters come first and its exclusion holds;
-    # the fresh waiters follow in due order
+    # the fresh waiters follow in due order and join the chain at this tick
     [second] = tick(2.0, "t2", "t3")
-    assert (second.server_id, second.waiters, second.fresh) == (2, ("t1", "t2", "t3"), 1)
+    assert (second.server_id, waiter_ids(second), joined(second)) == (
+        2, ("t1", "t2", "t3"), 2)
     assert second.chain is first[0].chain
     ps.on_timeout()
     [third] = tick(4.0, "t4")
-    assert (third.server_id, third.waiters, third.fresh) == (1, ("t1", "t2", "t3", "t4"), 3)
+    assert (third.server_id, waiter_ids(third), joined(third)) == (
+        1, ("t1", "t2", "t3", "t4"), 1)
     assert (third.chain.last_tick, third.chain.server) == (2, 1)
+    # every waiter is on the one chain, from the tick it joined
+    assert [(p.chain is third.chain, p.first_tick) for p in third.waiters] == [
+        (True, 0), (True, 1), (True, 1), (True, 2)]
 
 
 def test_a_tick_cannot_open_over_outstanding_entries():
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
+    ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     with pytest.raises(ValueError, match="outstanding"):
         ps.on_tick(2.0, [], GROUND_BAND)
     assert ps.current_tick == 0
     ps.on_timeout()
-    assert [d.waiters for d in ps.on_tick(2.0, [], GROUND_BAND).dispatches] == [("t1",)]
+    assert [waiter_ids(d) for d in ps.on_tick(2.0, [], GROUND_BAND).dispatches] == [("t1",)]
 
 
 def test_sole_capable_server_is_retried_after_its_own_timeout():
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
+    ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     ps.on_timeout()
     retry = ps.on_tick(2.0, [], GROUND_BAND)
     assert [d.server_id for d in retry.dispatches] == [1]
@@ -248,20 +289,21 @@ def test_sole_capable_server_is_retried_after_its_own_timeout():
 
 
 def test_timeout_only_retries_the_unresolved_program():
-    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
+                    tasks=[task("t1", ("a", "b"))])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["b"], 0.5)
     ps.on_timeout()
     retry = ps.on_tick(2.0, [], GROUND_BAND)
     assert [d.program.program_id for d in retry.dispatches] == ["a"]
     respond(ps, retry.dispatches[0], 2.4)
-    assert ps.completed_tasks["t1"] == 2.4
+    assert completed(ps) == {"t1": 2.4}
 
 
 def test_unservable_task_is_deferred_whole():
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=[task("t1", ("a", "b"))])
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     assert outcome.dispatches == []
     assert outcome.unserved == ("t1:b",)
     assert ps.unserved_events == 1
@@ -272,14 +314,18 @@ def test_unservable_task_is_deferred_whole():
     assert retry.unserved == ("t1:b",)
     assert ps.unserved_events == 2
     assert ps.requests_issued == 0
+    # it was served, deferred, at its first tick, and no program joined a chain
+    outcome = ps.outcomes["t1"]
+    assert outcome.first_served_at == 0.0
+    assert [(p.chain, p.first_tick) for p in outcome.programs] == [(None, -1)] * 2
 
 
 def test_idle_ticks_keep_the_books():
     """A tick with no retry and no due task dispatches nothing, but it still
     opens its tick, counts every deferred pair and refuses a time off the
     grid or an open entry."""
-    ps = make_state((ProgramTableEntry(1, "a"),))
-    ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=[task("t1", ("a", "b")), "t2"])
+    ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     n = 4
     outcomes = [ps.on_tick(2.0 * k, [], GROUND_BAND) for k in range(1, n + 1)]
     assert ps.unserved_events == n + 1
@@ -290,7 +336,7 @@ def test_idle_ticks_keep_the_books():
         ps.on_tick(11.0, [], GROUND_BAND)
     assert (ps.current_tick, ps.unserved_events) == (n, n + 1)
     # the next tick opens an entry that no response or timeout resolves
-    ps.on_tick(10.0, [task("t2")], GROUND_BAND)
+    ps.on_tick(10.0, due(ps, "t2"), GROUND_BAND)
     with pytest.raises(ValueError, match="outstanding"):
         ps.on_tick(12.0, [], GROUND_BAND)
     assert (ps.current_tick, ps.unserved_events) == (n + 1, n + 2)
@@ -306,28 +352,31 @@ def test_tasks_sharing_an_unservable_list_each_report_their_own_program(monkeypa
 
     monkeypatch.setattr(protocol, "match_programs", counting)
     ps = make_state((ProgramTableEntry(1, "a"),),
-                    programs={pid: make_program(pid) for pid in ("a", "b", "c")})
-    outcome = ps.on_tick(0.0, [task("t1", ("a", "b")), task("t2", ("a", "b")),
-                               task("t3", ("a", "c", "b")), task("t4")], GROUND_BAND)
-    assert [d.waiters for d in outcome.dispatches] == [("t4",)]
+                    programs={pid: make_program(pid) for pid in ("a", "b", "c")},
+                    tasks=[task("t1", ("a", "b")), task("t2", ("a", "b")),
+                           task("t3", ("a", "c", "b")), "t4",
+                           task("t5", ("a", "c", "b")), "t6"])
+    outcome = ps.on_tick(0.0, due(ps, "t1", "t2", "t3", "t4"), GROUND_BAND)
+    assert [waiter_ids(d) for d in outcome.dispatches] == [("t4",)]
     assert outcome.unserved == ("t1:b", "t2:b", "t3:c")
     assert ps.unserved_events == 3
     respond(ps, outcome.dispatches[0], 0.5)
-    outcome = ps.on_tick(2.0, [task("t5", ("a", "c", "b")), task("t6")], GROUND_BAND)
+    outcome = ps.on_tick(2.0, due(ps, "t5", "t6"), GROUND_BAND)
     assert outcome.unserved == ("t1:b", "t2:b", "t3:c", "t5:c")
     assert ps.unserved_events == 7
-    assert [d.waiters for d in outcome.dispatches] == [("t6",)]
+    assert [waiter_ids(d) for d in outcome.dispatches] == [("t6",)]
     # each distinct program list is matched once per run
     assert matched == [("a", "b"), ("a", "c", "b"), ("a",)]
 
 
 def test_conservation_requests_equal_responses_plus_timeouts():
-    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")))
-    first = ps.on_tick(0.0, [task("t1", ("a", "b"))], GROUND_BAND)
+    ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
+                    tasks=[task("t1", ("a", "b")), "t2"])
+    first = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     by_pid = {d.program.program_id: d for d in first.dispatches}
     respond(ps, by_pid["a"], 0.5)
     ps.on_timeout()  # expires "b"
-    second = ps.on_tick(2.0, [task("t2")], GROUND_BAND)
+    second = ps.on_tick(2.0, due(ps, "t2"), GROUND_BAND)
     assert len(second.dispatches) == 2  # retried "b" plus fresh "a"
     flushed = ps.on_timeout()  # the end of the run resolves the open tick
     assert len(flushed) == 2
@@ -342,9 +391,9 @@ def test_conservation_requests_equal_responses_plus_timeouts():
 
 
 def test_outstanding_entries_gate_the_timeline():
-    ps = make_state((ProgramTableEntry(1, "a"),),
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"],
                     predicate=PhasePredicate("elapsed", 0.0))
-    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     ps.try_advance(0.1)
     assert ps.t_pos == 0
     assert ps.phase_log == []
@@ -364,9 +413,9 @@ def test_false_predicate_holds_the_ungated_timeline():
 
 
 def test_task_completion_predicate_advances_after_the_result():
-    ps = make_state((ProgramTableEntry(1, "a"),),
+    ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"],
                     predicate=PhasePredicate("task_completed", "t1"))
-    outcome = ps.on_tick(0.0, [task("t1")], GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
     respond(ps, outcome.dispatches[0], 0.6)
     ps.try_advance(0.6)
     assert ps.t_pos == 1
@@ -380,17 +429,18 @@ def test_program_result_predicate_advances_on_local_and_resolved_wire_results():
         node_id=0, kind=NodeKind.UAV5GP, compute_capacity=25.0,
         cached_programs=frozenset({"a"}), battery_budget=1200.0,
     )
-    ps = make_state((ProgramTableEntry(1, "b"),), nodes, phases=(
+    ps = make_state((ProgramTableEntry(1, "b"),), nodes,
+                    tasks=[task("t1", ("a",)), task("t2", ("b",))], phases=(
         Phase("first", completes_when=PhasePredicate("program_result", "a")),
         Phase("second", completes_when=PhasePredicate("program_result", "b")),
         Phase("third"),
     ))
-    [local] = ps.on_tick(0.0, [task("t1", ("a",))], GROUND_BAND).dispatches
+    [local] = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND).dispatches
     assert local.local
-    ps.note_result(local, 0.5)
+    ps.note_result(local, 0.5, RESULT)
     ps.try_advance(0.5)
     assert ps.phase_log == [(0.5, 0, 1)]
-    [wire] = ps.on_tick(2.0, [task("t2", ("b",))], GROUND_BAND).dispatches
+    [wire] = ps.on_tick(2.0, due(ps, "t2"), GROUND_BAND).dispatches
     assert not wire.local
     ps.try_advance(2.0)
     assert ps.t_pos == 1
