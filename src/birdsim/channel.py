@@ -85,10 +85,10 @@ def default_link_params() -> dict[Band, LinkBandParams]:
 def band_for(altitude: float, rotating: bool = False) -> Band:
     """Map a flight state to its link regime.
 
-    Rotation overrides altitude. Altitudes outside [0, 100] m raise
-    OutOfMeasuredRange.
+    Rotation overrides altitude. Altitudes outside [0, 100] m, and NaN,
+    raise OutOfMeasuredRange.
     """
-    if altitude < 0 or altitude > MAX_ALTITUDE_M:
+    if not 0 <= altitude <= MAX_ALTITUDE_M:
         raise OutOfMeasuredRange(f"altitude {altitude} m outside [0, {MAX_ALTITUDE_M}]")
     if rotating:
         return Band.ROTATION

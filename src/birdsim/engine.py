@@ -29,16 +29,18 @@ and counts the deferred pairs, and the engine pushes the next Tick, checks
 the advancement gate and writes the Tick record with its `unserved=` list.
 
 Every tick and link leg reads its link band off one band timeline, built
-from the flight plan once per run by band_timeline: ascending edge times and
-the band from each edge on, None where band_for raises (outside the measured
-envelope), so that `bands[bisect_right(edges, t)]` is band_for of
-flight_state_at at t for every float t. It is exact, not sampled: on each
-segment every IEEE operation of the interpolation rounds monotonically in t,
-so the computed altitude is monotone and each comparison band_for makes
-flips at most once, at a float the builder finds exactly. A tick hands its
-band to the protocol, which builds a FlightState only for an offload choice
-it has not memoized; a leg is sampled by band, and builds its flight state
-only on a None span, where sample_throughput raises with the altitude.
+from the flight plan by band_timeline when the run is set up, before any
+event: ascending edge times and the band from each edge on, so that
+`bands[bisect_right(edges, t)]` is band_for of flight_state_at at t for
+every float t. A plan with a waypoint outside the measured envelope is
+refused there with band_for's OutOfMeasuredRange; between two waypoints
+inside it the interpolated altitude stays inside, so every instant has a
+band. The timeline is exact, not sampled: on each segment every IEEE
+operation of the interpolation rounds monotonically in t, so the computed
+altitude is monotone and crosses the band split at most once, at a float
+band_timeline finds exactly. A tick hands its band to the protocol, which
+builds a FlightState only for an offload choice it has not memoized; a leg
+is sampled by band.
 
 A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
@@ -61,8 +63,8 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
 - heap pushes = records - 1 on a traced run: every pushed event writes one
   record, and the Flush writes the last;
-- flight_state_at calls <= select_server calls + the ticks and legs that
-  fall on out-of-envelope spans.
+- flight_state_at calls = select_server calls: one per offload choice that
+  is not memoized.
 """
 
 from __future__ import annotations
@@ -74,19 +76,17 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, gt, lt
+from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .channel import (
     BAND_SPLIT_M,
-    MAX_ALTITUDE_M,
     Band,
     Direction,
     FlightState,
     LinkModel,
     LinkSample,
-    OutOfMeasuredRange,
     band_for,
     keyed_uniform,
     transfer_seconds,
@@ -224,18 +224,6 @@ def _altitude(a: Waypoint, b: Waypoint, t: float) -> float:
     return a.altitude + (t - a.t) / (b.t - a.t) * (b.altitude - a.altitude)
 
 
-def _band_or_none(altitude: float, rotating: bool) -> Band | None:
-    try:
-        return band_for(altitude, rotating)
-    except OutOfMeasuredRange:
-        return None
-
-
-# band_for's comparisons of the altitude: below the envelope, above it, and
-# (unless rotating) below the band split
-_ENVELOPE_TESTS = ((lt, 0.0), (gt, MAX_ALTITUDE_M))
-_SPLIT_TESTS = (*_ENVELOPE_TESTS, (lt, BAND_SPLIT_M))
-
 _DOUBLE = struct.Struct("<d")
 _UINT64 = struct.Struct("<Q")
 _SIGN = 1 << 63
@@ -273,47 +261,42 @@ def _first_true(test: Callable[[float], bool], lo: float, hi: float, guess: floa
     return _float_at(hi_r)
 
 
-def band_timeline(plan: Sequence[Waypoint]) -> tuple[list[float], list[Band | None]]:
+def band_timeline(plan: Sequence[Waypoint]) -> tuple[list[float], list[Band]]:
     """The link band over a flight plan as ascending edge times and the band
-    from each edge on (module docstring). On a sloped segment each flip of
-    one of band_for's comparisons is searched from the closed-form crossing
-    time, and the band is evaluated at each flip. Raises ValueError for a
-    plan whose times do not strictly increase or whose consecutive waypoints
-    differ by a non-finite amount (load_scenario rejects both).
+    from each edge on (module docstring). Each waypoint goes through band_for
+    before its segment is read, so a plan outside the measured envelope
+    raises OutOfMeasuredRange. Only a sloped segment that is not rotating
+    flips band, at most once, where it crosses BAND_SPLIT_M; that flip is
+    searched from the closed-form crossing time. Raises ValueError for a plan whose
+    times do not strictly increase or are not finite (load_scenario rejects
+    both).
     """
-    first = plan[0]
     edges: list[float] = []
-    bands = [_band_or_none(first.altitude, first.rotating)]
+    bands = [band_for(plan[0].altitude, plan[0].rotating)]
 
-    def enter(t: float, band: Band | None) -> None:
+    def enter(t: float, band: Band) -> None:
         if band is not bands[-1]:
             edges.append(t)
             bands.append(band)
 
     for a, b in zip(plan, plan[1:]):
         span, rise = b.t - a.t, b.altitude - a.altitude
-        if not (0.0 < span < math.inf and math.isfinite(rise)):
+        if not 0.0 < span < math.inf:
             raise ValueError(
                 f"flight plan: waypoints at t={a.t!r} and t={b.t!r} are not "
                 "strictly increasing and finite"
             )
-        enter(a.t, _band_or_none(a.altitude, a.rotating))
-        if not rise:
-            continue  # a level segment keeps the band of its start
-        last = math.nextafter(b.t, -math.inf)  # the segment's last instant
-        end = _altitude(a, b, last)
-        flips = []
-        for compare, level in _ENVELOPE_TESTS if a.rotating else _SPLIT_TESTS:
-            after = compare(end, level)
-            if compare(a.altitude, level) != after:
-                flips.append(_first_true(
-                    lambda t: compare(_altitude(a, b, t), level) == after,
-                    a.t, last, a.t + (level - a.altitude) / rise * span,
-                ))
-        for t in sorted(flips):
-            enter(t, _band_or_none(_altitude(a, b, t), a.rotating))
-    last_wp = plan[-1]
-    enter(last_wp.t, _band_or_none(last_wp.altitude, last_wp.rotating))
+        band = band_for(b.altitude, b.rotating)
+        if rise and not a.rotating:
+            last = math.nextafter(b.t, -math.inf)  # the segment's last instant
+            below = _altitude(a, b, last) < BAND_SPLIT_M
+            if (a.altitude < BAND_SPLIT_M) != below:
+                t = _first_true(
+                    lambda t: (_altitude(a, b, t) < BAND_SPLIT_M) == below,
+                    a.t, last, a.t + (BAND_SPLIT_M - a.altitude) / rise * span,
+                )
+                enter(t, band_for(_altitude(a, b, t)))
+        enter(b.t, band)
     return edges, bands
 
 
@@ -511,16 +494,10 @@ class _Sim:
     # ---------------------------------------------------------------- staging
 
     def _sample_leg(self, t: float, payload: float, direction: Direction) -> float:
-        """Sample one link leg starting at t, as pipeline.leg_sample prices a
-        hop, and return its transfer seconds. Outside the measured envelope
-        (band None) the flight state is built, and sample_throughput raises
-        with its altitude."""
-        band = self.bands[bisect_right(self.band_edges, t)]
-        if band is None:
-            state = flight_state_at(self.sc, t)
-            sample = self.link.sample_throughput(t, state.altitude, state.rotating, direction)
-        else:
-            sample = self.link.sample(t, band, direction)
+        """Sample one link leg starting at t, in the band the timeline gives
+        there, as pipeline.leg_sample prices a hop, and return its transfer
+        seconds."""
+        sample = self.link.sample(t, self.bands[bisect_right(self.band_edges, t)], direction)
         self.samples.append(sample)
         return transfer_seconds(payload, sample)
 

@@ -142,7 +142,7 @@ class ProtocolState:
         self.state_at = state_at
         self.platform = nodes[PLATFORM]
         # chosen server per (program, excluded server, consumer, band)
-        self._choices: dict[tuple[str, int | None, int, Band | None], int] = {}
+        self._choices: dict[tuple[str, int | None, int, Band], int] = {}
         self.current_tick = -1
         self.outstanding: dict[str, Dispatch] = {}
         # the last tick's timed-out dispatches, by program, in timeout order:
@@ -171,15 +171,12 @@ class ProtocolState:
 
     # ------------------------------------------------------------------ ticks
 
-    def on_tick(
-        self, t_i: float, due_tasks: Sequence[Task], band: Band | None
-    ) -> TickOutcome:
+    def on_tick(self, t_i: float, due_tasks: Sequence[Task], band: Band) -> TickOutcome:
         """Serve due and retried work; returns every dispatch (wire and local)
         decided this tick and the number of bundled requests; each due task,
-        deferred or not, is first served now. band is the
-        link band at t_i, which the engine reads off its band timeline (None
-        where the altitude is outside the measured envelope); a FlightState
-        is built only when an offload choice is not yet memoized.
+        deferred or not, is first served now. band is the link band at t_i,
+        which the engine reads off its band timeline; a FlightState is built
+        only when an offload choice is not yet memoized.
 
         Every tick is checked against the interval grid and the open tick,
         advances current_tick and counts each deferred pair in
@@ -255,15 +252,13 @@ class ProtocolState:
 
     def _choose(
         self, program_id: str, excluded_server: int | None, consumer: int,
-        t: float, band: Band | None,
+        t: float, band: Band,
     ) -> int:
         """The argmin server for one dispatch at t, computed once per key: the
         variance-free link reads the flight state only through its band, and
         the candidates depend only on the program and the exclusion. The band
         comes from the engine; the FlightState is built, with state_at, only
-        on a miss. A band of None (outside the measured envelope; only a
-        hand-built flight plan gets there) raises inside select_server
-        wherever a link leg is priced."""
+        on a miss."""
         key = (program_id, excluded_server, consumer, band)
         server = self._choices.get(key)
         if server is None:

@@ -4,6 +4,7 @@ The measured defaults asserted here are frozen literals; they are the
 model's ground truth and must never drift.
 """
 
+import math
 import struct
 import threading
 import time
@@ -94,6 +95,9 @@ def test_band_for_rejects_unmeasured_altitudes():
         band_for(100.001)
     with pytest.raises(OutOfMeasuredRange):
         band_for(120.0)
+    for rotating in (False, True):
+        with pytest.raises(OutOfMeasuredRange, match=r"^altitude nan m outside \[0, 100.0\]$"):
+            band_for(math.nan, rotating)
 
 
 # ------------------------------------------------------------------ sampling

@@ -177,24 +177,16 @@ def test_bisected_flight_state_equals_the_linear_scan(data):
             linear_flight_state(plan, t)), t
 
 
-def band_or_none(state):
-    """The band of a flight state, None where band_for raises."""
-    try:
-        return band_for(state.altitude, state.rotating)
-    except OutOfMeasuredRange:
-        return None
-
-
-# in the envelope, on its edges and the band split, and (hand-built) outside it
-ALTITUDES = (st.floats(0.0, 100.0) | st.sampled_from([0.0, 50.0, 100.0])
-             | st.floats(-200.0, 300.0))
+# in the envelope, on its edges and the band split, and at its extreme floats
+ALTITUDES = (st.floats(0.0, 100.0)
+             | st.sampled_from([0.0, 5e-324, 0.1, math.nextafter(50.0, 0.0), 50.0, 100.0]))
 BUNDLED_PLAN = load_scenario(BUNDLED_SCENARIO).flight_plan
 
 
 @st.composite
-def flight_plans(draw):
+def flight_plans(draw, altitudes=ALTITUDES):
     times = sorted(draw(WAYPOINT_TIMES))
-    return tuple(Waypoint(t, draw(ALTITUDES), draw(st.booleans())) for t in times)
+    return tuple(Waypoint(t, draw(altitudes), draw(st.booleans())) for t in times)
 
 
 @settings(deadline=None, max_examples=200)
@@ -202,17 +194,43 @@ def flight_plans(draw):
 @example(BUNDLED_PLAN, [])
 @example((Waypoint(0.0, 50.0), Waypoint(10.0, 40.0)), [])  # descends from 50 m
 @example((Waypoint(5.0, 70.0),), [])
-@example((Waypoint(0.0, 150.0, rotating=True),), [])
+# the envelope's extreme segments, over long and short spans
+@example((Waypoint(0.0, 0.1), Waypoint(1e4, 100.0)), [])
+@example((Waypoint(0.0, 100.0), Waypoint(9999.5, 5e-324)), [])
+@example((Waypoint(0.0, 0.0), Waypoint(5e-324, 100.0), Waypoint(1e4, 0.0)), [])
 def test_the_band_timeline_equals_the_band_of_each_flight_state(plan, random_times):
+    """Every instant of an in-envelope plan has the band_for band of its
+    flight state, at every edge, one ulp on each side of it and at each
+    segment's last instant. band_for raises outside [0, 100] m, so this also
+    pins that the interpolation never leaves the envelope."""
     edges, bands = band_timeline(plan)
     assert len(bands) == len(edges) + 1
     assert all(a < b for a, b in zip(edges, edges[1:]))
     sc = make_scenario(flight_plan=plan)
-    queries = [*(wp.t for wp in plan), *edges,
+    queries = [*(wp.t for wp in plan), *(math.nextafter(wp.t, -math.inf) for wp in plan[1:]),
+               *edges,
                *(math.nextafter(e, side) for e in edges for side in (-math.inf, math.inf)),
                plan[0].t - 1.0, plan[-1].t + 1.0, *random_times]
     for t in queries:
-        assert bands[bisect_right(edges, t)] is band_or_none(flight_state_at(sc, t)), t
+        state = flight_state_at(sc, t)
+        assert bands[bisect_right(edges, t)] is band_for(state.altitude, state.rotating), t
+
+
+@settings(deadline=None, max_examples=100)
+@given(flight_plans(st.floats(-200.0, 300.0) | st.just(math.nan) | ALTITUDES))
+@example((Waypoint(0.0, 150.0, rotating=True),))
+@example((Waypoint(0.0, 30.0), Waypoint(10.0, 100.0), Waypoint(20.0, 100.5)))
+@example((Waypoint(0.0, 30.0), Waypoint(10.0, math.nan, rotating=True)))
+def test_a_plan_outside_the_envelope_is_refused_at_its_first_such_waypoint(plan):
+    """A plan is refused iff a waypoint lies outside [0, 100] m or is NaN,
+    with band_for's message for the first such waypoint."""
+    outside = [wp for wp in plan if not 0.0 <= wp.altitude <= 100.0]
+    if not outside:
+        band_timeline(plan)
+        return
+    with pytest.raises(OutOfMeasuredRange) as err:
+        band_timeline(plan)
+    assert str(err.value) == f"altitude {outside[0].altitude} m outside [0, 100.0]"
 
 
 def test_the_bundled_plan_crosses_50_m_exactly_at_150_s_and_after_340_s():
@@ -245,14 +263,14 @@ def test_legs_that_start_on_a_50_m_crossing_are_sampled_high():
         ("150.0", "high"), ("340.0", "high")]
 
 
-@pytest.mark.parametrize("plan", [
-    (Waypoint(0.0, 10.0), Waypoint(0.0, 20.0)),
-    (Waypoint(1.0, 10.0), Waypoint(0.0, 20.0)),
-    (Waypoint(0.0, 10.0), Waypoint(math.inf, 20.0)),
-    (Waypoint(0.0, 10.0), Waypoint(1.0, math.nan)),
+@pytest.mark.parametrize("plan, error, message", [
+    ((Waypoint(0.0, 10.0), Waypoint(0.0, 20.0)), ValueError, "not strictly increasing"),
+    ((Waypoint(1.0, 10.0), Waypoint(0.0, 20.0)), ValueError, "not strictly increasing"),
+    ((Waypoint(0.0, 10.0), Waypoint(math.inf, 20.0)), ValueError, "not strictly increasing"),
+    ((Waypoint(0.0, 10.0), Waypoint(1.0, math.nan)), OutOfMeasuredRange, "altitude nan m"),
 ], ids=["repeated-time", "time-goes-back", "infinite-time", "nan-altitude"])
-def test_a_plan_without_a_band_timeline_is_refused(plan):
-    with pytest.raises(ValueError, match="not strictly increasing and finite"):
+def test_a_plan_without_a_band_timeline_is_refused(plan, error, message):
+    with pytest.raises(error, match=message):
         band_timeline(plan)
 
 
@@ -850,54 +868,52 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
     assert choices[("q", None, 0, high)] == 0
 
 
-def test_out_of_envelope_altitude_aborts_only_where_a_link_is_priced():
-    # load_scenario refuses such flight plans; a hand-built one aborts as
-    # soon as a wire dispatch is priced, and a local-only mission never is
-    too_high = (Waypoint(0.0, 150.0),)
-    with pytest.raises(RunAborted, match="OutOfMeasuredRange"):
-        run(make_scenario(flight_plan=too_high))
-    nodes = {
+LOCAL_ONLY = dict(
+    nodes={
         0: NodeProfile(0, NodeKind.UAV5GP, 25.0, mobile=True,
                        cached_programs=frozenset({"p"}), battery_budget=1200.0),
         1: NodeProfile(1, NodeKind.ECS, 100.0),
-    }
-    local = run(make_scenario(
-        flight_plan=too_high, nodes=nodes, tables=(),
-        tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0),)))
-    assert local.metrics.tasks_completed() == 1
-
-
+    },
+    tables=(),
+    tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0),),
+)
+# (flight plan, extra scenario fields, the altitude refused)
 OUT_OF_ENVELOPE_CASES = {
-    # the tick at 8.0 prices t2's wire dispatch at 110 m: a memo miss, since
-    # t1's choice at 0.0 was made in the low band
+    "wire": ((Waypoint(0.0, 150.0),), {}, 150.0),
+    # a local-only mission would never price a link
+    "local-only": ((Waypoint(0.0, 150.0),), LOCAL_ONLY, 150.0),
+    # the plan would leave the envelope at 7 s, and the tick at 8.0 s would
+    # price t2's wire dispatch at 110 m
     "tick": (
-        make_scenario(
-            flight_plan=(Waypoint(0.0, 30.0), Waypoint(10.0, 130.0)),
-            tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=1),
-                   Task("t2", ("p",), Origin.COMMANDER_ORDER, 7.5, consumer=1))),
-        "t=8.0 seq=11 kind=Abort tpos=0 error=OutOfMeasuredRange%3A%20altitude"
-        "%20110.0%20m%20outside%20%5B0%2C%20100.0%5D",
+        (Waypoint(0.0, 30.0), Waypoint(10.0, 130.0)),
+        dict(tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=1),
+                    Task("t2", ("p",), Origin.COMMANDER_ORDER, 7.5, consumer=1))),
+        130.0,
     ),
-    # the plan leaves the envelope at 0.55 s, where only the output leg of
-    # the tick-0 dispatch is sampled (its compute completes at 0.61 s)
+    # the plan would leave the envelope at 0.55 s, where only the output leg
+    # of the tick-0 dispatch is sampled
     "leg": (
-        make_scenario(
-            flight_plan=(Waypoint(0.0, 30.0), Waypoint(0.2, 30.0), Waypoint(0.7, 130.0)),
-            tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=0),)),
-        "t=0.61 seq=8 kind=Abort tpos=0 error=OutOfMeasuredRange%3A%20altitude"
-        "%20112.0%20m%20outside%20%5B0%2C%20100.0%5D",
+        (Waypoint(0.0, 30.0), Waypoint(0.2, 30.0), Waypoint(0.7, 130.0)),
+        dict(tasks=(Task("t1", ("p",), Origin.COMMANDER_ORDER, 0.0, consumer=0),)),
+        130.0,
     ),
+    "below-zero": ((Waypoint(0.0, 30.0), Waypoint(5.0, -0.5), Waypoint(9.0, 30.0)), {}, -0.5),
+    "nan": ((Waypoint(0.0, math.nan),), {}, math.nan),
+    "nan-rotating": ((Waypoint(0.0, 30.0), Waypoint(4.0, math.nan, rotating=True)), {},
+                     math.nan),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_ENVELOPE_CASES))
-def test_an_out_of_envelope_abort_writes_its_record_byte_for_byte(case):
-    """Leaving the envelope mid-segment aborts at the tick or the leg that
-    prices a link there, with the altitude in the error."""
-    sc, abort = OUT_OF_ENVELOPE_CASES[case]
-    with pytest.raises(RunAborted) as err:
-        run(sc)
-    assert err.value.trace[-1] == abort
+def test_an_out_of_envelope_plan_is_refused_before_the_first_event(case):
+    """load_scenario refuses such flight plans, and run() refuses a
+    hand-built one while it sets up, wire and local-only missions alike:
+    band_for's OutOfMeasuredRange escapes as it is, not as the RunAborted
+    that any error from the first event on becomes."""
+    plan, fields, altitude = OUT_OF_ENVELOPE_CASES[case]
+    with pytest.raises(OutOfMeasuredRange) as err:
+        run(make_scenario(flight_plan=plan, **fields))
+    assert str(err.value) == f"altitude {altitude} m outside [0, 100.0]"
 
 
 def test_a_chosen_server_without_a_profile_aborts_at_its_tick():
@@ -1329,12 +1345,12 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
     most two link samples per staged execution plus one loss draw per wire
     dispatch to a lossy server, at most three records per staged execution
     besides a fixed few per task, waypoint and tick, no doomed event in the
-    heap (each push writes one record, and the Flush writes the last), and,
-    inside the measured envelope, a flight state only per offload choice."""
+    heap (each push writes one record, and the Flush writes the last), and
+    one flight state per offload choice."""
     sc = RUNGS[case]()
     result, work, draws = count_work(monkeypatch, sc, trace)
     counts = result.metrics.counts
-    assert 0 < work["flight_states"] <= work["selects"]
+    assert 0 < work["flight_states"] == work["selects"]
     assert 0 < counts["requests"] <= work["ticks"] * len(sc.programs)
     assert work["chained"] == work["dispatch_joins"] == work["servable_programs"] > 0
     assert 0 < draws["uniform"] + draws["normal"] <= 2 * work["staged"] + work["lossy_wire"]
