@@ -177,6 +177,7 @@ def keyed_uniform(seed: int, c0: int, c1: int, c2: int = 0) -> float:
 class LinkModel:
     """Sampling interface over the per-regime distributions.
 
+    noise_seed is the keyed generator's key: an int in [0, SEED_BOUND).
     variance_scale scales every std; 0 collapses sampling to the means.
     one_way_fraction converts the measured RTT into a one-way delay.
     Construction works out each leg's parameters once: (band, direction) maps
@@ -198,6 +199,9 @@ class LinkModel:
         missing = [b.value for b in Band if b not in self.bands]
         if missing:
             raise ValueError(f"bands missing regimes: {missing}")
+        seed = self.noise_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_BOUND:
+            raise ValueError(f"noise_seed must be an int in [0, 2**128), got {seed!r}")
         if not self.floor_mbps > 0:
             raise ValueError("floor_mbps must be positive")
         if not self.variance_scale >= 0:

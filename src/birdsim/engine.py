@@ -28,19 +28,18 @@ protocol checks its time and that no entry is open, advances current_tick
 and counts the deferred pairs, and the engine pushes the next Tick, checks
 the advancement gate and writes the Tick record with its `unserved=` list.
 
-Every tick and link leg reads its link band off one band timeline, built
-from the flight plan by band_timeline when the run is set up, before any
-event: ascending edge times and the band from each edge on, so that
-`bands[bisect_right(edges, t)]` is band_for of flight_state_at at t for
-every float t. A plan with a waypoint outside the measured envelope is
-refused there with band_for's OutOfMeasuredRange; between two waypoints
+Every tick and link leg reads its link band from band_reader, built from the
+flight plan when the run is set up, before any event. It keeps the waypoint
+times and one entry per stretch between them: a band where the band cannot
+change (before the first waypoint, after the last, on a rotating or a flat
+segment), and the start, span and rise of any other segment, whose band at
+t comes from the altitude that flight_state_at computes there, by
+_altitude's expression. So the band at every float t is band_for of
+flight_state_at at t. A plan with a waypoint outside the measured envelope
+is refused there with band_for's OutOfMeasuredRange; between two waypoints
 inside it the interpolated altitude stays inside, so every instant has a
-band. The timeline is exact, not sampled: on each segment every IEEE
-operation of the interpolation rounds monotonically in t, so the computed
-altitude is monotone and crosses the band split at most once, at a float
-band_timeline finds exactly. A tick hands its band to the protocol, which
-builds a FlightState only for an offload choice it has not memoized; a leg
-is sampled by band.
+band. A tick hands its band to the protocol, which builds a FlightState
+only for an offload choice it has not memoized; a leg is sampled by band.
 
 A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
@@ -73,7 +72,6 @@ import heapq
 import json
 import logging
 import math
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -224,61 +222,18 @@ def _altitude(a: Waypoint, b: Waypoint, t: float) -> float:
     return a.altitude + (t - a.t) / (b.t - a.t) * (b.altitude - a.altitude)
 
 
-_DOUBLE = struct.Struct("<d")
-_UINT64 = struct.Struct("<Q")
-_SIGN = 1 << 63
-
-
-def _rank(x: float) -> int:
-    """x's place in the order of floats: adjacent floats have adjacent ranks
-    (0.0 and -0.0 share 0)."""
-    bits = _UINT64.unpack(_DOUBLE.pack(x))[0]
-    return bits if bits < _SIGN else _SIGN - bits
-
-
-def _float_at(rank: int) -> float:
-    return _DOUBLE.unpack(_UINT64.pack(rank if rank >= 0 else _SIGN - rank))[0]
-
-
-def _first_true(test: Callable[[float], bool], lo: float, hi: float, guess: float) -> float:
-    """The least float t in (lo, hi] where test holds, for a test that is
-    false at lo, true at hi and flips once between. Probes 4 ulps on each
-    side of guess narrow the bracket first, so a guess that close costs five
-    tests; then the bracket is bisected ulp by ulp."""
-    lo_r, hi_r = _rank(lo), _rank(hi)
-    near = min(max(_rank(guess), lo_r), hi_r)
-    for probe in (max(near - 4, lo_r), min(near + 4, hi_r)):
-        if test(_float_at(probe)):
-            hi_r = min(hi_r, probe)
-        else:
-            lo_r = max(lo_r, probe)
-    while hi_r - lo_r > 1:
-        mid = (lo_r + hi_r) // 2
-        if test(_float_at(mid)):
-            hi_r = mid
-        else:
-            lo_r = mid
-    return _float_at(hi_r)
-
-
-def band_timeline(plan: Sequence[Waypoint]) -> tuple[list[float], list[Band]]:
-    """The link band over a flight plan as ascending edge times and the band
-    from each edge on (module docstring). Each waypoint goes through band_for
-    before its segment is read, so a plan outside the measured envelope
-    raises OutOfMeasuredRange. Only a sloped segment that is not rotating
-    flips band, at most once, where it crosses BAND_SPLIT_M; that flip is
-    searched from the closed-form crossing time. Raises ValueError for a plan whose
-    times do not strictly increase or are not finite (load_scenario rejects
-    both).
+def band_reader(plan: Sequence[Waypoint]) -> Callable[[float], Band]:
+    """The link band at any mission time over a flight plan, as a function
+    of t (module docstring). Each waypoint goes through band_for before its
+    segment is stored, so a plan outside the measured envelope raises
+    OutOfMeasuredRange. Raises ValueError for a plan whose times do not
+    strictly increase or are not finite (load_scenario rejects both).
     """
-    edges: list[float] = []
-    bands = [band_for(plan[0].altitude, plan[0].rotating)]
-
-    def enter(t: float, band: Band) -> None:
-        if band is not bands[-1]:
-            edges.append(t)
-            bands.append(band)
-
+    times = [wp.t for wp in plan]
+    band = band_for(plan[0].altitude, plan[0].rotating)
+    # segments[i] holds from times[i - 1] to times[i]: a band, or the
+    # (a.t, a.altitude, span, rise) of a sloped segment that is not rotating
+    segments: list[Band | tuple[float, float, float, float]] = [band]
     for a, b in zip(plan, plan[1:]):
         span, rise = b.t - a.t, b.altitude - a.altitude
         if not 0.0 < span < math.inf:
@@ -286,18 +241,20 @@ def band_timeline(plan: Sequence[Waypoint]) -> tuple[list[float], list[Band]]:
                 f"flight plan: waypoints at t={a.t!r} and t={b.t!r} are not "
                 "strictly increasing and finite"
             )
+        segments.append((a.t, a.altitude, span, rise) if rise and not a.rotating else band)
         band = band_for(b.altitude, b.rotating)
-        if rise and not a.rotating:
-            last = math.nextafter(b.t, -math.inf)  # the segment's last instant
-            below = _altitude(a, b, last) < BAND_SPLIT_M
-            if (a.altitude < BAND_SPLIT_M) != below:
-                t = _first_true(
-                    lambda t: (_altitude(a, b, t) < BAND_SPLIT_M) == below,
-                    a.t, last, a.t + (BAND_SPLIT_M - a.altitude) / rise * span,
-                )
-                enter(t, band_for(_altitude(a, b, t)))
-        enter(b.t, band)
-    return edges, bands
+    segments.append(band)
+    low, high = Band.LOW_ALTITUDE, Band.HIGH_ALTITUDE
+
+    def band_at(t: float) -> Band:
+        segment = segments[bisect_right(times, t)]
+        if isinstance(segment, Band):
+            return segment
+        a_t, a_altitude, span, rise = segment
+        # _altitude's expression, so the band is band_for of flight_state_at
+        return low if a_altitude + (t - a_t) / span * rise < BAND_SPLIT_M else high
+
+    return band_at
 
 
 class _Sim:
@@ -320,7 +277,7 @@ class _Sim:
             if value is not None:
                 self.moments = record_moment(self.moments, which, value)
         # the link band of every instant (module docstring)
-        self.band_edges, self.bands = band_timeline(scenario.flight_plan)
+        self.band_at = band_reader(scenario.flight_plan)
         # policy predictions use the variance-free link; the flight state is
         # looked up by its module-global name at each call
         self.protocol = ProtocolState(
@@ -442,7 +399,7 @@ class _Sim:
         if self.issued:
             due = [task for _, task in sorted(self.issued)]
             self.issued.clear()
-        band = self.bands[bisect_right(self.band_edges, t)]
+        band = self.band_at(t)
         outcome = self.protocol.on_tick(t, due, band)
         # The next tick is also the deadline of this tick's wire dispatches:
         # their Timeout is pushed there, before that Tick, so it runs first
@@ -494,10 +451,10 @@ class _Sim:
     # ---------------------------------------------------------------- staging
 
     def _sample_leg(self, t: float, payload: float, direction: Direction) -> float:
-        """Sample one link leg starting at t, in the band the timeline gives
+        """Sample one link leg starting at t, in the band band_reader gives
         there, as pipeline.leg_sample prices a hop, and return its transfer
         seconds."""
-        sample = self.link.sample(t, self.bands[bisect_right(self.band_edges, t)], direction)
+        sample = self.link.sample(t, self.band_at(t), direction)
         self.samples.append(sample)
         return transfer_seconds(payload, sample)
 

@@ -8,6 +8,7 @@ All times are seconds on a single mission clock whose epoch is 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -165,8 +166,11 @@ class PhasePredicate:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown predicate kind: {self.kind!r}")
-        if self.kind in ("elapsed",) and not isinstance(self.value, (int, float)):
-            raise ValueError("elapsed predicate needs a numeric value")
+        if self.kind == "elapsed":
+            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
+                raise ValueError("elapsed predicate needs a numeric value")
+            if not abs(self.value) < math.inf:
+                raise ValueError(f"elapsed predicate needs a finite value, got {self.value}")
         if self.kind in ("program_result", "task_completed") and not self.value:
             raise ValueError(f"{self.kind} predicate needs a target id")
 

@@ -175,8 +175,8 @@ class ProtocolState:
         """Serve due and retried work; returns every dispatch (wire and local)
         decided this tick and the number of bundled requests; each due task,
         deferred or not, is first served now. band is the link band at t_i,
-        which the engine reads off its band timeline; a FlightState is built
-        only when an offload choice is not yet memoized.
+        which the engine reads from the flight plan's segment there; a
+        FlightState is built only when an offload choice is not yet memoized.
 
         Every tick is checked against the interval grid and the open tick,
         advances current_tick and counts each deferred pair in

@@ -910,7 +910,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         replicates = _int(doc, "replicates", "sweep", default=1, minimum=1)
         base_seed = _int(doc, "base_seed", "sweep", default=0, minimum=0)
         if base_seed + replicates - 1 >= SEED_BOUND:
-            raise SchemaError("base_seed + replicates - 1 must be < 2**128")
+            raise SchemaError("sweep.base_seed: base_seed + replicates - 1 must be < 2**128")
     except ScenarioError as exc:
         raise type(exc)(f"{p}: {exc}") from None
     return SweepSpec(parameter, tuple(values), replicates, base_seed)

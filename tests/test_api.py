@@ -6,6 +6,7 @@ its tools imports a name it never uses."""
 import ast
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
@@ -26,10 +27,14 @@ from birdsim import (
     Task,
     default_link_params,
     default_profiles,
+    load_scenario,
+    run,
     select_server,
 )
 from birdsim.model import CriticalMoments, record_moment
 from birdsim.pipeline import LatencyBreakdown, stage_time
+
+from conftest import BUNDLED_SCENARIO
 
 ROOT = Path(__file__).resolve().parent.parent
 README_EXAMPLES = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
@@ -174,6 +179,22 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
      "unknown predicate kind: 'sometimes'"),
     (lambda: PhasePredicate("elapsed", "soon"), ValueError,
      "elapsed predicate needs a numeric value"),
+    (lambda: PhasePredicate("elapsed", True), ValueError,
+     "elapsed predicate needs a numeric value"),
+    (lambda: PhasePredicate("elapsed", NAN), ValueError,
+     "elapsed predicate needs a finite value, got nan"),
+    (lambda: PhasePredicate("elapsed", -math.inf), ValueError,
+     "elapsed predicate needs a finite value, got -inf"),
+    (lambda: LinkModel(noise_seed=-1), ValueError,
+     "noise_seed must be an int in [0, 2**128), got -1"),
+    (lambda: LinkModel(noise_seed=2**128), ValueError,
+     f"noise_seed must be an int in [0, 2**128), got {2**128}"),
+    (lambda: LinkModel(noise_seed=1.5), ValueError,
+     "noise_seed must be an int in [0, 2**128), got 1.5"),
+    (lambda: run(load_scenario(BUNDLED_SCENARIO), 2**128 + 42), ValueError,
+     f"noise_seed must be an int in [0, 2**128), got {2**128 + 42}"),
+    (lambda: run(load_scenario(BUNDLED_SCENARIO), True), ValueError,
+     "noise_seed must be an int in [0, 2**128), got True"),
     (lambda: PhasePredicate("program_result"), ValueError,
      "program_result predicate needs a target id"),
     (lambda: PhasePredicate("task_completed", ""), ValueError,
@@ -187,6 +208,9 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
         "program-cost-nan", "program-payload-nan", "table-latency-nan",
         "band-dl-std-nan", "band-ul-std-nan", "link-variance-nan",
         "breakdown-nan", "stage-cost-nan", "moment-nan", "predicate-unknown-kind", "predicate-elapsed-text",
+        "predicate-elapsed-bool", "predicate-elapsed-nan", "predicate-elapsed-infinite",
+        "link-seed-negative", "link-seed-past-key", "link-seed-float", "run-seed-past-key",
+        "run-seed-bool",
         "predicate-program-no-target", "predicate-task-empty-target"])
 def test_bad_arguments_are_rejected_with_their_message(call, error, message):
     with pytest.raises(Exception) as err:

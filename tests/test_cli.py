@@ -357,7 +357,7 @@ def test_sweep_seeds_stay_inside_the_generator_key(tmp_path, capsys, base_seed,
         assert [int(r["seed"]) for r in rows] == [2**128 - 2, 2**128 - 1]
     else:
         assert rc == 1
-        assert err == (f"error: {spec}: base_seed + replicates - 1 "
+        assert err == (f"error: {spec}: sweep.base_seed: base_seed + replicates - 1 "
                        "must be < 2**128\n")
 
 

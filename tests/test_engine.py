@@ -8,7 +8,6 @@ import io
 import math
 import random
 import re
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -48,8 +47,8 @@ from birdsim import (
     trace_to_text,
 )
 from birdsim import channel, engine, protocol
-from birdsim.channel import FlightState, band_for, keyed_uniform
-from birdsim.engine import band_timeline, flight_state_at
+from birdsim.channel import BAND_SPLIT_M, FlightState, band_for, keyed_uniform
+from birdsim.engine import band_reader, flight_state_at
 
 from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads, make_flat_bands
 
@@ -177,6 +176,15 @@ def test_bisected_flight_state_equals_the_linear_scan(data):
             linear_flight_state(plan, t)), t
 
 
+def ulps_around(x, n):
+    """The 2n + 1 floats from n ulps below x to n ulps above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [*below[::-1], *above[1:]]
+
+
 # in the envelope, on its edges and the band split, and at its extreme floats
 ALTITUDES = (st.floats(0.0, 100.0)
              | st.sampled_from([0.0, 5e-324, 0.1, math.nextafter(50.0, 0.0), 50.0, 100.0]))
@@ -200,20 +208,20 @@ def flight_plans(draw, altitudes=ALTITUDES):
 @example((Waypoint(0.0, 0.0), Waypoint(5e-324, 100.0), Waypoint(1e4, 0.0)), [])
 def test_the_band_timeline_equals_the_band_of_each_flight_state(plan, random_times):
     """Every instant of an in-envelope plan has the band_for band of its
-    flight state, at every edge, one ulp on each side of it and at each
-    segment's last instant. band_for raises outside [0, 100] m, so this also
-    pins that the interpolation never leaves the envelope."""
-    edges, bands = band_timeline(plan)
-    assert len(bands) == len(edges) + 1
-    assert all(a < b for a, b in zip(edges, edges[1:]))
+    flight state: at each waypoint, one ulp before it, and within 4 ulps of
+    each sloped segment's closed-form 50 m crossing. band_for raises outside
+    [0, 100] m, so this also pins that the interpolation never leaves the
+    envelope."""
+    band_at = band_reader(plan)
     sc = make_scenario(flight_plan=plan)
+    crossings = [a.t + (BAND_SPLIT_M - a.altitude) / (b.altitude - a.altitude) * (b.t - a.t)
+                 for a, b in zip(plan, plan[1:]) if a.altitude != b.altitude]
     queries = [*(wp.t for wp in plan), *(math.nextafter(wp.t, -math.inf) for wp in plan[1:]),
-               *edges,
-               *(math.nextafter(e, side) for e in edges for side in (-math.inf, math.inf)),
+               *(t for c in crossings for t in ulps_around(c, 4)),
                plan[0].t - 1.0, plan[-1].t + 1.0, *random_times]
     for t in queries:
         state = flight_state_at(sc, t)
-        assert bands[bisect_right(edges, t)] is band_for(state.altitude, state.rotating), t
+        assert band_at(t) is band_for(state.altitude, state.rotating), t
 
 
 @settings(deadline=None, max_examples=100)
@@ -226,32 +234,32 @@ def test_a_plan_outside_the_envelope_is_refused_at_its_first_such_waypoint(plan)
     with band_for's message for the first such waypoint."""
     outside = [wp for wp in plan if not 0.0 <= wp.altitude <= 100.0]
     if not outside:
-        band_timeline(plan)
+        band_reader(plan)
         return
     with pytest.raises(OutOfMeasuredRange) as err:
-        band_timeline(plan)
+        band_reader(plan)
     assert str(err.value) == f"altitude {outside[0].altitude} m outside [0, 100.0]"
 
 
 def test_the_bundled_plan_crosses_50_m_exactly_at_150_s_and_after_340_s():
     # 150.0 is a tick at the reference sweep's update intervals 0.5, 1 and
-    # 2 s, and 340.0 at all four: a crossing one ulp off would give those
-    # ticks the other band
+    # 2 s, and 340.0 at all four: a band read one ulp off the crossing would
+    # give those ticks the other band
     sc = make_scenario(flight_plan=BUNDLED_PLAN)
-    low, high, rot = Band.LOW_ALTITUDE, Band.HIGH_ALTITUDE, Band.ROTATION
+    low, high = Band.LOW_ALTITUDE, Band.HIGH_ALTITUDE
     assert flight_state_at(sc, 150.0).altitude == flight_state_at(sc, 340.0).altitude == 50.0
     after = math.nextafter(340.0, math.inf)
     assert after == 340.00000000000006
     assert flight_state_at(sc, after).altitude < 50.0
-    assert band_timeline(BUNDLED_PLAN) == ([60.0, 120.0, 150.0, after],
-                                           [low, rot, low, high, low])
+    band_at = band_reader(BUNDLED_PLAN)
+    assert band_at(150.0) is band_at(340.0) is high
+    assert band_at(math.nextafter(150.0, -math.inf)) is band_at(after) is low
 
 
 def test_legs_that_start_on_a_50_m_crossing_are_sampled_high():
     """Two wire dispatches on the bundled plan whose input legs start at the
-    ticks 150.0 and 340.0, where the altitude is exactly 50 m. A band edge
-    one ulp late reads 150.0 as low; a last edge one ulp early reads 340.0 as
-    low. Either reaches samples.csv here."""
+    ticks 150.0 and 340.0, where the altitude is exactly 50 m. A split
+    compared with <= reads both as low, and that reaches samples.csv here."""
     sc = make_scenario(
         flight_plan=BUNDLED_PLAN, duration=400.0, t_int=2.0,
         programs={"p": replace(DETECT, encode_cost=0.0)},
@@ -271,7 +279,7 @@ def test_legs_that_start_on_a_50_m_crossing_are_sampled_high():
 ], ids=["repeated-time", "time-goes-back", "infinite-time", "nan-altitude"])
 def test_a_plan_without_a_band_timeline_is_refused(plan, error, message):
     with pytest.raises(error, match=message):
-        band_timeline(plan)
+        band_reader(plan)
 
 
 # ------------------------------------------------------------------ horizons
