@@ -165,7 +165,7 @@ def feasibility_report(
     bands: dict[Band, LinkBandParams] | None = None,
 ) -> str:
     """One-line sustainability verdict for a stream bitrate in one regime."""
-    link = LinkModel(bands=bands or default_link_params())
+    link = LinkModel(bands=default_link_params() if bands is None else bands)
     sustainable, headroom = link.sustainable_uplink(bitrate, band)
     return (
         f"band={band.value} bitrate_mbps={bitrate:.2f} "

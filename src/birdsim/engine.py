@@ -3,11 +3,11 @@
 Events are totally ordered by (time, insertion sequence) and carry their
 handler; all randomness is keyed off the run seed, so a fixed (scenario, seed)
 pair replays to the byte.
-The engine stages each dispatched execution with the stage times that
-`pipeline` prices and the link legs it samples (each sample carries its
-band), feeds deliveries and timeouts to the protocol state, which owns the
-timeline position and every outcome, records the critical moments, and
-emits a replay-complete line trace plus a metrics record.
+The engine stages each dispatched execution with the stage times its
+offload choice predicted, samples each link leg when it starts (each sample
+carries its band), feeds deliveries and timeouts to the protocol state,
+which owns the timeline position and every outcome, records the critical
+moments, and emits a replay-complete line trace plus a metrics record.
 
 Every event in the heap is live: it is handled and, on a traced run, writes
 one record. A wire execution counts only while its entry is outstanding. Its
@@ -63,7 +63,9 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - heap pushes = records - 1 on a traced run: every pushed event writes one
   record, and the Flush writes the last;
 - flight_state_at calls = select_server calls: one per offload choice that
-  is not memoized.
+  is not memoized;
+- stage_times calls = e2e_latency calls: a route is priced only by the
+  offload choice, never again by staging.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ from .model import (
     Task,
     record_moment,
 )
-from .pipeline import LatencyBreakdown, PipelinePlacement, hop_direction, stage_times
+from .pipeline import LatencyBreakdown
 from .protocol import Dispatch, ProtocolState, TaskOutcome
 from .scenario import Scenario, Waypoint
 
@@ -124,10 +126,10 @@ _Handler = Callable[[float, int, Any], None]
 @dataclass(slots=True)
 class _Instance:
     """One staged program execution (a dispatch in flight); its stage times
-    are priced when it is staged, and t_comm grows by each link leg. A wire
-    execution carries its entry's deadline, a local one an infinite one;
-    output is the direction of the hop to the consumer, None when the result
-    is consumed where it is computed."""
+    are its dispatch's route, and t_comm grows by each link leg as it is
+    sampled. A wire execution carries its entry's deadline, a local one an
+    infinite one; output is the direction of the hop to the consumer, None
+    when the result is consumed where it is computed."""
 
     inst_id: int
     dispatch: Dispatch
@@ -304,14 +306,6 @@ class _Sim:
         self.prog_index = {pid: i for i, pid in enumerate(scenario.programs)}
         # the deadline of the open tick's wire dispatches (module docstring)
         self.deadline = math.inf
-        # (t_enc, t_dec, t_proc, input hop direction, output hop direction)
-        # per (program, executor, consumer), a direction None where its hop
-        # moves nothing: the programs and fleet are fixed, so each route is
-        # priced once per run
-        self.routes: dict[
-            tuple[str, int, int],
-            tuple[float, float, float, Direction | None, Direction | None],
-        ] = {}
 
     # ------------------------------------------------------------- scheduling
 
@@ -459,23 +453,13 @@ class _Sim:
         return transfer_seconds(payload, sample)
 
     def _stage(self, dispatch: Dispatch, t: float) -> None:
-        """Stage one execution dispatched at t with the stage times pipeline
-        prices, once per route: local work runs them back to back on the
-        platform; wire work is encoded, then its input is sent to the
-        executor. A doomed input arrival takes its inst id, its leg sample
-        and its seq like any other, but builds no _Instance and never enters
-        the heap."""
-        server, consumer = dispatch.server_id, dispatch.consumer
-        route = (dispatch.program.program_id, server, consumer)
-        plan = self.routes.get(route)
-        if plan is None:
-            placement = PipelinePlacement(PLATFORM, server, consumer)
-            plan = self.routes[route] = (
-                *stage_times(dispatch.program, placement, self.sc.nodes),
-                None if dispatch.local else hop_direction(PLATFORM, server),
-                None if consumer == server else hop_direction(server, consumer),
-            )
-        t_enc, t_dec, t_proc, input_hop, output_hop = plan
+        """Stage one execution dispatched at t with the stage times its
+        offload choice predicted (dispatch.route): local work runs them back
+        to back on the platform; wire work is encoded, then its input is sent
+        to the executor. A doomed input arrival takes its inst id, its leg
+        sample and its seq like any other, but builds no _Instance and never
+        enters the heap."""
+        t_enc, t_dec, t_proc, input_hop, output_hop = dispatch.route
         inst_id = self.staged
         self.staged += 1
         if input_hop is None:

@@ -4,13 +4,12 @@ A placement names where the input originates, where the program runs, and
 where the result is used. The end-to-end figure is the exact sum of four
 stages: encode at the source, communication over the wireless hops, decode at
 the executor, and processing at the executor. A fully local placement skips
-everything but processing. The policy's prediction (e2e_latency) and the
-engine's staging share stage_times and hop_direction, and differ only in
-when each leg is sampled: the prediction samples both legs with leg_sample
-at the flight state of the deciding tick (on the variance-free link it is
-given), the engine samples each leg the same way when it starts. The engine
-prices the stage times and hop directions once per route (program,
-executor, consumer) and run, since programs and fleet are fixed.
+everything but processing. The engine stages each execution with the stage
+times that the offload choice's prediction (e2e_latency) priced for it, so
+the two differ only in when each leg is sampled: the prediction samples both
+legs with leg_sample at the flight state of the deciding tick (on the
+variance-free link it is given), the engine samples each leg in its
+hop_direction when it starts.
 """
 
 from __future__ import annotations

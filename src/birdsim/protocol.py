@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .channel import Band, FlightState, LinkModel
+from .channel import Band, Direction, FlightState, LinkModel
 from .model import PLATFORM, NodeProfile, Phase, PhasePredicate, ProgramSpec, Task
-from .pipeline import LatencyBreakdown
+from .pipeline import LatencyBreakdown, UnknownNode, hop_direction
 from .policy import (
     NoCapableServer,
     ProgramTableEntry,
@@ -41,6 +41,10 @@ from .policy import (
 
 class UnknownResponse(KeyError):
     """A response arrived for no outstanding entry: a harness bug."""
+
+
+# (t_enc, t_dec, t_proc, input hop, output hop), a hop None where it moves nothing
+Route = tuple[float, float, float, Direction | None, Direction | None]
 
 
 @dataclass(slots=True)
@@ -94,6 +98,7 @@ class Dispatch:
     waiters: tuple[ProgramOutcome, ...]  # credited when the result lands
     local: bool
     chain: Chain
+    route: Route  # as the offload choice priced it
     key: str = field(init=False)  # tick:server:program, as the trace prints it
 
     def __post_init__(self):
@@ -141,8 +146,8 @@ class ProtocolState:
         self.link = link
         self.state_at = state_at
         self.platform = nodes[PLATFORM]
-        # chosen server per (program, excluded server, consumer, band)
-        self._choices: dict[tuple[str, int | None, int, Band], int] = {}
+        # chosen (server, route) per (program, excluded server, consumer, band)
+        self._choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]] = {}
         self.current_tick = -1
         self.outstanding: dict[str, Dispatch] = {}
         # the last tick's timed-out dispatches, by program, in timeout order:
@@ -156,6 +161,8 @@ class ProtocolState:
         self._unservable: dict[tuple[str, ...], str | None] = {}
         self.outcomes: dict[str, TaskOutcome] = {}
         for task in tasks:
+            if task.task_id in self.outcomes:
+                raise ValueError(f"task id {task.task_id!r} is repeated")
             outcome = self.outcomes[task.task_id] = TaskOutcome(task)
             outcome.programs = [
                 ProgramOutcome(pid, task_outcome=outcome) for pid in task.required_programs
@@ -221,7 +228,7 @@ class ProtocolState:
         # retry supplies the exclusion, the chain and the leading waiters.
         dispatches: list[Dispatch] = []
         for program_id, retry in retries.items():
-            server = self._choose(program_id, retry.server_id, retry.consumer, t_i, band)
+            server, route = self._choose(program_id, retry.server_id, retry.consumer, t_i, band)
             chain, waiters = retry.chain, retry.waiters
             chain.last_tick, chain.server = tick, server
             joining = fresh.pop(program_id, None) if fresh else None
@@ -229,14 +236,14 @@ class ProtocolState:
                 waiters += _join(joining[1], chain, tick)
             dispatches.append(Dispatch(
                 tick, retry.program, server, retry.consumer, waiters,
-                server == PLATFORM, chain,
+                server == PLATFORM, chain, route,
             ))
         for program_id, (consumer, waiters) in fresh.items():
-            server = self._choose(program_id, None, consumer, t_i, band)
+            server, route = self._choose(program_id, None, consumer, t_i, band)
             chain = Chain(tick, server)
             dispatches.append(Dispatch(
                 tick, self.programs[program_id], server, consumer,
-                _join(waiters, chain, tick), server == PLATFORM, chain,
+                _join(waiters, chain, tick), server == PLATFORM, chain, route,
             ))
 
         # Each wire dispatch opens its entry; one bundled request goes to each
@@ -253,27 +260,37 @@ class ProtocolState:
     def _choose(
         self, program_id: str, excluded_server: int | None, consumer: int,
         t: float, band: Band,
-    ) -> int:
-        """The argmin server for one dispatch at t, computed once per key: the
-        variance-free link reads the flight state only through its band, and
-        the candidates depend only on the program and the exclusion. The band
-        comes from the engine; the FlightState is built, with state_at, only
-        on a miss."""
+    ) -> tuple[int, Route]:
+        """The argmin server for one dispatch at t and its route, computed
+        once per key: the variance-free link reads the flight state only
+        through its band, and the candidates depend only on the program and
+        the exclusion. The band comes from the engine; the FlightState is
+        built, with state_at, only on a miss. The route holds the winner's
+        predicted stage times, which depend on neither the band nor the
+        exclusion, and its hop directions; a winner with no compute profile
+        cannot be staged."""
         key = (program_id, excluded_server, consumer, band)
-        server = self._choices.get(key)
-        if server is None:
+        choice = self._choices.get(key)
+        if choice is None:
             found = candidates_for(program_id, self.tables, self.platform)
             if excluded_server is not None:
                 # exclusion lasts exactly one re-match, and never starves the
                 # program: a sole capable server is retried even if it failed
                 reduced = [c for c in found if c.server_id != excluded_server]
                 found = reduced or found
-            server = select_server(
+            decision = select_server(
                 self.programs[program_id], found, self.nodes, self.link,
                 self.state_at(t), consumer=consumer,
-            ).chosen_server
-            self._choices[key] = server
-        return server
+            )
+            server, predicted = decision.chosen_server, decision.predicted
+            if server not in self.nodes:
+                raise UnknownNode(server)
+            choice = self._choices[key] = (server, (
+                predicted.t_enc, predicted.t_dec, predicted.t_proc,
+                None if server == PLATFORM else hop_direction(PLATFORM, server),
+                None if consumer == server else hop_direction(server, consumer),
+            ))
+        return choice
 
     def _servable(self, task: Task) -> bool:
         # A task with any unservable program is deferred whole, on every tick.

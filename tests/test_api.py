@@ -8,6 +8,7 @@ import contextlib
 import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from birdsim import (
     run,
     select_server,
 )
+from birdsim.cli import feasibility_report
 from birdsim.model import CriticalMoments, record_moment
 from birdsim.pipeline import LatencyBreakdown, stage_time
 
@@ -122,6 +124,13 @@ def _all_but_rotation():
     return {b: p for b, p in default_link_params().items() if b is not Band.ROTATION}
 
 
+def _bundled_with_task_2_named_monitor():
+    sc = load_scenario(BUNDLED_SCENARIO)
+    tasks = list(sc.tasks)
+    tasks[1] = replace(tasks[1], task_id="monitor")
+    return replace(sc, tasks=tuple(tasks))
+
+
 def _only_incapable_rows():
     program = ProgramSpec("p", "object_detection", 1.0, 1.0, 1.0)
     select_server(program, [ProgramTableEntry(1, "p", capable=False)],
@@ -199,6 +208,10 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
      "program_result predicate needs a target id"),
     (lambda: PhasePredicate("task_completed", ""), ValueError,
      "task_completed predicate needs a target id"),
+    (lambda: run(_bundled_with_task_2_named_monitor()), ValueError,
+     "task id 'monitor' is repeated"),
+    (lambda: feasibility_report(25.0, Band.LOW_ALTITUDE, {}), ValueError,
+     "bands missing regimes: ['low', 'high', 'rotation']"),
 ], ids=["link-bands-missing", "link-floor-zero", "link-variance-negative",
         "link-one-way-zero", "link-one-way-above-one", "select-only-incapable",
         "stage-cost-negative", "stage-capacity-zero", "moment-negative",
@@ -211,7 +224,8 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
         "predicate-elapsed-bool", "predicate-elapsed-nan", "predicate-elapsed-infinite",
         "link-seed-negative", "link-seed-past-key", "link-seed-float", "run-seed-past-key",
         "run-seed-bool",
-        "predicate-program-no-target", "predicate-task-empty-target"])
+        "predicate-program-no-target", "predicate-task-empty-target",
+        "run-task-id-repeated", "feasibility-bands-empty"])
 def test_bad_arguments_are_rejected_with_their_message(call, error, message):
     with pytest.raises(Exception) as err:
         call()

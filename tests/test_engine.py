@@ -46,7 +46,7 @@ from birdsim import (
     summary_to_json,
     trace_to_text,
 )
-from birdsim import channel, engine, protocol
+from birdsim import channel, engine, pipeline, policy, protocol
 from birdsim.channel import BAND_SPLIT_M, FlightState, band_for, keyed_uniform
 from birdsim.engine import band_reader, flight_state_at
 
@@ -1083,7 +1083,10 @@ def test_attempts_and_server_equal_a_visit_per_waiter(monkeypatch, case):
 
 
 def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
-    result, _, dispatched = run_with_waiter_oracle(monkeypatch, fallback_scenario())
+    """The retry runs on the platform, and every waiter is delivered the
+    stage times of that placement, not the excluded server's."""
+    sc = fallback_scenario()
+    result, _, dispatched = run_with_waiter_oracle(monkeypatch, sc)
     first, retry = dispatched[:2]
     assert (first.server_id, first.local, first.waiters) == (1, False, retry.waiters[:1])
     assert (retry.server_id, retry.local, [waiter_key(p) for p in retry.waiters]) == (
@@ -1093,6 +1096,10 @@ def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
     progs = [task.programs[0] for task in result.metrics.tasks]
     assert [(p.attempts, p.server) for p in progs] == [(2, 0), (1, 0)]
     assert statuses(result) == ["completed", "completed"]
+    local = pipeline.stage_times(DETECT, PipelinePlacement(0, 0, 1), sc.nodes)
+    assert local != pipeline.stage_times(DETECT, PipelinePlacement(0, 1, 1), sc.nodes)
+    assert [(p.breakdown.t_enc, p.breakdown.t_dec, p.breakdown.t_proc)
+            for p in progs] == [local, local]
 
 
 @pytest.mark.parametrize("t_int", [2.0, 1.0])
@@ -1142,47 +1149,41 @@ WORK_CASES = {
 
 def count_run_constants(monkeypatch, sc):
     """Run sc counting the calls that compute a run constant: servability
-    per program list, stage times per route, offload choices."""
-    matched, priced, selected = Counter(), Counter(), []
+    per program list and offload choices (each choice also prices its
+    route, which test_a_run_does_work_within_the_bounds_of_its_design
+    pins)."""
+    matched, selected = Counter(), []
     match_programs = protocol.match_programs
-    stage_times = engine.stage_times
     select = protocol.select_server
 
     def counting_match(task, tables, platform):
         matched[task.required_programs] += 1
         return match_programs(task, tables, platform)
 
-    def counting_stage_times(program, placement, nodes):
-        priced[program.program_id, placement.executor, placement.consumer] += 1
-        return stage_times(program, placement, nodes)
-
     def counting_select(program, *args, **kwargs):
         selected.append(program.program_id)
         return select(program, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "match_programs", counting_match)
-    monkeypatch.setattr(engine, "stage_times", counting_stage_times)
     monkeypatch.setattr(protocol, "select_server", counting_select)
-    return run(sc), matched, priced, selected
+    return run(sc), matched, selected
 
 
 @pytest.mark.parametrize("case", sorted(WORK_CASES))
 def test_each_run_constant_is_computed_within_its_bound(monkeypatch, case):
     """The tables, fleet and programs are fixed for a run, so each distinct
-    program list is matched once, each (program, executor, consumer) route
-    is priced once, and the offload choice is made at most once per
-    (program, excluded server or none, consumer, band)."""
+    program list is matched once, and the offload choice is made at most
+    once per (program, excluded server or none, consumer, band): fewer
+    choices than requests."""
     sc = WORK_CASES[case]()
-    result, matched, priced, selected = count_run_constants(monkeypatch, sc)
+    result, matched, selected = count_run_constants(monkeypatch, sc)
     lists = {task.required_programs for task in sc.tasks}
     assert set(matched) == lists
     assert max(matched.values()) == 1
-    assert not priced or max(priced.values()) == 1
     servers = {entry.server_id for entry in sc.tables}
     consumers = {task.consumer for task in sc.tasks}
     assert 0 < len(selected) <= len(sc.programs) * (len(servers) + 1) * len(consumers) * 3
-    # the sole server loses every request, so nothing is staged there
-    assert case == "sole_server" or result.metrics.counts["requests"] > len(priced) > 0
+    assert result.metrics.counts["requests"] > len(selected)
 
 
 # ------------------------------------------------------------ untraced runs
@@ -1289,8 +1290,8 @@ RUNGS = {
 
 def count_work(monkeypatch, sc, trace):
     """Run sc counting its ticks, dispatches, servable due tasks, staged
-    executions, waiter joins, heap pushes, keyed draws, flight states and
-    offload choices."""
+    executions, waiter joins, heap pushes, keyed draws, flight states,
+    offload choices, stage_times calls and e2e_latency calls."""
     work = Counter()
 
     def counting_push(heap, item):
@@ -1301,6 +1302,7 @@ def count_work(monkeypatch, sc, trace):
     metrics = engine._Sim._metrics
     flight_state = engine.flight_state_at
     select = protocol.select_server
+    price, predict = pipeline.stage_times, policy.e2e_latency
     platform = sc.nodes[0]
 
     def counting_tick(self, t, due, band):
@@ -1333,6 +1335,19 @@ def count_work(monkeypatch, sc, trace):
         work["selects"] += 1
         return select(*args, **kwargs)
 
+    def counting_stage_times(*args):
+        work["stage_times"] += 1
+        return price(*args)
+
+    def counting_e2e_latency(*args):
+        work["e2e_latencies"] += 1
+        return predict(*args)
+
+    # every binding of stage_times counts, wherever a module imported it
+    for module in (pipeline, policy, protocol, engine):
+        if getattr(module, "stage_times", None) is price:
+            monkeypatch.setattr(module, "stage_times", counting_stage_times)
+    monkeypatch.setattr(policy, "e2e_latency", counting_e2e_latency)
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", counting_tick)
     monkeypatch.setattr(engine._Sim, "_stage", counting_stage)
     monkeypatch.setattr(engine._Sim, "_metrics", counting_metrics)
@@ -1353,12 +1368,14 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
     most two link samples per staged execution plus one loss draw per wire
     dispatch to a lossy server, at most three records per staged execution
     besides a fixed few per task, waypoint and tick, no doomed event in the
-    heap (each push writes one record, and the Flush writes the last), and
-    one flight state per offload choice."""
+    heap (each push writes one record, and the Flush writes the last), one
+    flight state per offload choice, and stage times priced only by the
+    offload choice's predictions, never again by staging."""
     sc = RUNGS[case]()
     result, work, draws = count_work(monkeypatch, sc, trace)
     counts = result.metrics.counts
     assert 0 < work["flight_states"] == work["selects"]
+    assert 0 < work["stage_times"] == work["e2e_latencies"]
     assert 0 < counts["requests"] <= work["ticks"] * len(sc.programs)
     assert work["chained"] == work["dispatch_joins"] == work["servable_programs"] > 0
     assert 0 < draws["uniform"] + draws["normal"] <= 2 * work["staged"] + work["lossy_wire"]
