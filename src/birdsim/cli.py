@@ -23,6 +23,7 @@ from .engine import (
     RunAborted,
     csv_text,
     metrics_to_csv,
+    plan,
     run,
     samples_to_csv,
     summary_dict,
@@ -115,16 +116,21 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
     spec = load_sweep_spec(sweep_path)
     rows: list[list] = []
     aggregates: list[list] = []
+    run_plan = None
     for value in spec.values:
         started = perf_counter()
         scenario = apply_sweep_value(base, spec.parameter, value)
+        # the runs of every value that leaves the fields a plan reads alone
+        # share one plan (engine module docstring)
+        if run_plan is None or run_plan.misfit(scenario) is not None:
+            run_plan = plan(scenario)
         e2e_means: list[float] = []
         comm_means: list[float] = []
         completed_counts: list[int] = []
         for rep in range(spec.replicates):
             seed = spec.base_seed + rep
             # the sweep reads only the metrics, so its runs keep no trace
-            m = run(scenario, seed=seed, trace=False).metrics
+            m = run(scenario, seed=seed, trace=False, plan=run_plan).metrics
             completed, mean_e2e, mean_comm = m.outcome_stats()
             if mean_e2e is not None:
                 e2e_means.append(mean_e2e)

@@ -28,8 +28,19 @@ protocol checks its time and that no entry is open, advances current_tick
 and counts the deferred pairs, and the engine pushes the next Tick, checks
 the advancement gate and writes the Tick record with its `unserved=` list.
 
+A run's seed-free constants are its RunPlan, built by plan(scenario) before
+any event: the band reader, the program index, the incident's moments, the
+variance-free link that offload choices are priced on, and the update loop's
+memos, each offload choice with its route and the servability of each list
+of required programs. Each is a pure function of the scenario fields the
+plan reads (_PLAN_FIELDS), none of them the seed, the update interval or the
+link variance, so every run given the same plan shares them: a sweep passes
+one plan to each run whose scenario it fits. run builds a fresh plan when it
+is given none, and refuses, before any event, a plan built from another
+object for any field it reads.
+
 Every tick and link leg reads its link band from band_reader, built from the
-flight plan when the run is set up, before any event. It keeps the waypoint
+flight plan with the run's plan, before any event. It keeps the waypoint
 times and one entry per stretch between them: a band where the band cannot
 change (before the first waypoint, after the last, on a rotating or a flat
 segment), and the start, span and rise of any other segment, whose band at
@@ -57,7 +68,6 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - requests <= ticks x programs: one dispatch per program per tick;
 - outcomes with a chain = the sum of len(required_programs) over the
   servable due tasks: a waiter joins one chain, however often it is retried;
-- select_server calls <= programs x (servers + 1) x consumers x 3 bands;
 - keyed draws <= 2 x staged + the wire dispatches to lossy servers;
 - records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
 - heap pushes = records - 1 on a traced run: every pushed event writes one
@@ -66,6 +76,12 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
   is not memoized;
 - stage_times calls = e2e_latency calls: a route is priced only by the
   offload choice, never again by staging.
+Per plan, over all the runs that share it (a run given no plan has its own):
+- band_reader calls = 1;
+- match_programs calls = the distinct required_programs lists matched;
+- select_server calls <= programs x (servers + 1) x consumers x 3 bands, and
+  a run whose every offload choice an earlier run on its plan made makes
+  none.
 """
 
 from __future__ import annotations
@@ -101,7 +117,7 @@ from .model import (
     record_moment,
 )
 from .pipeline import LatencyBreakdown
-from .protocol import Dispatch, ProtocolState, TaskOutcome
+from .protocol import Dispatch, ProtocolState, Route, TaskOutcome
 from .scenario import Scenario, Waypoint
 
 log = logging.getLogger("birdsim.engine")
@@ -259,8 +275,68 @@ def band_reader(plan: Sequence[Waypoint]) -> Callable[[float], Band]:
     return band_at
 
 
+# The scenario fields a RunPlan reads: it fits a scenario whose fields these
+# are the very objects it was built from.
+_PLAN_FIELDS = (
+    "flight_plan", "programs", "tables", "nodes", "bands", "floor_mbps",
+    "one_way_fraction", "incident",
+)
+
+
+@dataclass(frozen=True, slots=True)
+class RunPlan:
+    """The seed-free constants of the runs of one scenario (module
+    docstring). The memos fill as the runs that share the plan make offload
+    choices and match lists of required programs."""
+
+    reads: tuple[Any, ...]  # the objects of _PLAN_FIELDS it was built from
+    band_at: Callable[[float], Band]  # the link band of every instant
+    prog_index: dict[str, int]  # a program's index, a loss draw's counter
+    moments: CriticalMoments  # the incident's, before any event
+    link: LinkModel  # variance-free: offload choices are priced on it
+    # the update loop's memos (protocol.ProtocolState)
+    choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]]
+    unservable: dict[tuple[str, ...], str | None]
+
+    def misfit(self, scenario: Scenario) -> str | None:
+        """The first field the plan reads that is not, in scenario, the
+        object the plan was built from; None when the plan fits."""
+        for name, built_from in zip(_PLAN_FIELDS, self.reads):
+            if getattr(scenario, name) is not built_from:
+                return name
+        return None
+
+
+def plan(scenario: Scenario) -> RunPlan:
+    """The run plan of scenario; raises what a run of it would raise while
+    it sets up: the incident's moments out of order, or a flight plan
+    outside the measured envelope (band_reader)."""
+    moments = CriticalMoments()
+    for which, value in (
+        ("start", scenario.incident.start),
+        ("observed", scenario.incident.observed),
+        ("reported", scenario.incident.reported),
+    ):
+        if value is not None:
+            moments = record_moment(moments, which, value)
+    return RunPlan(
+        reads=tuple([getattr(scenario, name) for name in _PLAN_FIELDS]),
+        band_at=band_reader(scenario.flight_plan),
+        prog_index={pid: i for i, pid in enumerate(scenario.programs)},
+        moments=moments,
+        link=LinkModel(
+            bands=scenario.bands,
+            floor_mbps=scenario.floor_mbps,
+            variance_scale=0.0,
+            one_way_fraction=scenario.one_way_fraction,
+        ),
+        choices={},
+        unservable={},
+    )
+
+
 class _Sim:
-    def __init__(self, scenario: Scenario, seed: int, trace: bool):
+    def __init__(self, scenario: Scenario, seed: int, trace: bool, run_plan: RunPlan | None):
         self.sc = scenario
         self.seed = seed
         self.link = LinkModel(
@@ -270,22 +346,24 @@ class _Sim:
             variance_scale=scenario.variance_scale,
             one_way_fraction=scenario.one_way_fraction,
         )
-        self.moments = CriticalMoments()
-        for which, value in (
-            ("start", scenario.incident.start),
-            ("observed", scenario.incident.observed),
-            ("reported", scenario.incident.reported),
-        ):
-            if value is not None:
-                self.moments = record_moment(self.moments, which, value)
-        # the link band of every instant (module docstring)
-        self.band_at = band_reader(scenario.flight_plan)
-        # policy predictions use the variance-free link; the flight state is
-        # looked up by its module-global name at each call
+        if run_plan is None:
+            run_plan = plan(scenario)
+        else:
+            misfit = run_plan.misfit(scenario)
+            if misfit is not None:
+                raise ValueError(
+                    f"plan does not fit the scenario: its {misfit} is not the "
+                    "object the plan was built from"
+                )
+        self.moments = run_plan.moments
+        self.band_at = run_plan.band_at
+        self.prog_index = run_plan.prog_index
+        # the flight state is looked up by its module-global name at each call
         self.protocol = ProtocolState(
             scenario.t_int, scenario.phases, scenario.tables, scenario.nodes,
-            scenario.programs, scenario.tasks, self.link.mean(),
+            scenario.programs, scenario.tasks, run_plan.link,
             lambda t: flight_state_at(scenario, t),
+            choices=run_plan.choices, unservable=run_plan.unservable,
         )
         battery = scenario.nodes[PLATFORM].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
@@ -303,7 +381,6 @@ class _Sim:
         self.samples: list[LinkSample] = []
         # (scenario index, task) of each task issued since the last Tick
         self.issued: list[tuple[int, Task]] = []
-        self.prog_index = {pid: i for i, pid in enumerate(scenario.programs)}
         # the deadline of the open tick's wire dispatches (module docstring)
         self.deadline = math.inf
 
@@ -603,14 +680,19 @@ class _Sim:
         )
 
 
-def run(scenario: Scenario, seed: int | None = None, *, trace: bool = True) -> RunResult:
+def run(
+    scenario: Scenario, seed: int | None = None, *, trace: bool = True,
+    plan: RunPlan | None = None,
+) -> RunResult:
     """Simulate one scenario; deterministic for a fixed (scenario, seed).
     With trace=False the result's trace is empty and its metrics are the
-    same (module docstring)."""
+    same. A run given a plan of the scenario shares its constants with the
+    plan's other runs, and its artifacts are those of a run given none
+    (module docstring); a plan that does not fit raises ValueError."""
     effective_seed = scenario.seed if seed is None else seed
     if log.isEnabledFor(logging.INFO):
         log.info("run scenario=%s seed=%d", scenario.name, effective_seed)
-    sim = _Sim(scenario, effective_seed, trace)
+    sim = _Sim(scenario, effective_seed, trace, plan)
     result = sim.run()
     if log.isEnabledFor(logging.INFO):
         # every event scheduled within the window takes the next seq and is

@@ -119,7 +119,10 @@ class ProtocolState:
     moves forward) and every task's outcome, by task id (outcomes). The
     phases, server tables, fleet, programs, tasks and variance-free link are
     fixed for the whole run; state_at(t) gives the flight state at t, which
-    the offload choice prices a link leg at.
+    the offload choice prices a link leg at. choices and unservable are the
+    memos of _choose and _servable: each value is a pure function of its key
+    and of the tables, fleet, programs and variance-free link, so one pair
+    of memos serves every state built over those (a run plan's).
     """
 
     def __init__(
@@ -132,6 +135,9 @@ class ProtocolState:
         tasks: Sequence[Task],
         link: LinkModel,
         state_at: Callable[[float], FlightState],
+        *,
+        choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]],
+        unservable: dict[tuple[str, ...], str | None],
     ):
         if not t_int > 0:
             raise ValueError("t_int must be positive")
@@ -147,7 +153,7 @@ class ProtocolState:
         self.state_at = state_at
         self.platform = nodes[PLATFORM]
         # chosen (server, route) per (program, excluded server, consumer, band)
-        self._choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]] = {}
+        self._choices = choices
         self.current_tick = -1
         self.outstanding: dict[str, Dispatch] = {}
         # the last tick's timed-out dispatches, by program, in timeout order:
@@ -157,8 +163,8 @@ class ProtocolState:
         # tables are fixed, so such a task stays deferred for the whole run
         self._unserved: list[str] = []
         # first unservable program (None: all servable) per required_programs,
-        # matched once per run for the same reason
-        self._unservable: dict[tuple[str, ...], str | None] = {}
+        # matched once for the same reason
+        self._unservable = unservable
         self.outcomes: dict[str, TaskOutcome] = {}
         for task in tasks:
             if task.task_id in self.outcomes:
@@ -268,7 +274,8 @@ class ProtocolState:
         built, with state_at, only on a miss. The route holds the winner's
         predicted stage times, which depend on neither the band nor the
         exclusion, and its hop directions; a winner with no compute profile
-        cannot be staged."""
+        cannot be staged, and its refusal is not memoized, so every run
+        sharing the memo raises it again."""
         key = (program_id, excluded_server, consumer, band)
         choice = self._choices.get(key)
         if choice is None:

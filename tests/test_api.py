@@ -32,9 +32,11 @@ from birdsim import (
     run,
     select_server,
 )
+from birdsim import engine
 from birdsim.cli import feasibility_report
 from birdsim.model import CriticalMoments, record_moment
 from birdsim.pipeline import LatencyBreakdown, stage_time
+from birdsim.scenario import apply_sweep_value
 
 from conftest import BUNDLED_SCENARIO
 
@@ -131,6 +133,25 @@ def _bundled_with_task_2_named_monitor():
     return replace(sc, tasks=tuple(tasks))
 
 
+# Each field a run plan reads, and a change of the bundled mission that makes
+# only that field another object, of an equal value or not
+_PLAN_MISFITS = {
+    "flight_plan": lambda sc: apply_sweep_value(sc, "altitude_profile", 30.0),
+    "programs": lambda sc: apply_sweep_value(sc, "payload_scale", 1.0),
+    "tables": lambda sc: replace(sc, tables=tuple(list(sc.tables))),
+    "nodes": lambda sc: replace(sc, nodes=dict(sc.nodes)),
+    "bands": lambda sc: replace(sc, bands=dict(sc.bands)),
+    "floor_mbps": lambda sc: replace(sc, floor_mbps=sc.floor_mbps * 2),
+    "one_way_fraction": lambda sc: replace(sc, one_way_fraction=sc.one_way_fraction / 2),
+    "incident": lambda sc: replace(sc, incident=replace(sc.incident)),
+}
+
+
+def _run_on_the_bundled_plan(field):
+    sc = load_scenario(BUNDLED_SCENARIO)
+    run(_PLAN_MISFITS[field](sc), plan=engine.plan(sc))
+
+
 def _only_incapable_rows():
     program = ProgramSpec("p", "object_detection", 1.0, 1.0, 1.0)
     select_server(program, [ProgramTableEntry(1, "p", capable=False)],
@@ -212,6 +233,9 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
      "task id 'monitor' is repeated"),
     (lambda: feasibility_report(25.0, Band.LOW_ALTITUDE, {}), ValueError,
      "bands missing regimes: ['low', 'high', 'rotation']"),
+    *[(lambda field=field: _run_on_the_bundled_plan(field), ValueError,
+       f"plan does not fit the scenario: its {field} is not the object the plan "
+       "was built from") for field in _PLAN_MISFITS],
 ], ids=["link-bands-missing", "link-floor-zero", "link-variance-negative",
         "link-one-way-zero", "link-one-way-above-one", "select-only-incapable",
         "stage-cost-negative", "stage-capacity-zero", "moment-negative",
@@ -225,7 +249,8 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
         "link-seed-negative", "link-seed-past-key", "link-seed-float", "run-seed-past-key",
         "run-seed-bool",
         "predicate-program-no-target", "predicate-task-empty-target",
-        "run-task-id-repeated", "feasibility-bands-empty"])
+        "run-task-id-repeated", "feasibility-bands-empty",
+        *[f"run-plan-of-another-{field.replace('_', '-')}" for field in _PLAN_MISFITS]])
 def test_bad_arguments_are_rejected_with_their_message(call, error, message):
     with pytest.raises(Exception) as err:
         call()

@@ -243,6 +243,35 @@ def test_sweep_bytes_with_empty_cells_are_pinned(tmp_path):
     ]
 
 
+# The sweep of each other parameter over the bundled mission. The runs of an
+# update_interval or link_variance_scale sweep share one run plan, while each
+# altitude_profile value, like each payload_scale value, needs its own: a
+# plan shared with a value it does not fit moves these digests.
+OTHER_SWEEP_PINS = {
+    "update_interval": ([0.5, 1.0, 4.0], 5, [
+        "873924ea48ffccaa2c32e7c7f66d4e2a7c89c1e6cd1dd06226adaaa62ae576df",
+        "1b212eda9246efe0b3e3ea9020f3430dcc4ae8a9171ed62237ee1bb55c3c9fac",
+    ]),
+    "link_variance_scale": ([0.0, 0.5, 1.0], 1, [
+        "cd2da7c4bb7d23b0ae980e8f1b9e061d1e74a2c490828a2cb3185bda3c55dc4e",
+        "8d9685c9f1072df8e70b0c2b815e339ff80fcbe4551cf8ac3a81acd659b96e67",
+    ]),
+    # 30 m flies in the low band, 70 m and 100 m in the high one
+    "altitude_profile": ([30.0, 70.0, 100.0], 2, [
+        "e47745b4f28543dfa21648fcfe609a60d9460c6f3167062af72e7af35ceddd20",
+        "d242cfdb0167fc734c5be1d95aff10a2fe2b2e9f0798e723a64ec7ae346fa1e2",
+    ]),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(OTHER_SWEEP_PINS))
+def test_the_sweep_bytes_of_every_other_parameter_are_pinned(tmp_path, scenario_path, parameter):
+    values, base_seed, digests = OTHER_SWEEP_PINS[parameter]
+    assert sweep_digests(tmp_path, scenario_path, {
+        "parameter": parameter, "values": values, "replicates": 2, "base_seed": base_seed,
+    }) == digests
+
+
 def test_bad_sweep_specs_are_rejected(tmp_path, scenario_path, capsys):
     bad = write_yaml(tmp_path / "bad.yaml", {
         "parameter": "warp_factor", "values": [1.0], "replicates": 1,

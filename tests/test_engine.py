@@ -49,6 +49,7 @@ from birdsim import (
 from birdsim import channel, engine, pipeline, policy, protocol
 from birdsim.channel import BAND_SPLIT_M, FlightState, band_for, keyed_uniform
 from birdsim.engine import band_reader, flight_state_at
+from birdsim.scenario import apply_sweep_value
 
 from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads, make_flat_bands
 
@@ -825,18 +826,10 @@ def regime_scenario():
     )
 
 
-def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
-    sc = regime_scenario()
-    decided = {}
-    on_tick = protocol.ProtocolState.on_tick
-
-    def recording(self, t, due, band):
-        outcome = on_tick(self, t, due, band)
-        decided[self.current_tick] = outcome.dispatches
-        return outcome
-
-    monkeypatch.setattr(protocol.ProtocolState, "on_tick", recording)
-    result = run(sc)
+def checked_choices(sc, result, decided):
+    """Check that every dispatch of a traced run of sc went to the argmin
+    made afresh for its (program, excluded server, consumer, band); decided
+    holds the run's dispatches by tick. Returns the server of each key."""
     mean_link = LinkModel(bands=sc.bands, variance_scale=0.0)
     excluded = {}  # program -> server whose entry timed out just before
     choices = {}
@@ -866,6 +859,24 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
             assert d.server_id == fresh.chosen_server, (t, pid, skip, d.consumer)
             choices[(pid, skip, d.consumer, band)] = d.server_id
         excluded = {}
+    return choices
+
+
+def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
+    """In a run with a plan of its own, and in each run of an
+    update_interval sweep that shares one plan, where a later run takes
+    choices that an earlier one made at other ticks."""
+    sc = regime_scenario()
+    decided = {}
+    on_tick = protocol.ProtocolState.on_tick
+
+    def recording(self, t, due, band):
+        outcome = on_tick(self, t, due, band)
+        decided[self.current_tick] = outcome.dispatches
+        return outcome
+
+    monkeypatch.setattr(protocol.ProtocolState, "on_tick", recording)
+    choices = checked_choices(sc, run(sc), decided)
     # the mission makes each part of the key change the choice
     low, high, rot = Band.LOW_ALTITUDE, Band.HIGH_ALTITUDE, Band.ROTATION
     assert choices[("p", None, 1, low)] == 2
@@ -874,6 +885,16 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
     assert choices[("p", None, 2, high)] == 2
     assert choices[("p", 2, 2, low)] == 1
     assert choices[("q", None, 0, high)] == 0
+
+    shared = engine.plan(sc)
+    swept = []
+    for t_int in (20.0, 10.0, 5.0):
+        decided.clear()
+        value_sc = apply_sweep_value(sc, "update_interval", t_int)
+        swept.append(checked_choices(value_sc, run(value_sc, plan=shared), decided))
+    assert swept[0] == choices
+    assert swept[1].keys() & swept[0].keys() and swept[2].keys() & swept[1].keys()
+    assert shared.choices.keys() == swept[0].keys() | swept[1].keys() | swept[2].keys()
 
 
 LOCAL_ONLY = dict(
@@ -927,7 +948,8 @@ def test_an_out_of_envelope_plan_is_refused_before_the_first_event(case):
 def test_a_chosen_server_without_a_profile_aborts_at_its_tick():
     # load_scenario rejects a table entry for an unknown node; a hand-built
     # one competes through its advertised latency, wins, and aborts the run
-    # when its execution is staged, before the Tick is recorded
+    # when its execution is staged, before the Tick is recorded. The choice
+    # is never memoized, so every run sharing a plan aborts the same way.
     sc = make_scenario(tables=(ProgramTableEntry(3, "p", advertised_latency=0.01),))
     with pytest.raises(RunAborted) as err:
         run(sc)
@@ -935,6 +957,12 @@ def test_a_chosen_server_without_a_profile_aborts_at_its_tick():
     kinds = [record_fields(line)["kind"] for line in err.value.trace]
     assert kinds == ["TaskIssued", "FlightWaypoint", "Abort"]
     assert record_fields(err.value.trace[-1])["t"] == "0.0"
+    shared = engine.plan(sc)
+    for seed in (sc.seed, sc.seed + 1, sc.seed):
+        with pytest.raises(RunAborted) as again:
+            run(sc, seed, plan=shared)
+        assert (str(again.value), again.value.trace) == (str(err.value), err.value.trace)
+    assert shared.choices == {}
 
 
 # ---------------------------------------------------------------------- loss
@@ -1147,14 +1175,17 @@ WORK_CASES = {
 }
 
 
-def count_run_constants(monkeypatch, sc):
-    """Run sc counting the calls that compute a run constant: servability
-    per program list and offload choices (each choice also prices its
-    route, which test_a_run_does_work_within_the_bounds_of_its_design
-    pins)."""
-    matched, selected = Counter(), []
+def count_run_constants(monkeypatch):
+    """Count, from now on, the calls that compute a run constant:
+    servability per program list, offload choices (each choice also prices
+    its route, which test_a_run_does_work_within_the_bounds_of_its_design
+    pins) and band readers. Returns the program lists matched, the program
+    of each choice and the flight plan of each band reader, each filled as
+    runs go."""
+    matched, selected, readers = Counter(), [], []
     match_programs = protocol.match_programs
     select = protocol.select_server
+    reader = engine.band_reader
 
     def counting_match(task, tables, platform):
         matched[task.required_programs] += 1
@@ -1164,26 +1195,65 @@ def count_run_constants(monkeypatch, sc):
         selected.append(program.program_id)
         return select(program, *args, **kwargs)
 
+    def counting_reader(plan):
+        readers.append(plan)
+        return reader(plan)
+
     monkeypatch.setattr(protocol, "match_programs", counting_match)
     monkeypatch.setattr(protocol, "select_server", counting_select)
-    return run(sc), matched, selected
+    monkeypatch.setattr(engine, "band_reader", counting_reader)
+    return matched, selected, readers
+
+
+def choice_bound(sc):
+    """programs x (servers + 1) x consumers x 3 bands: the most offload
+    choices a plan of sc can make (engine module docstring)."""
+    servers = {entry.server_id for entry in sc.tables}
+    consumers = {task.consumer for task in sc.tasks}
+    return len(sc.programs) * (len(servers) + 1) * len(consumers) * 3
 
 
 @pytest.mark.parametrize("case", sorted(WORK_CASES))
 def test_each_run_constant_is_computed_within_its_bound(monkeypatch, case):
-    """The tables, fleet and programs are fixed for a run, so each distinct
-    program list is matched once, and the offload choice is made at most
-    once per (program, excluded server or none, consumer, band): fewer
-    choices than requests."""
+    """The tables, fleet and programs are fixed for a plan, so a run given
+    no plan builds its one band reader, matches each distinct program list
+    once, and makes the offload choice at most once per (program, excluded
+    server or none, consumer, band): fewer choices than requests. A run on a
+    warm plan, whose every choice an earlier run of the same seed made,
+    makes no choice and matches no list."""
     sc = WORK_CASES[case]()
-    result, matched, selected = count_run_constants(monkeypatch, sc)
-    lists = {task.required_programs for task in sc.tasks}
-    assert set(matched) == lists
+    matched, selected, readers = count_run_constants(monkeypatch)
+    result = run(sc)
+    assert set(matched) == {task.required_programs for task in sc.tasks}
     assert max(matched.values()) == 1
-    servers = {entry.server_id for entry in sc.tables}
-    consumers = {task.consumer for task in sc.tasks}
-    assert 0 < len(selected) <= len(sc.programs) * (len(servers) + 1) * len(consumers) * 3
+    assert 0 < len(selected) <= choice_bound(sc)
     assert result.metrics.counts["requests"] > len(selected)
+    assert readers == [sc.flight_plan]
+
+    warm = engine.plan(sc)
+    run(sc, plan=warm, trace=False)
+    made = len(selected), sum(matched.values())
+    again = run(sc, plan=warm)
+    assert (len(selected), sum(matched.values())) == made
+    assert again.trace == result.trace
+    assert len(readers) == 2
+
+
+def test_a_sweep_computes_each_run_constant_once_per_plan(monkeypatch, tmp_path):
+    """The seed-1 `reference` bench sweep: 4 update intervals x 5 seeds,
+    20 runs on one plan."""
+    from birdsim.cli import main
+
+    wl = bench_workloads().build("reference", 1, ROOT)
+    (tmp_path / "scenario.yaml").write_text(wl.scenario_text)
+    (tmp_path / "sweep.yaml").write_text(wl.sweep_text)
+    matched, selected, readers = count_run_constants(monkeypatch)
+    assert main(["--scenario", str(tmp_path / "scenario.yaml"),
+                 "--sweep", str(tmp_path / "sweep.yaml"), "--out", str(tmp_path / "out")]) == 0
+    sc = load_scenario(tmp_path / "scenario.yaml")
+    assert len(readers) == 1
+    assert sum(matched.values()) == len(matched) == 3
+    assert len(selected) == 12 <= choice_bound(sc)
 
 
 # ------------------------------------------------------------ untraced runs
@@ -1256,6 +1326,26 @@ def test_an_untraced_abort_carries_only_its_abort_record(monkeypatch):
     assert str(untraced.value) == str(traced.value)
     assert len(traced.value.trace) > 1
     assert untraced.value.trace == traced.value.trace[-1:]
+
+
+def artifacts(result):
+    """The four artifacts of a run."""
+    m = result.metrics
+    return trace_to_text(result.trace), metrics_to_csv(m), samples_to_csv(m), summary_to_json(m)
+
+
+@pytest.mark.parametrize("case", sorted(UNTRACED_CASES))
+def test_runs_sharing_a_plan_equal_runs_with_plans_of_their_own(case):
+    """Two seeds on one plan, the later seed first, give the bytes of runs
+    given no plan: a run reads nothing of an earlier run on its plan but
+    the memos."""
+    sc = UNTRACED_CASES[case]()
+    shared = engine.plan(sc)
+    seeds = (sc.seed + 1, sc.seed)
+    on_shared = {seed: artifacts(run(sc, seed, plan=shared)) for seed in seeds}
+    for seed in seeds:
+        assert on_shared[seed] == artifacts(run(sc, seed)), seed
+    assert shared.choices
 
 
 # -------------------------------------------------------- work bounds: rungs

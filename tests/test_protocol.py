@@ -58,6 +58,8 @@ def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
         tasks=[task(t) if isinstance(t, str) else t for t in tasks],
         link=link or LinkModel(noise_seed=0, variance_scale=0.0),
         state_at=lambda t: GROUND._replace(t=t),
+        choices={},
+        unservable={},
     )
 
 

@@ -5,6 +5,9 @@ import hashlib
 import json
 
 import pytest
+import yaml
+
+from birdsim.scenario import SWEEP_PARAMETERS
 
 from conftest import ROOT, load_tool
 
@@ -262,6 +265,17 @@ def test_the_reference_digest_is_the_golden_trace():
     digests = artifact_digests.run_digests(wl, 1.0, 1.0)
     assert digests["trace"] == hashlib.sha256(golden).hexdigest()
     assert sorted(digests) == ["metrics", "samples", "summary", "trace"]
+
+
+def test_the_byte_check_sweeps_every_parameter_with_admitted_values():
+    workloads = artifact_digests.load_workloads(ROOT)
+    bench = {yaml.safe_load(workloads.build(name, 1, ROOT).sweep_text)["parameter"]
+             for name in artifact_digests.NAMES}
+    extra = artifact_digests.EXTRA_SWEEPS
+    assert bench.isdisjoint(extra)
+    assert bench | set(extra) == set(SWEEP_PARAMETERS)
+    for parameter, values in extra.items():
+        assert len(values) > 1 and all(SWEEP_PARAMETERS[parameter][1](v) for v in values)
 
 
 def test_compare_names_every_differing_or_one_sided_key():

@@ -7,9 +7,12 @@ its own subprocess, with its own `src/` on the import path and its own
 `bench/workloads.py`, over this grid: the workloads `reference`, `storm` and
 `wide`, each built for seeds 1, 2 and 7 and run at its run seed, at
 `variance_scale` 1 and 0, over its full duration and cut to 0.37 of it (36
-runs, four artifacts each: trace, metrics, samples and summary), plus each
-workload's sweep at each seed (`sweep_rows.csv` and `sweep_aggregate.csv`).
-The parent's subprocess runs with PYTHONHASHSEED=0 and the change's with
+runs, four artifacts each: trace, metrics, samples and summary), plus, at
+each seed, three sweeps of each workload (`sweep_rows.csv` and
+`sweep_aggregate.csv`): its bench sweep, of `update_interval` or
+`link_variance_scale`, whose values share one run plan, and the grid's own
+`payload_scale` and `altitude_profile` sweeps (EXTRA_SWEEPS, 2 replicates from
+the seed), whose every value needs a plan of its own. The parent's subprocess runs with PYTHONHASHSEED=0 and the change's with
 PYTHONHASHSEED=1, so 0 mismatches also shows that neither the grid nor the
 sweeps depend on the hash seed. Every mismatch is printed, and the exit code
 is 1 if there is any.
@@ -34,6 +37,10 @@ NAMES = ("reference", "storm", "wide")
 SEEDS = (1, 2, 7)
 VARIANCES = (1.0, 0.0)
 CUTS = (1.0, 0.37)
+# the values of the sweep parameters that no bench sweep covers; 30 m flies
+# in the low band and 70 m in the high one
+EXTRA_SWEEPS = {"payload_scale": [0.5, 2.0], "altitude_profile": [30.0, 70.0]}
+EXTRA_REPLICATES = 2
 
 
 def _sha256(text: str) -> str:
@@ -76,14 +83,15 @@ def run_digests(wl, variance: float, cut: float) -> dict[str, str]:
     }
 
 
-def sweep_digests(wl) -> dict[str, str]:
-    """sha256 of the two CSVs of workload wl's sweep, run through the CLI."""
+def sweep_digests(wl, sweep_text: str) -> dict[str, str]:
+    """sha256 of the two CSVs of the sweep spec sweep_text over workload
+    wl's scenario, run through the CLI."""
     from birdsim import cli
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         (work / "scenario.yaml").write_text(wl.scenario_text)
-        (work / "sweep.yaml").write_text(wl.sweep_text)
+        (work / "sweep.yaml").write_text(sweep_text)
         argv = ["--scenario", str(work / "scenario.yaml"), "--sweep", str(work / "sweep.yaml"),
                 "--out", str(work / "out")]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -106,8 +114,12 @@ def digests(root: Path) -> dict[str, str]:
                 for cut in CUTS:
                     for artifact, digest in run_digests(wl, variance, cut).items():
                         found[f"{name} seed={seed} variance={variance} cut={cut} {artifact}"] = digest
-            for artifact, digest in sweep_digests(wl).items():
+            for artifact, digest in sweep_digests(wl, wl.sweep_text).items():
                 found[f"{name} seed={seed} {artifact}"] = digest
+            for parameter, values in EXTRA_SWEEPS.items():
+                text = workloads.sweep_text(parameter, values, EXTRA_REPLICATES, seed)
+                for artifact, digest in sweep_digests(wl, text).items():
+                    found[f"{name} seed={seed} {parameter} {artifact}"] = digest
     return found
 
 
