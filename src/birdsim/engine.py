@@ -29,15 +29,15 @@ and counts the deferred pairs, and the engine pushes the next Tick, checks
 the advancement gate and writes the Tick record with its `unserved=` list.
 
 A run's seed-free constants are its RunPlan, built by plan(scenario) before
-any event: the band reader, the program index, the incident's moments, the
-variance-free link that offload choices are priced on, and the update loop's
-memos, each offload choice with its route and the servability of each list
-of required programs. Each is a pure function of the scenario fields the
-plan reads (_PLAN_FIELDS), none of them the seed, the update interval or the
-link variance, so every run given the same plan shares them: a sweep passes
-one plan to each run whose scenario it fits. run builds a fresh plan when it
-is given none, and refuses, before any event, a plan built from another
-object for any field it reads.
+any event: the band reader, the program index, the incident's moments, and
+the protocol's Offloads over the scenario's tables, fleet and programs and
+the variance-free link, which memoizes each offload choice with its route
+and the servability of each list of required programs. Each is a pure
+function of the scenario fields the plan reads (_PLAN_FIELDS), none of them
+the seed, the update interval or the link variance, so every run given the
+same plan shares them: a sweep passes one plan to each run whose scenario it
+fits. run builds a fresh plan when it is given none, and refuses, before any
+event, a plan built from another object for any field it reads.
 
 Every tick and link leg reads its link band from band_reader, built from the
 flight plan with the run's plan, before any event. It keeps the waypoint
@@ -56,7 +56,8 @@ A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
 output arrival: it is credited, its record is written, then the advancement
 gate is checked. The protocol credits each (task, program) outcome it waits
-for; _metrics settles attempts and server from each outcome's chain.
+for, and settles attempts and server from each outcome's chain when _metrics
+asks.
 
 A run made with `trace=False` (each replicate of a sweep) returns an empty
 trace. It formats no record unless `birdsim.engine` logs at DEBUG
@@ -76,7 +77,9 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
   is not memoized;
 - stage_times calls = e2e_latency calls: a route is priced only by the
   offload choice, never again by staging.
-Per plan, over all the runs that share it (a run given no plan has its own):
+Per plan, over all the runs that share it (a run given no plan has its
+own); the band reader is the plan's, and the two memos behind the last two
+bounds are its Offloads':
 - band_reader calls = 1;
 - match_programs calls = the distinct required_programs lists matched;
 - select_server calls <= programs x (servers + 1) x consumers x 3 bands, and
@@ -117,7 +120,7 @@ from .model import (
     record_moment,
 )
 from .pipeline import LatencyBreakdown
-from .protocol import Dispatch, ProtocolState, Route, TaskOutcome
+from .protocol import Dispatch, Offloads, ProtocolState, TaskOutcome
 from .scenario import Scenario, Waypoint
 
 log = logging.getLogger("birdsim.engine")
@@ -141,20 +144,15 @@ _Handler = Callable[[float, int, Any], None]
 
 @dataclass(slots=True)
 class _Instance:
-    """One staged program execution (a dispatch in flight); its stage times
-    are its dispatch's route, and t_comm grows by each link leg as it is
-    sampled. A wire execution carries its entry's deadline, a local one an
-    infinite one; output is the direction of the hop to the consumer, None
-    when the result is consumed where it is computed."""
+    """One staged program execution (a dispatch in flight). Its stage times
+    and the hop of its output are its dispatch's route; t_comm grows by each
+    link leg as it is sampled. A wire execution carries its entry's
+    deadline, a local one an infinite one."""
 
     inst_id: int
     dispatch: Dispatch
-    t_enc: float
     t_comm: float
-    t_dec: float
-    t_proc: float
     deadline: float
-    output: Direction | None
 
 
 class OutcomeStats(NamedTuple):
@@ -286,17 +284,14 @@ _PLAN_FIELDS = (
 @dataclass(frozen=True, slots=True)
 class RunPlan:
     """The seed-free constants of the runs of one scenario (module
-    docstring). The memos fill as the runs that share the plan make offload
-    choices and match lists of required programs."""
+    docstring). Its offloads fill their memos as the runs that share the
+    plan make offload choices and match lists of required programs."""
 
     reads: tuple[Any, ...]  # the objects of _PLAN_FIELDS it was built from
     band_at: Callable[[float], Band]  # the link band of every instant
     prog_index: dict[str, int]  # a program's index, a loss draw's counter
     moments: CriticalMoments  # the incident's, before any event
-    link: LinkModel  # variance-free: offload choices are priced on it
-    # the update loop's memos (protocol.ProtocolState)
-    choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]]
-    unservable: dict[tuple[str, ...], str | None]
+    offloads: Offloads  # which node runs each program, shared by the runs
 
     def misfit(self, scenario: Scenario) -> str | None:
         """The first field the plan reads that is not, in scenario, the
@@ -309,8 +304,9 @@ class RunPlan:
 
 def plan(scenario: Scenario) -> RunPlan:
     """The run plan of scenario; raises what a run of it would raise while
-    it sets up: the incident's moments out of order, or a flight plan
-    outside the measured envelope (band_reader)."""
+    it sets up: the incident's moments out of order, a flight plan outside
+    the measured envelope (band_reader), or a fleet without the platform
+    (KeyError)."""
     moments = CriticalMoments()
     for which, value in (
         ("start", scenario.incident.start),
@@ -324,14 +320,18 @@ def plan(scenario: Scenario) -> RunPlan:
         band_at=band_reader(scenario.flight_plan),
         prog_index={pid: i for i, pid in enumerate(scenario.programs)},
         moments=moments,
-        link=LinkModel(
-            bands=scenario.bands,
-            floor_mbps=scenario.floor_mbps,
-            variance_scale=0.0,
-            one_way_fraction=scenario.one_way_fraction,
+        # offload choices are priced on the variance-free link; the flight
+        # state is looked up by its module-global name at each call
+        offloads=Offloads(
+            scenario.tables, scenario.nodes, scenario.programs,
+            LinkModel(
+                bands=scenario.bands,
+                floor_mbps=scenario.floor_mbps,
+                variance_scale=0.0,
+                one_way_fraction=scenario.one_way_fraction,
+            ),
+            lambda t: flight_state_at(scenario, t),
         ),
-        choices={},
-        unservable={},
     )
 
 
@@ -358,12 +358,8 @@ class _Sim:
         self.moments = run_plan.moments
         self.band_at = run_plan.band_at
         self.prog_index = run_plan.prog_index
-        # the flight state is looked up by its module-global name at each call
         self.protocol = ProtocolState(
-            scenario.t_int, scenario.phases, scenario.tables, scenario.nodes,
-            scenario.programs, scenario.tasks, run_plan.link,
-            lambda t: flight_state_at(scenario, t),
-            choices=run_plan.choices, unservable=run_plan.unservable,
+            scenario.t_int, scenario.phases, scenario.tasks, run_plan.offloads
         )
         battery = scenario.nodes[PLATFORM].battery_budget
         self.end = min(scenario.duration, battery if battery is not None else math.inf)
@@ -536,11 +532,11 @@ class _Sim:
         to the executor. A doomed input arrival takes its inst id, its leg
         sample and its seq like any other, but builds no _Instance and never
         enters the heap."""
-        t_enc, t_dec, t_proc, input_hop, output_hop = dispatch.route
+        t_enc, t_dec, t_proc, input_hop, _ = dispatch.route
         inst_id = self.staged
         self.staged += 1
         if input_hop is None:
-            inst = _Instance(inst_id, dispatch, t_enc, 0.0, t_dec, t_proc, math.inf, output_hop)
+            inst = _Instance(inst_id, dispatch, 0.0, math.inf)
             self._push(t + (t_enc + t_dec + t_proc), self._on_compute_complete, inst)
             return
         t_start = t + t_enc
@@ -549,7 +545,7 @@ class _Sim:
         # an input landing on its deadline was pushed before the Timeout
         deadline = self.deadline
         if t_in <= deadline:
-            inst = _Instance(inst_id, dispatch, t_enc, leg, t_dec, t_proc, deadline, output_hop)
+            inst = _Instance(inst_id, dispatch, leg, deadline)
             self._push(t_in, self._on_input_arrival, inst)
         else:
             self._push(t_in, self._on_input_arrival, None, False)
@@ -557,7 +553,8 @@ class _Sim:
     # --------------------------------------------------------------- handlers
 
     def _on_input_arrival(self, t: float, seq: int, inst: _Instance) -> None:
-        t_done = t + inst.t_dec + inst.t_proc
+        route = inst.dispatch.route
+        t_done = t + route[1] + route[2]  # + t_dec + t_proc
         self._push(t_done, self._on_compute_complete, inst, t_done < inst.deadline)
         if self.records:
             self._emit(
@@ -566,12 +563,13 @@ class _Sim:
             )
 
     def _on_compute_complete(self, t: float, seq: int, inst: _Instance) -> None:
+        dispatch = inst.dispatch
+        output = dispatch.route[4]  # the output hop
         # a result consumed where it was computed is delivered now
-        if inst.output is None:
+        if output is None:
             self._deliver(t, seq, inst, "ComputeComplete", _COMPUTE_COMPLETE)
             return
-        dispatch = inst.dispatch
-        leg = self._sample_leg(t, dispatch.program.output_payload, inst.output)
+        leg = self._sample_leg(t, dispatch.program.output_payload, output)
         inst.t_comm += leg
         t_out = t + leg
         self._push(t_out, self._on_output_arrival, inst, t_out < inst.deadline)
@@ -597,7 +595,8 @@ class _Sim:
         """
         dispatch = inst.dispatch
         self.delivered += 1
-        breakdown = LatencyBreakdown(inst.t_enc, inst.t_comm, inst.t_dec, inst.t_proc)
+        t_enc, t_dec, t_proc, _, _ = dispatch.route
+        breakdown = LatencyBreakdown(t_enc, inst.t_comm, t_dec, t_proc)
         if dispatch.local:
             self.protocol.note_result(dispatch, t, breakdown)
         else:
@@ -648,14 +647,8 @@ class _Sim:
     # ---------------------------------------------------------------- metrics
 
     def _metrics(self) -> MetricsRecord:
-        # a chain dispatches its waiters on every tick from their first to
-        # its last (protocol module docstring)
         p = self.protocol
-        for outcome in p.outcomes.values():
-            for prog in outcome.programs:
-                if prog.chain is not None:
-                    prog.attempts = prog.chain.last_tick - prog.first_tick + 1
-                    prog.server = prog.chain.server
+        p.settle()
         counts = {
             "requests": p.requests_issued,
             "request_messages": p.request_messages,

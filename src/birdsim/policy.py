@@ -5,7 +5,7 @@ Predictions use the variance-free link (regime means), so decisions are
 reproducible and independent of sampling noise. Ties break to the lower
 predicted communication time, then to the lower server index. With the tables
 and fleet fixed, the choice is a pure function of (program, excluded server,
-consumer, link band), and the update loop memoizes it per run plan.
+consumer, link band), and protocol.Offloads memoizes it per run plan.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ state owns the timeline position and the run's one ledger: an outcome per
 task and per (task, program). on_tick marks each due task served; a waiter
 takes its chain and first tick when it joins a dispatch; note_result (a wire
 result comes through on_response) credits each waiter and completes a task
-once every program of it has a breakdown.
+once every program of it has a breakdown; settle, once the run is over, sets
+each waiter's attempts and server by the chain rule below.
 
 Exactly one tick is open at a time: the Timeout for tick k is pushed before
 Tick k+1 at the same time, so it always runs first and resolves every entry
@@ -19,7 +20,7 @@ belongs to exactly one chain of dispatches on consecutive ticks, from its
 first dispatch until delivery or the end of the run, and every dispatch of a
 chain carries all of its waiters. Hence a waiter's attempts are the chain's
 last tick minus the waiter's first tick plus one, and its server is the
-server of the chain's last dispatch.
+server of the chain's last dispatch: the chain rule that settle applies.
 """
 
 from __future__ import annotations
@@ -112,32 +113,105 @@ class TickOutcome:
     messages: int  # bundled requests: distinct wire servers this tick
 
 
+class Offloads:
+    """Which node runs a program, decided once per key for one fleet.
+
+    The server tables, fleet, programs and variance-free link are fixed;
+    state_at(t) gives the flight state at t, which an offload choice prices
+    a link leg at. choices and the servability memo are the memos of choose
+    and first_unservable: each value is a pure function of its key and of
+    the tables, fleet, programs and variance-free link, so one Offloads
+    serves every update loop over those (a run plan's), and a loop that
+    meets only keys an earlier one met makes no choice and matches no list.
+    """
+
+    def __init__(
+        self,
+        tables: Sequence[ProgramTableEntry],
+        nodes: Mapping[int, NodeProfile],
+        programs: Mapping[str, ProgramSpec],
+        link: LinkModel,
+        state_at: Callable[[float], FlightState],
+    ):
+        self.tables = tables
+        self.nodes = nodes
+        self.programs = programs
+        self.link = link
+        self.state_at = state_at
+        self.platform = nodes[PLATFORM]
+        # chosen (server, route) per (program, excluded server, consumer, band)
+        self.choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]] = {}
+        # first unservable program (None: all servable) per required_programs:
+        # the tables are fixed, so each list is matched once
+        self._unservable: dict[tuple[str, ...], str | None] = {}
+
+    def choose(
+        self, program_id: str, excluded_server: int | None, consumer: int,
+        t: float, band: Band,
+    ) -> tuple[int, Route]:
+        """The argmin server for one dispatch at t and its route, computed
+        once per key: the variance-free link reads the flight state only
+        through its band, and the candidates depend only on the program and
+        the exclusion. The band comes from the engine; the FlightState is
+        built, with state_at, only on a miss. The route holds the winner's
+        predicted stage times, which depend on neither the band nor the
+        exclusion, and its hop directions; a winner with no compute profile
+        cannot be staged, and its refusal is not memoized, so every run
+        sharing the memo raises it again."""
+        key = (program_id, excluded_server, consumer, band)
+        choice = self.choices.get(key)
+        if choice is None:
+            found = candidates_for(program_id, self.tables, self.platform)
+            if excluded_server is not None:
+                # exclusion lasts exactly one re-match, and never starves the
+                # program: a sole capable server is retried even if it failed
+                reduced = [c for c in found if c.server_id != excluded_server]
+                found = reduced or found
+            decision = select_server(
+                self.programs[program_id], found, self.nodes, self.link,
+                self.state_at(t), consumer=consumer,
+            )
+            server, predicted = decision.chosen_server, decision.predicted
+            if server not in self.nodes:
+                raise UnknownNode(server)
+            choice = self.choices[key] = (server, (
+                predicted.t_enc, predicted.t_dec, predicted.t_proc,
+                None if server == PLATFORM else hop_direction(PLATFORM, server),
+                None if consumer == server else hop_direction(server, consumer),
+            ))
+        return choice
+
+    def first_unservable(self, task: Task) -> str | None:
+        """The first program of task that no server can run, or None when
+        every one has a capable server."""
+        key = tuple(task.required_programs)
+        try:
+            return self._unservable[key]
+        except KeyError:
+            try:
+                match_programs(task, self.tables, self.platform)
+                missing = None
+            except NoCapableServer as exc:
+                missing = exc.program_id
+            self._unservable[key] = missing
+            return missing
+
+
 class ProtocolState:
     """Mutable state of the update loop; driven by the engine's events.
 
     It owns the timeline position (t_pos, an index into phases, which only
     moves forward) and every task's outcome, by task id (outcomes). The
-    phases, server tables, fleet, programs, tasks and variance-free link are
-    fixed for the whole run; state_at(t) gives the flight state at t, which
-    the offload choice prices a link leg at. choices and unservable are the
-    memos of _choose and _servable: each value is a pure function of its key
-    and of the tables, fleet, programs and variance-free link, so one pair
-    of memos serves every state built over those (a run plan's).
+    phases and tasks are fixed for the whole run, and offloads decides
+    which node runs each program and whether a task can be served at all.
     """
 
     def __init__(
         self,
         t_int: float,
         phases: Sequence[Phase],
-        tables: Sequence[ProgramTableEntry],
-        nodes: Mapping[int, NodeProfile],
-        programs: Mapping[str, ProgramSpec],
         tasks: Sequence[Task],
-        link: LinkModel,
-        state_at: Callable[[float], FlightState],
-        *,
-        choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]],
-        unservable: dict[tuple[str, ...], str | None],
+        offloads: Offloads,
     ):
         if not t_int > 0:
             raise ValueError("t_int must be positive")
@@ -146,14 +220,7 @@ class ProtocolState:
         self.t_int = float(t_int)
         self.phases = phases
         self.t_pos = 0
-        self.tables = tables
-        self.nodes = nodes
-        self.programs = programs
-        self.link = link
-        self.state_at = state_at
-        self.platform = nodes[PLATFORM]
-        # chosen (server, route) per (program, excluded server, consumer, band)
-        self._choices = choices
+        self.offloads = offloads
         self.current_tick = -1
         self.outstanding: dict[str, Dispatch] = {}
         # the last tick's timed-out dispatches, by program, in timeout order:
@@ -162,9 +229,6 @@ class ProtocolState:
         # task:program of every due task with an unservable program: the
         # tables are fixed, so such a task stays deferred for the whole run
         self._unserved: list[str] = []
-        # first unservable program (None: all servable) per required_programs,
-        # matched once for the same reason
-        self._unservable = unservable
         self.outcomes: dict[str, TaskOutcome] = {}
         for task in tasks:
             if task.task_id in self.outcomes:
@@ -215,18 +279,23 @@ class ProtocolState:
         # (tick, server, program): fresh maps a program to its first fresh
         # waiter's consumer and its waiters new to the chain; a retried
         # program keeps its retry's consumer.
+        offloads = self.offloads
         retries, self._retries = self._retries, {}
         fresh: dict[str, tuple[int, list[ProgramOutcome]]] = {}
         for task in due_tasks:
             outcome = self.outcomes[task.task_id]
             outcome.first_served_at = t_i
-            if self._servable(task):
-                for prog in outcome.programs:
-                    joining = fresh.get(prog.program_id)
-                    if joining is None:
-                        fresh[prog.program_id] = (task.consumer, [prog])
-                    else:
-                        joining[1].append(prog)
+            missing = offloads.first_unservable(task)
+            if missing is not None:
+                # a task with any unservable program is deferred whole
+                self._unserved.append(f"{task.task_id}:{missing}")
+                continue
+            for prog in outcome.programs:
+                joining = fresh.get(prog.program_id)
+                if joining is None:
+                    fresh[prog.program_id] = (task.consumer, [prog])
+                else:
+                    joining[1].append(prog)
         self.unserved_events += len(self._unserved)
 
         # Every program here passed the whole-task match (or was dispatched
@@ -234,7 +303,7 @@ class ProtocolState:
         # retry supplies the exclusion, the chain and the leading waiters.
         dispatches: list[Dispatch] = []
         for program_id, retry in retries.items():
-            server, route = self._choose(program_id, retry.server_id, retry.consumer, t_i, band)
+            server, route = offloads.choose(program_id, retry.server_id, retry.consumer, t_i, band)
             chain, waiters = retry.chain, retry.waiters
             chain.last_tick, chain.server = tick, server
             joining = fresh.pop(program_id, None) if fresh else None
@@ -245,10 +314,10 @@ class ProtocolState:
                 server == PLATFORM, chain, route,
             ))
         for program_id, (consumer, waiters) in fresh.items():
-            server, route = self._choose(program_id, None, consumer, t_i, band)
+            server, route = offloads.choose(program_id, None, consumer, t_i, band)
             chain = Chain(tick, server)
             dispatches.append(Dispatch(
-                tick, self.programs[program_id], server, consumer,
+                tick, offloads.programs[program_id], server, consumer,
                 _join(waiters, chain, tick), server == PLATFORM, chain, route,
             ))
 
@@ -262,59 +331,6 @@ class ProtocolState:
         self.requests_issued += len(self.outstanding)
         self.request_messages += len(servers)
         return TickOutcome(dispatches, tuple(self._unserved), len(servers))
-
-    def _choose(
-        self, program_id: str, excluded_server: int | None, consumer: int,
-        t: float, band: Band,
-    ) -> tuple[int, Route]:
-        """The argmin server for one dispatch at t and its route, computed
-        once per key: the variance-free link reads the flight state only
-        through its band, and the candidates depend only on the program and
-        the exclusion. The band comes from the engine; the FlightState is
-        built, with state_at, only on a miss. The route holds the winner's
-        predicted stage times, which depend on neither the band nor the
-        exclusion, and its hop directions; a winner with no compute profile
-        cannot be staged, and its refusal is not memoized, so every run
-        sharing the memo raises it again."""
-        key = (program_id, excluded_server, consumer, band)
-        choice = self._choices.get(key)
-        if choice is None:
-            found = candidates_for(program_id, self.tables, self.platform)
-            if excluded_server is not None:
-                # exclusion lasts exactly one re-match, and never starves the
-                # program: a sole capable server is retried even if it failed
-                reduced = [c for c in found if c.server_id != excluded_server]
-                found = reduced or found
-            decision = select_server(
-                self.programs[program_id], found, self.nodes, self.link,
-                self.state_at(t), consumer=consumer,
-            )
-            server, predicted = decision.chosen_server, decision.predicted
-            if server not in self.nodes:
-                raise UnknownNode(server)
-            choice = self._choices[key] = (server, (
-                predicted.t_enc, predicted.t_dec, predicted.t_proc,
-                None if server == PLATFORM else hop_direction(PLATFORM, server),
-                None if consumer == server else hop_direction(server, consumer),
-            ))
-        return choice
-
-    def _servable(self, task: Task) -> bool:
-        # A task with any unservable program is deferred whole, on every tick.
-        key = tuple(task.required_programs)
-        try:
-            missing = self._unservable[key]
-        except KeyError:
-            try:
-                match_programs(task, self.tables, self.platform)
-                missing = None
-            except NoCapableServer as exc:
-                missing = exc.program_id
-            self._unservable[key] = missing
-        if missing is None:
-            return True
-        self._unserved.append(f"{task.task_id}:{missing}")
-        return False
 
     # -------------------------------------------------------------- responses
 
@@ -352,6 +368,19 @@ class ProtocolState:
         self.timeouts += len(timed_out)
         self._retries = {d.program.program_id: d for d in timed_out}
         return timed_out
+
+    # ------------------------------------------------------------- settlement
+
+    def settle(self) -> None:
+        """Set each chained waiter's attempts and server from its chain
+        (module docstring), delivered or not; called once the run's last
+        on_timeout has resolved every entry."""
+        for outcome in self.outcomes.values():
+            for prog in outcome.programs:
+                chain = prog.chain
+                if chain is not None:
+                    prog.attempts = chain.last_tick - prog.first_tick + 1
+                    prog.server = chain.server
 
     # ------------------------------------------------------------ advancement
 

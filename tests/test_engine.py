@@ -894,7 +894,7 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
         swept.append(checked_choices(value_sc, run(value_sc, plan=shared), decided))
     assert swept[0] == choices
     assert swept[1].keys() & swept[0].keys() and swept[2].keys() & swept[1].keys()
-    assert shared.choices.keys() == swept[0].keys() | swept[1].keys() | swept[2].keys()
+    assert shared.offloads.choices.keys() == swept[0].keys() | swept[1].keys() | swept[2].keys()
 
 
 LOCAL_ONLY = dict(
@@ -962,7 +962,19 @@ def test_a_chosen_server_without_a_profile_aborts_at_its_tick():
         with pytest.raises(RunAborted) as again:
             run(sc, seed, plan=shared)
         assert (str(again.value), again.value.trace) == (str(err.value), err.value.trace)
-    assert shared.choices == {}
+    assert shared.offloads.choices == {}
+
+
+def test_a_fleet_without_the_platform_is_refused_by_its_plan():
+    """Offload choices need the platform's profile, so plan refuses a
+    hand-built fleet without node 0 (load_scenario refuses one too), and
+    run raises its KeyError as it is, before the first event, not as a
+    RunAborted."""
+    sc = make_scenario(nodes={1: NodeProfile(1, NodeKind.ECS, 100.0)})
+    for build in (engine.plan, run):
+        with pytest.raises(KeyError) as err:
+            build(sc)
+        assert (type(err.value), err.value.args) == (KeyError, (0,))
 
 
 # ---------------------------------------------------------------------- loss
@@ -1345,7 +1357,7 @@ def test_runs_sharing_a_plan_equal_runs_with_plans_of_their_own(case):
     on_shared = {seed: artifacts(run(sc, seed, plan=shared)) for seed in seeds}
     for seed in seeds:
         assert on_shared[seed] == artifacts(run(sc, seed)), seed
-    assert shared.choices
+    assert shared.offloads.choices
 
 
 # -------------------------------------------------------- work bounds: rungs
@@ -1389,7 +1401,7 @@ def count_work(monkeypatch, sc, trace):
         heapq.heappush(heap, item)
     on_tick = protocol.ProtocolState.on_tick
     stage = engine._Sim._stage
-    metrics = engine._Sim._metrics
+    settle = protocol.ProtocolState.settle
     flight_state = engine.flight_state_at
     select = protocol.select_server
     price, predict = pipeline.stage_times, policy.e2e_latency
@@ -1412,10 +1424,10 @@ def count_work(monkeypatch, sc, trace):
         work["staged"] += 1
         return stage(self, dispatch, t)
 
-    def counting_metrics(self):
-        work["chained"] = sum(p.chain is not None for outcome in self.protocol.outcomes.values()
+    def counting_settle(self):
+        work["chained"] = sum(p.chain is not None for outcome in self.outcomes.values()
                               for p in outcome.programs)
-        return metrics(self)
+        return settle(self)
 
     def counting_flight_state(scenario, t):
         work["flight_states"] += 1
@@ -1440,7 +1452,7 @@ def count_work(monkeypatch, sc, trace):
     monkeypatch.setattr(policy, "e2e_latency", counting_e2e_latency)
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", counting_tick)
     monkeypatch.setattr(engine._Sim, "_stage", counting_stage)
-    monkeypatch.setattr(engine._Sim, "_metrics", counting_metrics)
+    monkeypatch.setattr(protocol.ProtocolState, "settle", counting_settle)
     monkeypatch.setattr(engine, "flight_state_at", counting_flight_state)
     monkeypatch.setattr(protocol, "select_server", counting_select)
     monkeypatch.setattr(engine, "heapq",

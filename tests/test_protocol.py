@@ -18,7 +18,7 @@ from birdsim import (
 from birdsim import protocol
 from birdsim.channel import band_for
 from birdsim.pipeline import LatencyBreakdown
-from birdsim.protocol import ProtocolState, UnknownResponse
+from birdsim.protocol import Offloads, ProtocolState, UnknownResponse
 
 from conftest import make_flat_bands
 
@@ -41,25 +41,32 @@ def task(task_id, programs=("a",), issue=0.0, consumer=0):
                 consumer=consumer)
 
 
+def make_offloads(tables=(), nodes=None, programs=PROGRAMS, link=None):
+    """Offload choices over fixed tables, fleet (default: the default
+    profiles), programs and link (default: variance-free), flying at
+    GROUND."""
+    return Offloads(
+        tables=tables,
+        nodes=default_profiles() if nodes is None else nodes,
+        programs=programs,
+        link=link or LinkModel(noise_seed=0, variance_scale=0.0),
+        state_at=lambda t: GROUND._replace(t=t),
+    )
+
+
 def make_state(tables=(), nodes=None, programs=PROGRAMS, link=None, *,
-               tasks=(), t_int=2.0, predicate=None, phases=None):
-    """Update-loop state over fixed tables, fleet (default: the default
-    profiles), programs, tasks (each a task id, needing "a", or a Task) and
-    link (default: variance-free), flying at GROUND; the phases default to
-    "first", which completes when predicate holds, then "second"."""
+               tasks=(), t_int=2.0, predicate=None, phases=None, offloads=None):
+    """Update-loop state over tasks (each a task id, needing "a", or a Task)
+    and offloads (default: make_offloads over tables, nodes, programs and
+    link); the phases default to "first", which completes when predicate
+    holds, then "second"."""
     if phases is None:
         phases = (Phase("first", completes_when=predicate), Phase("second"))
     return ProtocolState(
         t_int=t_int,
         phases=phases,
-        tables=tables,
-        nodes=default_profiles() if nodes is None else nodes,
-        programs=programs,
         tasks=[task(t) if isinstance(t, str) else t for t in tasks],
-        link=link or LinkModel(noise_seed=0, variance_scale=0.0),
-        state_at=lambda t: GROUND._replace(t=t),
-        choices={},
-        unservable={},
+        offloads=offloads or make_offloads(tables, nodes, programs, link),
     )
 
 
@@ -369,6 +376,108 @@ def test_tasks_sharing_an_unservable_list_each_report_their_own_program(monkeypa
     assert [waiter_ids(d) for d in outcome.dispatches] == [("t6",)]
     # each distinct program list is matched once per run
     assert matched == [("a", "b"), ("a", "c", "b"), ("a",)]
+
+
+def two_servers_for_a():
+    """The default fleet with two identical servers 1 and 2, which both run
+    "a", so a retry moves between them."""
+    nodes = default_profiles()
+    nodes[1] = NodeProfile(node_id=1, kind=NodeKind.ECS, compute_capacity=100.0)
+    nodes[2] = NodeProfile(node_id=2, kind=NodeKind.GCS, compute_capacity=100.0)
+    return nodes, (ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a"),
+                   ProgramTableEntry(1, "b"))
+
+
+def test_states_sharing_offloads_make_the_same_dispatches(monkeypatch):
+    """Two update loops over one Offloads (a run plan's two runs) decide the
+    same dispatches with the same routes; the second meets only keys the
+    first met, so it makes no offload choice and matches no list. The calls
+    are counted where the bench tracer counts them: on protocol."""
+    calls = []
+    for name in ("select_server", "match_programs"):
+        def counting(*args, _name=name, _fn=getattr(protocol, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counting)
+    nodes, tables = two_servers_for_a()
+    tasks = [task("t1", ("a", "b")), task("t2", ("a",), consumer=1),
+             task("t3", ("a", "c")), task("t4", ("a",))]
+    shared = make_offloads(tables, nodes, dict(PROGRAMS, c=make_program("c")))
+
+    def mission():
+        ps = make_state(tasks=tasks, offloads=shared)
+        decided = []
+        for t, due_ids in ((0.0, ("t1", "t2")), (2.0, ("t3",)), (4.0, ("t4",))):
+            outcome = ps.on_tick(t, due(ps, *due_ids), GROUND_BAND)
+            decided.append(([(d.server_id, d.program.program_id, d.consumer, d.local,
+                              d.route, waiter_ids(d)) for d in outcome.dispatches],
+                            outcome.unserved))
+            ps.on_timeout()
+        return decided
+
+    first = mission()
+    made = list(calls)
+    assert made.count("match_programs") == 3  # ("a", "b"), ("a",), ("a", "c")
+    assert made.count("select_server") == len(shared.choices) > 0
+    # the retry of "a" moved away from server 1, then back
+    assert [[d[0] for d in dispatches if d[1] == "a"] for dispatches, _ in first] == [
+        [1], [2], [1]]
+    assert first[1][1] == ("t3:c",)
+    assert mission() == first
+    assert calls == made
+
+
+def test_settle_applies_the_chain_rule():
+    """attempts and server stay unset until settle, which sets each chained
+    waiter's from its chain: a waiter that joins a retried chain mid-way
+    counts from the tick it joined, a chain still undelivered when the last
+    on_timeout ends the run is settled like a delivered one, a local
+    dispatch is one attempt on the platform, and a deferred task's programs
+    join no chain."""
+    nodes, tables = two_servers_for_a()
+    nodes[0] = NodeProfile(
+        node_id=0, kind=NodeKind.UAV5GP, compute_capacity=25.0,
+        cached_programs=frozenset({"b"}), battery_budget=1200.0,
+    )
+    ps = make_state(
+        tables, nodes, dict(PROGRAMS, b=make_program("b", compute=5.0, inp=1e7, out=1e6)),
+        LinkModel(bands=make_flat_bands(ul=1.0, dl=1.0, rtt=20.0), noise_seed=0,
+                  variance_scale=0.0),
+        tasks=["t1", "t2", task("late", ("a",), consumer=2),
+               task("local", ("b",)), task("deferred", ("a", "c"))])
+    ps.on_tick(0.0, due(ps, "t1", "deferred"), GROUND_BAND)
+    ps.on_timeout()
+    [retry] = ps.on_tick(2.0, due(ps, "t2"), GROUND_BAND).dispatches
+    assert (retry.server_id, waiter_ids(retry)) == (2, ("t1", "t2"))
+    ps.on_timeout()
+    [again] = ps.on_tick(4.0, [], GROUND_BAND).dispatches
+    respond(ps, again, 4.5)
+    late, local = ps.on_tick(6.0, due(ps, "late", "local"), GROUND_BAND).dispatches
+    assert (waiter_ids(late), late.local, local.local) == (("late",), False, True)
+    ps.note_result(local, 6.5, RESULT)
+    ps.on_timeout()
+    [late_again] = ps.on_tick(8.0, [], GROUND_BAND).dispatches
+    # late goes to its own consumer first, then away from it
+    assert (late.server_id, late_again.server_id) == (2, 1)
+    ps.on_timeout()  # the end of the run
+
+    def ledger():
+        return {task_id: [(p.attempts, p.server, p.breakdown is not None)
+                          for p in outcome.programs]
+                for task_id, outcome in ps.outcomes.items()}
+
+    delivered = {"t1": True, "t2": True, "late": False, "local": True}
+    assert ledger() == {**{task_id: [(0, None, done)] for task_id, done in delivered.items()},
+                        "deferred": [(0, None, False), (0, None, False)]}
+    ps.settle()
+    assert ledger() == {
+        "t1": [(3, 1, True)],
+        "t2": [(2, 1, True)],
+        "late": [(2, 1, False)],
+        "local": [(1, 0, True)],
+        "deferred": [(0, None, False), (0, None, False)],
+    }
 
 
 def test_conservation_requests_equal_responses_plus_timeouts():
