@@ -49,9 +49,9 @@ DL_STD_MBPS = 72.09
 
 @dataclass(frozen=True)
 class LinkBandParams:
-    """Gaussian throughput means and RTT mean for one link regime."""
+    """Gaussian throughput means and RTT mean for one link regime; the
+    regime is the key that maps to it in a band table."""
 
-    band: Band
     dl_mean: float  # Mbps
     ul_mean: float  # Mbps
     rtt_mean: float  # ms
@@ -70,15 +70,9 @@ class LinkBandParams:
 def default_link_params() -> dict[Band, LinkBandParams]:
     """Field-measured defaults for the three link regimes."""
     return {
-        Band.LOW_ALTITUDE: LinkBandParams(
-            band=Band.LOW_ALTITUDE, dl_mean=356.77, ul_mean=48.13, rtt_mean=20.06
-        ),
-        Band.HIGH_ALTITUDE: LinkBandParams(
-            band=Band.HIGH_ALTITUDE, dl_mean=264.62, ul_mean=37.12, rtt_mean=22.28
-        ),
-        Band.ROTATION: LinkBandParams(
-            band=Band.ROTATION, dl_mean=339.97, ul_mean=57.99, rtt_mean=19.8
-        ),
+        Band.LOW_ALTITUDE: LinkBandParams(dl_mean=356.77, ul_mean=48.13, rtt_mean=20.06),
+        Band.HIGH_ALTITUDE: LinkBandParams(dl_mean=264.62, ul_mean=37.12, rtt_mean=22.28),
+        Band.ROTATION: LinkBandParams(dl_mean=339.97, ul_mean=57.99, rtt_mean=19.8),
     }
 
 

@@ -8,6 +8,8 @@ BIRDSIM_LOG={off,info,trace} controls logging verbosity on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import logging
 import math
 import os
@@ -21,7 +23,6 @@ from .channel import SEED_BOUND, Band, LinkBandParams, LinkModel, default_link_p
 from .engine import (
     MetricsRecord,
     RunAborted,
-    csv_text,
     metrics_to_csv,
     plan,
     run,
@@ -41,6 +42,12 @@ log = logging.getLogger("birdsim.cli")
 def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text)
+
+
+def _write_csv(out_dir: Path, name: str, columns: list[str], rows: list[list]) -> None:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([columns, *rows])
+    _write(out_dir, name, text.getvalue())
 
 
 def _fmt_opt(value: float | None) -> str:
@@ -156,8 +163,8 @@ def cmd_sweep(scenario_path: str, sweep_path: str, out_dir: str) -> int:
                  spec.parameter, value, spec.replicates, perf_counter() - started)
 
     out = Path(out_dir)
-    _write(out, "sweep_rows.csv", csv_text(SWEEP_ROW_COLUMNS, rows))
-    _write(out, "sweep_aggregate.csv", csv_text(SWEEP_AGGREGATE_COLUMNS, aggregates))
+    _write_csv(out, "sweep_rows.csv", SWEEP_ROW_COLUMNS, rows)
+    _write_csv(out, "sweep_aggregate.csv", SWEEP_AGGREGATE_COLUMNS, aggregates)
     print(
         f"sweep {spec.parameter}: values={len(spec.values)} "
         f"replicates={spec.replicates} rows={len(rows)}"

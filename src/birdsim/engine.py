@@ -96,7 +96,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .channel import (
@@ -711,23 +711,6 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def _csv_line(row: Sequence) -> str:
-    line = ",".join([
-        "" if value is None else csv_cell(value) if isinstance(value, str) else repr(value)
-        for value in row
-    ])
-    # a lone empty cell is written "" so that the line is not blank
-    return '""' if not line and len(row) == 1 else line
-
-
-def csv_text(columns: list[str], rows: Iterable[Sequence]) -> str:
-    """A CSV table: the header row, then one line per row, each ending in a
-    newline. Every CSV follows these cell rules (docs/output-formats.md):
-    None is an empty cell, text goes through csv_cell, and any other value
-    is its repr, which for an int, float or bool is also its str."""
-    return "".join([_csv_line(row) + "\n" for row in (columns, *rows)])
-
-
 METRICS_COLUMNS = [
     "task_id", "program_id", "origin", "consumer", "issue_time_s",
     "first_served_s", "attempts", "server", "t_enc_s", "t_comm_s", "t_dec_s",
@@ -746,7 +729,7 @@ def metrics_to_csv(metrics: MetricsRecord) -> str:
     """
     times: dict[int, str] = {id(None): ""}
     deliveries: dict[tuple[int, int], str] = {}
-    lines = [_csv_line(METRICS_COLUMNS) + "\n"]
+    lines = [",".join(METRICS_COLUMNS) + "\n"]
     for outcome in metrics.tasks:
         task = outcome.task
         served = outcome.first_served_at
@@ -794,7 +777,7 @@ _DIRECTION_CELL = {direction: csv_cell(direction.value) for direction in Directi
 
 def samples_to_csv(metrics: MetricsRecord) -> str:
     band_cell, direction_cell = _BAND_CELL, _DIRECTION_CELL
-    return _csv_line(SAMPLES_COLUMNS) + "\n" + "".join([
+    return ",".join(SAMPLES_COLUMNS) + "\n" + "".join([
         f"{t!r},{band_cell[band]},{direction_cell[direction]},"
         f"{throughput!r},{one_way_delay!r}\n"
         for t, band, direction, throughput, one_way_delay in metrics.samples

@@ -171,11 +171,10 @@ def _build_document(loader) -> Any:
     from the parser's events into what SafeLoader builds from mappings,
     sequences and the core scalar tags, with anchors, aliases and merge
     keys. Any other tag, `!!set`, `!!omap` and `!!pairs` among them, and
-    the `=` key are a ConstructorError. Within this one load, each (text,
-    implicit) is resolved once and each scalar's value is made once."""
+    the `=` key are a ConstructorError. Within this one load, each distinct
+    scalar event, (tag, text, implicit), is resolved and built once."""
     get_event, resolve = loader.get_event, loader.resolve
-    tags: dict = {}  # (text, implicit) -> resolved tag
-    scalars: dict = {}  # (tag, text) -> value
+    scalars: dict = {}  # (tag, text, implicit) -> value
     anchors: dict = {}
     stack: list[_Open] = []
     top: _Open | None = None
@@ -186,19 +185,16 @@ def _build_document(loader) -> Any:
         event = get_event()
         kind = type(event)
         if kind is ScalarEvent:
-            text, tag = event.value, event.tag
-            if tag is None or tag == "!":
-                key = (text, event.implicit)
-                tag = tags.get(key)
-                if tag is None:
-                    tag = tags[key] = resolve(yaml.ScalarNode, text, event.implicit)
-            key = (tag, text)
+            text, tag, implicit = event.value, event.tag, event.implicit
+            key = (tag, text, implicit)
             try:
                 value = scalars[key]
             except KeyError:
+                if tag is None or tag == "!":
+                    tag = resolve(yaml.ScalarNode, text, implicit)
                 value = scalars[key] = _scalar(loader, tag, text, event)
             if value is _MERGE and (top is None or top.state is not _KEY):
-                raise _no_constructor(tag, event)
+                raise _no_constructor(_MERGE_TAG, event)
             if event.anchor is not None:
                 _add_anchor(anchors, event, value)
         elif kind is AliasEvent:
@@ -702,7 +698,6 @@ def _parse_link(doc: Mapping):
         base = bands[band]
         try:
             bands[band] = LinkBandParams(
-                band=band,
                 dl_mean=_num(fields_raw, "dl_mean_mbps", path, default=base.dl_mean),
                 ul_mean=_num(fields_raw, "ul_mean_mbps", path, default=base.ul_mean),
                 rtt_mean=_num(fields_raw, "rtt_mean_ms", path, default=base.rtt_mean),

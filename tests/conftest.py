@@ -64,8 +64,6 @@ def scenario_path():
 def make_flat_bands(ul: float, dl: float, rtt: float) -> dict[Band, LinkBandParams]:
     """All three regimes identical and noise-free; handy for arithmetic tests."""
     return {
-        band: LinkBandParams(
-            band=band, dl_mean=dl, ul_mean=ul, rtt_mean=rtt, dl_std=0.0, ul_std=0.0
-        )
+        band: LinkBandParams(dl_mean=dl, ul_mean=ul, rtt_mean=rtt, dl_std=0.0, ul_std=0.0)
         for band in Band
     }

@@ -196,9 +196,9 @@ NAN = float("nan")  # fails every range check written `not x >= 0`
      "output_payload must be >= 0"),
     (lambda: ProgramTableEntry(1, "p", advertised_latency=NAN), ValueError,
      "advertised_latency must be >= 0"),
-    (lambda: LinkBandParams(Band.LOW_ALTITUDE, 10.0, 10.0, 20.0, dl_std=NAN), ValueError,
+    (lambda: LinkBandParams(10.0, 10.0, 20.0, dl_std=NAN), ValueError,
      "dl_std must be >= 0"),
-    (lambda: LinkBandParams(Band.LOW_ALTITUDE, 10.0, 10.0, 20.0, ul_std=NAN), ValueError,
+    (lambda: LinkBandParams(10.0, 10.0, 20.0, ul_std=NAN), ValueError,
      "ul_std must be >= 0"),
     (lambda: LinkModel(variance_scale=NAN), ValueError, "variance_scale must be >= 0"),
     (lambda: LatencyBreakdown(0.1, NAN, 0.1, 0.1), ValueError, "t_comm must be >= 0"),

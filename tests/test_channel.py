@@ -66,10 +66,9 @@ def test_uplink_is_less_variable_than_downlink():
 
 def test_band_params_validation():
     with pytest.raises(ValueError):
-        LinkBandParams(Band.LOW_ALTITUDE, dl_mean=0.0, ul_mean=1.0, rtt_mean=1.0)
+        LinkBandParams(dl_mean=0.0, ul_mean=1.0, rtt_mean=1.0)
     with pytest.raises(ValueError):
-        LinkBandParams(Band.LOW_ALTITUDE, dl_mean=1.0, ul_mean=1.0, rtt_mean=1.0,
-                       ul_std=-0.1)
+        LinkBandParams(dl_mean=1.0, ul_mean=1.0, rtt_mean=1.0, ul_std=-0.1)
 
 
 # --------------------------------------------------------------------- bands
@@ -157,8 +156,7 @@ def test_seed_changes_the_draw():
 
 def test_samples_clamp_at_the_floor():
     bands = {
-        band: LinkBandParams(band=band, dl_mean=2.0, ul_mean=2.0, rtt_mean=10.0,
-                             dl_std=50.0, ul_std=50.0)
+        band: LinkBandParams(dl_mean=2.0, ul_mean=2.0, rtt_mean=10.0, dl_std=50.0, ul_std=50.0)
         for band in Band
     }
     link = LinkModel(bands=bands, noise_seed=3, floor_mbps=1.0)
@@ -362,7 +360,7 @@ def distinct_bands():
     """Every regime with its own means, stds and RTT, so a leg that read
     another regime's or direction's parameters would show."""
     return HashableBands({
-        band: LinkBandParams(band=band, dl_mean=300.0 + 7.3 * i, ul_mean=40.0 + 3.1 * i,
+        band: LinkBandParams(dl_mean=300.0 + 7.3 * i, ul_mean=40.0 + 3.1 * i,
                              rtt_mean=18.0 + 1.7 * i, dl_std=60.0 + 5.9 * i,
                              ul_std=9.0 + 2.3 * i)
         for i, band in enumerate(Band)

@@ -469,10 +469,11 @@ def test_samples_csv_has_a_row_per_link_leg_and_a_variance_free_link_draws_nothi
     assert draws["normal"] == 0
     for row, (t, direction) in zip(rows, legs):
         state = flight_state_at(sc, t)
-        params = sc.bands[band_for(state.altitude, state.rotating)]
+        band = band_for(state.altitude, state.rotating)
+        params = sc.bands[band]
         mean = params.ul_mean if direction is Direction.UL else params.dl_mean
         assert row == {
-            "t_s": repr(t), "band": params.band.value, "direction": direction.value,
+            "t_s": repr(t), "band": band.value, "direction": direction.value,
             "throughput_mbps": repr(max(sc.floor_mbps, mean)),
             "one_way_delay_ms": repr(params.rtt_mean * sc.one_way_fraction),
         }
@@ -783,7 +784,7 @@ def regime_scenario():
     0-1 low, 2 yawing at 30 m, 3-5 high, 6-8 low.
     """
     bands = {
-        band: LinkBandParams(band=band, dl_mean=dl, ul_mean=10.0, rtt_mean=20.0)
+        band: LinkBandParams(dl_mean=dl, ul_mean=10.0, rtt_mean=20.0)
         for band, dl in ((Band.LOW_ALTITUDE, 1000.0), (Band.HIGH_ALTITUDE, 2.0),
                          (Band.ROTATION, 2.0))
     }
@@ -1502,23 +1503,6 @@ def writer_text(rows):
 
 
 CSV_TEXT = st.text(st.sampled_from(list(',"\n\r ab1.-éü中\t')) | st.characters())
-CSV_CELLS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-2**128, max_value=2**128),
-    st.floats(allow_subnormal=True),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
-    CSV_TEXT,
-)
-
-
-@given(columns=st.lists(CSV_TEXT, max_size=4),
-       rows=st.lists(st.lists(CSV_CELLS, max_size=6), max_size=5))
-@settings(deadline=None, max_examples=150)
-def test_csv_text_writes_what_csv_writer_writes(columns, rows):
-    assert engine.csv_text(columns, rows) == writer_text([columns, *rows])
-
-
 @given(text=CSV_TEXT)
 @settings(deadline=None, max_examples=100)
 def test_csv_cell_is_a_csv_writer_text_cell(text):

@@ -414,6 +414,30 @@ def test_error_cases_are_not_parseable(tmp_path, case):
         check_not_parseable(ERROR_CASES[case], tmp_path, loader)
 
 
+# a `<<` that is no mapping's key; the last two come after a valid `<<` key,
+# so the builder already holds the merge key's value when it meets them
+MISPLACED_MERGE_KEYS = {
+    "merge key as a value": "a: <<\n",
+    "merge key as an item": "x: [<<]\n",
+    "merge key as a value after a merge": "m: {<<: {a: 1}}\na: <<\n",
+    "merge key as an item after a merge": "m: {<<: {a: 1}}\nx: [<<]\n",
+}
+
+
+@pytest.mark.parametrize("case", MISPLACED_MERGE_KEYS)
+def test_a_misplaced_merge_key_is_not_parseable_with_yaml_loads_problem(tmp_path, case):
+    text = MISPLACED_MERGE_KEYS[case]
+    for loader in LOADERS:
+        with pytest.raises(yaml.constructor.ConstructorError) as expected:
+            yaml.load(text, Loader=loader)
+        assert expected.value.problem == (
+            "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'")
+        with mock.patch.object(scenario_module, "YAML_LOADER", loader):
+            with pytest.raises(SchemaError) as err:
+                read_text(text, tmp_path)
+        assert str(err.value) == f"{tmp_path / 'doc.yaml'}: not parseable: {expected.value}"
+
+
 @pytest.mark.parametrize("case", NARROWED_CASES)
 def test_tags_that_no_scenario_can_hold_are_not_parseable(tmp_path, case):
     """Each is rejected under both loaders, with the path, where yaml.load
