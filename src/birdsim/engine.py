@@ -24,9 +24,11 @@ is never pushed, and the flush ends its entries; every event that is not
 dropped with it lands before that deadline.)
 
 An idle tick, with no due task and no retry, is a counter and a record: the
-protocol checks its time and that no entry is open, advances current_tick
-and counts the deferred pairs, and the engine pushes the next Tick, checks
-the advancement gate and writes the Tick record with its `unserved=` list.
+protocol checks its time and that no entry is open, advances current_tick,
+counts the deferred pairs and returns its one idle outcome, reading no band;
+the engine pushes the next Tick, checks the advancement gate (which returns
+at once when the timeline is in its last phase) and writes the Tick record
+with its `unserved=` list.
 
 A run's seed-free constants are its RunPlan, built by plan(scenario) before
 any event: the band reader, the program index, the incident's moments, and
@@ -39,18 +41,19 @@ same plan shares them: a sweep passes one plan to each run whose scenario it
 fits. run builds a fresh plan when it is given none, and refuses, before any
 event, a plan built from another object for any field it reads.
 
-Every tick and link leg reads its link band from band_reader, built from the
-flight plan with the run's plan, before any event. It keeps the waypoint
-times and one entry per stretch between them: a band where the band cannot
-change (before the first waypoint, after the last, on a rotating or a flat
-segment), and the start, span and rise of any other segment, whose band at
-t comes from the altitude that flight_state_at computes there, by
-_altitude's expression. So the band at every float t is band_for of
-flight_state_at at t. A plan with a waypoint outside the measured envelope
-is refused there with band_for's OutOfMeasuredRange; between two waypoints
-inside it the interpolated altitude stays inside, so every instant has a
-band. A tick hands its band to the protocol, which builds a FlightState
-only for an offload choice it has not memoized; a leg is sampled by band.
+Every tick that serves work and every link leg reads its link band from
+band_reader, built from the flight plan with the run's plan, before any
+event. It keeps the waypoint times and one entry per stretch between them:
+a band where the band cannot change (before the first waypoint, after the
+last, on a rotating or a flat segment), and the start, span and rise of any
+other segment, whose band at t comes from the altitude that flight_state_at
+computes there, by _altitude's expression. So the band at every float t is
+band_for of flight_state_at at t. A plan with a waypoint outside the
+measured envelope is refused there with band_for's OutOfMeasuredRange;
+between two waypoints inside it the interpolated altitude stays inside, so
+every instant has a band. The protocol reads a tick's band through its Offloads, which hold the
+plan's reader, and builds a FlightState only for an offload choice it has
+not memoized; the engine reads a leg's band and samples the leg by it.
 
 A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
@@ -73,6 +76,8 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
 - heap pushes = records - 1 on a traced run: every pushed event writes one
   record, and the Flush writes the last;
+- band reads = the ticks with a due task or a retry + the link samples: an
+  idle tick reads none;
 - flight_state_at calls = select_server calls: one per offload choice that
   is not memoized;
 - stage_times calls = e2e_latency calls: a route is priced only by the
@@ -288,7 +293,7 @@ class RunPlan:
     plan make offload choices and match lists of required programs."""
 
     reads: tuple[Any, ...]  # the objects of _PLAN_FIELDS it was built from
-    band_at: Callable[[float], Band]  # the link band of every instant
+    band_at: Callable[[float], Band]  # the link band of every instant; offloads reads it too
     prog_index: dict[str, int]  # a program's index, a loss draw's counter
     moments: CriticalMoments  # the incident's, before any event
     offloads: Offloads  # which node runs each program, shared by the runs
@@ -315,9 +320,10 @@ def plan(scenario: Scenario) -> RunPlan:
     ):
         if value is not None:
             moments = record_moment(moments, which, value)
+    band_at = band_reader(scenario.flight_plan)
     return RunPlan(
         reads=tuple([getattr(scenario, name) for name in _PLAN_FIELDS]),
-        band_at=band_reader(scenario.flight_plan),
+        band_at=band_at,
         prog_index={pid: i for i, pid in enumerate(scenario.programs)},
         moments=moments,
         # offload choices are priced on the variance-free link; the flight
@@ -331,6 +337,7 @@ def plan(scenario: Scenario) -> RunPlan:
                 one_way_fraction=scenario.one_way_fraction,
             ),
             lambda t: flight_state_at(scenario, t),
+            band_at,
         ),
     )
 
@@ -466,8 +473,7 @@ class _Sim:
         if self.issued:
             due = [task for _, task in sorted(self.issued)]
             self.issued.clear()
-        band = self.band_at(t)
-        outcome = self.protocol.on_tick(t, due, band)
+        outcome = self.protocol.on_tick(t, due)
         # The next tick is also the deadline of this tick's wire dispatches:
         # their Timeout is pushed there, before that Tick, so it runs first
         # (protocol module docstring)

@@ -108,7 +108,7 @@ class Dispatch:
 
 @dataclass(slots=True)
 class TickOutcome:
-    dispatches: list[Dispatch]
+    dispatches: tuple[Dispatch, ...]
     unserved: tuple[str, ...]  # task:program of each deferred pair
     messages: int  # bundled requests: distinct wire servers this tick
 
@@ -118,11 +118,13 @@ class Offloads:
 
     The server tables, fleet, programs and variance-free link are fixed;
     state_at(t) gives the flight state at t, which an offload choice prices
-    a link leg at. choices and the servability memo are the memos of choose
-    and first_unservable: each value is a pure function of its key and of
-    the tables, fleet, programs and variance-free link, so one Offloads
-    serves every update loop over those (a run plan's), and a loop that
-    meets only keys an earlier one met makes no choice and matches no list.
+    a link leg at, and band_at(t) its link band, which the update loop reads
+    once for each tick that serves work. choices and the servability memo
+    are the memos of choose and first_unservable: each value is a pure
+    function of its key and of the tables, fleet, programs and variance-free
+    link, so one Offloads serves every update loop over those (a run
+    plan's), and a loop that meets only keys an earlier one met makes no
+    choice and matches no list.
     """
 
     def __init__(
@@ -132,12 +134,14 @@ class Offloads:
         programs: Mapping[str, ProgramSpec],
         link: LinkModel,
         state_at: Callable[[float], FlightState],
+        band_at: Callable[[float], Band],
     ):
         self.tables = tables
         self.nodes = nodes
         self.programs = programs
         self.link = link
         self.state_at = state_at
+        self.band_at = band_at
         self.platform = nodes[PLATFORM]
         # chosen (server, route) per (program, excluded server, consumer, band)
         self.choices: dict[tuple[str, int | None, int, Band], tuple[int, Route]] = {}
@@ -152,12 +156,12 @@ class Offloads:
         """The argmin server for one dispatch at t and its route, computed
         once per key: the variance-free link reads the flight state only
         through its band, and the candidates depend only on the program and
-        the exclusion. The band comes from the engine; the FlightState is
-        built, with state_at, only on a miss. The route holds the winner's
-        predicted stage times, which depend on neither the band nor the
-        exclusion, and its hop directions; a winner with no compute profile
-        cannot be staged, and its refusal is not memoized, so every run
-        sharing the memo raises it again."""
+        the exclusion. The band is band_at(t), read by the update loop; the
+        FlightState is built, with state_at, only on a miss. The route holds
+        the winner's predicted stage times, which depend on neither the band
+        nor the exclusion, and its hop directions; a winner with no compute
+        profile cannot be staged, and its refusal is not memoized, so every
+        run sharing the memo raises it again."""
         key = (program_id, excluded_server, consumer, band)
         choice = self.choices.get(key)
         if choice is None:
@@ -220,6 +224,7 @@ class ProtocolState:
         self.t_int = float(t_int)
         self.phases = phases
         self.t_pos = 0
+        self._last_pos = len(phases) - 1
         self.offloads = offloads
         self.current_tick = -1
         self.outstanding: dict[str, Dispatch] = {}
@@ -229,6 +234,9 @@ class ProtocolState:
         # task:program of every due task with an unservable program: the
         # tables are fixed, so such a task stays deferred for the whole run
         self._unserved: list[str] = []
+        # what every idle tick returns: no dispatch, the deferred pairs, no
+        # message; replaced only when a tick defers a new pair
+        self._idle = TickOutcome((), (), 0)
         self.outcomes: dict[str, TaskOutcome] = {}
         for task in tasks:
             if task.task_id in self.outcomes:
@@ -248,17 +256,19 @@ class ProtocolState:
 
     # ------------------------------------------------------------------ ticks
 
-    def on_tick(self, t_i: float, due_tasks: Sequence[Task], band: Band) -> TickOutcome:
+    def on_tick(self, t_i: float, due_tasks: Sequence[Task]) -> TickOutcome:
         """Serve due and retried work; returns every dispatch (wire and local)
         decided this tick and the number of bundled requests; each due task,
-        deferred or not, is first served now. band is the link band at t_i,
-        which the engine reads from the flight plan's segment there; a
-        FlightState is built only when an offload choice is not yet memoized.
+        deferred or not, is first served now.
 
         Every tick is checked against the interval grid and the open tick,
         advances current_tick and counts each deferred pair in
         unserved_events. An idle tick (no retry and no due task) stops
-        there: it dispatches nothing and sends no message."""
+        there: it reads no band, dispatches nothing, sends no message and
+        returns the one idle outcome, which changes only when a tick defers
+        a new pair. Any other tick reads its link band once, with the
+        offloads' band_at; a FlightState is built only when an offload
+        choice is not yet memoized."""
         tick = self.current_tick + 1
         expected = tick * self.t_int
         if t_i != expected:
@@ -271,7 +281,7 @@ class ProtocolState:
         self.current_tick = tick
         if not (due_tasks or self._retries):
             self.unserved_events += len(self._unserved)
-            return TickOutcome([], tuple(self._unserved), 0)
+            return self._idle
 
         # Retried programs come first (they are older), in timeout order, then
         # the programs of freshly due tasks in order of first appearance.
@@ -280,7 +290,9 @@ class ProtocolState:
         # waiter's consumer and its waiters new to the chain; a retried
         # program keeps its retry's consumer.
         offloads = self.offloads
+        band = offloads.band_at(t_i)
         retries, self._retries = self._retries, {}
+        deferred = len(self._unserved)
         fresh: dict[str, tuple[int, list[ProgramOutcome]]] = {}
         for task in due_tasks:
             outcome = self.outcomes[task.task_id]
@@ -296,7 +308,10 @@ class ProtocolState:
                     fresh[prog.program_id] = (task.consumer, [prog])
                 else:
                     joining[1].append(prog)
-        self.unserved_events += len(self._unserved)
+        if len(self._unserved) != deferred:
+            self._idle = TickOutcome((), tuple(self._unserved), 0)
+        unserved = self._idle.unserved
+        self.unserved_events += len(unserved)
 
         # Every program here passed the whole-task match (or was dispatched
         # before, against the same tables), so it has a capable server. A
@@ -330,7 +345,7 @@ class ProtocolState:
                 servers.add(dispatch.server_id)
         self.requests_issued += len(self.outstanding)
         self.request_messages += len(servers)
-        return TickOutcome(dispatches, tuple(self._unserved), len(servers))
+        return TickOutcome(tuple(dispatches), unserved, len(servers))
 
     # -------------------------------------------------------------- responses
 
@@ -403,12 +418,13 @@ class ProtocolState:
         each step in phase_log.
 
         Gated: nothing moves while the open tick still has outstanding
-        entries.
+        entries. The last phase is never left, so once the timeline reaches
+        it every call returns at once, before the gate.
         """
-        if self.outstanding:
+        if self.t_pos == self._last_pos or self.outstanding:
             return
         while (
-            self.t_pos < len(self.phases) - 1
+            self.t_pos < self._last_pos
             and self._predicate_holds(self.phases[self.t_pos].completes_when, t)
         ):
             self.t_pos += 1

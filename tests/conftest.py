@@ -35,6 +35,13 @@ def bench_workloads():
     return load_tool("artifact_digests").load_workloads(ROOT)
 
 
+@functools.cache
+def bench_build(name, seed):
+    """The bench workload `name` built for `seed`, once per session: a
+    Workload is frozen, so the tests that read it share one build."""
+    return bench_workloads().build(name, seed, ROOT)
+
+
 @pytest.fixture
 def nodes():
     return default_profiles()

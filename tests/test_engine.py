@@ -51,7 +51,7 @@ from birdsim.channel import BAND_SPLIT_M, FlightState, band_for, keyed_uniform
 from birdsim.engine import band_reader, flight_state_at
 from birdsim.scenario import apply_sweep_value
 
-from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads, make_flat_bands
+from conftest import BUNDLED_SCENARIO, ROOT, bench_build, make_flat_bands
 
 DETECT = ProgramSpec("p", "object_detection", compute_cost=40.0,
                      input_payload=1e6, output_payload=1e5,
@@ -871,8 +871,8 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
     decided = {}
     on_tick = protocol.ProtocolState.on_tick
 
-    def recording(self, t, due, band):
-        outcome = on_tick(self, t, due, band)
+    def recording(self, t, due):
+        outcome = on_tick(self, t, due)
         decided[self.current_tick] = outcome.dispatches
         return outcome
 
@@ -1034,7 +1034,7 @@ def test_loss_draws_only_for_servers_that_can_lose(monkeypatch):
 def storm_scenario(seed, cut):
     """The benchmark's `storm` workload, with its duration cut by `cut`; a
     Scenario is frozen, so the tests share one build."""
-    wl = bench_workloads().build("storm", seed, ROOT)
+    wl = bench_build("storm", seed)
     sc = load_scenario(yaml.safe_load(wl.scenario_text))
     return replace(sc, duration=sc.duration * cut)
 
@@ -1075,9 +1075,9 @@ def run_with_waiter_oracle(monkeypatch, sc):
     dispatched = []
     on_tick = protocol.ProtocolState.on_tick
 
-    def with_oracle(self, t, due, band):
+    def with_oracle(self, t, due):
         retried = dict(self._retries)  # the timed-out dispatches, by program
-        outcome = on_tick(self, t, due, band)
+        outcome = on_tick(self, t, due)
         for d in outcome.dispatches:
             retry = retried.pop(d.program.program_id, None)
             lead = () if retry is None else retry.waiters
@@ -1257,7 +1257,7 @@ def test_a_sweep_computes_each_run_constant_once_per_plan(monkeypatch, tmp_path)
     20 runs on one plan."""
     from birdsim.cli import main
 
-    wl = bench_workloads().build("reference", 1, ROOT)
+    wl = bench_build("reference", 1)
     (tmp_path / "scenario.yaml").write_text(wl.scenario_text)
     (tmp_path / "sweep.yaml").write_text(wl.sweep_text)
     matched, selected, readers = count_run_constants(monkeypatch)
@@ -1267,6 +1267,52 @@ def test_a_sweep_computes_each_run_constant_once_per_plan(monkeypatch, tmp_path)
     assert len(readers) == 1
     assert sum(matched.values()) == len(matched) == 3
     assert len(selected) == 12 <= choice_bound(sc)
+
+
+def serving_ticks(trace):
+    """The Tick records of a trace with a due task or a retry: the tick
+    right after a Timeout that expired an entry retries it."""
+    count, retrying = 0, False
+    for line in trace:
+        fields = record_fields(line)
+        if fields["kind"] == "Timeout":
+            retrying = fields["count"] != "0"
+        elif fields["kind"] == "Tick":
+            count += bool(fields["due"]) or retrying
+            retrying = False
+    return count
+
+
+BAND_READ_CASES = {
+    "bundled": lambda: load_scenario(BUNDLED_SCENARIO),
+    "storm_seed_1": lambda: storm_scenario(1, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_READ_CASES))
+def test_an_idle_tick_reads_no_band(monkeypatch, case):
+    """The plan's one band reader serves the protocol and the link legs:
+    band reads = the ticks with a due task or a retry + the link samples
+    (engine module docstring), so an idle tick reads none."""
+    sc = BAND_READ_CASES[case]()
+    reads = []
+    reader = engine.band_reader
+
+    def counting_reader(plan):
+        band_at = reader(plan)
+
+        def counting(t):
+            reads.append(t)
+            return band_at(t)
+
+        return counting
+
+    monkeypatch.setattr(engine, "band_reader", counting_reader)
+    result = run(sc)
+    ticks = sum(" kind=Tick " in line for line in result.trace)
+    serving = serving_ticks(result.trace)
+    assert 0 < serving < ticks
+    assert len(reads) == serving + len(result.metrics.samples)
 
 
 # ------------------------------------------------------------ untraced runs
@@ -1408,8 +1454,8 @@ def count_work(monkeypatch, sc, trace):
     price, predict = pipeline.stage_times, policy.e2e_latency
     platform = sc.nodes[0]
 
-    def counting_tick(self, t, due, band):
-        outcome = on_tick(self, t, due, band)
+    def counting_tick(self, t, due):
+        outcome = on_tick(self, t, due)
         work["ticks"] += 1
         work["servable_programs"] += sum(
             len(task.required_programs) for task in due

@@ -5,11 +5,18 @@ Testing: A Review of Challenges and Opportunities", ACM CSUR 2018).
 Each change below must leave all four artifacts byte-identical: a node,
 program, table row or loss entry that no decision can pick, a payload scale
 of 1, and new values for the fields that docs/scenario-schema.md calls not
-simulated.
+simulated. Two more have a known effect: a task renamed so that the names
+sort in another order changes only the name, since tasks are served in
+scenario order, and a task issued after the run window adds only its own
+never-served metrics row and one to the summary's task total.
 """
 
 import copy
+import csv
 import functools
+import io
+import json
+import math
 
 import pytest
 import yaml
@@ -95,3 +102,45 @@ def test_a_change_no_decision_reads_leaves_every_artifact_alone(name):
 def test_a_payload_scale_of_one_leaves_every_artifact_alone():
     scaled = apply_sweep_value(load_scenario(BASE), "payload_scale", 1.0)
     assert artifacts(scaled) == base_artifacts()
+
+
+# (old name, new name): each old name occurs in the bundled text only as its
+# task id and in predicates naming it, and the new one sorts elsewhere
+RENAMES = {
+    "monitor sorted last": ("monitor", "zz-renamed"),
+    "stream-vr, which a phase waits for, sorted first": ("stream-vr", "a-stream"),
+}
+
+
+@pytest.mark.parametrize("name", RENAMES)
+def test_a_renamed_task_changes_only_its_name(name):
+    old, new = RENAMES[name]
+    text = BUNDLED_SCENARIO.read_text()
+    doc = yaml.safe_load(text.replace(old, new))
+    ids = [task["task_id"] for task in BASE["tasks"]]
+    renamed = [task["task_id"] for task in doc["tasks"]]
+    assert renamed == [new if i == old else i for i in ids]
+    assert sorted(renamed).index(new) != sorted(ids).index(old)
+    expected = tuple(artifact.replace(old, new) for artifact in base_artifacts())
+    assert expected != base_artifacts()
+    assert artifacts(load_scenario(doc)) == expected
+
+
+def test_a_task_issued_after_the_window_adds_only_its_pending_row():
+    doc = copy.deepcopy(BASE)
+    after = math.nextafter(doc["duration_s"], math.inf)
+    doc["tasks"].append({"task_id": "late", "required_programs": ["detect"],
+                         "origin": "commander_order", "issue_time_s": after,
+                         "consumer": 2})
+    trace, metrics, samples, summary = artifacts(load_scenario(doc))
+    base_trace, base_metrics, base_samples, base_summary = base_artifacts()
+    assert (trace, samples) == (base_trace, base_samples)
+    assert metrics.startswith(base_metrics)
+    header = base_metrics.splitlines(True)[0]
+    [row] = csv.DictReader(io.StringIO(header + metrics[len(base_metrics):]))
+    assert (row["task_id"], row["issue_time_s"]) == ("late", repr(after))
+    assert [row[c] for c in ("first_served_s", "attempts", "server", "status",
+                             "task_completed_s")] == ["", "0", "", "pending", ""]
+    late, base = json.loads(summary), json.loads(base_summary)
+    assert late.pop("tasks_total") == base.pop("tasks_total") + 1
+    assert late == base

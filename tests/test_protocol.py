@@ -51,6 +51,7 @@ def make_offloads(tables=(), nodes=None, programs=PROGRAMS, link=None):
         programs=programs,
         link=link or LinkModel(noise_seed=0, variance_scale=0.0),
         state_at=lambda t: GROUND._replace(t=t),
+        band_at=lambda t: GROUND_BAND,
     )
 
 
@@ -108,18 +109,18 @@ def test_t_int_must_be_positive():
 
 def test_ticks_must_land_on_the_interval_grid():
     ps = make_state(t_int=2.0)
-    ps.on_tick(0.0, [], GROUND_BAND)
+    ps.on_tick(0.0, [])
     with pytest.raises(ValueError):
-        ps.on_tick(3.0, [], GROUND_BAND)
-    ps.on_tick(2.0, [], GROUND_BAND)
+        ps.on_tick(3.0, [])
+    ps.on_tick(2.0, [])
     assert ps.current_tick == 1
 
 
 def test_empty_tick_issues_nothing():
     ps = make_state()
-    outcome = ps.on_tick(0.0, [], GROUND_BAND)
+    outcome = ps.on_tick(0.0, [])
     assert outcome.messages == 0
-    assert outcome.dispatches == []
+    assert outcome.dispatches == ()
     assert ps.requests_issued == 0
     assert ps.request_messages == 0
 
@@ -137,7 +138,7 @@ def test_local_execution_sends_no_wire_request():
                          noise_seed=0)
     cheap = {"a": make_program("a", compute=5.0, inp=1e7, out=1e6)}
     ps = make_state((ProgramTableEntry(1, "a"),), nodes, cheap, degraded, tasks=["t1"])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     assert len(outcome.dispatches) == 1
     assert outcome.dispatches[0].local
     assert outcome.messages == 0
@@ -152,7 +153,7 @@ def test_local_execution_sends_no_wire_request():
 def test_distinct_servers_get_one_bundled_request_each():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
                     tasks=[task("t1", ("a", "b"))])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     assert [(d.server_id, d.program.program_id) for d in outcome.dispatches] == [
         (1, "a"), (2, "b"),
     ]
@@ -164,7 +165,7 @@ def test_distinct_servers_get_one_bundled_request_each():
 def test_same_server_programs_share_one_request():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(1, "b")),
                     tasks=[task("t1", ("a", "b"))])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     assert ps.requests_issued == 2
     assert ps.request_messages == 1
     assert outcome.messages == 1
@@ -175,7 +176,7 @@ def test_same_server_programs_share_one_request():
 
 def test_shared_program_merges_into_one_dispatch():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1", "t2"])
-    outcome = ps.on_tick(0.0, due(ps, "t1", "t2"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1", "t2"))
     assert len(outcome.dispatches) == 1
     dispatch = outcome.dispatches[0]
     assert waiter_ids(dispatch) == ("t1", "t2")
@@ -192,7 +193,7 @@ def test_shared_program_merges_into_one_dispatch():
 
 def test_response_resolves_the_outstanding_entry():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     dispatch = outcome.dispatches[0]
     assert dispatch.key in ps.outstanding
     respond(ps, dispatch, 0.9)
@@ -203,7 +204,7 @@ def test_response_resolves_the_outstanding_entry():
 
 def test_duplicate_or_unknown_response_raises():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     dispatch = outcome.dispatches[0]
     respond(ps, dispatch, 0.9)
     with pytest.raises(UnknownResponse):
@@ -217,7 +218,7 @@ def test_duplicate_or_unknown_response_raises():
 def test_partial_results_do_not_complete_the_task():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
                     tasks=[task("t1", ("a", "b"))])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["a"], 0.5)
     assert completed(ps) == {}
@@ -234,17 +235,17 @@ def test_timeout_excludes_the_failed_server_once():
     nodes[2] = NodeProfile(node_id=2, kind=NodeKind.GCS, compute_capacity=100.0)
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "a")), nodes,
                     tasks=["t1", "t2"])
-    first = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    first = ps.on_tick(0.0, due(ps, "t1"))
     assert first.dispatches[0].server_id == 1  # identical servers: lower id
     expired = ps.on_timeout()
     assert [d.server_id for d in expired] == [1]
     assert ps.timeouts == 1
-    second = ps.on_tick(2.0, [], GROUND_BAND)
+    second = ps.on_tick(2.0, [])
     assert [d.server_id for d in second.dispatches] == [2]
     respond(ps, second.dispatches[0], 2.5)
     assert completed(ps) == {"t1": 2.5}
     # the exclusion lasted one re-match only
-    third = ps.on_tick(4.0, due(ps, "t2"), GROUND_BAND)
+    third = ps.on_tick(4.0, due(ps, "t2"))
     assert third.dispatches[0].server_id == 1
 
 
@@ -257,7 +258,7 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion():
     ps = make_state(tables, nodes, tasks=["t1", "t2", "t3", "t4"])
 
     def tick(t, *task_ids):
-        return ps.on_tick(t, due(ps, *task_ids), GROUND_BAND).dispatches
+        return ps.on_tick(t, due(ps, *task_ids)).dispatches
 
     first = tick(0.0, "t1")
     assert [d.server_id for d in first] == [1]
@@ -280,19 +281,19 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion():
 
 def test_a_tick_cannot_open_over_outstanding_entries():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
-    ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    ps.on_tick(0.0, due(ps, "t1"))
     with pytest.raises(ValueError, match="outstanding"):
-        ps.on_tick(2.0, [], GROUND_BAND)
+        ps.on_tick(2.0, [])
     assert ps.current_tick == 0
     ps.on_timeout()
-    assert [waiter_ids(d) for d in ps.on_tick(2.0, [], GROUND_BAND).dispatches] == [("t1",)]
+    assert [waiter_ids(d) for d in ps.on_tick(2.0, []).dispatches] == [("t1",)]
 
 
 def test_sole_capable_server_is_retried_after_its_own_timeout():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"])
-    ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    ps.on_tick(0.0, due(ps, "t1"))
     ps.on_timeout()
-    retry = ps.on_tick(2.0, [], GROUND_BAND)
+    retry = ps.on_tick(2.0, [])
     assert [d.server_id for d in retry.dispatches] == [1]
     assert retry.unserved == ()
 
@@ -300,11 +301,11 @@ def test_sole_capable_server_is_retried_after_its_own_timeout():
 def test_timeout_only_retries_the_unresolved_program():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
                     tasks=[task("t1", ("a", "b"))])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     by_pid = {d.program.program_id: d for d in outcome.dispatches}
     respond(ps, by_pid["b"], 0.5)
     ps.on_timeout()
-    retry = ps.on_tick(2.0, [], GROUND_BAND)
+    retry = ps.on_tick(2.0, [])
     assert [d.program.program_id for d in retry.dispatches] == ["a"]
     respond(ps, retry.dispatches[0], 2.4)
     assert completed(ps) == {"t1": 2.4}
@@ -312,14 +313,14 @@ def test_timeout_only_retries_the_unresolved_program():
 
 def test_unservable_task_is_deferred_whole():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=[task("t1", ("a", "b"))])
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
-    assert outcome.dispatches == []
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
+    assert outcome.dispatches == ()
     assert outcome.unserved == ("t1:b",)
     assert ps.unserved_events == 1
     assert ps.requests_issued == 0
     # the next tick defers it whole again: its servable "a" is not sent alone
-    retry = ps.on_tick(2.0, [], GROUND_BAND)
-    assert retry.dispatches == []
+    retry = ps.on_tick(2.0, [])
+    assert retry.dispatches == ()
     assert retry.unserved == ("t1:b",)
     assert ps.unserved_events == 2
     assert ps.requests_issued == 0
@@ -334,21 +335,52 @@ def test_idle_ticks_keep_the_books():
     opens its tick, counts every deferred pair and refuses a time off the
     grid or an open entry."""
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=[task("t1", ("a", "b")), "t2"])
-    ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    ps.on_tick(0.0, due(ps, "t1"))
     n = 4
-    outcomes = [ps.on_tick(2.0 * k, [], GROUND_BAND) for k in range(1, n + 1)]
+    outcomes = [ps.on_tick(2.0 * k, []) for k in range(1, n + 1)]
     assert ps.unserved_events == n + 1
     assert ps.current_tick == n
     assert [(o.dispatches, o.unserved, o.messages) for o in outcomes] == (
-        [([], ("t1:b",), 0)] * n)
+        [((), ("t1:b",), 0)] * n)
     with pytest.raises(ValueError, match="expected t=10.0"):
-        ps.on_tick(11.0, [], GROUND_BAND)
+        ps.on_tick(11.0, [])
     assert (ps.current_tick, ps.unserved_events) == (n, n + 1)
     # the next tick opens an entry that no response or timeout resolves
-    ps.on_tick(10.0, due(ps, "t2"), GROUND_BAND)
+    ps.on_tick(10.0, due(ps, "t2"))
     with pytest.raises(ValueError, match="outstanding"):
-        ps.on_tick(12.0, [], GROUND_BAND)
+        ps.on_tick(12.0, [])
     assert (ps.current_tick, ps.unserved_events) == (n + 1, n + 2)
+
+
+def test_idle_ticks_share_one_outcome_until_a_tick_defers_a_new_pair():
+    """Idle ticks return one shared outcome, replaced only by a busy tick
+    that defers a new pair: every later idle tick lists that pair and counts
+    each deferred pair once."""
+    ps = make_state((ProgramTableEntry(1, "a"),),
+                    tasks=[task("t1", ("a", "b")), "t2", task("t3", ("b",))])
+
+    def idle(t):
+        events = ps.unserved_events
+        outcome = ps.on_tick(t, [])
+        assert ps.unserved_events == events + len(outcome.unserved)
+        assert (outcome.dispatches, outcome.messages) == ((), 0)
+        return outcome
+
+    first = idle(0.0)
+    assert idle(2.0) is first and first.unserved == ()
+    # a busy tick: t2 is dispatched and answered, t1 is deferred
+    busy = ps.on_tick(4.0, due(ps, "t1", "t2"))
+    assert busy.unserved == ("t1:b",)
+    respond(ps, busy.dispatches[0], 4.5)
+    after_busy = [idle(6.0), idle(8.0), idle(10.0)]
+    assert [o.unserved for o in after_busy] == [("t1:b",)] * 3
+    assert after_busy[0] is after_busy[1] is after_busy[2] is not first
+    # a tick whose only due task is deferred lists it, as do the idle ones after it
+    assert ps.on_tick(12.0, due(ps, "t3")).unserved == ("t1:b", "t3:b")
+    later = idle(14.0)
+    assert later.unserved == ("t1:b", "t3:b") and idle(16.0) is later
+    # the busy tick and three idle ones, then the deferring tick and two idle ones
+    assert ps.unserved_events == 4 * 1 + 3 * 2
 
 
 def test_tasks_sharing_an_unservable_list_each_report_their_own_program(monkeypatch):
@@ -365,12 +397,12 @@ def test_tasks_sharing_an_unservable_list_each_report_their_own_program(monkeypa
                     tasks=[task("t1", ("a", "b")), task("t2", ("a", "b")),
                            task("t3", ("a", "c", "b")), "t4",
                            task("t5", ("a", "c", "b")), "t6"])
-    outcome = ps.on_tick(0.0, due(ps, "t1", "t2", "t3", "t4"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1", "t2", "t3", "t4"))
     assert [waiter_ids(d) for d in outcome.dispatches] == [("t4",)]
     assert outcome.unserved == ("t1:b", "t2:b", "t3:c")
     assert ps.unserved_events == 3
     respond(ps, outcome.dispatches[0], 0.5)
-    outcome = ps.on_tick(2.0, due(ps, "t5", "t6"), GROUND_BAND)
+    outcome = ps.on_tick(2.0, due(ps, "t5", "t6"))
     assert outcome.unserved == ("t1:b", "t2:b", "t3:c", "t5:c")
     assert ps.unserved_events == 7
     assert [waiter_ids(d) for d in outcome.dispatches] == [("t6",)]
@@ -409,7 +441,7 @@ def test_states_sharing_offloads_make_the_same_dispatches(monkeypatch):
         ps = make_state(tasks=tasks, offloads=shared)
         decided = []
         for t, due_ids in ((0.0, ("t1", "t2")), (2.0, ("t3",)), (4.0, ("t4",))):
-            outcome = ps.on_tick(t, due(ps, *due_ids), GROUND_BAND)
+            outcome = ps.on_tick(t, due(ps, *due_ids))
             decided.append(([(d.server_id, d.program.program_id, d.consumer, d.local,
                               d.route, waiter_ids(d)) for d in outcome.dispatches],
                             outcome.unserved))
@@ -446,18 +478,18 @@ def test_settle_applies_the_chain_rule():
                   variance_scale=0.0),
         tasks=["t1", "t2", task("late", ("a",), consumer=2),
                task("local", ("b",)), task("deferred", ("a", "c"))])
-    ps.on_tick(0.0, due(ps, "t1", "deferred"), GROUND_BAND)
+    ps.on_tick(0.0, due(ps, "t1", "deferred"))
     ps.on_timeout()
-    [retry] = ps.on_tick(2.0, due(ps, "t2"), GROUND_BAND).dispatches
+    [retry] = ps.on_tick(2.0, due(ps, "t2")).dispatches
     assert (retry.server_id, waiter_ids(retry)) == (2, ("t1", "t2"))
     ps.on_timeout()
-    [again] = ps.on_tick(4.0, [], GROUND_BAND).dispatches
+    [again] = ps.on_tick(4.0, []).dispatches
     respond(ps, again, 4.5)
-    late, local = ps.on_tick(6.0, due(ps, "late", "local"), GROUND_BAND).dispatches
+    late, local = ps.on_tick(6.0, due(ps, "late", "local")).dispatches
     assert (waiter_ids(late), late.local, local.local) == (("late",), False, True)
     ps.note_result(local, 6.5, RESULT)
     ps.on_timeout()
-    [late_again] = ps.on_tick(8.0, [], GROUND_BAND).dispatches
+    [late_again] = ps.on_tick(8.0, []).dispatches
     # late goes to its own consumer first, then away from it
     assert (late.server_id, late_again.server_id) == (2, 1)
     ps.on_timeout()  # the end of the run
@@ -483,11 +515,11 @@ def test_settle_applies_the_chain_rule():
 def test_conservation_requests_equal_responses_plus_timeouts():
     ps = make_state((ProgramTableEntry(1, "a"), ProgramTableEntry(2, "b")),
                     tasks=[task("t1", ("a", "b")), "t2"])
-    first = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    first = ps.on_tick(0.0, due(ps, "t1"))
     by_pid = {d.program.program_id: d for d in first.dispatches}
     respond(ps, by_pid["a"], 0.5)
     ps.on_timeout()  # expires "b"
-    second = ps.on_tick(2.0, due(ps, "t2"), GROUND_BAND)
+    second = ps.on_tick(2.0, due(ps, "t2"))
     assert len(second.dispatches) == 2  # retried "b" plus fresh "a"
     flushed = ps.on_timeout()  # the end of the run resolves the open tick
     assert len(flushed) == 2
@@ -504,7 +536,7 @@ def test_conservation_requests_equal_responses_plus_timeouts():
 def test_outstanding_entries_gate_the_timeline():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"],
                     predicate=PhasePredicate("elapsed", 0.0))
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     ps.try_advance(0.1)
     assert ps.t_pos == 0
     assert ps.phase_log == []
@@ -517,7 +549,7 @@ def test_outstanding_entries_gate_the_timeline():
 def test_false_predicate_holds_the_ungated_timeline():
     ps = make_state(predicate=PhasePredicate("never"))
     for t in (0.0, 2.0, 4.0):
-        ps.on_tick(t, [], GROUND_BAND)
+        ps.on_tick(t, [])
         ps.try_advance(t)
     assert ps.t_pos == 0
     assert ps.phase_log == []
@@ -526,7 +558,7 @@ def test_false_predicate_holds_the_ungated_timeline():
 def test_task_completion_predicate_advances_after_the_result():
     ps = make_state((ProgramTableEntry(1, "a"),), tasks=["t1"],
                     predicate=PhasePredicate("task_completed", "t1"))
-    outcome = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND)
+    outcome = ps.on_tick(0.0, due(ps, "t1"))
     respond(ps, outcome.dispatches[0], 0.6)
     ps.try_advance(0.6)
     assert ps.t_pos == 1
@@ -546,12 +578,12 @@ def test_program_result_predicate_advances_on_local_and_resolved_wire_results():
         Phase("second", completes_when=PhasePredicate("program_result", "b")),
         Phase("third"),
     ))
-    [local] = ps.on_tick(0.0, due(ps, "t1"), GROUND_BAND).dispatches
+    [local] = ps.on_tick(0.0, due(ps, "t1")).dispatches
     assert local.local
     ps.note_result(local, 0.5, RESULT)
     ps.try_advance(0.5)
     assert ps.phase_log == [(0.5, 0, 1)]
-    [wire] = ps.on_tick(2.0, due(ps, "t2"), GROUND_BAND).dispatches
+    [wire] = ps.on_tick(2.0, due(ps, "t2")).dispatches
     assert not wire.local
     ps.try_advance(2.0)
     assert ps.t_pos == 1
@@ -564,12 +596,12 @@ def test_program_result_predicate_advances_on_local_and_resolved_wire_results():
 
 def test_elapsed_predicate_waits_for_its_time():
     ps = make_state(predicate=PhasePredicate("elapsed", 4.0))
-    ps.on_tick(0.0, [], GROUND_BAND)
+    ps.on_tick(0.0, [])
     ps.try_advance(0.0)
-    ps.on_tick(2.0, [], GROUND_BAND)
+    ps.on_tick(2.0, [])
     ps.try_advance(2.0)
     assert ps.t_pos == 0
-    ps.on_tick(4.0, [], GROUND_BAND)
+    ps.on_tick(4.0, [])
     ps.try_advance(4.0)
     assert ps.t_pos == 1
     assert ps.phase_log == [(4.0, 0, 1)]
@@ -581,7 +613,7 @@ def test_chained_ready_phases_advance_together():
         Phase("two", completes_when=PhasePredicate("elapsed", 0.0)),
         Phase("three"),
     ))
-    ps.on_tick(0.0, [], GROUND_BAND)
+    ps.on_tick(0.0, [])
     ps.try_advance(1.0)
     assert ps.t_pos == 2
     assert ps.phase_log == [(1.0, 0, 1), (1.0, 1, 2)]
@@ -591,7 +623,7 @@ def test_timeline_advance_is_monotone_and_bounded():
     ps = make_state(phases=tuple(
         Phase(pid, completes_when=PhasePredicate("always")) for pid in "abc"))
     assert ps.t_pos == 0
-    ps.on_tick(0.0, [], GROUND_BAND)
+    ps.on_tick(0.0, [])
     ps.try_advance(0.0)
     # the last phase is never left, even though its predicate holds
     assert ps.phases[ps.t_pos].phase_id == "c"

@@ -29,7 +29,7 @@ from birdsim import (
 from birdsim import scenario as scenario_module
 from birdsim.cli import apply_sweep_value
 from birdsim.scenario import SWEEP_PARAMETERS, load_sweep_spec
-from conftest import BUNDLED_SCENARIO, ROOT, bench_workloads
+from conftest import BUNDLED_SCENARIO, bench_build
 
 
 def minimal_doc():
@@ -460,7 +460,7 @@ def test_recursive_aliases_are_the_containers_themselves(tmp_path):
 @pytest.mark.parametrize("name", ["reference", "storm", "wide"])
 def test_the_bench_documents_read_as_safeloader_reads_them(tmp_path, name):
     for seed in (1, 2, 7):
-        text = bench_workloads().build(name, seed, ROOT).scenario_text
+        text = bench_build(name, seed).scenario_text
         expected = yaml.load(text, Loader=scenario_module.YAML_LOADER)
         assert same_document(read_text(text, tmp_path), expected)
 

@@ -9,7 +9,7 @@ import yaml
 
 from birdsim.scenario import SWEEP_PARAMETERS
 
-from conftest import ROOT, load_tool
+from conftest import ROOT, bench_build, load_tool
 
 bench_pairs = load_tool("bench_pairs")
 artifact_digests = load_tool("artifact_digests")
@@ -260,7 +260,7 @@ def test_a_checkout_without_git_is_identified_before_the_first_run(
 
 
 def test_the_reference_digest_is_the_golden_trace():
-    wl = artifact_digests.load_workloads(ROOT).build("reference", 1, ROOT)
+    wl = bench_build("reference", 1)
     golden = (ROOT / "tests" / "golden" / "urban_fire_trace.log").read_bytes()
     digests = artifact_digests.run_digests(wl, 1.0, 1.0)
     assert digests["trace"] == hashlib.sha256(golden).hexdigest()
@@ -268,8 +268,7 @@ def test_the_reference_digest_is_the_golden_trace():
 
 
 def test_the_byte_check_sweeps_every_parameter_with_admitted_values():
-    workloads = artifact_digests.load_workloads(ROOT)
-    bench = {yaml.safe_load(workloads.build(name, 1, ROOT).sweep_text)["parameter"]
+    bench = {yaml.safe_load(bench_build(name, 1).sweep_text)["parameter"]
              for name in artifact_digests.NAMES}
     extra = artifact_digests.EXTRA_SWEEPS
     assert bench.isdisjoint(extra)
