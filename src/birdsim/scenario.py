@@ -172,9 +172,13 @@ def _build_document(loader) -> Any:
     sequences and the core scalar tags, with anchors, aliases and merge
     keys. Any other tag, `!!set`, `!!omap` and `!!pairs` among them, and
     the `=` key are a ConstructorError. Within this one load, each distinct
-    scalar event, (tag, text, implicit), is resolved and built once."""
+    scalar event is resolved and built once. An untagged plain scalar is
+    keyed by its text alone: the resolver reads nothing else of it, since
+    SafeLoader has no path resolvers. Every other scalar is keyed by (tag,
+    text, implicit), a tuple that no text equals, so a quoted `'1'` or a
+    `!!str 1` never reads as an earlier plain `1`."""
     get_event, resolve = loader.get_event, loader.resolve
-    scalars: dict = {}  # (tag, text, implicit) -> value
+    scalars: dict = {}  # text or (tag, text, implicit) -> value
     anchors: dict = {}
     stack: list[_Open] = []
     top: _Open | None = None
@@ -186,7 +190,7 @@ def _build_document(loader) -> Any:
         kind = type(event)
         if kind is ScalarEvent:
             text, tag, implicit = event.value, event.tag, event.implicit
-            key = (tag, text, implicit)
+            key = text if tag is None and implicit[0] else (tag, text, implicit)
             try:
                 value = scalars[key]
             except KeyError:
@@ -444,13 +448,18 @@ def _ident(doc: Mapping, key: str, path: str) -> str:
     return value
 
 
+# each enum that a field names a member of, as its value -> member table
+_MEMBERS = {choices: {c.value: c for c in choices} for choices in (NodeKind, Origin)}
+
+
 def _choice(doc: Mapping, key: str, path: str, choices: type[Enum], *, default=None,
             required=False) -> Enum:
-    """A string field naming one member of the enum choices."""
+    """A string field naming one member of the enum choices. A default
+    member finds itself: each choices is a str enum, equal to its value."""
     value = _str(doc, key, path, default=default, required=required)
     try:
-        return choices(value)
-    except ValueError:
+        return _MEMBERS[choices][value]
+    except KeyError:
         raise SchemaError(
             f"{path}.{key}: expected one of {[c.value for c in choices]}"
         ) from None

@@ -15,6 +15,7 @@ from birdsim import (
     Band,
     DanglingReference,
     InvariantViolation,
+    NodeKind,
     Origin,
     Phase,
     ScenarioError,
@@ -383,6 +384,21 @@ def test_read_cases(tmp_path, case):
     check_read_as_safeloader_reads(READ_CASES[case], tmp_path)
 
 
+# a text written plain and in another form, each used as a key and as a
+# value, in both orders: the scalar memo must not read either as the other
+MEMO_KEY_CASES = {
+    f"{first} then {second}": f"{first}: {second}\n{second}: {first}\n"
+    for text in ("1", "yes", "~")
+    for other in (f"'{text}'", f'"{text}"', f"!!str {text}")
+    for first, second in ((text, other), (other, text))
+}
+
+
+@pytest.mark.parametrize("case", MEMO_KEY_CASES)
+def test_a_plain_scalar_and_its_quoted_or_tagged_text_read_apart(tmp_path, case):
+    check_read_as_safeloader_reads(MEMO_KEY_CASES[case], tmp_path)
+
+
 # yaml.load reads these, but each uses `!!set`, `!!omap`, `!!pairs` or the
 # `=` key, which build what no field of a scenario or a sweep spec reads
 NARROWED_CASES = {
@@ -711,6 +727,29 @@ def test_unknown_node_kind_lists_the_choices():
     with pytest.raises(SchemaError) as err:
         load_scenario(with_(lambda d: d["nodes"][1].update(kind="mainframe")))
     assert "ecs" in str(err.value)
+
+
+# each field that names an enum member: the record it is edited in, and the
+# exact refusal of a text that names no member's value
+CHOICE_FIELDS = {
+    "kind": ("nodes", 1, NodeKind, "nodes[1].kind: expected one of ['uav5gp', 'ecs', 'gcs']"),
+    "origin": ("tasks", 0, Origin,
+               "tasks[0].origin: expected one of ['commander_order', 'timeline_implied']"),
+}
+
+
+# a member's name, a value in the wrong case, the empty string
+@pytest.mark.parametrize("field, value", [
+    ("kind", "ECS"), ("kind", "Ecs"), ("kind", ""),
+    ("origin", "COMMANDER_ORDER"), ("origin", "Commander_Order"), ("origin", ""),
+])
+def test_a_choice_field_refuses_what_its_enum_refuses(field, value):
+    section, index, choices, refusal = CHOICE_FIELDS[field]
+    with pytest.raises(ValueError):
+        choices(value)
+    with pytest.raises(SchemaError) as err:
+        load_scenario(with_(lambda d: d[section][index].update({field: value})))
+    assert str(err.value) == refusal
 
 
 # ---------------------------------------------------------------- references

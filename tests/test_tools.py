@@ -3,10 +3,12 @@ check of two checkouts."""
 
 import hashlib
 import json
+import re
 
 import pytest
 import yaml
 
+from birdsim import load_scenario, run, trace_to_text
 from birdsim.scenario import SWEEP_PARAMETERS
 
 from conftest import ROOT, bench_build, load_tool
@@ -275,6 +277,21 @@ def test_the_byte_check_sweeps_every_parameter_with_admitted_values():
     assert bench | set(extra) == set(SWEEP_PARAMETERS)
     for parameter, values in extra.items():
         assert len(values) > 1 and all(SWEEP_PARAMETERS[parameter][1](v) for v in values)
+
+
+def test_the_byte_check_sees_idle_ticks_after_a_deferral(tmp_path):
+    """The deferred case's task is deferred on the first tick, and every
+    later Tick record, idle ones among them, lists it in `unserved=`."""
+    path = tmp_path / "scenario.yaml"
+    for name in artifact_digests.NAMES:
+        wl = bench_build(name, 1)
+        path.write_text(artifact_digests.with_deferred_task(wl.scenario_text))
+        result = run(load_scenario(path), wl.run_seed)
+        ticks = [line for line in trace_to_text(result.trace).splitlines()
+                 if " kind=Tick " in line]
+        assert ticks[0].startswith("t=0.0 ") and " due=deferred " in ticks[0]
+        assert sum(" due= entries= locals= " in line for line in ticks) > 1
+        assert all(re.search(r" unserved=(\S+;)?deferred:thermal[; ]", line) for line in ticks)
 
 
 def test_compare_names_every_differing_or_one_sided_key():

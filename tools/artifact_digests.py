@@ -7,15 +7,19 @@ its own subprocess, with its own `src/` on the import path and its own
 `bench/workloads.py`, over this grid: the workloads `reference`, `storm` and
 `wide`, each built for seeds 1, 2 and 7 and run at its run seed, at
 `variance_scale` 1 and 0, over its full duration and cut to 0.37 of it (36
-runs, four artifacts each: trace, metrics, samples and summary), plus, at
-each seed, three sweeps of each workload (`sweep_rows.csv` and
-`sweep_aggregate.csv`): its bench sweep, of `update_interval` or
-`link_variance_scale`, whose values share one run plan, and the grid's own
-`payload_scale` and `altitude_profile` sweeps (EXTRA_SWEEPS, 2 replicates from
-the seed), whose every value needs a plan of its own. The parent's subprocess runs with PYTHONHASHSEED=0 and the change's with
-PYTHONHASHSEED=1, so 0 mismatches also shows that neither the grid nor the
-sweeps depend on the hash seed. Every mismatch is printed, and the exit code
-is 1 if there is any.
+runs, four artifacts each: trace, metrics, samples and summary). At each
+seed, each workload also runs once more, in full, with one more task,
+issued at 0 s, that requires a program no server can run (DEFERRED, 9 runs):
+the first tick defers it, so every later idle Tick record lists it in
+`unserved=`. And at each seed come three sweeps of each workload
+(`sweep_rows.csv` and `sweep_aggregate.csv`): its bench sweep, of
+`update_interval` or `link_variance_scale`, whose values share one run plan,
+and the grid's own `payload_scale` and `altitude_profile` sweeps
+(EXTRA_SWEEPS, 2 replicates from the seed), whose every value needs a plan
+of its own. That makes 234 digests. The parent's subprocess runs with
+PYTHONHASHSEED=0 and the change's with PYTHONHASHSEED=1, so 0 mismatches
+also shows that neither the grid nor the sweeps depend on the hash seed.
+Every mismatch is printed, and the exit code is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import yaml
+
 NAMES = ("reference", "storm", "wide")
 SEEDS = (1, 2, 7)
 VARIANCES = (1.0, 0.0)
@@ -41,6 +47,12 @@ CUTS = (1.0, 0.37)
 # in the low band and 70 m in the high one
 EXTRA_SWEEPS = {"payload_scale": [0.5, 2.0], "altitude_profile": [30.0, 70.0]}
 EXTRA_REPLICATES = 2
+# the deferred case's program, which no table row names and no node caches,
+# so that no server can run it, and its task, which requires it
+UNSERVABLE = {"program_id": "thermal", "task_kind": "object_detection", "compute_cost": 10.0,
+              "input_payload_bits": 1e6, "output_payload_bits": 1e5}
+DEFERRED = {"task_id": "deferred", "required_programs": ["thermal"], "issue_time_s": 0.0,
+            "consumer": 2}
 
 
 def _sha256(text: str) -> str:
@@ -83,6 +95,15 @@ def run_digests(wl, variance: float, cut: float) -> dict[str, str]:
     }
 
 
+def with_deferred_task(scenario_text: str) -> str:
+    """scenario_text with UNSERVABLE among its programs and DEFERRED last
+    among its tasks, read and written with libyaml where PyYAML has it."""
+    doc = yaml.load(scenario_text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    doc["programs"].append(dict(UNSERVABLE))
+    doc["tasks"].append(dict(DEFERRED))
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
+
+
 def sweep_digests(wl, sweep_text: str) -> dict[str, str]:
     """sha256 of the two CSVs of the sweep spec sweep_text over workload
     wl's scenario, run through the CLI."""
@@ -114,6 +135,9 @@ def digests(root: Path) -> dict[str, str]:
                 for cut in CUTS:
                     for artifact, digest in run_digests(wl, variance, cut).items():
                         found[f"{name} seed={seed} variance={variance} cut={cut} {artifact}"] = digest
+            deferred = replace(wl, scenario_text=with_deferred_task(wl.scenario_text))
+            for artifact, digest in run_digests(deferred, 1.0, 1.0).items():
+                found[f"{name} seed={seed} deferred {artifact}"] = digest
             for artifact, digest in sweep_digests(wl, wl.sweep_text).items():
                 found[f"{name} seed={seed} {artifact}"] = digest
             for parameter, values in EXTRA_SWEEPS.items():
