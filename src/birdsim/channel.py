@@ -135,11 +135,6 @@ _KEYED_STATE = {
 }
 _COUNTER_AND_KEY = _KEYED_STATE["state"]
 _DOUBLE = struct.Struct("<d")
-_UINT64 = struct.Struct("<Q")
-
-
-def _float_bits(t: float) -> int:
-    return _UINT64.unpack(_DOUBLE.pack(t))[0]
 
 
 def _keyed_generator(seed: int, c0: int, c1: int, c2: int = 0) -> np.random.Generator:
@@ -152,9 +147,12 @@ def _keyed_generator(seed: int, c0: int, c1: int, c2: int = 0) -> np.random.Gene
 
 
 def keyed_normal(seed: int, code: int, t: float) -> float:
-    """Standard-normal draw fully determined by (seed, code, t)."""
+    """Standard-normal draw fully determined by (seed, code, t). The counter's
+    first word is t's IEEE-754 bits, as an unsigned 64-bit int, and its
+    second the code."""
+    bits = int.from_bytes(_DOUBLE.pack(t), "little")
     with _KEYED_LOCK:
-        return float(_keyed_generator(seed, _float_bits(t), code).standard_normal())
+        return float(_keyed_generator(seed, bits, code).standard_normal())
 
 
 def keyed_uniform(seed: int, c0: int, c1: int, c2: int = 0) -> float:

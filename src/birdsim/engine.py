@@ -51,9 +51,10 @@ computes there, by _altitude's expression. So the band at every float t is
 band_for of flight_state_at at t. A plan with a waypoint outside the
 measured envelope is refused there with band_for's OutOfMeasuredRange;
 between two waypoints inside it the interpolated altitude stays inside, so
-every instant has a band. The protocol reads a tick's band through its Offloads, which hold the
-plan's reader, and builds a FlightState only for an offload choice it has
-not memoized; the engine reads a leg's band and samples the leg by it.
+every instant has a band. The protocol reads a tick's band through its
+Offloads, which hold the plan's reader, and builds a FlightState only for an
+offload choice it has not memoized; the engine reads a leg's band and
+samples the leg by it.
 
 A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
@@ -80,8 +81,9 @@ Work bounds, per run (tests/test_engine.py holds each on small rungs):
   idle tick reads none;
 - flight_state_at calls = select_server calls: one per offload choice that
   is not memoized;
-- stage_times calls = e2e_latency calls: a route is priced only by the
-  offload choice, never again by staging.
+- e2e_latency calls = the candidates that select_server calls price: the
+  engine never prices a route, and every server of a loaded scenario has a
+  compute profile (one without is priced by its advertised latency).
 Per plan, over all the runs that share it (a run given no plan has its
 own); the band reader is the plan's, and the two memos behind the last two
 bounds are its Offloads':

@@ -4,10 +4,11 @@ A placement names where the input originates, where the program runs, and
 where the result is used. The end-to-end figure is the exact sum of four
 stages: encode at the source, communication over the wireless hops, decode at
 the executor, and processing at the executor. A fully local placement skips
-everything but processing. The engine stages each execution with the stage
-times that the offload choice's prediction (e2e_latency) priced for it, so
-the two differ only in when each leg is sampled: the prediction samples both
-legs with leg_sample at the flight state of the deciding tick (on the
+everything but processing. e2e_latency prices one placement, and the
+offload choice is its only caller in the package: the engine stages each
+execution with the stage times that its choice's prediction priced for it,
+so the two differ only in when each leg is sampled: the prediction samples
+both legs with leg_sample at the flight state of the deciding tick (on the
 variance-free link it is given), the engine samples each leg in its
 hop_direction when it starts.
 """
@@ -109,28 +110,6 @@ def comm_time(
     return 0.0 + t_in + t_out
 
 
-def stage_times(
-    program: ProgramSpec,
-    placement: PipelinePlacement,
-    nodes: Mapping[int, NodeProfile],
-) -> tuple[float, float, float]:
-    """(t_enc, t_dec, t_proc) of one execution.
-
-    A local placement costs processing only. Any other placement is charged
-    encode at the source, and decode and processing at the executor.
-    """
-    executor = _node(nodes, placement.executor)
-    if placement.local:
-        return 0.0, 0.0, stage_time(program.compute_cost, executor)
-    source = _node(nodes, placement.source)
-    _node(nodes, placement.consumer)
-    return (
-        stage_time(program.encode_cost, source),
-        stage_time(program.decode_cost, executor),
-        stage_time(program.compute_cost, executor),
-    )
-
-
 def e2e_latency(
     program: ProgramSpec,
     placement: PipelinePlacement,
@@ -138,7 +117,20 @@ def e2e_latency(
     link: LinkModel,
     state: FlightState,
 ) -> LatencyBreakdown:
-    """Predict the four-stage latency of one program execution: the stage
-    times plus the wireless legs as comm_time charges them."""
-    t_enc, t_dec, t_proc = stage_times(program, placement, nodes)
+    """Predict the four-stage latency of one program execution.
+
+    A local placement costs processing only. Any other placement is charged
+    encode at the source, decode and processing at the executor, and the
+    wireless legs as comm_time charges them. The executor, then the source
+    and the consumer, must have a profile (UnknownNode), and the stage times
+    are checked before any leg is sampled.
+    """
+    executor = _node(nodes, placement.executor)
+    if placement.local:
+        return LatencyBreakdown(0.0, 0.0, 0.0, stage_time(program.compute_cost, executor))
+    source = _node(nodes, placement.source)
+    _node(nodes, placement.consumer)
+    t_enc = stage_time(program.encode_cost, source)
+    t_dec = stage_time(program.decode_cost, executor)
+    t_proc = stage_time(program.compute_cost, executor)
     return LatencyBreakdown(t_enc, comm_time(program, placement, link, state), t_dec, t_proc)

@@ -448,8 +448,8 @@ def _ident(doc: Mapping, key: str, path: str) -> str:
     return value
 
 
-# each enum that a field names a member of, as its value -> member table
-_MEMBERS = {choices: {c.value: c for c in choices} for choices in (NodeKind, Origin)}
+# the value -> member table of each enum whose members a field or a key names
+_MEMBERS = {choices: {c.value: c for c in choices} for choices in (NodeKind, Origin, Band)}
 
 
 def _choice(doc: Mapping, key: str, path: str, choices: type[Enum], *, default=None,
@@ -694,7 +694,7 @@ def _parse_link(doc: Mapping):
     raw = _section(doc.get("link", {}), "link", SECTION_KEYS["link"])
     bands = default_link_params()
     overrides = _as_map(raw.get("bands", {}), "link.bands")
-    key_by_band = {b.value: b for b in Band}
+    key_by_band = _MEMBERS[Band]
     for band_key, fields_raw in overrides.items():
         if band_key not in key_by_band:
             raise SchemaError(

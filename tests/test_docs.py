@@ -5,15 +5,17 @@ record kind, the columns of each CSV and the keys of summary.json. A
 mismatch names the doc, the section and the name, so a doc edit and a code
 edit land together."""
 
+import copy
 import json
 import re
 
 import pytest
+import yaml
 
-from birdsim import RunAborted, load_scenario, run
+from birdsim import Band, RunAborted, default_link_params, load_scenario, run
 from birdsim.cli import SWEEP_AGGREGATE_COLUMNS, SWEEP_ROW_COLUMNS
 from birdsim.engine import METRICS_COLUMNS, SAMPLES_COLUMNS, summary_dict
-from birdsim.scenario import SECTION_KEYS, SWEEP_PARAMETERS
+from birdsim.scenario import SECTION_KEYS, SWEEP_PARAMETERS, load_sweep_spec
 
 from conftest import BUNDLED_SCENARIO, ROOT
 from test_cli import make_runs_abort
@@ -108,6 +110,115 @@ def test_schema_tables_list_the_loader_keys():
                  for entry in SECTION_KEYS if entry not in documented]
     if parameter_tables != 1:
         problems.append(f"{SCHEMA}: {parameter_tables} sweep parameter tables, not one")
+    assert not problems, "\n".join(problems)
+
+
+# The smallest scenario, with every optional top-level key left out, and one
+# with an item of each list section (node 0, the platform, first) and an
+# override of each regime, each with every optional key left out.
+BARE = {"name": "defaults", "duration_s": 60.0,
+        "nodes": [{"node_id": 0, "kind": "uav5gp", "compute_capacity": 10.0}]}
+ITEMS = dict(
+    BARE,
+    nodes=BARE["nodes"] + [{"node_id": 1, "kind": "ecs", "compute_capacity": 20.0}],
+    programs=[{"program_id": "p"}],
+    tables=[{"server_id": 1, "program_id": "p"}],
+    tasks=[{"task_id": "t", "required_programs": ["p"]}],
+    flight_plan=[{"t_s": 0.0, "altitude_m": 10.0}],
+    link={"bands": {band.value: {} for band in Band}},
+    incident={},
+)
+SWEEP = {"parameter": "update_interval", "values": [1.0]}
+
+
+def holders(doc: dict, entry: str) -> list[tuple[Band | None, dict]]:
+    """The mappings of doc that hold the keys of the SECTION_KEYS entry, each
+    with the regime it overrides, if it overrides one."""
+    if entry in ("scenario", "sweep"):
+        return [(None, doc)]
+    if entry == "link.bands.<band>":
+        return [(Band(name), fields) for name, fields in doc["link"]["bands"].items()]
+    held = doc[entry]
+    return [(None, held[0] if isinstance(held, list) else held)]
+
+
+def measured(band: Band, key: str) -> float:
+    """The regime's measured value of a `link.bands.<band>` key."""
+    return getattr(default_link_params()[band], key.rsplit("_", 1)[0])
+
+
+# each default that the schema states in words, as the value that states it
+# explicitly, given the key and the regime its mapping overrides
+PROSE = {
+    "defaults": lambda key, band: {},  # each `link` key at its own default
+    "measured defaults": lambda key, band: {
+        b.value: {k: measured(b, k) for k in SECTION_KEYS["link.bands.<band>"]}
+        for b in Band},
+    "measured": lambda key, band: measured(band, key),
+    "one `mission` phase": lambda key, band: [{"phase_id": "mission"}],
+    "hold 0 m": lambda key, band: [{"t_s": 0.0, "altitude_m": 0.0}],
+    "`1200.0` on node 0": lambda key, band: 1200.0,  # nodes[0] is node 0
+}
+# the field that each key documented as `absent` loads as, which is None
+ABSENT = {
+    ("scenario", "truck_arrival_s"): lambda sc: sc.truck_arrival,
+    ("incident", "start_s"): lambda sc: sc.incident.start,
+    ("incident", "observed_s"): lambda sc: sc.incident.observed,
+    ("incident", "reported_s"): lambda sc: sc.incident.reported,
+}
+
+
+def test_each_documented_default_is_what_a_left_out_key_loads_as(tmp_path):
+    """For each row of a key table with a default, other than the keys that
+    are not simulated: a document that leaves the key out loads as one that
+    gives it its documented default."""
+
+    def load(entry, doc):
+        if entry != "sweep":
+            return load_scenario(doc)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        return load_sweep_spec(path)
+
+    problems: list[str] = []
+    checked = set()
+    for heading, text in sections(SCHEMA).items():
+        for table in tables(text):
+            if table[0][0] != "key" or "default" not in table[0]:
+                continue
+            entry = SCHEMA_SECTIONS.get(heading, heading.strip("`"))
+            base = {"scenario": BARE, "sweep": SWEEP}.get(entry, ITEMS)
+            for row in table[1:]:
+                cells = dict(zip(table[0], row))
+                key, default = cells["key"].strip("`"), cells["default"]
+                if default == "—" or "not simulated" in cells["meaning"]:
+                    continue
+                checked.add(entry)
+                where = f"{SCHEMA}, section {heading!r}, key {key!r}, default {default!r}"
+                left_out = copy.deepcopy(base)
+                for _, held in holders(left_out, entry):
+                    held.pop(key, None)
+                if default == "absent":
+                    if (entry, key) not in ABSENT:
+                        problems.append(f"{where}: no field is named for it")
+                    elif ABSENT[entry, key](load(entry, left_out)) is not None:
+                        problems.append(f"{where}: a left-out key loads as a value")
+                    continue
+                literal = re.fullmatch(r"`([^`]*)`", default)
+                if literal is None and default not in PROSE:
+                    problems.append(f"{where}: neither a literal nor a mapped phrase")
+                    continue
+                given = copy.deepcopy(base)
+                for band, held in holders(given, entry):
+                    held[key] = (yaml.safe_load(literal[1]) if literal
+                                 else PROSE[default](key, band))
+                if load(entry, left_out) != load(entry, given):
+                    problems.append(f"{where}: a left-out key loads otherwise")
+    problems += [f"{SCHEMA}: no default of {entry!r} is checked"
+                 for entry in ("scenario", "nodes", "programs", "tables", "tasks",
+                               "flight_plan", "link", "link.bands.<band>", "incident",
+                               "sweep")
+                 if entry not in checked]
     assert not problems, "\n".join(problems)
 
 

@@ -46,7 +46,7 @@ from birdsim import (
     summary_to_json,
     trace_to_text,
 )
-from birdsim import channel, engine, pipeline, policy, protocol
+from birdsim import channel, engine, policy, protocol
 from birdsim.channel import BAND_SPLIT_M, FlightState, band_for, keyed_uniform
 from birdsim.engine import band_reader, flight_state_at
 from birdsim.scenario import apply_sweep_value
@@ -1137,8 +1137,14 @@ def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
     progs = [task.programs[0] for task in result.metrics.tasks]
     assert [(p.attempts, p.server) for p in progs] == [(2, 0), (1, 0)]
     assert statuses(result) == ["completed", "completed"]
-    local = pipeline.stage_times(DETECT, PipelinePlacement(0, 0, 1), sc.nodes)
-    assert local != pipeline.stage_times(DETECT, PipelinePlacement(0, 1, 1), sc.nodes)
+
+    def stage_terms(executor):
+        b = e2e_latency(DETECT, PipelinePlacement(0, executor, 1), sc.nodes,
+                        LinkModel(bands=sc.bands, variance_scale=0.0),
+                        flight_state_at(sc, 0.0))
+        return b.t_enc, b.t_dec, b.t_proc
+    local = stage_terms(0)
+    assert local != stage_terms(1)
     assert [(p.breakdown.t_enc, p.breakdown.t_dec, p.breakdown.t_proc)
             for p in progs] == [local, local]
 
@@ -1440,7 +1446,7 @@ RUNGS = {
 def count_work(monkeypatch, sc, trace):
     """Run sc counting its ticks, dispatches, servable due tasks, staged
     executions, waiter joins, heap pushes, keyed draws, flight states,
-    offload choices, stage_times calls and e2e_latency calls."""
+    offload choices, the candidates they price and e2e_latency calls."""
     work = Counter()
 
     def counting_push(heap, item):
@@ -1451,7 +1457,7 @@ def count_work(monkeypatch, sc, trace):
     settle = protocol.ProtocolState.settle
     flight_state = engine.flight_state_at
     select = protocol.select_server
-    price, predict = pipeline.stage_times, policy.e2e_latency
+    predict = policy.e2e_latency
     platform = sc.nodes[0]
 
     def counting_tick(self, t, due):
@@ -1481,21 +1487,15 @@ def count_work(monkeypatch, sc, trace):
         return flight_state(scenario, t)
 
     def counting_select(*args, **kwargs):
+        decision = select(*args, **kwargs)
         work["selects"] += 1
-        return select(*args, **kwargs)
-
-    def counting_stage_times(*args):
-        work["stage_times"] += 1
-        return price(*args)
+        work["candidates"] += decision.candidates_considered
+        return decision
 
     def counting_e2e_latency(*args):
         work["e2e_latencies"] += 1
         return predict(*args)
 
-    # every binding of stage_times counts, wherever a module imported it
-    for module in (pipeline, policy, protocol, engine):
-        if getattr(module, "stage_times", None) is price:
-            monkeypatch.setattr(module, "stage_times", counting_stage_times)
     monkeypatch.setattr(policy, "e2e_latency", counting_e2e_latency)
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", counting_tick)
     monkeypatch.setattr(engine._Sim, "_stage", counting_stage)
@@ -1518,13 +1518,13 @@ def test_a_run_does_work_within_the_bounds_of_its_design(monkeypatch, case, trac
     dispatch to a lossy server, at most three records per staged execution
     besides a fixed few per task, waypoint and tick, no doomed event in the
     heap (each push writes one record, and the Flush writes the last), one
-    flight state per offload choice, and stage times priced only by the
-    offload choice's predictions, never again by staging."""
+    flight state per offload choice, and one e2e_latency call per candidate
+    that an offload choice prices, none by staging."""
     sc = RUNGS[case]()
     result, work, draws = count_work(monkeypatch, sc, trace)
     counts = result.metrics.counts
     assert 0 < work["flight_states"] == work["selects"]
-    assert 0 < work["stage_times"] == work["e2e_latencies"]
+    assert 0 < work["e2e_latencies"] == work["candidates"]
     assert 0 < counts["requests"] <= work["ticks"] * len(sc.programs)
     assert work["chained"] == work["dispatch_joins"] == work["servable_programs"] > 0
     assert 0 < draws["uniform"] + draws["normal"] <= 2 * work["staged"] + work["lossy_wire"]

@@ -1,6 +1,7 @@
-"""Metamorphic relations on the bundled mission: input changes whose effect
-on the artifacts is known without an oracle (Chen et al., "Metamorphic
-Testing: A Review of Challenges and Opportunities", ACM CSUR 2018).
+"""Metamorphic relations on the bundled mission and a bench workload: input
+changes whose effect on the artifacts is known without an oracle (Chen et
+al., "Metamorphic Testing: A Review of Challenges and Opportunities", ACM
+CSUR 2018).
 
 Each change below must leave all four artifacts byte-identical: a node,
 program, table row or loss entry that no decision can pick, a payload scale
@@ -9,6 +10,11 @@ simulated. Two more have a known effect: a task renamed so that the names
 sort in another order changes only the name, since tasks are served in
 scenario order, and a task issued after the run window adds only its own
 never-served metrics row and one to the summary's task total.
+
+The bundled mission never has two tasks due on one tick, so the spare
+server, unreferenced program and zero-loss relations also run on the bench's
+`storm` workload at seed 1, whose ticks serve many tasks at once and retry
+every wire dispatch.
 """
 
 import copy
@@ -31,7 +37,7 @@ from birdsim import (
 )
 from birdsim.scenario import apply_sweep_value
 
-from conftest import BUNDLED_SCENARIO
+from conftest import BUNDLED_SCENARIO, bench_build
 
 BASE = yaml.safe_load(BUNDLED_SCENARIO.read_text())
 # the strongest server of the fleet, so that any decision that could pick it
@@ -97,6 +103,28 @@ def test_a_change_no_decision_reads_leaves_every_artifact_alone(name):
     EDITS[name](doc)
     assert doc != BASE
     assert artifacts(load_scenario(doc)) == base_artifacts()
+
+
+@functools.cache
+def storm_doc():
+    return yaml.load(bench_build("storm", 1).scenario_text,
+                     Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+@functools.cache
+def storm_artifacts():
+    return artifacts(load_scenario(storm_doc()))
+
+
+STORM_EDITS = ("a server with no table row", "a loss: 0 entry", "an unreferenced program")
+
+
+@pytest.mark.parametrize("name", STORM_EDITS)
+def test_a_change_no_decision_reads_leaves_a_bench_workload_alone(name):
+    doc = copy.deepcopy(storm_doc())
+    EDITS[name](doc)
+    assert doc != storm_doc()
+    assert artifacts(load_scenario(doc)) == storm_artifacts()
 
 
 def test_a_payload_scale_of_one_leaves_every_artifact_alone():

@@ -114,6 +114,26 @@ def test_unknown_node_raises(nodes, mean_link, ground_state):
                     nodes, mean_link, ground_state)
 
 
+# the executor is checked first, then the source, then the consumer
+@pytest.mark.parametrize("placement, named", [((9, 8, 7), 8), ((9, 1, 7), 9), ((0, 1, 9), 9)],
+                         ids=["executor", "source", "consumer"])
+def test_the_first_node_without_a_profile_is_named(nodes, mean_link, ground_state,
+                                                   placement, named):
+    with pytest.raises(UnknownNode) as err:
+        e2e_latency(make_program(), PipelinePlacement(*placement), nodes, mean_link,
+                    ground_state)
+    assert err.value.args == (named,)
+
+
+def test_stage_times_are_checked_in_stage_order_before_any_leg(mean_link):
+    """Encode at the source is checked first, and no leg is sampled before
+    the stage times: the state's altitude is outside the envelope."""
+    idle = {0: NodeProfile(0, NodeKind.UAV5GP, 0.0), 1: NodeProfile(1, NodeKind.ECS, 0.0)}
+    with pytest.raises(ValueError, match="^node 0 has no positive compute capacity$"):
+        e2e_latency(make_program(), PipelinePlacement(0, 1, 1), idle, mean_link,
+                    FlightState(0.0, 150.0))
+
+
 # ---------------------------------------------------------------- additivity
 
 

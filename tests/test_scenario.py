@@ -1029,6 +1029,19 @@ def test_unknown_band_regime_is_rejected():
         load_scenario(doc)
 
 
+# a member's name, a value in the wrong case, the empty string
+@pytest.mark.parametrize("regime", ["LOW_ALTITUDE", "Low", ""])
+def test_a_band_key_refuses_what_band_refuses(regime):
+    with pytest.raises(ValueError):
+        Band(regime)
+    doc = minimal_doc()
+    doc["link"] = {"bands": {regime: {}}}
+    with pytest.raises(SchemaError) as err:
+        load_scenario(doc)
+    assert str(err.value) == (f"link.bands: unknown regime {regime!r}, expected one of "
+                              "['high', 'low', 'rotation']")
+
+
 def test_one_way_fraction_bounds():
     doc = minimal_doc()
     doc["link"] = {"one_way_fraction": 1.5}

@@ -269,6 +269,21 @@ def test_the_reference_digest_is_the_golden_trace():
     assert sorted(digests) == ["metrics", "samples", "summary", "trace"]
 
 
+def test_the_byte_check_runs_reference_at_each_grid_seed(monkeypatch):
+    """The bench runs `reference` at the golden seed whatever seed builds
+    it; the grid runs it, and its deferred case, at each of its seeds, so
+    no two of its runs repeat each other."""
+    monkeypatch.setattr(artifact_digests, "NAMES", ("reference",))
+    monkeypatch.setattr(artifact_digests, "VARIANCES", (1.0,))
+    monkeypatch.setattr(artifact_digests, "CUTS", (1.0,))
+    monkeypatch.setattr(artifact_digests, "sweep_digests", lambda wl, text: {})
+    found = artifact_digests.digests(ROOT)
+    for case in ("variance=1.0 cut=1.0", "deferred"):
+        traces = {found[f"reference seed={seed} {case} trace"]
+                  for seed in artifact_digests.SEEDS}
+        assert len(traces) == len(artifact_digests.SEEDS)
+
+
 def test_the_byte_check_sweeps_every_parameter_with_admitted_values():
     bench = {yaml.safe_load(bench_build(name, 1).sweep_text)["parameter"]
              for name in artifact_digests.NAMES}

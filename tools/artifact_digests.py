@@ -5,14 +5,16 @@
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository. Each is run in
 its own subprocess, with its own `src/` on the import path and its own
 `bench/workloads.py`, over this grid: the workloads `reference`, `storm` and
-`wide`, each built for seeds 1, 2 and 7 and run at its run seed, at
+`wide`, each built for seeds 1, 2 and 7 and run at that seed, at
 `variance_scale` 1 and 0, over its full duration and cut to 0.37 of it (36
-runs, four artifacts each: trace, metrics, samples and summary). At each
-seed, each workload also runs once more, in full, with one more task,
-issued at 0 s, that requires a program no server can run (DEFERRED, 9 runs):
-the first tick defers it, so every later idle Tick record lists it in
-`unserved=`. And at each seed come three sweeps of each workload
-(`sweep_rows.csv` and `sweep_aggregate.csv`): its bench sweep, of
+runs, four artifacts each: trace, metrics, samples and summary). The bench
+runs `reference` at the golden seed whatever seed it is built for, so the
+grid sets each workload's run seed to its own seed, and no two runs of one
+case share a seed. At each seed, each workload also runs once more, in full,
+with one more task, issued at 0 s, that requires a program no server can run
+(DEFERRED, 9 runs): the first tick defers it, so every later idle Tick
+record lists it in `unserved=`. And at each seed come three sweeps of each
+workload (`sweep_rows.csv` and `sweep_aggregate.csv`): its bench sweep, of
 `update_interval` or `link_variance_scale`, whose values share one run plan,
 and the grid's own `payload_scale` and `altitude_profile` sweeps
 (EXTRA_SWEEPS, 2 replicates from the seed), whose every value needs a plan
@@ -130,7 +132,7 @@ def digests(root: Path) -> dict[str, str]:
     found = {}
     for name in NAMES:
         for seed in SEEDS:
-            wl = workloads.build(name, seed, root)
+            wl = replace(workloads.build(name, seed, root), run_seed=seed)
             for variance in VARIANCES:
                 for cut in CUTS:
                     for artifact, digest in run_digests(wl, variance, cut).items():
