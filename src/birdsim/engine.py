@@ -21,7 +21,8 @@ gaps. A doomed input arrival still takes its execution's inst id and its
 leg sample (keyed draw and samples.csv row), so inst ids have gaps too, but
 builds no _Instance: nothing would read it. (A Timeout past the run window
 is never pushed, and the flush ends its entries; every event that is not
-dropped with it lands before that deadline.)
+dropped with it lands before that deadline.) So no event reads a wire
+dispatch after its Timeout, and its retry may re-aim it in place.
 
 An idle tick, with no due task and no retry, is a counter and a record: the
 protocol checks its time and that no entry is open, advances current_tick,
@@ -60,8 +61,8 @@ A finished execution is delivered in one step, `_Sim._deliver`, from a
 compute completion (the result is consumed where it is computed) or an
 output arrival: it is credited, its record is written, then the advancement
 gate is checked. The protocol credits each (task, program) outcome it waits
-for, and settles attempts and server from each outcome's chain when _metrics
-asks.
+for, and settles attempts and server from each outcome's chain, the dispatch
+it joined as its last retry left it, when _metrics asks.
 
 A run made with `trace=False` (each replicate of a sweep) returns an empty
 trace. It formats no record unless `birdsim.engine` logs at DEBUG
@@ -72,7 +73,7 @@ byte-equal.
 Work bounds, per run (tests/test_engine.py holds each on small rungs):
 - requests <= ticks x programs: one dispatch per program per tick;
 - outcomes with a chain = the sum of len(required_programs) over the
-  servable due tasks: a waiter joins one chain, however often it is retried;
+  servable due tasks: a waiter joins one chain, however often it is re-aimed;
 - keyed draws <= 2 x staged + the wire dispatches to lossy servers;
 - records <= tasks + waypoints + 2 x ticks + 3 x staged + 2;
 - heap pushes = records - 1 on a traced run: every pushed event writes one
@@ -633,7 +634,7 @@ class _Sim:
         if self.records:
             self._emit(
                 t, seq, "Timeout",
-                f"tick={tick} timed_out={';'.join([d.key for d in timed_out])} "
+                f"tick={tick} timed_out={';'.join(timed_out)} "
                 f"count={len(timed_out)}",
             )
         self.protocol.try_advance(t)
@@ -648,7 +649,7 @@ class _Sim:
         if self.records:
             self._emit(
                 t, self.seq, "Flush",
-                f"flushed={';'.join([d.key for d in flushed])} "
+                f"flushed={';'.join(flushed)} "
                 f"cancelled={self.staged - self.delivered}",
             )
 

@@ -13,14 +13,14 @@ each waiter's attempts and server by the chain rule below.
 Exactly one tick is open at a time: the Timeout for tick k is pushed before
 Tick k+1 at the same time, so it always runs first and resolves every entry
 still outstanding, and on_tick refuses to open a tick over an open one. A
-retry is therefore the timed-out dispatch itself, at most one per program: it
-is dispatched again on the very next tick with its failed server excluded
-once, carrying its waiters ahead of any fresh ones. Each (task, program)
-belongs to exactly one chain of dispatches on consecutive ticks, from its
-first dispatch until delivery or the end of the run, and every dispatch of a
-chain carries all of its waiters. Hence a waiter's attempts are the chain's
-last tick minus the waiter's first tick plus one, and its server is the
-server of the chain's last dispatch: the chain rule that settle applies.
+retry is therefore the timed-out dispatch itself, at most one per program:
+on_timeout hands the open entries over whole, and the very next tick re-aims
+each in place, its failed server excluded once, its waiters ahead of any
+fresh ones. So each (task, program) belongs to exactly one chain, the
+dispatch it joins, from then until delivery or the end of the run, and the
+chain carries all of its waiters. A waiter's attempts are the chain's last
+tick minus the waiter's first tick plus one, and its server is the chain's
+last server: the chain rule that settle applies.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ Route = tuple[float, float, float, Direction | None, Direction | None]
 
 
 @dataclass(slots=True)
-class Chain:
-    """The dispatches of one waiter list on consecutive ticks (see the module
-    docstring); updated in place by every retry."""
-
-    last_tick: int
-    server: int
-
-
-@dataclass(slots=True)
 class ProgramOutcome:
     """One (task, program); breakdown and delivered_at are set together, on
     delivery, so the program completed iff breakdown is not None. chain and
@@ -69,7 +60,7 @@ class ProgramOutcome:
     breakdown: LatencyBreakdown | None = None
     delivered_at: float | None = None
     task_outcome: TaskOutcome | None = field(default=None, repr=False, compare=False)
-    chain: Chain | None = field(default=None, repr=False, compare=False)
+    chain: Dispatch | None = field(default=None, repr=False, compare=False)
     first_tick: int = field(default=-1, repr=False, compare=False)
 
 
@@ -81,7 +72,7 @@ class TaskOutcome:
     programs: list[ProgramOutcome] = field(default_factory=list)
 
 
-def _join(waiters: list[ProgramOutcome], chain: Chain, tick: int) -> tuple[ProgramOutcome, ...]:
+def _join(waiters: list[ProgramOutcome], chain: Dispatch, tick: int) -> tuple[ProgramOutcome, ...]:
     """Put waiters new to a chain on it from tick on."""
     for prog in waiters:
         prog.chain, prog.first_tick = chain, tick
@@ -90,7 +81,10 @@ def _join(waiters: list[ProgramOutcome], chain: Chain, tick: int) -> tuple[Progr
 
 @dataclass(slots=True)
 class Dispatch:
-    """One program execution decided at a tick, wire or local."""
+    """One program execution decided at a tick, wire or local, and the chain
+    of its waiters (module docstring). The next tick re-aims a timed-out one
+    in place, so it describes its tick only until its Timeout: a caller that
+    keeps one across ticks copies what it needs first."""
 
     tick_index: int
     program: ProgramSpec
@@ -98,7 +92,6 @@ class Dispatch:
     consumer: int
     waiters: tuple[ProgramOutcome, ...]  # credited when the result lands
     local: bool
-    chain: Chain
     route: Route  # as the offload choice priced it
     key: str = field(init=False)  # tick:server:program, as the trace prints it
 
@@ -228,8 +221,8 @@ class ProtocolState:
         self.offloads = offloads
         self.current_tick = -1
         self.outstanding: dict[str, Dispatch] = {}
-        # the last tick's timed-out dispatches, by program, in timeout order:
-        # the next tick retries them
+        # the last tick's timed-out entries, as on_timeout handed them over
+        # (by entry key, in dispatch order): the next tick re-aims them
         self._retries: dict[str, Dispatch] = {}
         # task:program of every due task with an unservable program: the
         # tables are fixed, so such a task stays deferred for the whole run
@@ -315,26 +308,27 @@ class ProtocolState:
 
         # Every program here passed the whole-task match (or was dispatched
         # before, against the same tables), so it has a capable server. A
-        # retry supplies the exclusion, the chain and the leading waiters.
+        # retry is re-aimed in place at this tick, its failed server
+        # excluded; it keeps its waiters, ahead of any that join it now.
         dispatches: list[Dispatch] = []
-        for program_id, retry in retries.items():
+        for retry in retries.values():
+            program_id = retry.program.program_id
             server, route = offloads.choose(program_id, retry.server_id, retry.consumer, t_i, band)
-            chain, waiters = retry.chain, retry.waiters
-            chain.last_tick, chain.server = tick, server
+            retry.tick_index, retry.server_id, retry.route = tick, server, route
+            retry.local = server == PLATFORM
+            retry.key = f"{tick}:{server}:{program_id}"
             joining = fresh.pop(program_id, None) if fresh else None
             if joining is not None:
-                waiters += _join(joining[1], chain, tick)
-            dispatches.append(Dispatch(
-                tick, retry.program, server, retry.consumer, waiters,
-                server == PLATFORM, chain, route,
-            ))
+                retry.waiters += _join(joining[1], retry, tick)
+            dispatches.append(retry)
         for program_id, (consumer, waiters) in fresh.items():
             server, route = offloads.choose(program_id, None, consumer, t_i, band)
-            chain = Chain(tick, server)
-            dispatches.append(Dispatch(
-                tick, offloads.programs[program_id], server, consumer,
-                _join(waiters, chain, tick), server == PLATFORM, chain, route,
-            ))
+            dispatch = Dispatch(
+                tick, offloads.programs[program_id], server, consumer, (),
+                server == PLATFORM, route,
+            )
+            dispatch.waiters = _join(waiters, dispatch, tick)
+            dispatches.append(dispatch)
 
         # Each wire dispatch opens its entry; one bundled request goes to each
         # distinct wire server.
@@ -370,18 +364,16 @@ class ProtocolState:
 
     # --------------------------------------------------------------- timeouts
 
-    def on_timeout(self) -> list[Dispatch]:
-        """Expire every still-outstanding entry, all of the one open tick.
-
-        Each is retried on the next tick with its failed server excluded
-        once. At the end of the run this resolves every open entry as a
-        timeout, so the request/response/timeout conservation holds on
-        truncated runs.
+    def on_timeout(self) -> dict[str, Dispatch]:
+        """Expire every still-outstanding entry, all of the one open tick, and
+        hand them over whole, by entry key in dispatch order, as the next
+        tick's retries; a fresh mapping takes their place. At the end of the
+        run this resolves every open entry as a timeout, so the
+        request/response/timeout conservation holds on truncated runs.
         """
-        timed_out = list(self.outstanding.values())
-        self.outstanding.clear()
+        timed_out = self._retries = self.outstanding
+        self.outstanding = {}
         self.timeouts += len(timed_out)
-        self._retries = {d.program.program_id: d for d in timed_out}
         return timed_out
 
     # ------------------------------------------------------------- settlement
@@ -394,8 +386,8 @@ class ProtocolState:
             for prog in outcome.programs:
                 chain = prog.chain
                 if chain is not None:
-                    prog.attempts = chain.last_tick - prog.first_tick + 1
-                    prog.server = chain.server
+                    prog.attempts = chain.tick_index - prog.first_tick + 1
+                    prog.server = chain.server_id
 
     # ------------------------------------------------------------ advancement
 

@@ -1,6 +1,7 @@
 """Event-driven runs: determinism, flight geometry, horizons, failure paths,
 retry chains."""
 
+import copy
 import csv
 import functools
 import heapq
@@ -873,7 +874,8 @@ def test_every_offload_choice_equals_a_fresh_argmin(monkeypatch):
 
     def recording(self, t, due):
         outcome = on_tick(self, t, due)
-        decided[self.current_tick] = outcome.dispatches
+        # a copy: the next tick re-aims a timed-out dispatch in place
+        decided[self.current_tick] = [copy.copy(d) for d in outcome.dispatches]
         return outcome
 
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", recording)
@@ -1070,28 +1072,38 @@ def waiter_key(prog):
 def run_with_waiter_oracle(monkeypatch, sc):
     """Run sc while recomputing attempts and server the direct way: one
     visit per waiter of every dispatch. Returns the result, the oracle's
-    (attempts, server) per (task, program) and every dispatch."""
+    (attempts, server) per (task, program) and a copy of every dispatch as
+    its tick decided it (a retry re-aims its dispatch in place)."""
     expected = {}
     dispatched = []
     on_tick = protocol.ProtocolState.on_tick
 
     def with_oracle(self, t, due):
-        retried = dict(self._retries)  # the timed-out dispatches, by program
+        # the timed-out entries, by entry key, each with its waiters as it
+        # timed out
+        retried = iter([(key, d, d.waiters) for key, d in self._retries.items()])
         outcome = on_tick(self, t, due)
         for d in outcome.dispatches:
-            retry = retried.pop(d.program.program_id, None)
-            lead = () if retry is None else retry.waiters
+            key, retry, lead = next(retried, (None, None, ()))
+            if retry is not None:
+                # the retries lead, in timeout order: each is its timed-out
+                # dispatch re-aimed in place, from its program's entry of the
+                # last tick to this tick's
+                assert d is retry
+                last_tick, _, program_id = key.split(":", 2)
+                assert (int(last_tick), program_id) == (d.tick_index - 1, d.program.program_id)
+                assert d.key == f"{d.tick_index}:{d.server_id}:{program_id}"
             # the retried waiters come first, on their own chain, on the tick
             # after their timed-out dispatch; the rest join the chain now
             assert all(a is b for a, b in zip(d.waiters, lead))
-            assert all(p.chain is d.chain for p in d.waiters)
+            assert all(p.chain is d for p in d.waiters)
             assert [p.first_tick < d.tick_index for p in d.waiters] == (
                 [True] * len(lead) + [False] * (len(d.waiters) - len(lead)))
             for prog in d.waiters:
                 attempts, _ = expected.get(waiter_key(prog), (0, None))
                 expected[waiter_key(prog)] = (attempts + 1, d.server_id)
-        assert not retried
-        dispatched.extend(outcome.dispatches)
+        assert next(retried, None) is None
+        dispatched.extend([copy.copy(d) for d in outcome.dispatches])
         return outcome
 
     monkeypatch.setattr(protocol.ProtocolState, "on_tick", with_oracle)
@@ -1123,6 +1135,82 @@ def test_attempts_and_server_equal_a_visit_per_waiter(monkeypatch, case):
     assert any(attempts > 1 for attempts, _ in got.values())
 
 
+RE_AIM_CASES = {
+    **ORACLE_CASES,
+    "bundled": lambda: load_scenario(BUNDLED_SCENARIO),
+    "storm_seed_1": lambda: storm_scenario(1, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RE_AIM_CASES))
+def test_a_dispatch_is_re_aimed_only_after_its_timeout(monkeypatch, case):
+    """What lets a retry re-aim its timed-out dispatch in place: every
+    handler of a staged execution sees its dispatch at the tick that staged
+    it, and a dispatch comes back from on_tick at tick k+1 only if the
+    Timeout of tick k handed it over; every one handed over comes back
+    then, ahead of the fresh dispatches and in timeout order, unless the
+    run ends first."""
+    staged_at = {}  # inst id -> the tick that staged it
+    handled = Counter()
+    returned = set()  # ids of the dispatches on_tick has returned
+    kept = []  # ... kept alive, so that no id is reused
+    handed = []  # (the open tick, its timed-out dispatches) of the last Timeout
+    counts = Counter()
+    stage = engine._Sim._stage
+    on_tick = protocol.ProtocolState.on_tick
+    on_timeout = protocol.ProtocolState.on_timeout
+
+    def recording_stage(self, dispatch, t):
+        assert dispatch.tick_index == self.protocol.current_tick
+        staged_at[self.staged] = dispatch.tick_index
+        return stage(self, dispatch, t)
+
+    def checked(name):
+        handler = getattr(engine._Sim, name)
+
+        def checking(self, t, seq, inst, *rest):
+            assert inst.dispatch.tick_index == staged_at[inst.inst_id], (name, t)
+            handled[name] += 1
+            return handler(self, t, seq, inst, *rest)
+
+        return checking
+
+    def recording_timeout(self):
+        timed_out = on_timeout(self)
+        handed[:] = [(self.current_tick, list(timed_out.values()))]
+        return timed_out
+
+    def checking_tick(self, t, due):
+        outcome = on_tick(self, t, due)
+        last_tick, retried = handed.pop() if handed else (None, [])
+        if last_tick != self.current_tick - 1:
+            retried = []
+        again = [d for d in outcome.dispatches if id(d) in returned]
+        assert len(again) == len(retried)
+        assert all(a is b for a, b in zip(outcome.dispatches, retried))
+        assert all(a is b for a, b in zip(again, retried))
+        for d in outcome.dispatches:
+            if id(d) not in returned:
+                returned.add(id(d))
+                kept.append(d)
+        counts["retries"] += len(retried)
+        return outcome
+
+    monkeypatch.setattr(engine._Sim, "_stage", recording_stage)
+    for name in ("_on_input_arrival", "_on_compute_complete", "_deliver"):
+        monkeypatch.setattr(engine._Sim, name, checked(name))
+    monkeypatch.setattr(protocol.ProtocolState, "on_timeout", recording_timeout)
+    monkeypatch.setattr(protocol.ProtocolState, "on_tick", checking_tick)
+    result = run(RE_AIM_CASES[case]())
+    # the bundled mission answers every dispatch in time; the other cases retry
+    assert (counts["retries"] > 0) == (case != "bundled")
+    assert (result.metrics.counts["timeouts"] > 0) == (case != "bundled")
+    # every delivered execution was checked; sole_server's server drops
+    # every request, so nothing is staged there
+    assert handled["_deliver"] == len(staged_at) - result.metrics.counts["cancelled"]
+    assert (handled["_deliver"] > 0) == (case != "sole_server")
+
+
 def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
     """The retry runs on the platform, and every waiter is delivered the
     stage times of that placement, not the excluded server's."""
@@ -1133,8 +1221,11 @@ def test_a_chain_falls_back_to_local_after_its_exclusion(monkeypatch):
     assert (retry.server_id, retry.local, [waiter_key(p) for p in retry.waiters]) == (
         0, True, [("t1", "p"), ("t2", "p")])
     assert [p.first_tick for p in retry.waiters] == [0, 1]
-    assert retry.chain is first.chain
     progs = [task.programs[0] for task in result.metrics.tasks]
+    # both waiters are on the one chain, which ends at the local retry
+    chain = progs[0].chain
+    assert progs[1].chain is chain
+    assert (chain.tick_index, chain.server_id, chain.local) == (1, 0, True)
     assert [(p.attempts, p.server) for p in progs] == [(2, 0), (1, 0)]
     assert statuses(result) == ["completed", "completed"]
 

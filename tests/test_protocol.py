@@ -238,7 +238,9 @@ def test_timeout_excludes_the_failed_server_once():
     first = ps.on_tick(0.0, due(ps, "t1"))
     assert first.dispatches[0].server_id == 1  # identical servers: lower id
     expired = ps.on_timeout()
-    assert [d.server_id for d in expired] == [1]
+    # the open tick's entries, handed over by entry key
+    assert list(expired) == ["0:1:a"]
+    assert [d.server_id for d in expired.values()] == [1]
     assert ps.timeouts == 1
     second = ps.on_tick(2.0, [])
     assert [d.server_id for d in second.dispatches] == [2]
@@ -268,14 +270,16 @@ def test_merged_retries_keep_waiter_order_and_the_first_exclusion():
     [second] = tick(2.0, "t2", "t3")
     assert (second.server_id, waiter_ids(second), joined(second)) == (
         2, ("t1", "t2", "t3"), 2)
-    assert second.chain is first[0].chain
+    # the retry is the timed-out dispatch, re-aimed in place
+    assert second is first[0]
     ps.on_timeout()
     [third] = tick(4.0, "t4")
     assert (third.server_id, waiter_ids(third), joined(third)) == (
         1, ("t1", "t2", "t3", "t4"), 1)
-    assert (third.chain.last_tick, third.chain.server) == (2, 1)
+    assert third is second
+    assert (third.tick_index, third.server_id, third.key) == (2, 1, "2:1:a")
     # every waiter is on the one chain, from the tick it joined
-    assert [(p.chain is third.chain, p.first_tick) for p in third.waiters] == [
+    assert [(p.chain is third, p.first_tick) for p in third.waiters] == [
         (True, 0), (True, 1), (True, 1), (True, 2)]
 
 
@@ -487,11 +491,14 @@ def test_settle_applies_the_chain_rule():
     respond(ps, again, 4.5)
     late, local = ps.on_tick(6.0, due(ps, "late", "local")).dispatches
     assert (waiter_ids(late), late.local, local.local) == (("late",), False, True)
+    # the retry re-aims late in place, so its first server is read now
+    late_server = late.server_id
     ps.note_result(local, 6.5, RESULT)
     ps.on_timeout()
     [late_again] = ps.on_tick(8.0, []).dispatches
     # late goes to its own consumer first, then away from it
-    assert (late.server_id, late_again.server_id) == (2, 1)
+    assert late_again is late
+    assert (late_server, late_again.server_id) == (2, 1)
     ps.on_timeout()  # the end of the run
 
     def ledger():

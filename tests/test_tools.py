@@ -4,6 +4,8 @@ check of two checkouts."""
 import hashlib
 import json
 import re
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -96,7 +98,7 @@ def test_a_failed_bench_run_is_reported_with_its_stderr(tmp_path, capsys):
 def test_an_incorrect_bench_run_is_refused_like_a_failed_one(tmp_path, monkeypatch, capsys):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
-    def run_bench(checkout, workload, seed, seconds):
+    def run_bench(checkout, workload, seed, seconds, trace=0):
         return {"correct": not (checkout.name == "change" and seed == 78),
                 "attempted": 8, "failed": 0,
                 "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
@@ -158,6 +160,90 @@ def test_each_pair_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys)
     assert sorted(summary["workloads"]["wide"]["metrics"]) == sorted(names)
 
 
+# FAKE_BENCH, but a traced run (--trace 1) prints the per-layer metrics: a
+# count is its metric's index, the same on both sides, except
+# protocol.timeouts and engine.records, which read the checkout's value
+FAKE_TRACED_BENCH = """\
+import json
+import sys
+from pathlib import Path
+value = float(Path(__file__).with_name("value").read_text())
+spec = json.loads(Path("BENCHMARK.json").read_text())
+traced = sys.argv[sys.argv.index("--trace") + 1] == "1"
+moved = ("protocol.timeouts", "engine.records")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+    m["name"]: {"value": k if m["unit"] == "count" and m["name"] not in moved else value,
+                "unit": m["unit"]}
+    for k, m in enumerate(spec["per_layer"] if traced else spec["end_to_end"])}}))
+"""
+
+
+def test_counts_lists_the_count_metrics_that_differ_between_the_sides(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "checkout_id", lambda path: {"commit": path.name})
+    parent = fake_checkout(tmp_path / "parent", 1.0)
+    change = fake_checkout(tmp_path / "change", 0.5)
+    for checkout in (parent, change):
+        (checkout / "bench" / "run.py").write_text(FAKE_TRACED_BENCH)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "storm", "reference", "--pairs", "1",
+                             "--seconds", "1", "--out", str(out), "--counts"]) == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    assert "engine.records" in names and "engine.self_s" not in names
+    counts = json.loads(out.read_text())["counts"]
+    assert sorted(counts) == ["reference", "storm"]
+    for workload in counts.values():
+        assert list(workload["parent"]) == list(workload["change"]) == names
+        assert workload["differ"] == ["engine.records", "protocol.timeouts"]
+        assert workload["change"]["protocol.timeouts"] == 0.5
+        assert workload["change"]["protocol.requests"] == workload["parent"]["protocol.requests"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if " counts: " in line] == [
+        f"{workload} counts: {len(names)} compared, differ: engine.records, protocol.timeouts"
+        for workload in ("storm", "reference")]
+
+
+def test_counts_runs_one_short_traced_run_a_side_after_each_workloads_pairs(
+        tmp_path, monkeypatch, capsys):
+    """Without --counts no traced run is made and the output holds
+    `counts: null`; with it, a traced run that reads `correct: false` is
+    refused like a pair's."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+
+    def run_bench(checkout, workload, seed, seconds, trace=0):
+        runs.append((checkout.name, workload, seed, seconds, trace))
+        return {"correct": not (trace and checkout.name == "change"),
+                "attempted": 8, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                            for m in spec["end_to_end"] + spec["per_layer"]}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "checkout_id", lambda path: {"commit": path.name})
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "wide",
+            "--pairs", "2", "--seconds", "5", "--seed", "40", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["counts"] is None
+    assert [run[4] for run in runs] == [0] * 4
+    runs.clear()
+    out.unlink()
+    assert bench_pairs.main(argv + ["--counts"]) == 1
+    assert not out.exists()
+    assert runs == [("parent", "wide", 40, 5.0, 0), ("change", "wide", 40, 5.0, 0),
+                    ("change", "wide", 41, 5.0, 0), ("parent", "wide", 41, 5.0, 0),
+                    ("parent", "wide", 40, bench_pairs.COUNT_SECONDS, 1),
+                    ("change", "wide", 40, bench_pairs.COUNT_SECONDS, 1)]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: the change run of workload wide at seed 40 read correct: false, "
+        "in its traced count run")
+
+
 @pytest.mark.parametrize("parent_commit, change_commit, git_side", [
     (None, "c0ffee", "change"),
     ("c0ffee", None, "parent"),
@@ -169,7 +255,7 @@ def test_a_git_and_a_plain_checkout_are_warned_of_before_the_first_run(
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     stderr_at_first_run = []
 
-    def run_bench(checkout, workload, seed, seconds):
+    def run_bench(checkout, workload, seed, seconds, trace=0):
         if not stderr_at_first_run:
             stderr_at_first_run.append(capsys.readouterr().err)
         return {"correct": True, "attempted": 8, "failed": 0,
@@ -271,17 +357,62 @@ def test_the_reference_digest_is_the_golden_trace():
 
 def test_the_byte_check_runs_reference_at_each_grid_seed(monkeypatch):
     """The bench runs `reference` at the golden seed whatever seed builds
-    it; the grid runs it, and its deferred case, at each of its seeds, so
-    no two of its runs repeat each other."""
+    it; the grid runs it, and its deferred and lossy cases, at each of its
+    seeds, so no two of its runs repeat each other. The lossy case runs at
+    variance 0, where only the loss draws tell the seeds apart, so each of
+    its trace, metrics and samples differs by seed."""
     monkeypatch.setattr(artifact_digests, "NAMES", ("reference",))
     monkeypatch.setattr(artifact_digests, "VARIANCES", (1.0,))
     monkeypatch.setattr(artifact_digests, "CUTS", (1.0,))
     monkeypatch.setattr(artifact_digests, "sweep_digests", lambda wl, text: {})
     found = artifact_digests.digests(ROOT)
-    for case in ("variance=1.0 cut=1.0", "deferred"):
-        traces = {found[f"reference seed={seed} {case} trace"]
-                  for seed in artifact_digests.SEEDS}
-        assert len(traces) == len(artifact_digests.SEEDS)
+    for case, artifacts in (("variance=1.0 cut=1.0", ("trace",)), ("deferred", ("trace",)),
+                            ("lossy", ("trace", "metrics", "samples"))):
+        for artifact in artifacts:
+            digests = {found[f"reference seed={seed} {case} {artifact}"]
+                       for seed in artifact_digests.SEEDS}
+            assert len(digests) == len(artifact_digests.SEEDS), (case, artifact)
+
+
+def test_the_lossy_case_makes_every_wire_server_lossy(tmp_path):
+    """Every node but the platform loses a dispatch with probability
+    LOSSY, so the variance-0 run retries lost dispatches (shown on the two
+    smaller workloads)."""
+    path = tmp_path / "scenario.yaml"
+    for name in ("reference", "storm"):
+        wl = bench_build(name, 1)
+        path.write_text(artifact_digests.with_lossy_servers(wl.scenario_text))
+        sc = load_scenario(path)
+        assert sc.loss == {node: artifact_digests.LOSSY for node in sc.nodes if node != 0}
+        result = run(replace(sc, variance_scale=0.0), wl.run_seed)
+        assert result.metrics.counts["timeouts"] > 0
+        assert any(" kind=Timeout " in line and " count=0" not in line
+                   for line in result.trace)
+
+
+def test_the_byte_check_grid_holds_270_digests(monkeypatch):
+    """At each of 3 seeds, each of 3 workloads gives 4 artifacts for each of
+    its 4 variance x cut runs, its deferred run and its lossy run, and 2
+    CSVs for each of its 3 sweeps: 3 x 3 x (6 x 4 + 3 x 2) = 270."""
+    real = artifact_digests.load_workloads(ROOT)
+    cases = []
+    monkeypatch.setattr(artifact_digests, "load_workloads", lambda root: SimpleNamespace(
+        build=lambda name, seed, root: bench_build(name, 1), sweep_text=real.sweep_text))
+    for edit in ("with_deferred_task", "with_lossy_servers"):
+        monkeypatch.setattr(artifact_digests, edit, lambda text: text)
+
+    def run_digests(wl, variance, cut):
+        cases.append((variance, cut))
+        return dict.fromkeys(("trace", "metrics", "samples", "summary"), "")
+
+    monkeypatch.setattr(artifact_digests, "run_digests", run_digests)
+    monkeypatch.setattr(artifact_digests, "sweep_digests",
+                        lambda wl, text: dict.fromkeys(("sweep_rows", "sweep_aggregate"), ""))
+    found = artifact_digests.digests(ROOT)
+    assert len(found) == 270
+    assert sum(" lossy " in key for key in found) == sum(" deferred " in key for key in found) == 36
+    # the lossy run is the one full run at variance 0 besides the grid's own
+    assert cases.count((0.0, 1.0)) == 2 * 9
 
 
 def test_the_byte_check_sweeps_every_parameter_with_admitted_values():

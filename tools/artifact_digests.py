@@ -13,12 +13,16 @@ grid sets each workload's run seed to its own seed, and no two runs of one
 case share a seed. At each seed, each workload also runs once more, in full,
 with one more task, issued at 0 s, that requires a program no server can run
 (DEFERRED, 9 runs): the first tick defers it, so every later idle Tick
-record lists it in `unserved=`. And at each seed come three sweeps of each
-workload (`sweep_rows.csv` and `sweep_aggregate.csv`): its bench sweep, of
-`update_interval` or `link_variance_scale`, whose values share one run plan,
-and the grid's own `payload_scale` and `altitude_profile` sweeps
-(EXTRA_SWEEPS, 2 replicates from the seed), whose every value needs a plan
-of its own. That makes 234 digests. The parent's subprocess runs with
+record lists it in `unserved=`. At each seed, each workload also runs once
+more, in full, at `variance_scale` 0 with every wire server's loss set to
+LOSSY (9 runs): there the loss draws, which the seed keys, decide which
+dispatches and retries are staged, so these runs differ by seed even where
+the variance-free link alone would repeat them. And at each seed come three
+sweeps of each workload (`sweep_rows.csv` and `sweep_aggregate.csv`): its
+bench sweep, of `update_interval` or `link_variance_scale`, whose values
+share one run plan, and the grid's own `payload_scale` and
+`altitude_profile` sweeps (EXTRA_SWEEPS, 2 replicates from the seed), whose
+every value needs a plan of its own. That makes 270 digests. The parent's subprocess runs with
 PYTHONHASHSEED=0 and the change's with PYTHONHASHSEED=1, so 0 mismatches
 also shows that neither the grid nor the sweeps depend on the hash seed.
 Every mismatch is printed, and the exit code is 1 if there is any.
@@ -55,6 +59,10 @@ UNSERVABLE = {"program_id": "thermal", "task_kind": "object_detection", "compute
               "input_payload_bits": 1e6, "output_payload_bits": 1e5}
 DEFERRED = {"task_id": "deferred", "required_programs": ["thermal"], "issue_time_s": 0.0,
             "consumer": 2}
+# the lossy case's loss of every wire server; the platform, node 0, runs
+# local work, which cannot be lossy
+LOSSY = 0.5
+PLATFORM = 0
 
 
 def _sha256(text: str) -> str:
@@ -106,6 +114,15 @@ def with_deferred_task(scenario_text: str) -> str:
     return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
 
 
+def with_lossy_servers(scenario_text: str) -> str:
+    """scenario_text with every node but the platform lossy at LOSSY, read
+    and written as with_deferred_task does."""
+    doc = yaml.load(scenario_text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    doc["loss"] = {node["node_id"]: LOSSY for node in doc["nodes"]
+                   if node["node_id"] != PLATFORM}
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False)
+
+
 def sweep_digests(wl, sweep_text: str) -> dict[str, str]:
     """sha256 of the two CSVs of the sweep spec sweep_text over workload
     wl's scenario, run through the CLI."""
@@ -140,6 +157,9 @@ def digests(root: Path) -> dict[str, str]:
             deferred = replace(wl, scenario_text=with_deferred_task(wl.scenario_text))
             for artifact, digest in run_digests(deferred, 1.0, 1.0).items():
                 found[f"{name} seed={seed} deferred {artifact}"] = digest
+            lossy = replace(wl, scenario_text=with_lossy_servers(wl.scenario_text))
+            for artifact, digest in run_digests(lossy, 0.0, 1.0).items():
+                found[f"{name} seed={seed} lossy {artifact}"] = digest
             for artifact, digest in sweep_digests(wl, wl.sweep_text).items():
                 found[f"{name} seed={seed} {artifact}"] = digest
             for parameter, values in EXTRA_SWEEPS.items():

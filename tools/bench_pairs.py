@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
         --workload storm reference wide --pairs 10 --seconds 10 \
-        --seed 901 --out BENCH_<n>.json
+        --seed 901 --out BENCH_<n>.json [--counts]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository. Pair i of a
 workload runs `python3 bench/run.py --workload W --seed SEED+i --seconds S
@@ -27,6 +27,15 @@ fails, the tool exits 1 and names the run's side, workload, seed, exit code
 and the last lines of its stderr, and writes no output file. A run whose
 result reads `correct: false` is refused the same way: its timings are of
 wrong outputs.
+
+With `--counts`, each workload's pairs are followed by one traced run a
+side, `python3 bench/run.py --workload W --seed SEED --seconds 1 --trace 1`,
+refused on failure the same way. Its per-layer metrics whose unit in the
+change's BENCHMARK.json is `count` are exact work counts, the same in every
+round, so one short run shows them. The output then holds, per workload,
+each side's counts and `differ`, the names of those whose values differ
+between the sides, and one stderr line per workload names them; without
+`--counts` it holds `counts: null`.
 """
 
 from __future__ import annotations
@@ -42,16 +51,48 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 STDERR_TAIL_LINES = 10
+# the length of a traced count run: its counts are exact in every round
+COUNT_SECONDS = 1.0
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in `checkout`; its last stdout line."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in `checkout`, untraced unless trace is 1; its last
+    stdout line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def checked_run(checkout: Path, side: str, workload: str, seed: int, seconds: float,
+                when: str, trace: int = 0) -> dict | None:
+    """run_bench's result, or None once the refusal of a failed run, or of
+    one that reads `correct: false`, is printed; when says where in the
+    workload's runs it came."""
+    try:
+        result = run_bench(checkout, workload, seed, seconds, trace)
+    except subprocess.CalledProcessError as exc:
+        tail = exc.stderr.splitlines()[-STDERR_TAIL_LINES:]
+        print(f"error: the {side} run of workload {workload} at seed {seed} exited "
+              f"with code {exc.returncode}, {when}; its last stderr lines:",
+              *tail, sep="\n", file=sys.stderr)
+        return None
+    if not result["correct"]:
+        print(f"error: the {side} run of workload {workload} at seed {seed} read "
+              f"correct: false, {when}", file=sys.stderr)
+        return None
+    return result
+
+
+def compare_counts(results: dict, names: list[str]) -> dict:
+    """Each side's value of every count metric in names, from its traced
+    run's result, and the names whose values differ."""
+    values = {side: {name: results[side]["metrics"][name]["value"] for name in names}
+              for side in SIDES}
+    return {**values,
+            "differ": [name for name in names if values["parent"][name] != values["change"][name]]}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -123,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=901)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--counts", action="store_true",
+                        help="after each workload's pairs, compare one traced run's counts")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
@@ -139,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.out.parent.is_dir():
         parser.error(f"--out {args.out}: directory {args.out.parent} does not exist")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    count_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     ids = {side: checkout_id(path) for side, path in checkouts.items()}
     git_sides = [side for side in SIDES if ids[side]["commit"] is not None]
     warning = None
@@ -148,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                    "checkouts the same way")
         print(f"warning: {warning}", file=sys.stderr)
     workloads = {}
+    counts = {} if args.counts else None
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
@@ -155,19 +200,9 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                try:
-                    pair[side] = run_bench(checkouts[side], workload, seed, args.seconds)
-                except subprocess.CalledProcessError as exc:
-                    tail = exc.stderr.splitlines()[-STDERR_TAIL_LINES:]
-                    print(f"error: the {side} run of workload {workload} at seed {seed} "
-                          f"exited with code {exc.returncode}, after {i} complete "
-                          f"pairs of it; its last stderr lines:", *tail,
-                          sep="\n", file=sys.stderr)
-                    return 1
-                if not pair[side]["correct"]:
-                    print(f"error: the {side} run of workload {workload} at seed {seed} "
-                          f"read correct: false, after {i} complete pairs of it",
-                          file=sys.stderr)
+                pair[side] = checked_run(checkouts[side], side, workload, seed, args.seconds,
+                                         f"after {i} complete pairs of it")
+                if pair[side] is None:
                     return 1
             pairs.append(pair)
             print(f"{workload} pair {i}: " + "; ".join(
@@ -175,6 +210,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"change {pair['change']['metrics'][name]['value']:.4g}" for name in better
             ), file=sys.stderr)
         workloads[workload] = summarize(pairs, better)
+        if counts is not None:
+            traced = {}
+            for side in SIDES:
+                traced[side] = checked_run(checkouts[side], side, workload, args.seed,
+                                           COUNT_SECONDS, "in its traced count run", trace=1)
+                if traced[side] is None:
+                    return 1
+            counts[workload] = compare_counts(traced, count_names)
+            differ = counts[workload]["differ"]
+            print(f"{workload} counts: {len(count_names)} compared, "
+                  f"differ: {', '.join(differ) or 'none'}", file=sys.stderr)
     result = {
         "command": "bench/run.py --trace 0",
         "seconds": args.seconds,
@@ -183,6 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         **ids,
         "checkout_warning": warning,
         "workloads": workloads,
+        "counts": counts,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
