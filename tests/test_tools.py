@@ -187,22 +187,20 @@ def test_counts_lists_the_count_metrics_that_differ_between_the_sides(
         (checkout / "bench" / "run.py").write_text(FAKE_TRACED_BENCH)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
-                             "--workload", "storm", "reference", "--pairs", "1",
+                             "--workload", "storm", "--pairs", "1",
                              "--seconds", "1", "--out", str(out), "--counts"]) == 0
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     assert "engine.records" in names and "engine.self_s" not in names
     counts = json.loads(out.read_text())["counts"]
-    assert sorted(counts) == ["reference", "storm"]
-    for workload in counts.values():
-        assert list(workload["parent"]) == list(workload["change"]) == names
-        assert workload["differ"] == ["engine.records", "protocol.timeouts"]
-        assert workload["change"]["protocol.timeouts"] == 0.5
-        assert workload["change"]["protocol.requests"] == workload["parent"]["protocol.requests"]
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if " counts: " in line] == [
-        f"{workload} counts: {len(names)} compared, differ: engine.records, protocol.timeouts"
-        for workload in ("storm", "reference")]
+    assert list(counts) == ["storm"]
+    storm = counts["storm"]
+    assert list(storm["parent"]) == list(storm["change"]) == names
+    assert storm["differ"] == ["engine.records", "protocol.timeouts"]
+    assert storm["change"]["protocol.timeouts"] == 0.5
+    assert storm["change"]["protocol.requests"] == storm["parent"]["protocol.requests"]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"storm counts: {len(names)} compared, differ: engine.records, protocol.timeouts")
 
 
 def test_counts_runs_one_short_traced_run_a_side_after_each_workloads_pairs(
