@@ -86,17 +86,20 @@ class Dispatch:
     in place, so it describes its tick only until its Timeout: a caller that
     keeps one across ticks copies what it needs first."""
 
-    tick_index: int
     program: ProgramSpec
-    server_id: int
     consumer: int
-    waiters: tuple[ProgramOutcome, ...]  # credited when the result lands
-    local: bool
-    route: Route  # as the offload choice priced it
+    waiters: tuple[ProgramOutcome, ...] = ()  # credited when the result lands
+    tick_index: int = field(init=False)
+    server_id: int = field(init=False)
+    local: bool = field(init=False)
+    route: Route = field(init=False)  # as the offload choice priced it
     key: str = field(init=False)  # tick:server:program, as the trace prints it
 
-    def __post_init__(self):
-        self.key = f"{self.tick_index}:{self.server_id}:{self.program.program_id}"
+    def aim(self, tick: int, server: int, route: Route) -> None:
+        """Point the execution at server for tick, fresh or re-aimed."""
+        self.tick_index, self.server_id, self.route = tick, server, route
+        self.local = server == PLATFORM
+        self.key = f"{tick}:{server}:{self.program.program_id}"
 
 
 @dataclass(slots=True)
@@ -314,19 +317,15 @@ class ProtocolState:
         for retry in retries.values():
             program_id = retry.program.program_id
             server, route = offloads.choose(program_id, retry.server_id, retry.consumer, t_i, band)
-            retry.tick_index, retry.server_id, retry.route = tick, server, route
-            retry.local = server == PLATFORM
-            retry.key = f"{tick}:{server}:{program_id}"
+            retry.aim(tick, server, route)
             joining = fresh.pop(program_id, None) if fresh else None
             if joining is not None:
                 retry.waiters += _join(joining[1], retry, tick)
             dispatches.append(retry)
         for program_id, (consumer, waiters) in fresh.items():
             server, route = offloads.choose(program_id, None, consumer, t_i, band)
-            dispatch = Dispatch(
-                tick, offloads.programs[program_id], server, consumer, (),
-                server == PLATFORM, route,
-            )
+            dispatch = Dispatch(offloads.programs[program_id], consumer)
+            dispatch.aim(tick, server, route)
             dispatch.waiters = _join(waiters, dispatch, tick)
             dispatches.append(dispatch)
 

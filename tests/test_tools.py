@@ -120,15 +120,29 @@ def test_an_incorrect_bench_run_is_refused_like_a_failed_one(tmp_path, monkeypat
         "after 1 complete pairs of it")
 
 
+COUNT_NAMES = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+               if m["unit"] == "count"]
+
+# a fake bench/run.py: an untraced run prints each end-to-end metric as the
+# checkout's value times its index plus one; a traced run (--trace 1) prints
+# the per-layer metrics, a count being its name's length, the same on both
+# sides, except protocol.timeouts and engine.records, which read the value
 FAKE_BENCH = """\
 import json
+import sys
 from pathlib import Path
 value = float(Path(__file__).with_name("value").read_text())
 spec = json.loads(Path("BENCHMARK.json").read_text())
 print("a line before the result")
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
-    m["name"]: {"value": value * (k + 1), "unit": m["unit"]}
-    for k, m in enumerate(spec["end_to_end"])}}))
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    moved = ("protocol.timeouts", "engine.records")
+    metrics = {m["name"]: {"value": len(m["name"]) if m["unit"] == "count"
+                           and m["name"] not in moved else value, "unit": m["unit"]}
+               for m in spec["per_layer"]}
+else:
+    metrics = {m["name"]: {"value": value * (k + 1), "unit": m["unit"]}
+               for k, m in enumerate(spec["end_to_end"])}
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}))
 """
 
 
@@ -153,29 +167,13 @@ def test_each_pair_prints_every_end_to_end_metric(tmp_path, monkeypatch, capsys)
     cells = "; ".join(f"{name} parent {k + 1:.4g} change {(k + 1) / 2:.4g}"
                       for k, name in enumerate(names))
     assert capsys.readouterr().err.splitlines() == [
-        f"wide pair 0: {cells}", f"wide pair 1: {cells}"]
+        f"wide pair 0: {cells}", f"wide pair 1: {cells}",
+        f"wide counts: {len(COUNT_NAMES)} compared, "
+        "differ: engine.records, protocol.timeouts"]
     summary = json.loads(out.read_text())
     assert summary["parent"] == {"commit": "parent"}
     assert summary["checkout_warning"] is None
     assert sorted(summary["workloads"]["wide"]["metrics"]) == sorted(names)
-
-
-# FAKE_BENCH, but a traced run (--trace 1) prints the per-layer metrics: a
-# count is its metric's index, the same on both sides, except
-# protocol.timeouts and engine.records, which read the checkout's value
-FAKE_TRACED_BENCH = """\
-import json
-import sys
-from pathlib import Path
-value = float(Path(__file__).with_name("value").read_text())
-spec = json.loads(Path("BENCHMARK.json").read_text())
-traced = sys.argv[sys.argv.index("--trace") + 1] == "1"
-moved = ("protocol.timeouts", "engine.records")
-print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
-    m["name"]: {"value": k if m["unit"] == "count" and m["name"] not in moved else value,
-                "unit": m["unit"]}
-    for k, m in enumerate(spec["per_layer"] if traced else spec["end_to_end"])}}))
-"""
 
 
 def test_counts_lists_the_count_metrics_that_differ_between_the_sides(
@@ -183,14 +181,11 @@ def test_counts_lists_the_count_metrics_that_differ_between_the_sides(
     monkeypatch.setattr(bench_pairs, "checkout_id", lambda path: {"commit": path.name})
     parent = fake_checkout(tmp_path / "parent", 1.0)
     change = fake_checkout(tmp_path / "change", 0.5)
-    for checkout in (parent, change):
-        (checkout / "bench" / "run.py").write_text(FAKE_TRACED_BENCH)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--workload", "storm", "--pairs", "1",
-                             "--seconds", "1", "--out", str(out), "--counts"]) == 0
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+                             "--seconds", "1", "--out", str(out)]) == 0
+    names = COUNT_NAMES
     assert "engine.records" in names and "engine.self_s" not in names
     counts = json.loads(out.read_text())["counts"]
     assert list(counts) == ["storm"]
@@ -203,11 +198,34 @@ def test_counts_lists_the_count_metrics_that_differ_between_the_sides(
         f"storm counts: {len(names)} compared, differ: engine.records, protocol.timeouts")
 
 
+def test_a_count_only_one_side_reports_is_listed_as_differing(tmp_path, monkeypatch, capsys):
+    """A parent whose bench predates a counter does not report it: the
+    output keeps what each side reports and names the counter in `differ`."""
+    monkeypatch.setattr(bench_pairs, "checkout_id", lambda path: {"commit": path.name})
+    parent = fake_checkout(tmp_path / "parent", 1.0)
+    change = fake_checkout(tmp_path / "change", 0.5)
+    spec = json.loads((parent / "BENCHMARK.json").read_text())
+    spec["per_layer"] = [m for m in spec["per_layer"] if m["name"] != "channel.keyed_draws"]
+    (parent / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "storm", "--pairs", "1",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    storm = json.loads(out.read_text())["counts"]["storm"]
+    assert "channel.keyed_draws" in COUNT_NAMES
+    assert list(storm["parent"]) == [n for n in COUNT_NAMES if n != "channel.keyed_draws"]
+    assert list(storm["change"]) == COUNT_NAMES
+    assert storm["differ"] == [n for n in COUNT_NAMES
+                               if n in ("engine.records", "protocol.timeouts",
+                                        "channel.keyed_draws")]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"storm counts: {len(COUNT_NAMES)} compared, differ: "
+        + ", ".join(storm["differ"]))
+
+
 def test_counts_runs_one_short_traced_run_a_side_after_each_workloads_pairs(
         tmp_path, monkeypatch, capsys):
-    """Without --counts no traced run is made and the output holds
-    `counts: null`; with it, a traced run that reads `correct: false` is
-    refused like a pair's."""
+    """A traced run that reads `correct: false` is refused like a pair's."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = []
 
@@ -226,12 +244,7 @@ def test_counts_runs_one_short_traced_run_a_side_after_each_workloads_pairs(
     out = tmp_path / "bench.json"
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "wide",
             "--pairs", "2", "--seconds", "5", "--seed", "40", "--out", str(out)]
-    assert bench_pairs.main(argv) == 0
-    assert json.loads(out.read_text())["counts"] is None
-    assert [run[4] for run in runs] == [0] * 4
-    runs.clear()
-    out.unlink()
-    assert bench_pairs.main(argv + ["--counts"]) == 1
+    assert bench_pairs.main(argv) == 1
     assert not out.exists()
     assert runs == [("parent", "wide", 40, 5.0, 0), ("change", "wide", 40, 5.0, 0),
                     ("change", "wide", 41, 5.0, 0), ("parent", "wide", 41, 5.0, 0),

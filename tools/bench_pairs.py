@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
         --workload storm reference wide --pairs 10 --seconds 10 \
-        --seed 901 --out BENCH_<n>.json [--counts]
+        --seed 901 --out BENCH_<n>.json
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository. Pair i of a
 workload runs `python3 bench/run.py --workload W --seed SEED+i --seconds S
@@ -28,14 +28,14 @@ and the last lines of its stderr, and writes no output file. A run whose
 result reads `correct: false` is refused the same way: its timings are of
 wrong outputs.
 
-With `--counts`, each workload's pairs are followed by one traced run a
-side, `python3 bench/run.py --workload W --seed SEED --seconds 1 --trace 1`,
-refused on failure the same way. Its per-layer metrics whose unit in the
-change's BENCHMARK.json is `count` are exact work counts, the same in every
-round, so one short run shows them. The output then holds, per workload,
-each side's counts and `differ`, the names of those whose values differ
-between the sides, and one stderr line per workload names them; without
-`--counts` it holds `counts: null`.
+Each workload's pairs are followed by one traced run a side, `python3
+bench/run.py --workload W --seed SEED --seconds 1 --trace 1`, refused on
+failure the same way. Its per-layer metrics whose unit in the change's
+BENCHMARK.json is `count` are exact work counts, the same in every round, so
+one short run shows them. The output holds, per workload, the counts each
+side reports and `differ`, the names whose values differ between the sides
+or that only one side reports (a parent that predates a counter lacks it),
+and one stderr line per workload names them.
 """
 
 from __future__ import annotations
@@ -87,12 +87,16 @@ def checked_run(checkout: Path, side: str, workload: str, seed: int, seconds: fl
 
 
 def compare_counts(results: dict, names: list[str]) -> dict:
-    """Each side's value of every count metric in names, from its traced
-    run's result, and the names whose values differ."""
-    values = {side: {name: results[side]["metrics"][name]["value"] for name in names}
-              for side in SIDES}
+    """Each side's value of every count metric in names that its traced
+    run's result reports, and the names whose values differ or that only
+    one side reports."""
+    values = {}
+    for side in SIDES:
+        metrics = results[side]["metrics"]
+        values[side] = {name: metrics[name]["value"] for name in names if name in metrics}
     return {**values,
-            "differ": [name for name in names if values["parent"][name] != values["change"][name]]}
+            "differ": [name for name in names
+                       if values["parent"].get(name) != values["change"].get(name)]}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -164,8 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=901)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--counts", action="store_true",
-                        help="after each workload's pairs, compare one traced run's counts")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
@@ -192,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
                    "checkouts the same way")
         print(f"warning: {warning}", file=sys.stderr)
     workloads = {}
-    counts = {} if args.counts else None
+    counts = {}
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
@@ -210,17 +212,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"change {pair['change']['metrics'][name]['value']:.4g}" for name in better
             ), file=sys.stderr)
         workloads[workload] = summarize(pairs, better)
-        if counts is not None:
-            traced = {}
-            for side in SIDES:
-                traced[side] = checked_run(checkouts[side], side, workload, args.seed,
-                                           COUNT_SECONDS, "in its traced count run", trace=1)
-                if traced[side] is None:
-                    return 1
-            counts[workload] = compare_counts(traced, count_names)
-            differ = counts[workload]["differ"]
-            print(f"{workload} counts: {len(count_names)} compared, "
-                  f"differ: {', '.join(differ) or 'none'}", file=sys.stderr)
+        traced = {}
+        for side in SIDES:
+            traced[side] = checked_run(checkouts[side], side, workload, args.seed,
+                                       COUNT_SECONDS, "in its traced count run", trace=1)
+            if traced[side] is None:
+                return 1
+        counts[workload] = compare_counts(traced, count_names)
+        differ = counts[workload]["differ"]
+        print(f"{workload} counts: {len(count_names)} compared, "
+              f"differ: {', '.join(differ) or 'none'}", file=sys.stderr)
     result = {
         "command": "bench/run.py --trace 0",
         "seconds": args.seconds,
