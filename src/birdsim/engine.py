@@ -124,6 +124,7 @@ from .model import (
     VR_STITCHING,
     CriticalMoments,
     NodeKind,
+    Origin,
     Task,
     record_moment,
 )
@@ -730,17 +731,25 @@ METRICS_COLUMNS = [
 def metrics_to_csv(metrics: MetricsRecord) -> str:
     """Per-(task, program) table; column order is fixed and documented.
 
-    The waiters a delivery credits share its breakdown and delivery time, so
-    each delivery's six cells are formatted once, as are the first_served_s
-    and task_completed_s cells of each time. The memos key on identity, not
-    value (0.0 and -0.0 are equal but print differently), and live only for
-    this call, while every keyed object is alive.
+    Repeated cells are formatted once. The waiters a delivery credits share
+    its breakdown and delivery time, so each delivery's six cells are
+    memoized; so is each issue_time_s, first_served_s and task_completed_s
+    cell of a time (the loader shares one float between the tasks that give
+    its text), each quoted program id and each origin. The float memos key
+    on identity, not value (0.0 and -0.0 are equal but print differently),
+    and live only for this call, while every keyed object is alive.
     """
     times: dict[int, str] = {id(None): ""}
     deliveries: dict[tuple[int, int], str] = {}
+    program_cells: dict[str, str] = {}
+    origin_cell = _ORIGIN_CELL
     lines = [",".join(METRICS_COLUMNS) + "\n"]
     for outcome in metrics.tasks:
         task = outcome.task
+        issued = task.issue_time
+        issued_cell = times.get(id(issued))
+        if issued_cell is None:
+            issued_cell = times[id(issued)] = repr(issued)
         served = outcome.first_served_at
         served_cell = times.get(id(served))
         if served_cell is None:
@@ -750,11 +759,12 @@ def metrics_to_csv(metrics: MetricsRecord) -> str:
         if done_cell is None:
             done_cell = times[id(done)] = repr(done)
         task_id = csv_cell(task.task_id)
-        task_cells = (
-            f"{csv_cell(task.origin.value)},{task.consumer!r},"
-            f"{task.issue_time!r},{served_cell}"
-        )
+        task_cells = f"{origin_cell[task.origin]},{task.consumer!r},{issued_cell},{served_cell}"
         for prog in outcome.programs:
+            program_id = prog.program_id
+            program_cell = program_cells.get(program_id)
+            if program_cell is None:
+                program_cell = program_cells[program_id] = csv_cell(program_id)
             b = prog.breakdown
             at = prog.delivered_at
             key = (id(b), id(at))
@@ -771,7 +781,7 @@ def metrics_to_csv(metrics: MetricsRecord) -> str:
                 deliveries[key] = delivery
             server = prog.server
             lines.append(
-                f"{task_id},{csv_cell(prog.program_id)},{task_cells},"
+                f"{task_id},{program_cell},{task_cells},"
                 f"{prog.attempts!r},{'' if server is None else repr(server)},"
                 f"{delivery},{done_cell}\n"
             )
@@ -780,17 +790,32 @@ def metrics_to_csv(metrics: MetricsRecord) -> str:
 
 SAMPLES_COLUMNS = ["t_s", "band", "direction", "throughput_mbps", "one_way_delay_ms"]
 # Enum.value is a property call; these tables read each text once
+_ORIGIN_CELL = {origin: csv_cell(origin.value) for origin in Origin}
 _BAND_CELL = {band: csv_cell(band.value) for band in Band}
 _DIRECTION_CELL = {direction: csv_cell(direction.value) for direction in Direction}
 
 
 def samples_to_csv(metrics: MetricsRecord) -> str:
+    """One row per link sample, in draw order.
+
+    A link returns its band's one-way delay as one float object for every
+    sample of a band and direction, so each delay cell is formatted once per
+    object. The memo keys on identity, not value (0.0 and -0.0 are equal
+    but print differently), and lives only for this call, while every
+    sample is alive.
+    """
     band_cell, direction_cell = _BAND_CELL, _DIRECTION_CELL
-    return ",".join(SAMPLES_COLUMNS) + "\n" + "".join([
-        f"{t!r},{band_cell[band]},{direction_cell[direction]},"
-        f"{throughput!r},{one_way_delay!r}\n"
-        for t, band, direction, throughput, one_way_delay in metrics.samples
-    ])
+    delays: dict[int, str] = {}
+    lines = [",".join(SAMPLES_COLUMNS) + "\n"]
+    for t, band, direction, throughput, one_way_delay in metrics.samples:
+        delay_cell = delays.get(id(one_way_delay))
+        if delay_cell is None:
+            delay_cell = delays[id(one_way_delay)] = repr(one_way_delay)
+        lines.append(
+            f"{t!r},{band_cell[band]},{direction_cell[direction]},"
+            f"{throughput!r},{delay_cell}\n"
+        )
+    return "".join(lines)
 
 
 def summary_dict(metrics: MetricsRecord) -> dict:

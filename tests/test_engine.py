@@ -1661,8 +1661,26 @@ def writer_metrics_csv(metrics):
     return writer_text(rows)
 
 
-def test_metrics_csv_memoizes_cells_by_identity_not_value():
+def writer_samples_csv(metrics):
+    """samples.csv as csv.writer writes it, each Band and Direction as its
+    value."""
+    return writer_text([engine.SAMPLES_COLUMNS] + [
+        [t, band.value, direction.value, throughput, one_way_delay]
+        for t, band, direction, throughput, one_way_delay in metrics.samples
+    ])
+
+
+def hand_built_metrics(tasks=(), samples=()):
     from birdsim.model import CriticalMoments
+
+    return engine.MetricsRecord(
+        scenario_name="hand-built", seed=1, duration=10.0, t_int=1.0, tasks=list(tasks),
+        moments=CriticalMoments(), counts={}, samples=list(samples), phase_log=[],
+        final_t_pos=0,
+    )
+
+
+def test_metrics_csv_memoizes_cells_by_identity_not_value():
     from birdsim.pipeline import LatencyBreakdown
 
     zero, minus_zero = float("0.0"), float("-0.0")
@@ -1671,8 +1689,9 @@ def test_metrics_csv_memoizes_cells_by_identity_not_value():
     negative = LatencyBreakdown(minus_zero, 0.5, 0.25, 0.125)
     assert shared == negative and shared is not negative
 
-    def outcome(task_id, served, completed, *programs):
-        task = Task(task_id, tuple(p.program_id for p in programs), issue_time=1.5)
+    def outcome(task_id, served, completed, *programs, issued=1.5,
+                origin=Origin.COMMANDER_ORDER):
+        task = Task(task_id, tuple(p.program_id for p in programs), origin, issued)
         return protocol.TaskOutcome(task, served, completed, list(programs))
 
     def prog(program_id, breakdown, delivered_at, attempts=1, server=2):
@@ -1685,19 +1704,82 @@ def test_metrics_csv_memoizes_cells_by_identity_not_value():
                 prog("stitch", None, None, attempts=3, server=None)),
         outcome("negative", minus_zero, minus_zero, prog("detect", negative, minus_zero)),
         outcome("a,b", None, None, prog('p"q', None, None, attempts=0, server=None)),
+        # issued at 0.0 and at -0.0 (the loader admits -0.0), then at 0.0 again
+        outcome("at-zero", None, None, prog('p"q', None, None, attempts=0, server=None),
+                issued=zero, origin=Origin.TIMELINE_IMPLIED),
+        outcome("at-minus-zero", None, None, prog("stitch", None, None, attempts=0,
+                                                  server=None), issued=minus_zero),
+        outcome("at-zero-again", None, None, prog("detect", None, None, attempts=0,
+                                                  server=None), issued=zero),
     ]
-    metrics = engine.MetricsRecord(
-        scenario_name="hand-built", seed=1, duration=10.0, t_int=1.0, tasks=tasks,
-        moments=CriticalMoments(), counts={}, samples=[], phase_log=[], final_t_pos=0,
-    )
+    metrics = hand_built_metrics(tasks)
     text = metrics_to_csv(metrics)
     assert text == writer_metrics_csv(metrics)
     assert "-0.0,0.5,0.25,0.125,0.875,-0.0,completed,-0.0" in text
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == engine.METRICS_COLUMNS
-    assert [row[0] for row in rows[1:]] == ['odd,"id"\nx', "plain", "plain", "negative", "a,b"]
+    assert [row[0] for row in rows[1:]] == ['odd,"id"\nx', "plain", "plain", "negative", "a,b",
+                                            "at-zero", "at-minus-zero", "at-zero-again"]
     assert rows[3][1:3] == ["stitch", "commander_order"]
     assert rows[4][5] == "-0.0" and rows[4][8] == "-0.0"
+    assert [row[1:5] for row in rows[6:]] == [
+        ['p"q', "timeline_implied", "0", "0.0"],
+        ["stitch", "commander_order", "0", "-0.0"],
+        ["detect", "commander_order", "0", "0.0"],
+    ]
+
+
+def test_metrics_csv_writes_an_origin_cell_only_for_an_origin_member():
+    """The origin cell is the member's value; a text that names a member
+    (not its value) is no origin, and nothing writes it as one."""
+    def metrics(origin):
+        task = Task("t", ("detect",), origin)
+        prog = protocol.ProgramOutcome("detect", 0, None, None, None)
+        return hand_built_metrics([protocol.TaskOutcome(task, None, None, [prog])])
+
+    for origin in Origin:
+        [row] = csv.DictReader(io.StringIO(metrics_to_csv(metrics(origin))))
+        assert row["origin"] == origin.value
+    for name in Origin.__members__:
+        with pytest.raises(KeyError):
+            metrics_to_csv(metrics(name))
+
+
+def test_samples_csv_memoizes_the_delay_cell_by_identity_not_value():
+    zero, minus_zero, shared = float("0.0"), float("-0.0"), float("20.0")
+    # equal in value to shared, another object
+    twin = float("20.0")
+    assert zero == minus_zero and twin == shared and twin is not shared
+    ul, dl = Direction.UL, Direction.DL
+    samples = [
+        channel.LinkSample(0.0, Band.LOW_ALTITUDE, ul, 12.5, zero),
+        channel.LinkSample(0.5, Band.LOW_ALTITUDE, dl, 80.25, minus_zero),
+        *(channel.LinkSample(1.0 + i, Band.HIGH_ALTITUDE, (ul, dl)[i % 2], 3.0 + i, shared)
+          for i in range(5)),
+        channel.LinkSample(7.0, Band.ROTATION, ul, 0.1, twin),
+        channel.LinkSample(7.5, Band.ROTATION, dl, 0.2, minus_zero),
+        channel.LinkSample(8.0, Band.ROTATION, dl, 0.3, zero),
+    ]
+    metrics = hand_built_metrics(samples=samples)
+    text = samples_to_csv(metrics)
+    assert text == writer_samples_csv(metrics)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == engine.SAMPLES_COLUMNS
+    assert [row[4] for row in rows[1:]] == ["0.0", "-0.0", *["20.0"] * 6, "-0.0", "0.0"]
+    assert [row[1] for row in rows[1:]] == ["low"] * 2 + ["high"] * 5 + ["rotation"] * 3
+
+
+@pytest.mark.parametrize("case", ["bundled", "storm_seed_1"])
+def test_both_csv_writers_write_a_run_as_csv_writer_does(case, tmp_path):
+    """On files the loader reads, so that tasks share issue-time floats and
+    links share delay floats as in a real run."""
+    path = BUNDLED_SCENARIO
+    if case == "storm_seed_1":
+        path = tmp_path / "storm.yaml"
+        path.write_text(bench_build("storm", 1).scenario_text)
+    metrics = run(load_scenario(path), trace=False).metrics
+    assert metrics_to_csv(metrics) == writer_metrics_csv(metrics)
+    assert samples_to_csv(metrics) == writer_samples_csv(metrics)
 
 
 def test_outcome_stats_is_the_three_summary_values():

@@ -14,7 +14,8 @@ never-served metrics row and one to the summary's task total.
 The bundled mission never has two tasks due on one tick, so the spare
 server, unreferenced program and zero-loss relations also run on the bench's
 `storm` workload at seed 1, whose ticks serve many tasks at once and retry
-every wire dispatch.
+every wire dispatch, and the rename relation runs on its `wide` workload at
+seed 1, whose ticks merge tasks with different consumers on one program.
 """
 
 import copy
@@ -23,6 +24,7 @@ import functools
 import io
 import json
 import math
+import re
 
 import pytest
 import yaml
@@ -105,10 +107,14 @@ def test_a_change_no_decision_reads_leaves_every_artifact_alone(name):
     assert artifacts(load_scenario(doc)) == base_artifacts()
 
 
+def bench_doc(name):
+    return yaml.load(bench_build(name, 1).scenario_text,
+                     Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 @functools.cache
 def storm_doc():
-    return yaml.load(bench_build("storm", 1).scenario_text,
-                     Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    return bench_doc("storm")
 
 
 @functools.cache
@@ -172,3 +178,33 @@ def test_a_task_issued_after_the_window_adds_only_its_pending_row():
     late, base = json.loads(summary), json.loads(base_summary)
     assert late.pop("tasks_total") == base.pop("tasks_total") + 1
     assert late == base
+
+
+# a renamed task of the wide workload: the scenario's task i of n is named
+# r<n-1-i>, so that the names sort in the reverse of scenario order
+RENAMED = re.compile(r"\br\d{4}\b")
+
+
+def test_renamed_tasks_in_reverse_name_order_change_only_the_names_on_a_bench_workload():
+    """Due tasks are served, and a program's merged waiters take its first
+    waiter's consumer, in scenario order, not name order: on `wide`, whose
+    ticks merge tasks of several consumers on one program, names that sort
+    the other way round change nothing but the names."""
+    doc = bench_doc("wide")
+    base = artifacts(load_scenario(doc))
+    assert not any(RENAMED.search(artifact) for artifact in base)
+    tasks = doc["tasks"]
+    old_of = {f"r{len(tasks) - 1 - i:04d}": task["task_id"] for i, task in enumerate(tasks)}
+    new_of = {old: new for new, old in old_of.items()}
+    assert len(new_of) == len(tasks) < 10_000
+    for task in tasks:
+        task["task_id"] = new_of[task["task_id"]]
+    for phase in doc["timeline"]:
+        waits = phase.get("completes_when", {})
+        if "task_completed" in waits:
+            waits["task_completed"] = new_of[waits["task_completed"]]
+    names = [task["task_id"] for task in tasks]
+    assert names == sorted(names, reverse=True)
+    renamed = artifacts(load_scenario(doc))
+    assert renamed != base
+    assert tuple(RENAMED.sub(lambda m: old_of[m[0]], artifact) for artifact in renamed) == base

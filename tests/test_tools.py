@@ -37,9 +37,16 @@ PAIRS = [
 ]
 
 
+def end_to_end(bound=0.25, **better):
+    """BENCHMARK.json's end-to-end list for the metrics named in better,
+    each with bound."""
+    return [{"name": name, "better": direction, "bound": bound}
+            for name, direction in better.items()]
+
+
 def test_summary_of_fixed_pairs():
     summary = bench_pairs.summarize(
-        PAIRS, {"mission_s": "lower", "peak_rss_mb": "lower"})
+        PAIRS, end_to_end(mission_s="lower", peak_rss_mb="lower"))
     mission = summary["metrics"]["mission_s"]
     assert mission["unit"] == "s"
     assert mission["pairs"] == 5
@@ -61,16 +68,71 @@ def test_summary_of_fixed_pairs():
 
 
 def test_higher_is_better_counts_the_other_way():
-    summary = bench_pairs.summarize(PAIRS, {"mission_s": "higher"})
+    summary = bench_pairs.summarize(PAIRS, end_to_end(mission_s="higher"))
     mission = summary["metrics"]["mission_s"]
     assert mission["change_wins"] == 1
     assert not mission["beats_parent_spread"]
 
 
 def test_one_pair_has_degenerate_quartiles():
-    summary = bench_pairs.summarize(PAIRS[:1], {"mission_s": "lower"})
+    summary = bench_pairs.summarize(PAIRS[:1], end_to_end(mission_s="lower"))
     parent = summary["metrics"]["mission_s"]["parent"]
     assert parent["q1"] == parent["median"] == parent["q3"] == 0.060
+
+
+def verdict(pairs, bound, better="lower"):
+    mission = bench_pairs.summarize(pairs, end_to_end(bound, mission_s=better))["metrics"]
+    mission = mission["mission_s"]
+    assert mission["bound"] == bound
+    return {key: mission[key] for key in ("within_bound", "unresolved", "gain")}
+
+
+def test_within_bound_reads_the_bound_as_a_share_of_the_parents_median():
+    # the change's median, 0.052, is 18.75 % below the parent's 0.064
+    assert verdict(PAIRS, 0.25)["within_bound"]
+    assert verdict(PAIRS, 0.25, "higher")["within_bound"]
+    assert not verdict(PAIRS, 0.18, "higher")["within_bound"]
+    assert verdict(PAIRS, 0.19, "higher")["within_bound"]
+    assert verdict(PAIRS, 0.0)["within_bound"]
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved_unless_the_runs_separate():
+    # the parent's quartile spread is 0.004, 6.25 % of its median, and the
+    # change's 0.066 is slower than the parent's 0.060
+    assert not verdict(PAIRS, 0.07)["unresolved"]
+    assert verdict(PAIRS, 0.06)["unresolved"]
+    assert verdict(PAIRS, 0.06, "higher")["unresolved"]
+    # every change run faster than every parent run
+    separated = [replace_value(pair, "change", 0.055) for pair in PAIRS]
+    assert not verdict(separated, 0.06)["unresolved"]
+    assert verdict(separated, 0.06, "higher")["unresolved"]
+
+
+def replace_value(pair, side, mission_s):
+    return {**pair, side: result(mission_s, 50.0)}
+
+
+def ten_pairs(losses):
+    """Ten pairs whose change runs are 20 % faster, but for the first
+    `losses`."""
+    return [{"seed": 901 + i, "first": ("parent", "change")[i % 2],
+             "parent": result(parent, 50.0),
+             "change": result(parent * (1.1 if i < losses else 0.8), 50.0)}
+            for i, parent in enumerate([0.060, 0.061, 0.062, 0.063, 0.064,
+                                        0.065, 0.066, 0.067, 0.068, 0.069])]
+
+
+def test_a_gain_wins_nine_of_every_ten_pairs_and_beats_the_parents_spread():
+    assert verdict(ten_pairs(0), 0.25)["gain"]
+    assert verdict(ten_pairs(1), 0.25)["gain"]
+    assert not verdict(ten_pairs(2), 0.25)["gain"]
+    assert not verdict(ten_pairs(0), 0.25, "higher")["gain"]
+    # four of five pairs won is fewer than nine of ten, whatever the medians
+    assert not verdict(PAIRS, 0.25)["gain"]
+    # every pair won by a hair, within the parent's spread
+    close = [replace_value(pair, "change", pair["parent"]["metrics"]["mission_s"]["value"]
+                           * 0.99) for pair in ten_pairs(0)]
+    assert not verdict(close, 0.25)["gain"]
 
 
 def test_a_failed_bench_run_is_reported_with_its_stderr(tmp_path, capsys):

@@ -36,6 +36,16 @@ one short run shows them. The output holds, per workload, the counts each
 side reports and `differ`, the names whose values differ between the sides
 or that only one side reports (a parent that predates a counter lacks it),
 and one stderr line per workload names them.
+
+Each metric also carries the no-regression verdict, read against its
+`bound` in the change's BENCHMARK.json, a fraction of the parent's median:
+- `within_bound`: the change's median is no worse than the parent's by more
+  than the bound;
+- `unresolved`: the parent's quartile spread over its median exceeds the
+  bound, and not every change run beats every parent run, so the runs
+  spread too widely to tell a regression from noise;
+- `gain`: the change won at least 9 of every 10 pairs and
+  `beats_parent_spread`, the test a claimed gain has to pass.
 """
 
 from __future__ import annotations
@@ -107,29 +117,41 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per-metric statistics of one workload's pairs.
 
     Each pair is {"seed", "first", "parent", "change"}, the last two being
-    bench/run.py results; `better` maps a metric to "lower" or "higher".
+    bench/run.py results; end_to_end lists BENCHMARK.json's end-to-end
+    metrics, each with its `name`, `better` ("lower" or "higher") and
+    `bound`.
     """
     metrics = {}
-    for name, direction in better.items():
+    for spec in end_to_end:
+        name, bound = spec["name"], spec["bound"]
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = 1 if direction == "lower" else -1
+        # sign * value is lower when better
+        sign = 1 if spec["better"] == "lower" else -1
         stats = {side: _quartiles(values[side]) for side in SIDES}
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        # the medians differ, in the better direction, by more than the
+        # spread between the parent's own runs
+        beats_parent_spread = sign * (parent - change) > spread
+        separated = (max(sign * c for c in values["change"])
+                     < min(sign * p for p in values["parent"]))
         metrics[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
-            "better": direction,
+            "better": spec["better"],
             **stats,
-            "change_over_parent": stats["change"]["median"] / stats["parent"]["median"],
-            "change_wins": sum(sign * (c - p) < 0
-                               for p, c in zip(values["parent"], values["change"])),
+            "change_over_parent": change / parent,
+            "change_wins": wins,
             "pairs": len(pairs),
-            # the medians differ, in the better direction, by more than the
-            # spread between the parent's own runs
-            "beats_parent_spread": sign * (stats["parent"]["median"] - stats["change"]["median"])
-            > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "beats_parent_spread": beats_parent_spread,
+            "bound": bound,
+            "within_bound": sign * (change - parent) <= bound * parent,
+            "unresolved": spread > bound * parent and not separated,
+            "gain": 10 * wins >= 9 * len(pairs) and beats_parent_spread,
         }
     runs = [
         {"seed": p["seed"], "first": p["first"],
@@ -183,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
                          f"which declares {', '.join(declared)}")
     if not args.out.parent.is_dir():
         parser.error(f"--out {args.out}: directory {args.out.parent} does not exist")
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end_names = [m["name"] for m in spec["end_to_end"]]
     count_names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
     ids = {side: checkout_id(path) for side, path in checkouts.items()}
     git_sides = [side for side in SIDES if ids[side]["commit"] is not None]
@@ -209,9 +231,10 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
             print(f"{workload} pair {i}: " + "; ".join(
                 f"{name} parent {pair['parent']['metrics'][name]['value']:.4g} "
-                f"change {pair['change']['metrics'][name]['value']:.4g}" for name in better
+                f"change {pair['change']['metrics'][name]['value']:.4g}"
+                for name in end_to_end_names
             ), file=sys.stderr)
-        workloads[workload] = summarize(pairs, better)
+        workloads[workload] = summarize(pairs, spec["end_to_end"])
         traced = {}
         for side in SIDES:
             traced[side] = checked_run(checkouts[side], side, workload, args.seed,
