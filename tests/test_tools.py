@@ -81,10 +81,14 @@ def test_one_pair_has_degenerate_quartiles():
 
 
 def verdict(pairs, bound, better="lower"):
-    mission = bench_pairs.summarize(pairs, end_to_end(bound, mission_s=better))["metrics"]
-    mission = mission["mission_s"]
+    summary = bench_pairs.summarize(pairs, end_to_end(bound, mission_s=better))
+    mission = summary["metrics"]["mission_s"]
     assert mission["bound"] == bound
     return {key: mission[key] for key in ("within_bound", "unresolved", "gain")}
+
+
+def replace_value(pair, side, mission_s):
+    return {**pair, side: result(mission_s, 50.0)}
 
 
 def test_within_bound_reads_the_bound_as_a_share_of_the_parents_median():
@@ -106,10 +110,6 @@ def test_a_parent_spread_past_the_bound_is_unresolved_unless_the_runs_separate()
     separated = [replace_value(pair, "change", 0.055) for pair in PAIRS]
     assert not verdict(separated, 0.06)["unresolved"]
     assert verdict(separated, 0.06, "higher")["unresolved"]
-
-
-def replace_value(pair, side, mission_s):
-    return {**pair, side: result(mission_s, 50.0)}
 
 
 def ten_pairs(losses):
